@@ -48,11 +48,9 @@ def _emit(text: str, out_path: str | None, command: str, params: dict, seed, t0:
 def cmd_bound(args) -> int:
     t0 = time.perf_counter()
     result = contraction.max_density(
-        L=args.L, tol=args.tol, variant=args.variant,
-        quadrature_order=args.quadrature_order, hamming=args.hamming,
+        L=args.L, tol=args.tol, variant=args.variant, hamming=args.hamming,
     )
-    params = {"L": args.L, "tol": args.tol, "variant": args.variant,
-              "quadrature_order": args.quadrature_order, "hamming": args.hamming}
+    params = {"L": args.L, "tol": args.tol, "variant": args.variant, "hamming": args.hamming}
     _emit(result.to_json(), args.out, "bound", params, None, t0)
     return 0
 
@@ -61,26 +59,20 @@ def cmd_table(args) -> int:
     t0 = time.perf_counter()
     lines = ["L,rho_star"]
     for L in args.Ls:
-        result = contraction.max_density(
-            L=L, tol=args.tol, variant=args.variant,
-            quadrature_order=args.quadrature_order,
-        )
+        result = contraction.max_density(L=L, tol=args.tol, variant=args.variant)
         lines.append(f"{L},{result.rho_star:.12g}")
-    params = {"Ls": args.Ls, "tol": args.tol, "variant": args.variant,
-              "quadrature_order": args.quadrature_order}
+    params = {"Ls": args.Ls, "tol": args.tol, "variant": args.variant}
     _emit("\n".join(lines), args.out, "table", params, None, t0)
     return 0
 
 
 def cmd_metric(args) -> int:
     t0 = time.perf_counter()
-    ok, metric = contraction.feasible(
-        args.rho, args.L, variant=args.variant, quadrature_order=args.quadrature_order
-    )
+    ok, metric = contraction.feasible(args.rho, args.L, variant=args.variant)
     if not ok:
         print(f"error: density {args.rho} is infeasible at L={args.L}", file=sys.stderr)
         return EXIT_PRECONDITION
-    system = contraction.assemble(args.rho, args.L, args.quadrature_order, args.variant)
+    system = contraction.assemble(args.rho, args.L, args.variant)
     residuals, tight_lambda_max = contraction.slack_report(system, metric)
     axioms = metric_mod.check_axioms(metric)
 
@@ -105,8 +97,7 @@ def cmd_metric(args) -> int:
     with open(args.out + ".report.json", "w") as fh:
         fh.write(report_text + "\n")
     print(report_text)
-    params = {"L": args.L, "rho": args.rho, "variant": args.variant,
-              "quadrature_order": args.quadrature_order}
+    params = {"L": args.L, "rho": args.rho, "variant": args.variant}
     _write_manifest(args.out, "metric", params, None, time.perf_counter() - t0)
     return 0
 
@@ -165,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--variant", choices=contraction.VARIANTS, default="clamped")
-    p.add_argument("--quadrature-order", type=int, default=16)
     p.add_argument("--hamming", action="store_true",
                    help="force the unit metric with savings disabled (1/8 baseline)")
     p.add_argument("--out")
@@ -175,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Ls", type=lambda s: [int(x) for x in s.split(",")], required=True)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--variant", choices=contraction.VARIANTS, default="clamped")
-    p.add_argument("--quadrature-order", type=int, default=16)
     p.add_argument("--out")
     p.set_defaults(func=cmd_table)
 
@@ -183,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, default=256)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--variant", choices=contraction.VARIANTS, default="clamped")
-    p.add_argument("--quadrature-order", type=int, default=16)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_metric)
 

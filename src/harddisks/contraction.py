@@ -8,28 +8,29 @@ One coupled step contracts the metric in expectation when, for every i,
 
 where g_i = (rho/pi) * crescent_area(lam_i) is the pessimistic cost of new
 disagreements and w_ij integrates the relabeling-savings kernel
-2 (pi - theta(u, lam_i)) u over subinterval j.
+2 (pi - theta(u, lam_i)) u over subinterval j, exactly, as differences of its
+antiderivative geometry.outside_zone_area.
 
 Savings only ever reference d(u) for u below the danger-zone radius 2, so
 raising d on (2, 4] above the minimal solution costs nothing and turns every
 constraint there into pure slack.  Feasibility is decided on the saturated
-witness (minimal values on (0, 2], tail pinned at 1, residuals re-verified);
-the returned metric is the repaired witness, whose tail is the capped
-subadditive completion instead, so it also satisfies the metric axioms.
-Both make the bound independent of how the savings integral treats the
-(geometrically empty) region u > 2, which the `as_written` variant includes.
+witness alone (minimal values on (0, 2], tail pinned at 1, residuals
+re-verified), so the bound does not depend on how the savings integral treats
+the (geometrically empty) region u > 2, which the `as_written` variant
+includes.  The returned metric is the repaired witness, whose tail is the
+capped subadditive completion instead, so it also satisfies the metric
+axioms; one that fails verification is an error.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lp
-from .geometry import crescent_area, crescent_angle_array
+from .geometry import crescent_area, outside_zone_area
 from .metric import PiecewiseMetric
 
 EPSILON_HAT = 1e-6  # contraction slack n * epsilon, from epsilon = 1e-6 / n
@@ -59,63 +60,39 @@ class ConstraintSystem:
         return 4.0 * np.arange(1, self.L + 1) / self.L
 
 
-@lru_cache(maxsize=32)
-def _kernel_integrals(L: int, quadrature_order: int, variant: str):
-    """rho-independent pieces: crescent areas A_i and integrals I_ij of the kernel.
-
-    I[i, j] is the integral of 2 (pi - theta(u, lam_i)) u over subinterval j
-    (j < i only; the partial cell j = i multiplies d_i - d_i = 0).  Each cell
-    is split at the kernel kinks u = |lam_i - 2| and, in the clamped variant,
-    truncated at the danger-zone radius u = 2.
-    """
-    h = 4.0 / L
-    lam = h * np.arange(1, L + 1)
-    A = crescent_area(lam)
-    nodes, weights = np.polynomial.legendre.leggauss(quadrature_order)
-    I = np.zeros((L, L))
-    for i in range(L):
-        li = lam[i]
-        top = i * h  # upper end of the last full cell below lam_i
-        if top <= 0:
-            continue
-        bps = {j * h for j in range(i + 1)}
-        for kink in (abs(li - 2.0), 2.0):
-            if 0.0 < kink < top:
-                bps.add(kink)
-        bps = np.array(sorted(bps))
-        a, b = bps[:-1], bps[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        u = mid[:, None] + half[:, None] * nodes[None, :]
-        k = 2.0 * (np.pi - crescent_angle_array(u, li)) * u
-        if variant == "clamped":
-            k = np.where(u > 2.0, 0.0, k)
-        seg = (k * weights[None, :]).sum(axis=1) * half
-        cell = np.minimum((mid / h).astype(int), i - 1)
-        np.add.at(I[i], cell, seg)
-    return lam, A, I
-
-
 def assemble(
     rho: float,
     L: int,
-    quadrature_order: int = 16,
     variant: str = "clamped",
     epsilon_hat: float = EPSILON_HAT,
 ) -> ConstraintSystem:
-    """Build the constraint system for one density."""
+    """Build the constraint system for one density.
+
+    w[i, j] = (rho/pi) (F(lam_i, u_{j+1}) - F(lam_i, u_j)) over subinterval
+    j = [u_j, u_{j+1}], j < i only (the partial cell j = i multiplies
+    d_i - d_i = 0), with F = outside_zone_area.  The clamped variant truncates
+    the kernel at the danger-zone radius by clamping u at 2.
+    """
     if not 0 < rho < 0.25:
         raise ValueError(f"density must lie in (0, 1/4), got {rho}")
     if L < 1:
         raise ValueError("grid size must be at least 1")
-    if quadrature_order < 2:
-        raise ValueError("quadrature order must be at least 2")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    _, A, I = _kernel_integrals(L, quadrature_order, variant)
-    scale = rho / np.pi
-    return ConstraintSystem(
-        L=L, rho=rho, epsilon_hat=epsilon_hat, g=scale * A, w=scale * I, variant=variant
-    )
+    lam = 4.0 * np.arange(1, L + 1) / L
+    u = 4.0 / L * np.arange(L)
+    if variant == "clamped":
+        u = np.minimum(u, 2.0)
+    w = np.zeros((L, L))
+    step = max(1, (1 << 16) // L)  # row blocks keep temporaries far below L x L
+    for start in range(0, L, step):
+        stop = min(start + step, L)
+        F = outside_zone_area(u[None, :stop], lam[start:stop, None])
+        # Row i keeps cells j <= i - 1, that is j - (i - start) <= start - 1.
+        w[start:stop, : stop - 1] = np.tril(np.diff(F, axis=1), start - 1)
+    w *= rho / np.pi
+    return ConstraintSystem(L=L, rho=rho, epsilon_hat=epsilon_hat,
+                            g=rho / np.pi * crescent_area(lam), w=w, variant=variant)
 
 
 def minimal_metric(system: ConstraintSystem) -> PiecewiseMetric:
@@ -151,9 +128,8 @@ def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
     cut = int(np.searchsorted(grid, 2.0, side="right"))
     d = np.maximum(m, grid / 4.0)
     for i in range(cut, system.L):
-        best = 1.0
-        for j in range(i):
-            best = min(best, d[j] + d[i - 1 - j])
+        head = d[:i]  # pairs d_j + d_{i-1-j}; empty only for the single cell of L = 1
+        best = np.min(head + head[::-1], initial=1.0)
         d[i] = max(best, m[i], d[i - 1])
     return PiecewiseMetric(values=tuple(d), rho=system.rho)
 
@@ -189,11 +165,28 @@ def slack_report(system: ConstraintSystem, metric: PiecewiseMetric, tight_tol: f
     return residuals, tight_lambda_max
 
 
+def _decide(system: ConstraintSystem) -> bool:
+    """The feasibility decision: the saturated witness lies in [0, 1] and verifies."""
+    sat = saturated_metric(system)
+    if max(sat.values) > 1.0:  # the tail is exactly 1, so this tests the head
+        return False
+    residuals, _ = slack_report(system, sat)
+    return not np.any(residuals < -1e-12)
+
+
+def _witness(system: ConstraintSystem):
+    """The repaired witness of a feasible system, with its residuals and tight_lambda_max."""
+    metric = repaired_metric(system)
+    residuals, tight_lambda_max = slack_report(system, metric)
+    if np.any(residuals < -1e-12):
+        raise RuntimeError(f"repaired witness fails verification at rho={system.rho}, L={system.L}")
+    return metric, residuals, tight_lambda_max
+
+
 def feasible(
     rho: float,
     L: int,
     variant: str = "clamped",
-    quadrature_order: int = 16,
     hamming: bool = False,
     epsilon_hat: float = EPSILON_HAT,
 ):
@@ -201,27 +194,15 @@ def feasible(
 
     In hamming mode the metric is forced to d = 1 with savings disabled,
     which reduces the condition to c >= 4 rho, the classical 1/8 baseline.
+    Otherwise a feasible answer carries the verified repaired witness.
     """
     if hamming:
         c = 1.0 - 4.0 * rho - epsilon_hat
         return c >= 4.0 * rho, PiecewiseMetric(values=(1.0,) * L, rho=rho)
-    system = assemble(rho, L, quadrature_order, variant, epsilon_hat)
-    mmin = np.array(minimal_metric(system).values)
-    cut = int(np.searchsorted(system.grid, 2.0, side="right"))
-    if np.any(mmin[:cut] > 1.0):
+    system = assemble(rho, L, variant, epsilon_hat)
+    if not _decide(system):
         return False, None
-    # Decide feasibility on the saturated witness (equivalent to the minimal
-    # solution fitting in [0, 1]^L), then return the repaired witness when it
-    # also verifies, for its better metric-axiom structure.
-    sat = saturated_metric(system)
-    residuals, _ = slack_report(system, sat)
-    if np.any(residuals < -1e-12):
-        return False, None
-    metric = repaired_metric(system)
-    residuals, _ = slack_report(system, metric)
-    if np.any(residuals < -1e-12):
-        metric = sat
-    return True, metric
+    return True, _witness(system)[0]
 
 
 def lp_feasible(system: ConstraintSystem) -> bool:
@@ -268,7 +249,6 @@ def max_density(
     L: int,
     tol: float = 1e-6,
     variant: str = "clamped",
-    quadrature_order: int = 16,
     hamming: bool = False,
     epsilon_hat: float = EPSILON_HAT,
 ) -> BoundResult:
@@ -276,8 +256,17 @@ def max_density(
     if tol < 1e-9:
         raise ValueError("tol must be at least 1e-9")
     lo, hi = SEARCH_LO, SEARCH_HI
-    ok, metric = feasible(lo, L, variant, quadrature_order, hamming, epsilon_hat)
-    if not ok:
+    base = None if hamming else assemble(lo, L, variant, epsilon_hat)
+
+    def at(rho):  # g and w are proportional to rho, so one assembly serves every probe
+        return replace(base, rho=rho, g=rho / base.rho * base.g, w=rho / base.rho * base.w)
+
+    def ok(rho):
+        if hamming:
+            return feasible(rho, L, hamming=True, epsilon_hat=epsilon_hat)[0]
+        return _decide(at(rho))
+
+    if not ok(lo):
         raise RuntimeError("search bracket lower end unexpectedly infeasible")
     iterations = 0
     # Bisect somewhat past the requested resolution so the returned feasible
@@ -286,16 +275,15 @@ def max_density(
     while hi - lo >= tol_eff:
         mid = 0.5 * (lo + hi)
         iterations += 1
-        ok, m = feasible(mid, L, variant, quadrature_order, hamming, epsilon_hat)
-        if ok:
-            lo, metric = mid, m
+        if ok(mid):
+            lo = mid
         else:
             hi = mid
     if hamming:
+        metric = PiecewiseMetric(values=(1.0,) * L, rho=lo)
         slack, tight_lambda_max = None, 4.0
     else:
-        system = assemble(lo, L, quadrature_order, variant, epsilon_hat)
-        slack, tight_lambda_max = slack_report(system, metric)
+        metric, slack, tight_lambda_max = _witness(at(lo))
     return BoundResult(
         L=L,
         rho_star=lo,

@@ -84,6 +84,23 @@ def crescent_area(lam):
     return float(out) if np.isscalar(lam) else out
 
 
+def outside_zone_area(s, lam):
+    """Area of the disk of radius s about y1 outside the danger zone (radius 2)
+    of a center lam away: pi s^2 minus the circle-circle lens.  It integrates
+    the savings kernel 2 (pi - theta(u, lam)) u over [0, s]; at s = 2 it is the
+    crescent area.  s and lam are arrays that broadcast together.
+    """
+    cross = (np.abs(s - 2.0) < lam) & (lam < s + 2.0)
+    # Placeholders s = lam = 1 keep the discarded crossing entries in domain.
+    sc, lc = np.where(cross, s, 1.0), np.where(cross, lam, 1.0)
+    alpha = np.arccos(np.clip((lc * lc + sc * sc - 4.0) / (2.0 * lc * sc), -1.0, 1.0))
+    beta = np.arccos(np.clip((lc * lc + 4.0 - sc * sc) / (4.0 * lc), -1.0, 1.0))
+    m = np.minimum(s, 2.0)  # nested circles: the smaller disk; disjoint: nothing
+    lens = np.where(cross, sc * sc * alpha + 4.0 * beta - lc * sc * np.sin(alpha),
+                    np.where(lam < s + 2.0, np.pi * m * m, 0.0))
+    return np.pi * s * s - lens
+
+
 def crescent_angle(u: float, lam: float) -> float:
     """Half-angle (at y1) of the arc of radius u that lies outside the crescent.
 

@@ -175,12 +175,17 @@ def to_csv(metric: PiecewiseMetric, path) -> None:
 
 
 def from_csv(path) -> PiecewiseMetric:
+    """Read a `lambda_right,d` CSV; a row off the grid lam_k = 4k/L is an error."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "lambda_right,d":
             raise ValueError(f"unexpected metric CSV header: {header!r}")
-        values = [float(line.split(",")[1]) for line in fh if line.strip()]
-    return PiecewiseMetric(values=tuple(values))
+        rows = [[float(x) for x in line.split(",")] for line in fh if line.strip()]
+    L = len(rows)
+    for k, (lam, _) in enumerate(rows, start=1):
+        if abs(lam - 4.0 * k / L) > 1e-9:
+            raise ValueError(f"metric CSV row {k}: lambda_right {lam:.12g}, expected 4*{k}/{L}")
+    return PiecewiseMetric(values=tuple(v for _, v in rows))
 
 
 def to_json(metric: PiecewiseMetric) -> str:

@@ -32,9 +32,10 @@ class TestBound:
         assert "wall_clock_s" in manifest
 
     def test_unknown_flag_exits_two(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["bound", "--bogus"])
-        assert exc.value.code == 2
+        for flags in (["--bogus"], ["--quadrature-order", "16"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["bound", *flags])
+            assert exc.value.code == 2
 
     def test_bad_variant_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -153,6 +154,13 @@ class TestCouple:
         assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0",
                         "--trials", "10", "--metric", str(tmp_path / "nope.csv"),
                         "--seed", "1"]) == 4
+
+    def test_metric_file_off_the_grid_exits_three(self, tmp_path, metric_file):
+        header, *rows = metric_file.read_text().splitlines()
+        bad = tmp_path / "dropped.csv"
+        bad.write_text("\n".join([header, *rows[:-2], rows[-1]]) + "\n")
+        assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0",
+                        "--trials", "10", "--metric", str(bad), "--seed", "1"]) == 3
 
     def test_bad_displacement_exits_three(self, metric_file):
         assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "9.0",

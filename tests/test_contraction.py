@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from harddisks import contraction, lp
 from harddisks.contraction import (
@@ -18,6 +19,7 @@ from harddisks.contraction import (
     saturated_metric,
     slack_report,
 )
+from harddisks.geometry import crescent_angle, crescent_angle_array, crescent_area
 from harddisks.metric import PiecewiseMetric, analytic_small_ell, check_axioms
 
 # Frozen oracle: minimal solution for L = 8, rho = 0.14, computed with an
@@ -33,6 +35,53 @@ MINIMAL_L8_RHO014 = (
     0.855212265797,
     0.879529707054,
 )
+
+
+def quadrature_kernel(L, variant, order=16):
+    """Gauss-Legendre oracle for the savings integrals I of exact_kernel.
+
+    Each cell is split at the kernel kinks u = |lam_i - 2| and, in the clamped
+    variant, truncated at the danger-zone radius u = 2.
+    """
+    h = 4.0 / L
+    lam = h * np.arange(1, L + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    I = np.zeros((L, L))
+    for i in range(L):
+        li = lam[i]
+        top = i * h  # upper end of the last full cell below lam_i
+        if top <= 0:
+            continue
+        bps = {j * h for j in range(i + 1)}
+        for kink in (abs(li - 2.0), 2.0):
+            if 0.0 < kink < top:
+                bps.add(kink)
+        bps = np.array(sorted(bps))
+        a, b = bps[:-1], bps[1:]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        u = mid[:, None] + half[:, None] * nodes[None, :]
+        k = 2.0 * (np.pi - crescent_angle_array(u, li)) * u
+        if variant == "clamped":
+            k = np.where(u > 2.0, 0.0, k)
+        seg = (k * weights[None, :]).sum(axis=1) * half
+        cell = np.minimum((mid / h).astype(int), i - 1)
+        np.add.at(I[i], cell, seg)
+    return I
+
+
+def exact_kernel(L, variant):
+    """The savings integrals I of the assembled system, with the factor rho/pi removed."""
+    return assemble(0.125, L, variant=variant).w * (np.pi / 0.125)
+
+
+def adaptive_cell_integral(lam, a, b, variant):
+    """scipy.integrate.quad of the kernel over [a, b], split at the kink |lam - 2|."""
+    if variant == "clamped":
+        b = min(b, 2.0)
+    edges = [a] + [k for k in (abs(lam - 2.0),) if a < k < b] + [b]
+    kernel = lambda u: 2.0 * (math.pi - crescent_angle(u, lam)) * u  # noqa: E731
+    return sum(integrate.quad(kernel, x, y, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for x, y in zip(edges[:-1], edges[1:]) if y > x)
 
 
 class TestAssemble:
@@ -66,6 +115,29 @@ class TestAssemble:
         system = assemble(0.14, 64)
         caps = 0.14 * system.grid**2
         assert np.all(system.w.sum(axis=1) <= caps + 1e-12)
+        # Clamped rows whose cells reach u = 2 integrate the kernel over the
+        # whole crescent: F(lam, 2) is its area.
+        sums = exact_kernel(64, "clamped").sum(axis=1)
+        full = system.grid - 4.0 / 64 >= 2.0
+        assert np.allclose(sums[full], crescent_area(system.grid[full]), rtol=0.0, atol=1e-12)
+
+    def test_closed_form_matches_gauss_legendre(self):
+        # The 16-point rule is off by up to 3.4e-5 in the cells that start at
+        # the kernel's square-root kink u = 2 - lam.
+        for variant in contraction.VARIANTS:
+            exact = exact_kernel(64, variant)
+            quad = quadrature_kernel(64, variant)
+            assert np.array_equal(exact == 0.0, quad == 0.0)
+            assert np.allclose(exact, quad, rtol=5e-5, atol=0.0), variant
+
+    @pytest.mark.parametrize("variant", contraction.VARIANTS)
+    def test_closed_form_matches_adaptive_quadrature(self, variant):
+        L = 64
+        h = 4.0 / L
+        exact = exact_kernel(L, variant)
+        for i, j in zip(*np.nonzero(exact)):
+            ref = adaptive_cell_integral((i + 1) * h, j * h, (j + 1) * h, variant)
+            assert exact[i, j] == pytest.approx(ref, rel=1e-10, abs=0.0), (i, j)
 
     def test_contraction_margin(self):
         system = assemble(0.14, 8)
@@ -78,8 +150,6 @@ class TestAssemble:
             assemble(-0.1, 8)
         with pytest.raises(ValueError):
             assemble(0.14, 0)
-        with pytest.raises(ValueError):
-            assemble(0.14, 8, quadrature_order=1)
         with pytest.raises(ValueError):
             assemble(0.14, 8, variant="bogus")
 
@@ -149,7 +219,25 @@ class TestSaturatedMetric:
         assert check_axioms(result.metric).passed
 
 
+def looped_repaired_metric(system):
+    """Reference tail completion, one pair at a time."""
+    m = np.array(minimal_metric(system).values)
+    cut = int(np.searchsorted(system.grid, 2.0, side="right"))
+    d = np.maximum(m, system.grid / 4.0)
+    for i in range(cut, system.L):
+        best = 1.0
+        for j in range(i):
+            best = min(best, d[j] + d[i - 1 - j])
+        d[i] = max(best, m[i], d[i - 1])
+    return tuple(d)
+
+
 class TestRepairedMetric:
+    def test_tail_matches_looped_reference(self):
+        for rho, L in ((0.14, 1), (0.05, 8), (0.13, 33), (0.1544, 256)):
+            system = assemble(rho, L)
+            assert contraction.repaired_metric(system).values == looped_repaired_metric(system)
+
     def test_passes_axioms_across_densities(self):
         for rho in (0.03, 0.10, 0.112, 0.13, 0.153):
             m = contraction.repaired_metric(assemble(rho, 32))
@@ -237,6 +325,17 @@ class TestFeasible:
         ok, metric = feasible(0.2, 32)
         assert not ok and metric is None
 
+    def test_unverified_witness_is_an_error(self, monkeypatch):
+        # Half the minimal solution violates every constraint with g_i > 0.
+        def halved(system):
+            return PiecewiseMetric(values=np.array(minimal_metric(system).values) * 0.5)
+
+        monkeypatch.setattr(contraction, "repaired_metric", halved)
+        with pytest.raises(RuntimeError):
+            feasible(0.14, 16)
+        with pytest.raises(RuntimeError):
+            max_density(16)
+
     def test_hamming_mode_threshold(self):
         limit = (1.0 - EPSILON_HAT) / 8.0
         assert feasible(limit - 1e-9, 4, hamming=True)[0]
@@ -261,10 +360,16 @@ class TestMaxDensity:
         b = max_density(64, variant="as_written").rho_star
         assert abs(a - b) < 1e-5
 
-    def test_quadrature_convergence(self):
-        a = max_density(32, quadrature_order=16).rho_star
-        b = max_density(32, quadrature_order=32).rho_star
-        assert abs(a - b) < 1e-6
+    @pytest.mark.parametrize("L, variant, rho_star", [
+        (3, "clamped", 0.139675007),
+        (5, "clamped", 0.144310036),
+        (3, "as_written", 0.139675007),
+        (64, "as_written", 0.153998642),
+    ])
+    def test_saturated_rule_decides_feasibility(self, L, variant, rho_star):
+        # Requiring every minimal value <= 1, tail included, gives other
+        # bounds here: the tail constraints are pure slack once d = 1 there.
+        assert abs(max_density(L, variant=variant).rho_star - rho_star) < 1e-6
 
     def test_epsilon_hat_insensitivity(self):
         a = max_density(16).rho_star

@@ -17,6 +17,7 @@ from harddisks.geometry import (
     crescent_angle_array,
     crescent_area,
     min_image,
+    outside_zone_area,
     reflect_across_bisector,
     torus_dist,
 )
@@ -177,6 +178,27 @@ class TestCrescentAngle:
             assert frac == pytest.approx(
                 (math.pi - crescent_angle(u, lam)) / math.pi, abs=1e-3
             )
+
+
+class TestOutsideZoneArea:
+    def test_two_radii_give_the_crescent(self):
+        lam = np.linspace(0.01, 4.0, 400)
+        assert np.allclose(outside_zone_area(2.0, lam), crescent_area(lam), rtol=0.0, atol=1e-12)
+
+    def test_nested_and_disjoint_circles(self):
+        # inside the zone, disjoint from it, and containing it
+        assert outside_zone_area(0.5, 1.5) == 0.0
+        assert outside_zone_area(0.5, 3.0) == pytest.approx(math.pi * 0.25, rel=1e-15)
+        assert outside_zone_area(3.5, 1.0) == pytest.approx(math.pi * (3.5**2 - 4.0), rel=1e-15)
+
+    def test_derivative_is_the_savings_kernel(self):
+        for lam in (0.3, 1.0, 1.7, 2.5, 3.6):
+            for u in (0.4, 0.9, 1.3, 1.9, 2.7):
+                step = 1e-6
+                rise = outside_zone_area(u + step, lam) - outside_zone_area(u - step, lam)
+                slope = rise / (2 * step)
+                kernel = 2.0 * (math.pi - crescent_angle(u, lam)) * u
+                assert slope == pytest.approx(kernel, abs=1e-6), (u, lam)
 
 
 class TestLocalChart:

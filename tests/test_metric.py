@@ -180,6 +180,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_csv(path)
 
+    def test_csv_rejects_rows_off_the_grid(self, tmp_path):
+        path = tmp_path / "m.csv"
+        to_csv(PiecewiseMetric(values=(0.25, 0.5, 0.75, 1.0)), path)
+        header, *rows = path.read_text().splitlines()
+        dropped = [header, rows[0], rows[1], rows[3]]  # L = 3 grid: 4/3, 8/3, 4
+        swapped = [header, rows[0], rows[2], rows[1], rows[3]]
+        for lines, bad_row in ((dropped, "row 1"), (swapped, "row 2")):
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=bad_row):
+                from_csv(path)
+
     def test_json_round_trip(self):
         m = PiecewiseMetric(values=(0.25, 0.5, 0.75, 1.0), rho=0.14)
         back = from_json(to_json(m))
