@@ -68,12 +68,11 @@ def cmd_table(args) -> int:
 
 def cmd_metric(args) -> int:
     t0 = time.perf_counter()
-    ok, metric = contraction.feasible(args.rho, args.L, variant=args.variant)
-    if not ok:
+    system = contraction.assemble(args.rho, args.L, args.variant)
+    if not contraction.decide(system):
         print(f"error: density {args.rho} is infeasible at L={args.L}", file=sys.stderr)
         return EXIT_PRECONDITION
-    system = contraction.assemble(args.rho, args.L, args.variant)
-    residuals, tight_lambda_max = contraction.slack_report(system, metric)
+    metric, residuals, tight_lambda_max = contraction.witness(system)
     axioms = metric_mod.check_axioms(metric)
 
     metric_mod.to_csv(metric, args.out)

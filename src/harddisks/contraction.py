@@ -36,6 +36,7 @@ from .metric import PiecewiseMetric
 EPSILON_HAT = 1e-6  # contraction slack n * epsilon, from epsilon = 1e-6 / n
 VARIANTS = ("clamped", "as_written")
 
+TIGHT_TOL = 1e-8  # a constraint with residual below this counts as tight
 SEARCH_LO = 0.12  # below the Hamming baseline (1 - eps_hat)/8 in every mode
 SEARCH_HI = 0.25
 
@@ -148,11 +149,11 @@ def saturated_metric(system: ConstraintSystem) -> PiecewiseMetric:
     return PiecewiseMetric(values=tuple(d), rho=system.rho)
 
 
-def slack_report(system: ConstraintSystem, metric: PiecewiseMetric, tight_tol: float = 1e-8):
+def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
     """Per-constraint residuals (c + W_i) d_i - g_i - sum_{j<i} w_ij d_j.
 
     Returns (residuals, tight_lambda_max) where the latter is the largest
-    grid point whose constraint is tight to within tight_tol.
+    grid point whose constraint is tight to within TIGHT_TOL.
     """
     if metric.L != system.L:
         raise ValueError("metric and system grid sizes differ")
@@ -160,12 +161,12 @@ def slack_report(system: ConstraintSystem, metric: PiecewiseMetric, tight_tol: f
     W = system.w.sum(axis=1)
     sav = system.w @ d  # lower-triangular: row i only sees j < i
     residuals = (system.c + W) * d - system.g - sav
-    tight = system.grid[residuals < tight_tol]
+    tight = system.grid[residuals < TIGHT_TOL]
     tight_lambda_max = float(tight.max()) if tight.size else 0.0
     return residuals, tight_lambda_max
 
 
-def _decide(system: ConstraintSystem) -> bool:
+def decide(system: ConstraintSystem) -> bool:
     """The feasibility decision: the saturated witness lies in [0, 1] and verifies."""
     sat = saturated_metric(system)
     if max(sat.values) > 1.0:  # the tail is exactly 1, so this tests the head
@@ -174,7 +175,7 @@ def _decide(system: ConstraintSystem) -> bool:
     return not np.any(residuals < -1e-12)
 
 
-def _witness(system: ConstraintSystem):
+def witness(system: ConstraintSystem):
     """The repaired witness of a feasible system, with its residuals and tight_lambda_max."""
     metric = repaired_metric(system)
     residuals, tight_lambda_max = slack_report(system, metric)
@@ -200,9 +201,9 @@ def feasible(
         c = 1.0 - 4.0 * rho - epsilon_hat
         return c >= 4.0 * rho, PiecewiseMetric(values=(1.0,) * L, rho=rho)
     system = assemble(rho, L, variant, epsilon_hat)
-    if not _decide(system):
+    if not decide(system):
         return False, None
-    return True, _witness(system)[0]
+    return True, witness(system)[0]
 
 
 def lp_feasible(system: ConstraintSystem) -> bool:
@@ -264,7 +265,7 @@ def max_density(
     def ok(rho):
         if hamming:
             return feasible(rho, L, hamming=True, epsilon_hat=epsilon_hat)[0]
-        return _decide(at(rho))
+        return decide(at(rho))
 
     if not ok(lo):
         raise RuntimeError("search bracket lower end unexpectedly infeasible")
@@ -283,7 +284,7 @@ def max_density(
         metric = PiecewiseMetric(values=(1.0,) * L, rho=lo)
         slack, tight_lambda_max = None, 4.0
     else:
-        metric, slack, tight_lambda_max = _witness(at(lo))
+        metric, slack, tight_lambda_max = witness(at(lo))
     return BoundResult(
         L=L,
         rho_star=lo,

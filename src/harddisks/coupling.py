@@ -15,19 +15,19 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import (
     Configuration,
+    batch_insert,
     move_allowed_bruteforce,
     propose,
     radius_for_density,
     random_config,
-    run,
 )
-from .geometry import TorusPoint, reflect_across_bisector, torus_dist
+from .geometry import TorusPoint, min_image_array, reflect_across_bisector, torus_dist
 from .metric import PiecewiseMetric, disagreements, pair_distance
 
 OUTCOME_KINDS = ("coalesced", "unchanged", "both-rejected", "far-move", "near-move")
@@ -61,26 +61,21 @@ class StepOutcome:
     Y: Configuration
 
 
-def make_pair(n: int, rho: float, ell_over_r: float, seed, burn_in: int | None = None) -> CoupledPair:
-    """Equilibrated X plus a copy with disk 0 displaced by exactly ell_over_r * r."""
+def make_pair(n: int, rho: float, ell_over_r: float, seed) -> CoupledPair:
+    """Equilibrated X plus a copy with disk 0 displaced by exactly ell_over_r * r.
+
+    One chain of the estimator's pool: inserted, swept 20 n steps, displaced.
+    """
     if not 0 < ell_over_r <= 4:
         raise ValueError("displacement must lie in (0, 4] (units of r)")
-    ss = np.random.SeedSequence(seed)
-    if burn_in is None:
-        burn_in = 20 * n
-    for attempt_seed in ss.spawn(20):
-        child = attempt_seed.spawn(3)
-        X = random_config(n, rho, child[0])
-        X, _ = run(X, burn_in, child[1])
-        rng = np.random.default_rng(child[2])
-        ell_abs = ell_over_r * X.r
-        x1 = X.centers[0]
-        for _ in range(200):
-            phi = 2.0 * math.pi * rng.random()
-            y1 = (x1[0] + ell_abs * math.cos(phi), x1[1] + ell_abs * math.sin(phi))
-            if move_allowed_bruteforce(X, 0, y1):
-                return CoupledPair(X=X, Y=X.replace(0, y1))
-    raise RuntimeError("no valid displacement found within the retry budget")
+    rng = np.random.default_rng(seed)
+    r = radius_for_density(n, rho)
+    two_r2 = (2.0 * r) ** 2
+    centers = random_config(n, rho, rng).centers.copy()[None]
+    _batch_sweep(centers, 20 * n, two_r2, rng)
+    y1 = _displace(centers, ell_over_r * r, two_r2, rng)[0]
+    X = Configuration(centers[0], r)
+    return CoupledPair(X=X, Y=X.replace(0, y1))
 
 
 def coupled_step(pair: CoupledPair, metric: PiecewiseMetric, rng) -> StepOutcome:
@@ -168,31 +163,6 @@ class ContractionEstimate:
         return json.dumps(payload, indent=2)
 
 
-def _min_image(d):
-    return d - np.round(d)
-
-
-def _batch_insert(B: int, n: int, two_r2: float, rng) -> np.ndarray:
-    """Random sequential insertion for B chains at once."""
-    centers = np.empty((B, n, 2))
-    for k in range(n):
-        pending = np.arange(B)
-        for _ in range(10_000):
-            p = rng.random((len(pending), 2))
-            if k == 0:
-                centers[pending, 0] = p
-                break
-            d = _min_image(centers[pending, :k] - p[:, None, :])
-            ok = ((d * d).sum(axis=2) >= two_r2).all(axis=1)
-            centers[pending[ok], k] = p[ok]
-            pending = pending[~ok]
-            if len(pending) == 0:
-                break
-        else:
-            raise RuntimeError("batched insertion failed; density too high")
-    return centers
-
-
 def _batch_sweep(centers: np.ndarray, steps: int, two_r2: float, rng) -> None:
     """Advance every chain by `steps` single-disk moves, in place."""
     B, n, _ = centers.shape
@@ -231,7 +201,7 @@ def _displace(centers: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.nda
     for round_ in range(200):
         phi = 2.0 * math.pi * rng.random(len(pending))
         cand = centers[pending, 0] + ell_abs * np.column_stack([np.cos(phi), np.sin(phi)])
-        d = _min_image(centers[pending, 1:] - cand[:, None, :])
+        d = min_image_array(centers[pending, 1:] - cand[:, None, :])
         ok = ((d * d).sum(axis=2) >= two_r2).all(axis=1)
         y1[pending[ok]] = cand[ok] % 1.0
         pending = pending[~ok]
@@ -244,7 +214,33 @@ def _displace(centers: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.nda
     raise RuntimeError("no valid displacement found within the retry budget")
 
 
-def _batch_trials(centers, y1, metric, ell_over_r, r, rng, acc):
+@dataclass
+class _Tally:
+    """Running sums over trials; group tallies are added in group order."""
+
+    sum_bound: float = 0.0
+    sum_exact: float = 0.0
+    sumsq_bound: float = 0.0
+    sumsq_exact: float = 0.0
+    counts: dict = field(default_factory=lambda: dict.fromkeys(OUTCOME_KINDS, 0))
+    crescent_hits: int = 0
+    near_savings_sum: float = 0.0
+    max_gap: float = -math.inf  # largest delta_exact - delta_bound seen
+
+    def __iadd__(self, other: "_Tally") -> "_Tally":
+        self.sum_bound += other.sum_bound
+        self.sum_exact += other.sum_exact
+        self.sumsq_bound += other.sumsq_bound
+        self.sumsq_exact += other.sumsq_exact
+        for k in OUTCOME_KINDS:
+            self.counts[k] += other.counts[k]
+        self.crescent_hits += other.crescent_hits
+        self.near_savings_sum += other.near_savings_sum
+        self.max_gap = max(self.max_gap, other.max_gap)
+        return self
+
+
+def _batch_trials(centers, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
     """One coupled step per chain; accumulate deltas and outcome counts."""
     B, n, _ = centers.shape
     two_r = 2.0 * r
@@ -255,10 +251,10 @@ def _batch_trials(centers, y1, metric, ell_over_r, r, rng, acc):
 
     j = rng.integers(n, size=B)
     z = rng.random((B, 2))
-    dvec = _min_image(centers - z[:, None, :])
+    dvec = min_image_array(centers - z[:, None, :])
     d2 = (dvec * dvec).sum(axis=2)
     a2 = d2[:, 0]
-    b2 = ((_min_image(y1 - z)) ** 2).sum(axis=1)
+    b2 = ((min_image_array(y1 - z)) ** 2).sum(axis=1)
 
     delta_bound = np.zeros(B)
     delta_exact = np.zeros(B)
@@ -281,26 +277,26 @@ def _batch_trials(centers, y1, metric, ell_over_r, r, rng, acc):
     kinds[mirror] = 2
 
     cres = other & in_y & ~in_x
-    acc["crescent_hits"] += int(cres.sum())
+    tally.crescent_hits += int(cres.sum())
     if np.any(cres):
         ci = np.where(cres)[0]
         x1 = centers[ci, 0]
         y1c = y1[ci]
-        u = _min_image(y1c - x1)
+        u = min_image_array(y1c - x1)
         u /= ell_abs
-        mid = x1 + 0.5 * _min_image(y1c - x1)
-        wv = _min_image(z[ci] - mid)
+        mid = x1 + 0.5 * min_image_array(y1c - x1)
+        wv = min_image_array(z[ci] - mid)
         zbar = (mid + wv - 2.0 * (wv * u).sum(axis=1, keepdims=True) * u) % 1.0
 
         # acceptance in X: all disks except the moved one (disk 0 cannot
         # block, z is outside its zone); in Y: same against the mirror image.
         okx = d2_excl[ci].min(axis=1) >= two_r2
-        dby = _min_image(centers[ci] - zbar[:, None, :])
+        dby = min_image_array(centers[ci] - zbar[:, None, :])
         d2y = (dby * dby).sum(axis=2)
         d2y[np.arange(len(ci)), j[ci]] = np.inf
         d2y[:, 0] = np.inf  # row 0 holds x1; in Y it is y1, handled below
         oky = (d2y.min(axis=1) >= two_r2) & (
-            ((_min_image(zbar - y1c)) ** 2).sum(axis=1) >= two_r2
+            ((min_image_array(zbar - y1c)) ** 2).sum(axis=1) >= two_r2
         )
 
         succ = okx | oky
@@ -314,7 +310,7 @@ def _batch_trials(centers, y1, metric, ell_over_r, r, rng, acc):
         s_over_r = s / r
         d_s = metric.eval_array(s_over_r)
         delta_bound[near_rows] = 1.0 + d_s[succ & near] - d_ell
-        acc["near_savings_sum"] += float((d_ell - d_s[succ & near]).sum())
+        tally.near_savings_sum += float((d_ell - d_s[succ & near]).sum())
 
         if np.any(succ):
             sel = np.where(succ)[0]
@@ -324,22 +320,27 @@ def _batch_trials(centers, y1, metric, ell_over_r, r, rng, acc):
             oky_s = oky[sel]
             xj_new = np.where(okx_s[:, None], z[gi], xj)
             yj_new = np.where(oky_s[:, None], zbar[sel], xj)
-            t1 = np.sqrt(((_min_image(xj_new - yj_new)) ** 2).sum(axis=1))
-            u1 = np.sqrt(((_min_image(xj_new - y1[gi])) ** 2).sum(axis=1))
-            u2 = np.sqrt(((_min_image(centers[gi, 0] - yj_new)) ** 2).sum(axis=1))
+            t1 = np.sqrt(((min_image_array(xj_new - yj_new)) ** 2).sum(axis=1))
+            u1 = np.sqrt(((min_image_array(xj_new - y1[gi])) ** 2).sum(axis=1))
+            u2 = np.sqrt(((min_image_array(centers[gi, 0] - yj_new)) ** 2).sum(axis=1))
             straight = d_ell + metric.eval_array(t1 / r)
             crossed = metric.eval_array(u1 / r) + metric.eval_array(u2 / r)
             delta_exact[gi] = np.minimum(straight, crossed) - d_ell
 
-    acc["sum_b"] += float(delta_bound.sum())
-    acc["sum_e"] += float(delta_exact.sum())
-    acc["sumsq_b"] += float((delta_bound * delta_bound).sum())
-    acc["sumsq_e"] += float((delta_exact * delta_exact).sum())
+    tally.sum_bound += float(delta_bound.sum())
+    tally.sum_exact += float(delta_exact.sum())
+    tally.sumsq_bound += float((delta_bound * delta_bound).sum())
+    tally.sumsq_exact += float((delta_exact * delta_exact).sum())
     counts = np.bincount(kinds, minlength=5)
     for k, name in enumerate(OUTCOME_KINDS):
-        acc["counts"][name] += int(counts[k])
-    acc["max_gap"] = max(acc["max_gap"], float((delta_exact - delta_bound).max()))
+        tally.counts[name] += int(counts[k])
+    tally.max_gap = max(tally.max_gap, float((delta_exact - delta_bound).max()))
 
+
+# Pool settings; a sweep is n single-disk steps.
+BATCH = 4096  # chains per pool
+EQUILIBRATION_SWEEPS = 30  # before the first trial
+THIN_SWEEPS = 1  # between trials
 
 # Equilibrating a pool of chains is the dominant cost and is independent of
 # the displacement under study, so finished pools are memoized per (problem,
@@ -349,7 +350,8 @@ _POOL_CACHE: dict = {}
 _POOL_CACHE_MAX = 16
 
 
-def _equilibrated_pool(key, ss, B, n, two_r2, equilibration):
+def _equilibrated_pool(ss, B, n, rho, two_r2):
+    key = (n, rho, ss.entropy, ss.spawn_key, B)
     hit = _POOL_CACHE.get(key)
     if hit is not None:
         centers, state = hit
@@ -357,33 +359,28 @@ def _equilibrated_pool(key, ss, B, n, two_r2, equilibration):
         rng.bit_generator.state = state
         return centers.copy(), rng
     rng = np.random.default_rng(ss)
-    centers = _batch_insert(B, n, two_r2, rng)
-    _batch_sweep(centers, equilibration, two_r2, rng)
+    centers = batch_insert(B, n, rho, rng)
+    _batch_sweep(centers, EQUILIBRATION_SWEEPS * n, two_r2, rng)
     if len(_POOL_CACHE) >= _POOL_CACHE_MAX:
         _POOL_CACHE.pop(next(iter(_POOL_CACHE)))
     _POOL_CACHE[key] = (centers.copy(), rng.bit_generator.state)
     return centers, rng
 
 
-def _run_group(args):
-    (n, rho, ell_over_r, metric, trials, ss, pool_key, batch, equilibration, thin) = args
+def _run_group(n, rho, ell_over_r, metric, trials, ss) -> _Tally:
     r = radius_for_density(n, rho)
     two_r2 = (2.0 * r) ** 2
-    B = min(batch, trials)
-    acc = {
-        "sum_b": 0.0, "sum_e": 0.0, "sumsq_b": 0.0, "sumsq_e": 0.0,
-        "counts": {k: 0 for k in OUTCOME_KINDS},
-        "crescent_hits": 0, "near_savings_sum": 0.0, "max_gap": -np.inf,
-    }
-    centers, rng = _equilibrated_pool(pool_key, ss, B, n, two_r2, equilibration)
+    B = min(BATCH, trials)
+    tally = _Tally()
+    centers, rng = _equilibrated_pool(ss, B, n, rho, two_r2)
     done = 0
     while done < trials:
         take = min(B, trials - done)
-        _batch_sweep(centers, thin, two_r2, rng)
+        _batch_sweep(centers, THIN_SWEEPS * n, two_r2, rng)
         y1 = _displace(centers, ell_over_r * r, two_r2, rng)
-        _batch_trials(centers[:take], y1[:take], metric, ell_over_r, r, rng, acc)
+        _batch_trials(centers[:take], y1[:take], metric, ell_over_r, r, rng, tally)
         done += take
-    return acc
+    return tally
 
 
 def estimate_contraction(
@@ -393,63 +390,50 @@ def estimate_contraction(
     metric: PiecewiseMetric,
     trials: int,
     seed,
-    batch: int = 4096,
-    equilibration: int | None = None,
-    thin: int | None = None,
     threads: int = 1,
 ) -> ContractionEstimate:
     """Monte Carlo estimate of the one-step expected metric change.
 
-    Trials are drawn from a pool of independent chains kept near equilibrium
-    and thinned between trials; each trial resamples the displaced twin and
-    performs a single coupled step.  Deterministic given the seed and
-    independent of the thread count (work is split into fixed groups).
+    Trials are drawn from a pool of independent chains and each trial
+    resamples the displaced twin and performs a single coupled step.  The
+    pool settings are fixed: BATCH = 4096 chains per group, equilibrated for
+    EQUILIBRATION_SWEEPS * n = 30 n steps and thinned by THIN_SWEEPS * n = n
+    steps between trials.  Deterministic given the seed and independent of
+    the thread count (work is split into fixed groups).  An exact metric
+    change above the analysis bound raises RuntimeError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 < ell_over_r <= 4:
         raise ValueError("displacement must lie in (0, 4] (units of r)")
-    if equilibration is None:
-        equilibration = 30 * n
-    if thin is None:
-        thin = n
     groups = 8 if trials >= 8 else 1
     per = [trials // groups] * groups
     for k in range(trials - sum(per)):
         per[k] += 1
-    root = np.random.SeedSequence(seed)
-    seeds = root.spawn(groups)
-    args = [
-        (n, rho, ell_over_r, metric, per[g], seeds[g],
-         (n, rho, root.entropy, g, min(batch, per[g]), equilibration),
-         batch, equilibration, thin)
-        for g in range(groups)
-    ]
+    seeds = np.random.SeedSequence(seed).spawn(groups)
+
+    def group(g):
+        return _run_group(n, rho, ell_over_r, metric, per[g], seeds[g])
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            accs = list(pool.map(_run_group, args))
+            tallies = list(pool.map(group, range(groups)))
     else:
-        accs = [_run_group(a) for a in args]
-
-    total = {
-        "sum_b": 0.0, "sum_e": 0.0, "sumsq_b": 0.0, "sumsq_e": 0.0,
-        "counts": {k: 0 for k in OUTCOME_KINDS},
-        "crescent_hits": 0, "near_savings_sum": 0.0, "max_gap": -np.inf,
-    }
-    for acc in accs:
-        for key in ("sum_b", "sum_e", "sumsq_b", "sumsq_e", "crescent_hits", "near_savings_sum"):
-            total[key] += acc[key]
-        for k in OUTCOME_KINDS:
-            total["counts"][k] += acc["counts"][k]
-        total["max_gap"] = max(total["max_gap"], acc["max_gap"])
-    if total["max_gap"] > 1e-12:
-        raise AssertionError("exact metric change exceeded the analysis bound")
+        tallies = [group(g) for g in range(groups)]
+    total = _Tally()
+    for tally in tallies:
+        total += tally
+    if total.max_gap > 1e-12:
+        raise RuntimeError(
+            f"exact metric change exceeded the analysis bound by {total.max_gap:.3g} "
+            f"at rho={rho}, ell={ell_over_r} (units of r)"
+        )
 
     N = trials
-    mean_b = total["sum_b"] / N
-    mean_e = total["sum_e"] / N
-    var_b = max(0.0, total["sumsq_b"] / N - mean_b * mean_b)
-    var_e = max(0.0, total["sumsq_e"] / N - mean_e * mean_e)
+    mean_b = total.sum_bound / N
+    mean_e = total.sum_exact / N
+    var_b = max(0.0, total.sumsq_bound / N - mean_b * mean_b)
+    var_e = max(0.0, total.sumsq_exact / N - mean_e * mean_e)
     return ContractionEstimate(
         n=n,
         rho=rho,
@@ -459,7 +443,7 @@ def estimate_contraction(
         mean_delta_exact=mean_e,
         ci99_bound=2.576 * math.sqrt(var_b / N),
         ci99_exact=2.576 * math.sqrt(var_e / N),
-        outcome_counts=total["counts"],
-        crescent_hits=total["crescent_hits"],
-        near_savings_sum=total["near_savings_sum"],
+        outcome_counts=total.counts,
+        crescent_hits=total.crescent_hits,
+        near_savings_sum=total.near_savings_sum,
     )

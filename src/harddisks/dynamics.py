@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TorusPoint
+from .geometry import TorusPoint, min_image_array
 
-MAX_INSERTION_ATTEMPTS = 20_000
+MAX_INSERTION_ATTEMPTS = 10_000  # per disk and chain
+RUN_BLOCK = 65_536  # proposals drawn per block in run()
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,7 @@ class Configuration:
         """Full O(n^2) pairwise audit of the hard-core constraint."""
         c = self.centers
         for i in range(1, self.n):
-            d = c[:i] - c[i]
-            d -= np.round(d)
+            d = min_image_array(c[:i] - c[i])
             if np.any((d * d).sum(axis=1) < (2.0 * self.r) ** 2 - 1e-15):
                 return False
         return True
@@ -89,35 +89,41 @@ def radius_for_density(n: int, rho: float) -> float:
     return math.sqrt(rho / (math.pi * n))
 
 
-def random_config(n: int, rho: float, seed) -> Configuration:
-    """Random sequential insertion with rejection; restarts on a jammed prefix."""
+def batch_insert(B: int, n: int, rho: float, rng) -> np.ndarray:
+    """Random sequential insertion of n disks at density rho, for B chains at once.
+
+    Disk k of each chain is redrawn until it lies at distance >= 2r from disks
+    0..k-1 of that chain, at most MAX_INSERTION_ATTEMPTS times.  Returns the
+    centers, shape (B, n, 2).
+    """
     if not 0 < rho < 0.25:
-        raise ValueError("density must lie in (0, 1/4)")
-    r = radius_for_density(n, rho)
-    rng = np.random.default_rng(seed)
-    four_r2 = (2.0 * r) ** 2
-    attempts = 0
-    while attempts < MAX_INSERTION_ATTEMPTS:
-        centers = np.empty((n, 2))
-        k = 0
-        while k < n and attempts < MAX_INSERTION_ATTEMPTS:
-            attempts += 1
-            p = rng.random(2)
-            if k == 0:
-                centers[k] = p
-                k += 1
-                continue
-            d = centers[:k] - p
-            d -= np.round(d)
-            if np.all((d * d).sum(axis=1) >= four_r2):
-                centers[k] = p
-                k += 1
-        if k == n:
-            return Configuration(centers, r)
-    raise RuntimeError(
-        f"random insertion failed after {MAX_INSERTION_ATTEMPTS} attempts "
-        f"(n={n}, rho={rho}); density too high for this initializer"
-    )
+        raise ValueError(f"density must lie in (0, 1/4), got {rho}")
+    two_r2 = (2.0 * radius_for_density(n, rho)) ** 2
+    centers = np.empty((B, n, 2))
+    centers[:, 0] = rng.random((B, 2))
+    for k in range(1, n):
+        pending = np.arange(B)
+        for _ in range(MAX_INSERTION_ATTEMPTS):
+            p = rng.random((len(pending), 2))
+            d = min_image_array(centers[pending, :k] - p[:, None, :])
+            ok = ((d * d).sum(axis=2) >= two_r2).all(axis=1)
+            centers[pending[ok], k] = p[ok]
+            pending = pending[~ok]
+            if len(pending) == 0:
+                break
+        else:
+            raise RuntimeError(
+                f"random insertion failed: disk {k} found no free position in "
+                f"{MAX_INSERTION_ATTEMPTS} attempts (n={n}, rho={rho}); "
+                "density too high for this initializer"
+            )
+    return centers
+
+
+def random_config(n: int, rho: float, seed) -> Configuration:
+    """Random sequential insertion of one configuration; see batch_insert."""
+    centers = batch_insert(1, n, rho, np.random.default_rng(seed))
+    return Configuration(centers[0], radius_for_density(n, rho))
 
 
 def propose(config: Configuration, rng) -> tuple[int, TorusPoint]:
@@ -129,8 +135,7 @@ def propose(config: Configuration, rng) -> tuple[int, TorusPoint]:
 
 def move_allowed_bruteforce(config: Configuration, i: int, xy) -> bool:
     """O(n) oracle: is center i allowed to move to xy?"""
-    d = config.centers - np.asarray(xy)
-    d -= np.round(d)
+    d = min_image_array(config.centers - np.asarray(xy))
     dist2 = (d * d).sum(axis=1)
     dist2[i] = np.inf  # the moved disk's own old position never blocks
     return bool(np.all(dist2 >= (2.0 * config.r) ** 2))
@@ -195,7 +200,7 @@ def step(config: Configuration, rng) -> tuple[Configuration, bool]:
     return config, False
 
 
-def run(config: Configuration, steps: int, seed, block: int = 65_536):
+def run(config: Configuration, steps: int, seed):
     """Run the chain for a number of steps; deterministic given the seed.
 
     Proposals are drawn in blocks and validity is checked through the cell
@@ -211,7 +216,7 @@ def run(config: Configuration, steps: int, seed, block: int = 65_536):
     accepted = 0
     done = 0
     while done < steps:
-        todo = min(block, steps - done)
+        todo = min(RUN_BLOCK, steps - done)
         idx = rng.integers(n, size=todo)
         pts = rng.random((todo, 2))
         for k in range(todo):

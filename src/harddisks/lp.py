@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+PIVOT_TOL = 1e-9  # reduced costs, pivots and ratio ties below this count as zero
 
-def feasible_box(A, b, ub, tol: float = 1e-9, max_iter: int | None = None) -> bool:
+
+def feasible_box(A, b, ub) -> bool:
     """True iff some x with 0 <= x <= ub satisfies A x >= b."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -44,13 +46,11 @@ def feasible_box(A, b, ub, tol: float = 1e-9, max_iter: int | None = None) -> bo
     T[-1, :] = -T[:m, :].sum(axis=0)
     T[-1, art : art + m] = 0.0
 
-    if max_iter is None:
-        max_iter = 50 * n_cols
-    for _ in range(max_iter):
+    for _ in range(50 * n_cols):
         # Bland: entering = smallest index with negative reduced cost.
         enter = -1
         for j in range(n_cols):
-            if T[-1, j] < -tol:
+            if T[-1, j] < -PIVOT_TOL:
                 enter = j
                 break
         if enter < 0:
@@ -59,12 +59,12 @@ def feasible_box(A, b, ub, tol: float = 1e-9, max_iter: int | None = None) -> bo
         rhs = T[:n_rows, -1]
         best_ratio, leave = None, -1
         for i in range(n_rows):
-            if col[i] > tol:
+            if col[i] > PIVOT_TOL:
                 ratio = rhs[i] / col[i]
                 if (
                     best_ratio is None
-                    or ratio < best_ratio - tol
-                    or (abs(ratio - best_ratio) <= tol and basis[i] < basis[leave])
+                    or ratio < best_ratio - PIVOT_TOL
+                    or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leave])
                 ):
                     best_ratio, leave = ratio, i
         if leave < 0:
@@ -78,4 +78,4 @@ def feasible_box(A, b, ub, tol: float = 1e-9, max_iter: int | None = None) -> bo
     else:
         raise RuntimeError("phase-1 simplex failed to converge")
 
-    return -T[-1, -1] < tol
+    return -T[-1, -1] < PIVOT_TOL

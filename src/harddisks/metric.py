@@ -14,6 +14,8 @@ import numpy as np
 
 from .geometry import crescent_area, torus_dist
 
+AXIOM_TOL = 1e-12  # slack allowed in each axiom comparison
+
 
 @dataclass(frozen=True)
 class PiecewiseMetric:
@@ -93,7 +95,7 @@ class AxiomReport:
         )
 
 
-def check_axioms(metric: PiecewiseMetric, tol: float = 1e-12) -> AxiomReport:
+def check_axioms(metric: PiecewiseMetric) -> AxiomReport:
     """Check monotonicity, grid subadditivity, and the [0, 1] range.
 
     Subadditivity is checked on the grid (d_{i+j} <= d_i + d_j for i+j <= L)
@@ -104,16 +106,16 @@ def check_axioms(metric: PiecewiseMetric, tol: float = 1e-12) -> AxiomReport:
     L = metric.L
     report = AxiomReport()
     for i in range(L):
-        if not -tol <= d[i] <= 1.0 + tol:
+        if not -AXIOM_TOL <= d[i] <= 1.0 + AXIOM_TOL:
             report.range_violations.append((i + 1, d[i]))
-        if i + 1 < L and d[i] > d[i + 1] + tol:
+        if i + 1 < L and d[i] > d[i + 1] + AXIOM_TOL:
             report.monotonicity_violations.append((i + 1, d[i], d[i + 1]))
     for i in range(1, L + 1):
         for j in range(i, L + 1):
             if i + j <= L:
-                if d[i + j - 1] > d[i - 1] + d[j - 1] + tol:
+                if d[i + j - 1] > d[i - 1] + d[j - 1] + AXIOM_TOL:
                     report.subadditivity_violations.append((i, j, d[i + j - 1]))
-            elif d[i - 1] + d[j - 1] < 1.0 - tol:
+            elif d[i - 1] + d[j - 1] < 1.0 - AXIOM_TOL:
                 report.subadditivity_violations.append((i, j, 1.0))
     return report
 
@@ -131,13 +133,13 @@ class DisagreementPair:
             raise ValueError("only pairs differing in at most 2 disks are supported")
 
 
-def disagreements(config_a, config_b, atol: float = 0.0) -> DisagreementPair:
+def disagreements(config_a, config_b) -> DisagreementPair:
     """Build a DisagreementPair from two configurations with the same n and r."""
     if config_a.n != config_b.n or config_a.r != config_b.r:
         raise ValueError("configurations must share n and r")
     idx = []
     for i in range(config_a.n):
-        if torus_dist(config_a.point(i), config_b.point(i)) > atol:
+        if torus_dist(config_a.point(i), config_b.point(i)) > 0.0:
             idx.append(i)
     return DisagreementPair(config_a, config_b, tuple(idx))
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from harddisks import coupling
+from harddisks import contraction, coupling, dynamics
 from harddisks.cli import main
 from harddisks.metric import from_csv, to_csv
 from harddisks.contraction import max_density
@@ -88,6 +88,20 @@ class TestMetric:
         out = tmp_path / "m.csv"
         assert run_cli(["metric", "--L", "8", "--rho", "0.4", "--out", str(out)]) == 3
 
+    def test_assembles_and_verifies_once(self, tmp_path, monkeypatch):
+        calls = {"assemble": 0, "slack_report": 0}
+        for name in calls:
+            fn = getattr(contraction, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(contraction, name, counted)
+        assert run_cli(["metric", "--L", "16", "--rho", "0.15", "--out", str(tmp_path / "m.csv")]) == 0
+        # one system; one residual check for the decision, one for the witness
+        assert calls == {"assemble": 1, "slack_report": 2}
+
 
 class TestSimulate:
     def test_stats_and_snapshot(self, tmp_path, capsys):
@@ -117,6 +131,19 @@ class TestSimulate:
     def test_bad_steps_exits_three(self):
         assert run_cli(["simulate", "--n", "4", "--rho", "0.02",
                         "--steps", "-5", "--seed", "1"]) == 3
+
+    def test_out_of_range_density_exits_three(self, capsys):
+        assert run_cli(["simulate", "--n", "8", "--rho", "0.3",
+                        "--steps", "10", "--seed", "1"]) == 3
+        assert "density must lie in (0, 1/4)" in capsys.readouterr().err
+
+    def test_jammed_insertion_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(dynamics, "MAX_INSERTION_ATTEMPTS", 1)
+        assert run_cli(["simulate", "--n", "64", "--rho", "0.2",
+                        "--steps", "10", "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "random insertion failed" in err
+        assert "n=64" in err and "rho=0.2" in err
 
 
 class TestCouple:
@@ -166,3 +193,15 @@ class TestCouple:
         assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "9.0",
                         "--trials", "10", "--metric", str(metric_file),
                         "--seed", "1"]) == 3
+
+    def test_out_of_range_density_exits_three(self, metric_file, capsys):
+        assert run_cli(["couple", "--n", "8", "--rho", "0.3", "--ell", "1.0",
+                        "--trials", "10", "--metric", str(metric_file),
+                        "--seed", "1"]) == 3
+        assert "density must lie in (0, 1/4)" in capsys.readouterr().err
+
+    def test_exact_change_above_bound_exits_three(self, metric_file, positive_gap, capsys):
+        assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0",
+                        "--trials", "100", "--metric", str(metric_file),
+                        "--seed", "1"]) == 3
+        assert "exceeded the analysis bound" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from harddisks import coupling
+from harddisks import coupling, dynamics
 from harddisks.coupling import (
     OUTCOME_KINDS,
     CoupledPair,
@@ -160,7 +160,7 @@ class TestBatchedMatchesScalar:
         two_r2 = (2.0 * r) ** 2
         rng = np.random.default_rng(31)
         B = 300
-        centers = coupling._batch_insert(B, n, two_r2, rng)
+        centers = dynamics.batch_insert(B, n, rho, rng)
         coupling._batch_sweep(centers, 5 * n, two_r2, rng)
         ell_over_r = 2.5
         y1 = coupling._displace(centers, ell_over_r * r, two_r2, rng)
@@ -175,12 +175,8 @@ class TestBatchedMatchesScalar:
             def random(self, shape=None):
                 return z
 
-        acc = {
-            "sum_b": 0.0, "sum_e": 0.0, "sumsq_b": 0.0, "sumsq_e": 0.0,
-            "counts": {k: 0 for k in OUTCOME_KINDS},
-            "crescent_hits": 0, "near_savings_sum": 0.0, "max_gap": -np.inf,
-        }
-        coupling._batch_trials(centers, y1, TEST_METRIC, ell_over_r, r, Scripted(), acc)
+        tally = coupling._Tally()
+        coupling._batch_trials(centers, y1, TEST_METRIC, ell_over_r, r, Scripted(), tally)
 
         sum_b = sum_e = 0.0
         counts = {k: 0 for k in OUTCOME_KINDS}
@@ -191,9 +187,9 @@ class TestBatchedMatchesScalar:
             sum_b += out.delta_bound
             sum_e += out.delta_exact
             counts[out.kind] += 1
-        assert acc["sum_b"] == pytest.approx(sum_b, abs=1e-9)
-        assert acc["sum_e"] == pytest.approx(sum_e, abs=1e-9)
-        assert acc["counts"] == counts
+        assert tally.sum_bound == pytest.approx(sum_b, abs=1e-9)
+        assert tally.sum_exact == pytest.approx(sum_e, abs=1e-9)
+        assert tally.counts == counts
 
 
 class TestEstimateContraction:
@@ -277,3 +273,9 @@ class TestEstimateContraction:
             estimate_contraction(8, 0.05, 1.0, hamming_metric(), 0, seed=1)
         with pytest.raises(ValueError):
             estimate_contraction(8, 0.05, 5.0, hamming_metric(), 10, seed=1)
+        with pytest.raises(ValueError, match="density"):
+            estimate_contraction(8, 0.3, 1.0, hamming_metric(), 10, seed=1)
+
+    def test_exact_change_above_bound_is_an_error(self, positive_gap):
+        with pytest.raises(RuntimeError, match=r"by 0\.25 at rho=0\.05, ell=1\.5"):
+            estimate_contraction(8, 0.05, 1.5, hamming_metric(), 100, seed=1)

@@ -86,6 +86,13 @@ class TestRandomConfig:
         with pytest.raises(ValueError):
             random_config(4, 0.3, seed=0)
 
+    def test_draw_order_pinned(self):
+        # Every simulate output starts from this insertion; a change in the
+        # order of the random draws must show up here.
+        config = random_config(64, 0.15, seed=7)
+        assert config.centers[0].tolist() == [0.625095466604667, 0.8972138009695755]
+        assert config.centers[-1].tolist() == [0.9156354351007324, 0.04665223795388718]
+
 
 class TestPropose:
     def test_uniform_over_disks_and_positions(self):
