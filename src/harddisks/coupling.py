@@ -163,29 +163,60 @@ class ContractionEstimate:
         return json.dumps(payload, indent=2)
 
 
+SWEEP_BLOCK_PAIRS = 1 << 15  # chain·disk pairs per block of _batch_sweep
+
+
 def _batch_sweep(centers: np.ndarray, steps: int, two_r2: float, rng) -> None:
-    """Advance every chain by `steps` single-disk moves, in place."""
+    """Advance every chain by `steps` single-disk moves, in place.
+
+    Works on disk-major coordinate planes X, Y of shape (n, chains), so the
+    rejection test is a minimum over contiguous rows.  The chains are split
+    into blocks of max(1, SWEEP_BLOCK_PAIRS // n) chains that stay in cache
+    for a whole chunk of 128 steps.  The draws are those of the (B, n, 2)
+    kernel kept in the tests: per chunk, disk indices of shape (chunk, B),
+    then positions of shape (chunk, B, 2); the arithmetic per chain is the
+    same, so every chain ends in the same state bit for bit.
+    """
     B, n, _ = centers.shape
-    rows = np.arange(B)
-    d = np.empty_like(centers)
-    nearest = np.empty_like(centers)
-    d2 = np.empty((B, n))
+    width = max(1, SWEEP_BLOCK_PAIRS // n)
+    blocks = [
+        (lo, np.ascontiguousarray(centers[lo : lo + width, :, 0].T),
+         np.ascontiguousarray(centers[lo : lo + width, :, 1].T))
+        for lo in range(0, B, width)
+    ]
+    cols = np.arange(min(width, B))
+    dx = np.empty((n, len(cols)))
+    dy = np.empty_like(dx)
+    nearest = np.empty_like(dx)
     done = 0
     while done < steps:
         chunk = min(128, steps - done)
         j_all = rng.integers(n, size=(chunk, B))
         z_all = rng.random((chunk, B, 2))
-        for t in range(chunk):
-            j = j_all[t]
-            z = z_all[t]
-            np.subtract(centers, z[:, None, :], out=d)
-            np.rint(d, out=nearest)
-            d -= nearest
-            np.einsum("bik,bik->bi", d, d, out=d2)
-            d2[rows, j] = np.inf
-            ok = d2.min(axis=1) >= two_r2
-            centers[rows[ok], j[ok]] = z[ok]
+        for lo, X, Y in blocks:
+            w = X.shape[1]
+            c, ex, ey, near = cols[:w], dx[:, :w], dy[:, :w], nearest[:, :w]
+            for t in range(chunk):
+                j = j_all[t, lo : lo + w]
+                zx = z_all[t, lo : lo + w, 0]
+                zy = z_all[t, lo : lo + w, 1]
+                np.subtract(X, zx, out=ex)
+                np.rint(ex, out=near)
+                ex -= near
+                np.subtract(Y, zy, out=ey)
+                np.rint(ey, out=near)
+                ey -= near
+                ex *= ex
+                ey *= ey
+                ex += ey
+                ex[j, c] = np.inf
+                ok = (np.minimum.reduce(ex, axis=0) >= two_r2).nonzero()[0]
+                X[j[ok], ok] = zx[ok]
+                Y[j[ok], ok] = zy[ok]
         done += chunk
+    for lo, X, Y in blocks:
+        centers[lo : lo + X.shape[1], :, 0] = X.T
+        centers[lo : lo + X.shape[1], :, 1] = Y.T
 
 
 def _displace(centers: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.ndarray:
@@ -202,7 +233,8 @@ def _displace(centers: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.nda
         phi = 2.0 * math.pi * rng.random(len(pending))
         cand = centers[pending, 0] + ell_abs * np.column_stack([np.cos(phi), np.sin(phi)])
         d = min_image_array(centers[pending, 1:] - cand[:, None, :])
-        ok = ((d * d).sum(axis=2) >= two_r2).all(axis=1)
+        dx, dy = d[..., 0], d[..., 1]
+        ok = (dx * dx + dy * dy >= two_r2).all(axis=1)
         y1[pending[ok]] = cand[ok] % 1.0
         pending = pending[~ok]
         if len(pending) == 0:

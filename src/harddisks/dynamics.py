@@ -106,7 +106,8 @@ def batch_insert(B: int, n: int, rho: float, rng) -> np.ndarray:
         for _ in range(MAX_INSERTION_ATTEMPTS):
             p = rng.random((len(pending), 2))
             d = min_image_array(centers[pending, :k] - p[:, None, :])
-            ok = ((d * d).sum(axis=2) >= two_r2).all(axis=1)
+            dx, dy = d[..., 0], d[..., 1]
+            ok = (dx * dx + dy * dy >= two_r2).all(axis=1)
             centers[pending[ok], k] = p[ok]
             pending = pending[~ok]
             if len(pending) == 0:

@@ -177,16 +177,24 @@ def to_csv(metric: PiecewiseMetric, path) -> None:
 
 
 def from_csv(path) -> PiecewiseMetric:
-    """Read a `lambda_right,d` CSV; a row off the grid lam_k = 4k/L is an error."""
+    """Read a `lambda_right,d` CSV.
+
+    A row off the grid lam_k = 4k/L, a value d_k outside [0, 1] or a value
+    above the next row's (each within AXIOM_TOL) is an error naming the row.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "lambda_right,d":
             raise ValueError(f"unexpected metric CSV header: {header!r}")
         rows = [[float(x) for x in line.split(",")] for line in fh if line.strip()]
     L = len(rows)
-    for k, (lam, _) in enumerate(rows, start=1):
+    for k, (lam, d) in enumerate(rows, start=1):
         if abs(lam - 4.0 * k / L) > 1e-9:
             raise ValueError(f"metric CSV row {k}: lambda_right {lam:.12g}, expected 4*{k}/{L}")
+        if not -AXIOM_TOL <= d <= 1.0 + AXIOM_TOL:
+            raise ValueError(f"metric CSV row {k}: d {d:.12g} outside [0, 1]")
+        if k < L and d > rows[k][1] + AXIOM_TOL:
+            raise ValueError(f"metric CSV row {k}: d {d:.12g} exceeds row {k + 1}'s {rows[k][1]:.12g}")
     return PiecewiseMetric(values=tuple(v for _, v in rows))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from harddisks import contraction, coupling, dynamics
 from harddisks.cli import main
-from harddisks.metric import from_csv, to_csv
+from harddisks.metric import PiecewiseMetric, from_csv, to_csv
 from harddisks.contraction import max_density
 
 
@@ -188,6 +188,13 @@ class TestCouple:
         bad.write_text("\n".join([header, *rows[:-2], rows[-1]]) + "\n")
         assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0",
                         "--trials", "10", "--metric", str(bad), "--seed", "1"]) == 3
+
+    def test_metric_file_out_of_range_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "two.csv"
+        to_csv(PiecewiseMetric(values=(2.0, 2.0)), bad)
+        assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0",
+                        "--trials", "10", "--metric", str(bad), "--seed", "1"]) == 3
+        assert "metric CSV row 1: d 2 outside [0, 1]" in capsys.readouterr().err
 
     def test_bad_displacement_exits_three(self, metric_file):
         assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "9.0",

@@ -153,6 +153,48 @@ class TestClassifyStep:
         assert stats.chisquare(cells).pvalue > 0.01
 
 
+def reference_batch_sweep(centers, steps, two_r2, rng):
+    """The (B, n, 2) sweep kernel that _batch_sweep replaced, kept as its oracle."""
+    B, n, _ = centers.shape
+    rows = np.arange(B)
+    d = np.empty_like(centers)
+    nearest = np.empty_like(centers)
+    d2 = np.empty((B, n))
+    done = 0
+    while done < steps:
+        chunk = min(128, steps - done)
+        j_all = rng.integers(n, size=(chunk, B))
+        z_all = rng.random((chunk, B, 2))
+        for t in range(chunk):
+            j = j_all[t]
+            z = z_all[t]
+            np.subtract(centers, z[:, None, :], out=d)
+            np.rint(d, out=nearest)
+            d -= nearest
+            np.einsum("bik,bik->bi", d, d, out=d2)
+            d2[rows, j] = np.inf
+            ok = d2.min(axis=1) >= two_r2
+            centers[rows[ok], j[ok]] = z[ok]
+        done += chunk
+
+
+class TestBatchSweep:
+    # densities keep 8r < 1/2, so every chain is a valid Configuration
+    @pytest.mark.parametrize("n, rho", [(1, 0.14), (2, 0.02), (8, 0.09), (33, 0.14)])
+    def test_matches_reference_layout(self, n, rho):
+        r = radius_for_density(n, rho)
+        two_r2 = (2.0 * r) ** 2
+        one_block = max(1, coupling.SWEEP_BLOCK_PAIRS // n)
+        for B in (1, 7, one_block + 1):  # the last block of one_block + 1 is partial
+            start = dynamics.batch_insert(B, n, rho, np.random.default_rng(B))
+            for steps in (0, 1, 129):  # 129 crosses a 128-step chunk
+                want, got = start.copy(), start.copy()
+                reference_batch_sweep(want, steps, two_r2, np.random.default_rng(steps))
+                coupling._batch_sweep(got, steps, two_r2, np.random.default_rng(steps))
+                assert np.array_equal(got, want), (B, steps)
+                assert all(Configuration(c, r).is_valid() for c in got)
+
+
 class TestBatchedMatchesScalar:
     def test_same_classification_and_deltas(self):
         n, rho = 8, 0.05
@@ -202,6 +244,17 @@ class TestEstimateContraction:
         assert a.mean_delta_bound == b.mean_delta_bound
         assert a.mean_delta_exact == b.mean_delta_exact
         assert a.outcome_counts == b.outcome_counts
+
+    def test_outputs_pinned(self):
+        # values of the (B, n, 2) sweep kernel; the plane kernel must match bit for bit
+        est = estimate_contraction(8, 0.05, 2.0, hamming_metric(), 4000, seed=77)
+        assert est.mean_delta_bound == -0.093
+        assert est.mean_delta_exact == -0.093
+        assert est.ci99_bound == 0.013437920722492749
+        assert est.outcome_counts == {
+            "coalesced": 421, "unchanged": 3473, "both-rejected": 57,
+            "far-move": 0, "near-move": 49,
+        }
 
     def test_pool_cache_hit_is_bit_identical(self):
         m = hamming_metric()

@@ -191,6 +191,20 @@ class TestSerialization:
             with pytest.raises(ValueError, match=bad_row):
                 from_csv(path)
 
+    def test_csv_rejects_out_of_range_and_non_monotone(self, tmp_path):
+        path = tmp_path / "m.csv"
+        cases = (
+            ((0.25, 2.0, 2.0, 2.0), "row 2: d 2 outside"),
+            ((-0.5, 0.5, 0.75, 1.0), "row 1: d -0.5 outside"),
+            ((0.25, 0.75, 0.5, 1.0), "row 2: d 0.75 exceeds row 3"),
+        )
+        for values, bad_row in cases:
+            to_csv(PiecewiseMetric(values=values), path)
+            with pytest.raises(ValueError, match=bad_row):
+                from_csv(path)
+        path.write_text("lambda_right,d\n1,0.5\n2,0.4999999999995\n3,1.0000000000005\n4,1\n")
+        assert from_csv(path).L == 4  # dips within AXIOM_TOL are accepted
+
     def test_json_round_trip(self):
         m = PiecewiseMetric(values=(0.25, 0.5, 0.75, 1.0), rho=0.14)
         back = from_json(to_json(m))
