@@ -3,29 +3,72 @@
     PYTHONPATH=src python -m pytest benchmarks
     PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable  # smoke run
 
-One batched sweep step is reported as ns per chain·disk in `extra_info`.
+One batched sweep step is reported as ns per chain·disk, one stratified
+coupled-trial step as ns per trial (configuration) and one displacement of
+the whole pool as ns per chain, each in `extra_info`.
 """
 
 import numpy as np
+import pytest
 
 from harddisks import coupling, dynamics
+from harddisks.metric import PiecewiseMetric
 
 B, N, RHO, STEPS, SEED = 4096, 32, 0.14, 128, 2014
+ELL = 1.0  # displacement of the trial and displacement kernels, units of r
+METRIC = PiecewiseMetric(values=tuple(np.linspace(1.0 / 64, 1.0, 64)))
 
 
-def test_batch_sweep(benchmark):
+@pytest.fixture(scope="module")
+def pool():
+    """An equilibrated-enough pool and the generator state after it."""
     two_r2 = (2.0 * dynamics.radius_for_density(N, RHO)) ** 2
     rng = np.random.default_rng(SEED)
     start = dynamics.batch_insert(B, N, RHO, rng)
     coupling._batch_sweep(start, 4 * N, two_r2, rng)  # leave the insertion state
-    state = rng.bit_generator.state
+    return start, rng.bit_generator.state
+
+
+def _rng(state):
+    gen = np.random.default_rng()
+    gen.bit_generator.state = state
+    return gen
+
+
+def _report(benchmark, key, count):
+    if benchmark.stats:
+        benchmark.extra_info[key] = round(1e9 * benchmark.stats.stats.min / count, 3)
+
+
+def test_batch_sweep(benchmark, pool):
+    start, state = pool
+    two_r2 = (2.0 * dynamics.radius_for_density(N, RHO)) ** 2
 
     def fresh():
-        gen = np.random.default_rng()
-        gen.bit_generator.state = state
-        return (start.copy(), STEPS, two_r2, gen), {}
+        return (start.copy(), STEPS, two_r2, _rng(state)), {}
 
     benchmark.pedantic(coupling._batch_sweep, setup=fresh, rounds=5, warmup_rounds=1)
-    if benchmark.stats:
-        ns = 1e9 * benchmark.stats.stats.min / (STEPS * B * N)
-        benchmark.extra_info["ns_per_chain_disk"] = round(ns, 3)
+    _report(benchmark, "ns_per_chain_disk", STEPS * B * N)
+
+
+def test_displace(benchmark, pool):
+    start, state = pool
+    r = dynamics.radius_for_density(N, RHO)
+
+    def fresh():
+        return (start.copy(), ELL * r, (2.0 * r) ** 2, _rng(state)), {}
+
+    benchmark.pedantic(coupling._displace, setup=fresh, rounds=20, warmup_rounds=1)
+    _report(benchmark, "ns_per_chain", B)
+
+
+def test_batch_trials(benchmark, pool):
+    start, state = pool
+    r = dynamics.radius_for_density(N, RHO)
+    y1 = coupling._displace(start.copy(), ELL * r, (2.0 * r) ** 2, _rng(state))
+
+    def fresh():
+        return (start, y1, METRIC, ELL, r, _rng(state), coupling._Tally()), {}
+
+    benchmark.pedantic(coupling._batch_trials, setup=fresh, rounds=20, warmup_rounds=1)
+    _report(benchmark, "ns_per_trial", B)

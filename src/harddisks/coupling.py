@@ -6,8 +6,12 @@ mirrored across the bisector of the disagreeing centers.  Each step is
 classified and charged with two deltas: the pessimistic analysis bound
 (new disagreements at d_max = 1) and the exact greedy-relabel metric change.
 
-`coupled_step` is the scalar reference; `estimate_contraction` runs the same
-classification vectorized over batches of independent chains.
+`coupled_step` is the scalar reference.  `estimate_contraction` applies the
+same classification to batches of independent chains, stratified: only a
+proposal of the disagreeing disk (probability 1/n) or one into the danger
+crescent Z(y1) \\ Z(x1) (probability (n-1)/n * crescent_area(ell) r^2) can
+change the metric, so each configuration draws one proposal from each and
+weights them by those probabilities.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ from .dynamics import (
     radius_for_density,
     random_config,
 )
-from .geometry import TorusPoint, min_image_array, reflect_across_bisector, torus_dist
+from .geometry import (
+    TorusPoint,
+    crescent_area,
+    min_image_array,
+    reflect_across_bisector,
+    torus_dist,
+)
 from .metric import PiecewiseMetric, disagreements, pair_distance
 
 OUTCOME_KINDS = ("coalesced", "unchanged", "both-rejected", "far-move", "near-move")
@@ -163,7 +173,24 @@ class ContractionEstimate:
         return json.dumps(payload, indent=2)
 
 
-SWEEP_BLOCK_PAIRS = 1 << 15  # chain·disk pairs per block of _batch_sweep
+SWEEP_BLOCK_PAIRS = 1 << 15  # chain·disk pairs per block of the plane kernels
+
+
+def _plane_d2(X, Y, px, py, d2, dy, nearest) -> None:
+    """Squared torus distances from (px[c], py[c]) to the disks of chain c.
+
+    X, Y are disk-major coordinate planes (disks, chains); the result goes to
+    d2, and dy and nearest are scratch buffers of the same shape.
+    """
+    np.subtract(X, px, out=d2)
+    np.rint(d2, out=nearest)
+    d2 -= nearest
+    np.subtract(Y, py, out=dy)
+    np.rint(dy, out=nearest)
+    dy -= nearest
+    d2 *= d2
+    dy *= dy
+    d2 += dy
 
 
 def _batch_sweep(centers: np.ndarray, steps: int, two_r2: float, rng) -> None:
@@ -200,15 +227,7 @@ def _batch_sweep(centers: np.ndarray, steps: int, two_r2: float, rng) -> None:
                 j = j_all[t, lo : lo + w]
                 zx = z_all[t, lo : lo + w, 0]
                 zy = z_all[t, lo : lo + w, 1]
-                np.subtract(X, zx, out=ex)
-                np.rint(ex, out=near)
-                ex -= near
-                np.subtract(Y, zy, out=ey)
-                np.rint(ey, out=near)
-                ey -= near
-                ex *= ex
-                ey *= ey
-                ex += ey
+                _plane_d2(X, Y, zx, zy, ex, ey, near)
                 ex[j, c] = np.inf
                 ok = (np.minimum.reduce(ex, axis=0) >= two_r2).nonzero()[0]
                 X[j[ok], ok] = zx[ok]
@@ -272,101 +291,152 @@ class _Tally:
         return self
 
 
-def _batch_trials(centers, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
-    """One coupled step per chain; accumulate deltas and outcome counts."""
+CRESCENT_ROUNDS = 1000  # rejection rounds of _draw_proposals; each succeeds w.p. >= 1/pi
+
+
+def _draw_proposals(centers, y1, ell_over_r: float, r: float, rng):
+    """One uniform disk-0 proposal and one danger-crescent proposal per chain.
+
+    Returns (z0, j, z): z0 uniform on the torus; j uniform on 1..n-1 and z
+    uniform on the crescent Z(y1) \\ Z(x1).  z is drawn by rejection from the
+    2r disk around y1, restricted to the annulus at distance >= 2r - ell from
+    y1 (no closer point lies outside Z(x1)), and redrawn while it lies in
+    Z(x1).  At least 1/pi of that annulus is crescent at any ell.  Offsets
+    from x1 are taken in the plane: while 8r < 1 no other image of x1 comes
+    within 2r of the disk around y1.
+    """
     B, n, _ = centers.shape
-    two_r = 2.0 * r
-    two_r2 = two_r * two_r
+    two_r2 = (2.0 * r) ** 2
+    lo2 = max(0.0, (2.0 - ell_over_r) * r) ** 2
+    z0 = rng.random((B, 2))
+    j = rng.integers(1, n, size=B)
+    shift = min_image_array(y1 - centers[:, 0])  # x1 -> y1
+    z = np.empty((B, 2))
+    pending = np.arange(B)
+    for _ in range(CRESCENT_ROUNDS):
+        u = rng.random((len(pending), 2))
+        s = np.sqrt(lo2 + (two_r2 - lo2) * u[:, 0])
+        phi = 2.0 * math.pi * u[:, 1]
+        bx, by = s * np.cos(phi), s * np.sin(phi)  # z - y1
+        ax, ay = bx + shift[pending, 0], by + shift[pending, 1]  # z - x1
+        ok = (ax * ax + ay * ay >= two_r2) & (bx * bx + by * by < two_r2)
+        z[pending[ok], 0] = bx[ok]
+        z[pending[ok], 1] = by[ok]
+        pending = pending[~ok]
+        if len(pending) == 0:
+            z += y1
+            return z0, j, z % 1.0
+    raise RuntimeError("no crescent proposal found within the rejection budget")
+
+
+def _clear_of_shared(centers, proposals, two_r2: float) -> np.ndarray:
+    """Per proposal (points, skip) and chain: is the point at distance >= 2r
+    from every shared disk 1..n-1 except disk skip + 1 (none if skip is None)?
+
+    Uses disk-major planes in cache-sized blocks of chains, as _batch_sweep.
+    """
+    B, n, _ = centers.shape
+    width = max(1, SWEEP_BLOCK_PAIRS // n)
+    out = np.empty((len(proposals), B), dtype=bool)
+    cols = np.arange(min(width, B))
+    dx = np.empty((n - 1, len(cols)))
+    dy, nearest = np.empty_like(dx), np.empty_like(dx)
+    for lo in range(0, B, width):
+        X = np.ascontiguousarray(centers[lo : lo + width, 1:, 0].T)
+        Y = np.ascontiguousarray(centers[lo : lo + width, 1:, 1].T)
+        w = X.shape[1]
+        ex = dx[:, :w]
+        for k, (p, skip) in enumerate(proposals):
+            _plane_d2(X, Y, p[lo : lo + w, 0], p[lo : lo + w, 1], ex, dy[:, :w], nearest[:, :w])
+            if skip is not None:
+                ex[skip[lo : lo + w], cols[:w]] = np.inf
+            out[k, lo : lo + w] = np.minimum.reduce(ex, axis=0) >= two_r2
+    return out
+
+
+def _classify_proposals(centers, y1, metric, ell_over_r, r, z0, j, z):
+    """The coupling rules of classify_step applied to each chain's two proposals.
+
+    Returns (coal, kind, bound, exact): whether the disk-0 proposal z0
+    coalesces the pair, and for disk j moving to the crescent point z its
+    outcome (an index into OUTCOME_KINDS: unchanged, far-move or near-move)
+    and its two metric changes.
+    """
+    B = len(centers)
+    two_r2 = (2.0 * r) ** 2
     ell_abs = ell_over_r * r
     d_ell = metric.eval(ell_over_r)
-    rows = np.arange(B)
+    cols = np.arange(B)
 
-    j = rng.integers(n, size=B)
-    z = rng.random((B, 2))
-    dvec = min_image_array(centers - z[:, None, :])
-    d2 = (dvec * dvec).sum(axis=2)
-    a2 = d2[:, 0]
-    b2 = ((min_image_array(y1 - z)) ** 2).sum(axis=1)
+    def dist2(p, q):
+        d = min_image_array(p - q)
+        return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
 
-    delta_bound = np.zeros(B)
-    delta_exact = np.zeros(B)
-    kinds = np.zeros(B, dtype=int)  # indices into OUTCOME_KINDS; 1 = unchanged
+    def dist(p, q):
+        return np.sqrt(dist2(p, q))
 
-    kinds[:] = 1
-    is0 = j == 0
-    d2_excl = d2.copy()
-    d2_excl[rows, j] = np.inf
-    ok_self = d2_excl.min(axis=1) >= two_r2  # ignores the disagreeing disk only via j
-    coal = is0 & ok_self
-    kinds[coal] = 0
-    delta_bound[coal] = -d_ell
-    delta_exact[coal] = -d_ell
+    # j != 0: X proposes z, Y its mirror image across the bisector of x1, y1.
+    x1 = centers[:, 0]
+    u = min_image_array(y1 - x1)
+    mid = x1 + 0.5 * u
+    u /= ell_abs
+    w = min_image_array(z - mid)
+    zbar = (mid + w - 2.0 * (w * u).sum(axis=1, keepdims=True) * u) % 1.0
 
-    other = ~is0
-    in_x = a2 < two_r2
-    in_y = b2 < two_r2
-    mirror = other & in_x & ~in_y
-    kinds[mirror] = 2
+    # j = 0: both chains propose z0 against the same blockers.  Disk 0 blocks
+    # neither crescent proposal: z lies outside Z(x1), so its mirror image
+    # lies outside Z(y1); the mirror image is still checked against y1.
+    coal, okx, oky = _clear_of_shared(centers, ((z0, None), (z, j - 1), (zbar, j - 1)), two_r2)
+    oky &= dist2(zbar, y1) >= two_r2
+    succ = okx | oky
 
-    cres = other & in_y & ~in_x
-    tally.crescent_hits += int(cres.sum())
-    if np.any(cres):
-        ci = np.where(cres)[0]
-        x1 = centers[ci, 0]
-        y1c = y1[ci]
-        u = min_image_array(y1c - x1)
-        u /= ell_abs
-        mid = x1 + 0.5 * min_image_array(y1c - x1)
-        wv = min_image_array(z[ci] - mid)
-        zbar = (mid + wv - 2.0 * (wv * u).sum(axis=1, keepdims=True) * u) % 1.0
+    s = dist(z, y1)
+    near = s < ell_abs
+    kind = np.where(succ, np.where(near, 4, 3), 1)
+    bound = np.where(near, 1.0 + metric.eval_array(s / r) - d_ell, 1.0)
+    bound[~succ] = 0.0
 
-        # acceptance in X: all disks except the moved one (disk 0 cannot
-        # block, z is outside its zone); in Y: same against the mirror image.
-        okx = d2_excl[ci].min(axis=1) >= two_r2
-        dby = min_image_array(centers[ci] - zbar[:, None, :])
-        d2y = (dby * dby).sum(axis=2)
-        d2y[np.arange(len(ci)), j[ci]] = np.inf
-        d2y[:, 0] = np.inf  # row 0 holds x1; in Y it is y1, handled below
-        oky = (d2y.min(axis=1) >= two_r2) & (
-            ((min_image_array(zbar - y1c)) ** 2).sum(axis=1) >= two_r2
-        )
+    # Exact change: the cheaper of keeping and swapping the labels of the two
+    # disagreeing pairs (x1, y1) and (x_j', y_j').
+    xj = centers[cols, j]
+    xj_new = np.where(okx[:, None], z, xj)
+    yj_new = np.where(oky[:, None], zbar, xj)
+    straight = d_ell + metric.eval_array(dist(xj_new, yj_new) / r)
+    crossed = metric.eval_array(dist(xj_new, y1) / r) + metric.eval_array(dist(x1, yj_new) / r)
+    exact = np.where(succ, np.minimum(straight, crossed) - d_ell, 0.0)
+    return coal, kind, bound, exact
 
-        succ = okx | oky
-        s = np.sqrt(b2[ci])
-        near = s < ell_abs
-        far_rows = ci[succ & ~near]
-        near_rows = ci[succ & near]
-        kinds[far_rows] = 3
-        kinds[near_rows] = 4
-        delta_bound[far_rows] = 1.0
-        s_over_r = s / r
-        d_s = metric.eval_array(s_over_r)
-        delta_bound[near_rows] = 1.0 + d_s[succ & near] - d_ell
-        tally.near_savings_sum += float((d_ell - d_s[succ & near]).sum())
 
-        if np.any(succ):
-            sel = np.where(succ)[0]
-            gi = ci[sel]
-            xj = centers[gi, j[gi]]
-            okx_s = okx[sel]
-            oky_s = oky[sel]
-            xj_new = np.where(okx_s[:, None], z[gi], xj)
-            yj_new = np.where(oky_s[:, None], zbar[sel], xj)
-            t1 = np.sqrt(((min_image_array(xj_new - yj_new)) ** 2).sum(axis=1))
-            u1 = np.sqrt(((min_image_array(xj_new - y1[gi])) ** 2).sum(axis=1))
-            u2 = np.sqrt(((min_image_array(centers[gi, 0] - yj_new)) ** 2).sum(axis=1))
-            straight = d_ell + metric.eval_array(t1 / r)
-            crossed = metric.eval_array(u1 / r) + metric.eval_array(u2 / r)
-            delta_exact[gi] = np.minimum(straight, crossed) - d_ell
+def _batch_trials(centers, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
+    """One stratified coupled step per chain; accumulate its value and outcomes.
 
-    tally.sum_bound += float(delta_bound.sum())
-    tally.sum_exact += float(delta_exact.sum())
-    tally.sumsq_bound += float((delta_bound * delta_bound).sum())
-    tally.sumsq_exact += float((delta_exact * delta_exact).sum())
-    counts = np.bincount(kinds, minlength=5)
+    Only two strata of proposals change the metric: disk 0 (probability 1/n)
+    and the danger crescent (probability (n-1)/n * crescent_area(ell) r^2).
+    Each chain draws one proposal from each, and its trial value is
+    (1/n) c0 + ((n-1)/n) crescent_area(ell) r^2 c_cres, for the bound and
+    the exact change alike; every other proposal contributes exactly 0.
+    """
+    B, n, _ = centers.shape
+    z0, j, z = _draw_proposals(centers, y1, ell_over_r, r, rng)
+    coal, kind, bound, exact = _classify_proposals(centers, y1, metric, ell_over_r, r, z0, j, z)
+    w_cres = (n - 1) / n * crescent_area(ell_over_r) * r * r
+    base = np.where(coal, -metric.eval(ell_over_r) / n, 0.0)
+    value_bound = base + w_cres * bound
+    value_exact = base + w_cres * exact
+
+    tally.sum_bound += float(value_bound.sum())
+    tally.sum_exact += float(value_exact.sum())
+    tally.sumsq_bound += float((value_bound * value_bound).sum())
+    tally.sumsq_exact += float((value_exact * value_exact).sum())
+    counts = np.bincount(kind, minlength=5)  # crescent proposals
+    coalesced = int(coal.sum())  # disk-0 proposals coalesce or change nothing
+    counts[0] += coalesced
+    counts[1] += B - coalesced
     for k, name in enumerate(OUTCOME_KINDS):
         tally.counts[name] += int(counts[k])
-    tally.max_gap = max(tally.max_gap, float((delta_exact - delta_bound).max()))
+    tally.crescent_hits += B
+    tally.near_savings_sum += float((1.0 - bound[kind == 4]).sum())  # d(ell) - d(s)
+    tally.max_gap = max(tally.max_gap, float((exact - bound).max()))
 
 
 # Pool settings; a sweep is n single-disk steps.
@@ -407,11 +477,12 @@ def _run_group(n, rho, ell_over_r, metric, trials, ss) -> _Tally:
     centers, rng = _equilibrated_pool(ss, B, n, rho, two_r2)
     done = 0
     while done < trials:
-        take = min(B, trials - done)
-        _batch_sweep(centers, THIN_SWEEPS * n, two_r2, rng)
-        y1 = _displace(centers, ell_over_r * r, two_r2, rng)
-        _batch_trials(centers[:take], y1[:take], metric, ell_over_r, r, rng, tally)
-        done += take
+        # the last batch of a group thins only the chains it uses
+        pool = centers[: min(B, trials - done)]
+        _batch_sweep(pool, THIN_SWEEPS * n, two_r2, rng)
+        y1 = _displace(pool, ell_over_r * r, two_r2, rng)
+        _batch_trials(pool, y1, metric, ell_over_r, r, rng, tally)
+        done += len(pool)
     return tally
 
 
@@ -426,18 +497,33 @@ def estimate_contraction(
 ) -> ContractionEstimate:
     """Monte Carlo estimate of the one-step expected metric change.
 
-    Trials are drawn from a pool of independent chains and each trial
-    resamples the displaced twin and performs a single coupled step.  The
-    pool settings are fixed: BATCH = 4096 chains per group, equilibrated for
-    EQUILIBRATION_SWEEPS * n = 30 n steps and thinned by THIN_SWEEPS * n = n
-    steps between trials.  Deterministic given the seed and independent of
-    the thread count (work is split into fixed groups).  An exact metric
-    change above the analysis bound raises RuntimeError.
+    Each trial is one equilibrated configuration from a pool of independent
+    chains, with a freshly displaced twin.  It is charged the stratified
+    one-step change: the exact-weight combination (1/n) c0 +
+    ((n-1)/n) crescent_area(ell) r^2 c_cres of one uniform disk-0 proposal
+    and one uniform danger-crescent proposal (see _batch_trials), so its mean
+    is the expected change of a uniform coupled step and the 99% CI is
+    2.576 sd / sqrt(trials) over configurations.  outcome_counts partitions
+    the 2 * trials proposals; "both-rejected" stays 0, as the mirror crescent
+    is never drawn.  The pool settings are fixed: BATCH = 4096 chains per
+    group, equilibrated for EQUILIBRATION_SWEEPS * n = 30 n steps and thinned
+    by THIN_SWEEPS * n = n steps between trials.  Deterministic given the
+    seed and independent of the thread count (work is split into fixed
+    groups).  Needs n >= 2 and 8r < 1, where the crescent's planar area is
+    its area on the torus (ValueError otherwise).  An exact metric change
+    above the analysis bound raises RuntimeError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 < ell_over_r <= 4:
         raise ValueError("displacement must lie in (0, 4] (units of r)")
+    if n < 2:
+        raise ValueError("a coupled pair needs n >= 2 disks")
+    if rho > 0 and 8.0 * radius_for_density(n, rho) >= 1.0:
+        raise ValueError(
+            f"8r = {8.0 * radius_for_density(n, rho):.3g} at n={n}, rho={rho}; "
+            "the coupled estimate needs 8r < 1"
+        )
     groups = 8 if trials >= 8 else 1
     per = [trials // groups] * groups
     for k in range(trials - sum(per)):

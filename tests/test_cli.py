@@ -164,7 +164,8 @@ class TestCouple:
         payload = json.loads(out.read_text())
         assert payload["trials"] == 20000
         assert payload["mean_delta_exact"] <= payload["mean_delta_bound"] + 1e-12
-        assert sum(payload["outcome_counts"].values()) == 20000
+        # one disk-0 and one crescent proposal per configuration
+        assert sum(payload["outcome_counts"].values()) == 2 * 20000
 
     def test_thread_count_does_not_change_output(self, tmp_path, metric_file):
         outs = []
@@ -206,6 +207,12 @@ class TestCouple:
                         "--trials", "10", "--metric", str(metric_file),
                         "--seed", "1"]) == 3
         assert "density must lie in (0, 1/4)" in capsys.readouterr().err
+
+    def test_radius_outside_coupling_regime_exits_three(self, metric_file, capsys):
+        assert run_cli(["couple", "--n", "2", "--rho", "0.2", "--ell", "1.0",
+                        "--trials", "2000", "--metric", str(metric_file),
+                        "--seed", "1"]) == 3
+        assert "8r = 1.43" in capsys.readouterr().err
 
     def test_exact_change_above_bound_exits_three(self, metric_file, positive_gap, capsys):
         assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0",

@@ -17,7 +17,14 @@ from harddisks.coupling import (
     make_pair,
 )
 from harddisks.dynamics import Configuration, radius_for_density, random_config
-from harddisks.geometry import TorusPoint, crescent_angle_array, crescent_area, torus_dist
+from harddisks.geometry import (
+    TorusPoint,
+    crescent_angle_array,
+    crescent_area,
+    min_image_array,
+    outside_zone_area,
+    torus_dist,
+)
 from harddisks.metric import PiecewiseMetric, hamming_metric
 
 TEST_METRIC = PiecewiseMetric(values=tuple(np.minimum(1.0, np.linspace(0.05, 1.6, 32))))
@@ -178,6 +185,110 @@ def reference_batch_sweep(centers, steps, two_r2, rng):
         done += chunk
 
 
+def plain_batch_trials(centers, y1, metric, ell_over_r, r, rng, tally) -> None:
+    """One uniform coupled step per chain: the unstratified trial kernel that the
+    stratified _batch_trials replaced, kept as its oracle."""
+    B, n, _ = centers.shape
+    two_r = 2.0 * r
+    two_r2 = two_r * two_r
+    ell_abs = ell_over_r * r
+    d_ell = metric.eval(ell_over_r)
+    rows = np.arange(B)
+
+    j = rng.integers(n, size=B)
+    z = rng.random((B, 2))
+    dvec = min_image_array(centers - z[:, None, :])
+    d2 = (dvec * dvec).sum(axis=2)
+    a2 = d2[:, 0]
+    b2 = ((min_image_array(y1 - z)) ** 2).sum(axis=1)
+
+    delta_bound = np.zeros(B)
+    delta_exact = np.zeros(B)
+    kinds = np.zeros(B, dtype=int)  # indices into OUTCOME_KINDS; 1 = unchanged
+
+    kinds[:] = 1
+    is0 = j == 0
+    d2_excl = d2.copy()
+    d2_excl[rows, j] = np.inf
+    ok_self = d2_excl.min(axis=1) >= two_r2  # ignores the disagreeing disk only via j
+    coal = is0 & ok_self
+    kinds[coal] = 0
+    delta_bound[coal] = -d_ell
+    delta_exact[coal] = -d_ell
+
+    other = ~is0
+    in_x = a2 < two_r2
+    in_y = b2 < two_r2
+    mirror = other & in_x & ~in_y
+    kinds[mirror] = 2
+
+    cres = other & in_y & ~in_x
+    tally.crescent_hits += int(cres.sum())
+    if np.any(cres):
+        ci = np.where(cres)[0]
+        x1 = centers[ci, 0]
+        y1c = y1[ci]
+        u = min_image_array(y1c - x1)
+        u /= ell_abs
+        mid = x1 + 0.5 * min_image_array(y1c - x1)
+        wv = min_image_array(z[ci] - mid)
+        zbar = (mid + wv - 2.0 * (wv * u).sum(axis=1, keepdims=True) * u) % 1.0
+
+        # acceptance in X: all disks except the moved one (disk 0 cannot
+        # block, z is outside its zone); in Y: same against the mirror image.
+        okx = d2_excl[ci].min(axis=1) >= two_r2
+        dby = min_image_array(centers[ci] - zbar[:, None, :])
+        d2y = (dby * dby).sum(axis=2)
+        d2y[np.arange(len(ci)), j[ci]] = np.inf
+        d2y[:, 0] = np.inf  # row 0 holds x1; in Y it is y1, handled below
+        oky = (d2y.min(axis=1) >= two_r2) & (
+            ((min_image_array(zbar - y1c)) ** 2).sum(axis=1) >= two_r2
+        )
+
+        succ = okx | oky
+        s = np.sqrt(b2[ci])
+        near = s < ell_abs
+        far_rows = ci[succ & ~near]
+        near_rows = ci[succ & near]
+        kinds[far_rows] = 3
+        kinds[near_rows] = 4
+        delta_bound[far_rows] = 1.0
+        s_over_r = s / r
+        d_s = metric.eval_array(s_over_r)
+        delta_bound[near_rows] = 1.0 + d_s[succ & near] - d_ell
+        tally.near_savings_sum += float((d_ell - d_s[succ & near]).sum())
+
+        if np.any(succ):
+            sel = np.where(succ)[0]
+            gi = ci[sel]
+            xj = centers[gi, j[gi]]
+            okx_s = okx[sel]
+            oky_s = oky[sel]
+            xj_new = np.where(okx_s[:, None], z[gi], xj)
+            yj_new = np.where(oky_s[:, None], zbar[sel], xj)
+            t1 = np.sqrt(((min_image_array(xj_new - yj_new)) ** 2).sum(axis=1))
+            u1 = np.sqrt(((min_image_array(xj_new - y1[gi])) ** 2).sum(axis=1))
+            u2 = np.sqrt(((min_image_array(centers[gi, 0] - yj_new)) ** 2).sum(axis=1))
+            straight = d_ell + metric.eval_array(t1 / r)
+            crossed = metric.eval_array(u1 / r) + metric.eval_array(u2 / r)
+            delta_exact[gi] = np.minimum(straight, crossed) - d_ell
+
+    tally.sum_bound += float(delta_bound.sum())
+    tally.sum_exact += float(delta_exact.sum())
+    tally.sumsq_bound += float((delta_bound * delta_bound).sum())
+    tally.sumsq_exact += float((delta_exact * delta_exact).sum())
+    counts = np.bincount(kinds, minlength=5)
+    for k, name in enumerate(OUTCOME_KINDS):
+        tally.counts[name] += int(counts[k])
+    tally.max_gap = max(tally.max_gap, float((delta_exact - delta_bound).max()))
+
+
+@pytest.fixture()
+def plain_trials(monkeypatch):
+    """Run estimate_contraction with the plain trial kernel on the same pool."""
+    monkeypatch.setattr(coupling, "_batch_trials", plain_batch_trials)
+
+
 class TestBatchSweep:
     # densities keep 8r < 1/2, so every chain is a valid Configuration
     @pytest.mark.parametrize("n, rho", [(1, 0.14), (2, 0.02), (8, 0.09), (33, 0.14)])
@@ -218,7 +329,7 @@ class TestBatchedMatchesScalar:
                 return z
 
         tally = coupling._Tally()
-        coupling._batch_trials(centers, y1, TEST_METRIC, ell_over_r, r, Scripted(), tally)
+        plain_batch_trials(centers, y1, TEST_METRIC, ell_over_r, r, Scripted(), tally)
 
         sum_b = sum_e = 0.0
         counts = {k: 0 for k in OUTCOME_KINDS}
@@ -245,8 +356,9 @@ class TestEstimateContraction:
         assert a.mean_delta_exact == b.mean_delta_exact
         assert a.outcome_counts == b.outcome_counts
 
-    def test_outputs_pinned(self):
-        # values of the (B, n, 2) sweep kernel; the plane kernel must match bit for bit
+    def test_outputs_pinned(self, plain_trials):
+        # values of the parent's plain estimator: 500 trials per group fill one
+        # batch, so the pool, the sweep and the plain kernel must match bit for bit
         est = estimate_contraction(8, 0.05, 2.0, hamming_metric(), 4000, seed=77)
         assert est.mean_delta_bound == -0.093
         assert est.mean_delta_exact == -0.093
@@ -269,12 +381,12 @@ class TestEstimateContraction:
         assert est.mean_delta_bound < 0
         assert est.mean_delta_exact <= est.mean_delta_bound + 1e-12
 
-    def test_outcome_counts_partition_trials(self):
+    def test_outcome_counts_partition_trials(self, plain_trials):
         est = estimate_contraction(16, 0.10, 2.0, hamming_metric(), 10_000, seed=4)
         assert sum(est.outcome_counts.values()) == 10_000
         assert est.trials == 10_000
 
-    def test_coalescence_frequency_near_one_over_n(self):
+    def test_coalescence_frequency_near_one_over_n(self, plain_trials):
         # Coalescence needs the shared proposal to pick the disagreeing disk
         # (probability 1/n) and to be accepted (probability >= 1 - 4 rho).
         n, rho = 16, 0.05
@@ -283,7 +395,7 @@ class TestEstimateContraction:
         sigma = math.sqrt((1 / n) * (1 - 1 / n) / est.trials)
         assert (1 - 4 * rho) / n - 4 * sigma <= frac <= 1 / n + 4 * sigma
 
-    def test_crescent_hit_frequency_matches_area(self):
+    def test_crescent_hit_frequency_matches_area(self, plain_trials):
         # A proposal lands in the danger crescent with probability
         # (n-1)/n * crescent_area(ell) * r^2, purely geometrically.
         n, rho, ell = 16, 0.10, 2.0
@@ -294,7 +406,7 @@ class TestEstimateContraction:
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(est.crescent_hits / trials - p) < 4 * sigma
 
-    def test_near_savings_match_kernel_quadrature(self):
+    def test_near_savings_match_kernel_quadrature(self, plain_trials):
         # With n = 2 a crescent proposal always succeeds in the X chain, so
         # accepted near moves sample s with density 2(pi - theta)s / area and
         # the mean saving equals the kernel integral over s < ell.
@@ -332,3 +444,116 @@ class TestEstimateContraction:
     def test_exact_change_above_bound_is_an_error(self, positive_gap):
         with pytest.raises(RuntimeError, match=r"by 0\.25 at rho=0\.05, ell=1\.5"):
             estimate_contraction(8, 0.05, 1.5, hamming_metric(), 100, seed=1)
+
+    def test_rejects_radius_outside_coupling_regime(self):
+        # 8r >= 1: the planar crescent area no longer is the torus area
+        with pytest.raises(ValueError, match="8r = 1.43"):
+            estimate_contraction(2, 0.2, 1.0, hamming_metric(), 2000, seed=1)
+        with pytest.raises(ValueError, match="n >= 2"):
+            estimate_contraction(1, 0.01, 1.0, hamming_metric(), 10, seed=1)
+
+    def test_stratified_outputs_pinned(self):
+        # 33,000 trials are 8 groups of 4125 = 4096 + 29: one partial batch each
+        est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, 33_000, seed=77)
+        assert est.mean_delta_bound == -0.053022306324472704
+        assert est.mean_delta_exact == -0.05615242192254039
+        assert est.ci99_bound == 0.0003966496579753492
+        assert est.outcome_counts == {
+            "coalesced": 27507, "unchanged": 6019, "both-rejected": 0,
+            "far-move": 17573, "near-move": 14901,
+        }
+
+    def test_stratified_counts_partition_draws(self):
+        # each configuration draws one disk-0 and one crescent proposal; the
+        # mirror crescent is never drawn
+        est = estimate_contraction(16, 0.10, 1.5, hamming_metric(), 10_000, seed=4)
+        assert sum(est.outcome_counts.values()) == 20_000
+        assert est.outcome_counts["both-rejected"] == 0
+        assert est.crescent_hits == est.trials == 10_000
+        assert est.outcome_counts["far-move"] > 0 and est.outcome_counts["near-move"] > 0
+
+    @pytest.mark.parametrize("ell", [1.5, 3.0])
+    def test_stratified_matches_plain_within_joint_ci(self, ell, monkeypatch):
+        # at ell = 1.5 crescent moves are far or near; at 3.0 all are near
+        args = (16, 0.10, ell, TEST_METRIC, 40_000)
+        strat = estimate_contraction(*args, seed=61)
+        monkeypatch.setattr(coupling, "_batch_trials", plain_batch_trials)
+        plain = estimate_contraction(*args, seed=62)
+        joint_b = math.hypot(strat.ci99_bound, plain.ci99_bound)
+        joint_e = math.hypot(strat.ci99_exact, plain.ci99_exact)
+        assert abs(strat.mean_delta_bound - plain.mean_delta_bound) < joint_b
+        assert abs(strat.mean_delta_exact - plain.mean_delta_exact) < joint_e
+        # the stratified step is far more precise per configuration
+        assert strat.ci99_bound < plain.ci99_bound / 5
+
+
+class TestStratifiedTrials:
+    @pytest.mark.parametrize("ell", [0.5, 1.5, 3.0])
+    def test_replays_through_classify_step(self, ell):
+        n, rho, B = 8, 0.05, 300
+        r = radius_for_density(n, rho)
+        two_r2 = (2.0 * r) ** 2
+        rng = np.random.default_rng(41)
+        centers = dynamics.batch_insert(B, n, rho, rng)
+        coupling._batch_sweep(centers, 5 * n, two_r2, rng)
+        y1 = coupling._displace(centers, ell * r, two_r2, rng)
+        state = rng.bit_generator.state
+
+        def replay_rng():
+            gen = np.random.default_rng()
+            gen.bit_generator.state = state
+            return gen
+
+        z0, j, z = coupling._draw_proposals(centers, y1, ell, r, replay_rng())
+        coal, kind, bound, exact = coupling._classify_proposals(
+            centers, y1, TEST_METRIC, ell, r, z0, j, z)
+        tally = coupling._Tally()
+        coupling._batch_trials(centers, y1, TEST_METRIC, ell, r, replay_rng(), tally)
+
+        w_cres = (n - 1) / n * crescent_area(ell) * r * r
+        sum_b = sum_e = 0.0
+        counts = dict.fromkeys(OUTCOME_KINDS, 0)
+        for b in range(B):
+            X = Configuration(centers[b], r, _validate=False)
+            pair = CoupledPair(X=X, Y=X.replace(0, y1[b]))
+            first = classify_step(pair, TEST_METRIC, 0, TorusPoint(*z0[b]))
+            assert (first.kind == "coalesced") == coal[b]
+            assert 1 <= j[b] < n
+            out = classify_step(pair, TEST_METRIC, int(j[b]), TorusPoint(*z[b]))
+            assert out.kind == OUTCOME_KINDS[kind[b]], b
+            assert out.delta_bound == pytest.approx(bound[b], abs=1e-12)
+            assert out.delta_exact == pytest.approx(exact[b], abs=1e-12)
+            sum_b += first.delta_bound / n + w_cres * out.delta_bound
+            sum_e += first.delta_exact / n + w_cres * out.delta_exact
+            counts[first.kind] += 1
+            counts[out.kind] += 1
+        assert tally.sum_bound == pytest.approx(sum_b, abs=1e-12)
+        assert tally.sum_exact == pytest.approx(sum_e, abs=1e-12)
+        assert tally.counts == counts
+
+    @pytest.mark.parametrize("ell", [0.5, 1.5, 3.0, 4.0])
+    def test_crescent_draws_uniform(self, ell):
+        # |z - y1| = s r has density 2 (pi - theta(s)) s / A(ell) on (0, 2),
+        # whose integrals are differences of outside_zone_area
+        r, B = 0.01, 100_000
+        x1 = np.array([0.995, 0.5])  # the crescent straddles the seam x = 0
+        y1 = (x1 + [ell * r, 0.0]) % 1.0
+        centers = np.tile(np.array([x1, [0.5, 0.0]]), (B, 1, 1))
+        _, j, z = coupling._draw_proposals(
+            centers, np.tile(y1, (B, 1)), ell, r, np.random.default_rng(int(10 * ell)))
+        assert np.all(j == 1)
+        a = min_image_array(z - x1)
+        b = min_image_array(z - y1)
+        assert np.all(np.hypot(a[:, 0], a[:, 1]) >= 2.0 * r)
+        s = np.hypot(b[:, 0], b[:, 1]) / r
+        edges = np.linspace(0.0, 2.0, 41)
+        cdf = outside_zone_area(edges, ell) / crescent_area(ell)
+        assert cdf[-1] == pytest.approx(1.0)
+        expected = B * np.diff(cdf)
+        seen = np.histogram(s, bins=edges)[0]
+        keep = expected > 5  # bins below 2 - ell hold no crescent
+        assert seen[~keep].sum() <= 5
+        assert stats.chisquare(seen[keep], expected[keep] * seen[keep].sum() / expected[keep].sum()).pvalue > 1e-3
+        # mirror symmetry across the x1-y1 axis
+        above = int((b[:, 1] > 0).sum())
+        assert abs(above - B / 2) < 4 * math.sqrt(B / 4)
