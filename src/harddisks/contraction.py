@@ -25,7 +25,7 @@ axioms; one that fails verification is an error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ VARIANTS = ("clamped", "as_written")
 TIGHT_TOL = 1e-8  # a constraint with residual below this counts as tight
 SEARCH_LO = 0.12  # below the Hamming baseline (1 - eps_hat)/8 in every mode
 SEARCH_HI = 0.25
+SOLVE_BLOCK = 32  # rows per diagonal block of the forward substitution
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,10 @@ class ConstraintSystem:
     g: np.ndarray  # crescent-area terms, shape (L,)
     w: np.ndarray  # lower-triangular savings weights, shape (L, L)
     variant: str
+    W: np.ndarray = field(init=False, repr=False, compare=False)  # row sums of w
+
+    def __post_init__(self):
+        object.__setattr__(self, "W", self.w.sum(axis=1))
 
     @property
     def c(self) -> float:
@@ -96,22 +101,35 @@ def assemble(
                             g=rho / np.pi * crescent_area(lam), w=w, variant=variant)
 
 
-def minimal_metric(system: ConstraintSystem) -> PiecewiseMetric:
-    """Pointwise-least nonnegative solution of the contraction constraints.
+def _sweep(system: ConstraintSystem, rows: int) -> np.ndarray:
+    """The first `rows` values of the pointwise-least solution.
 
-    The savings term of constraint i only involves d_j with j < i, so a
-    forward sweep saturates each constraint in turn; any feasible metric
-    dominates the result pointwise.
+    Constraint i saturated reads (c + W_i) d_i = g_i + sum_{j<i} w_ij d_j, a
+    lower-triangular system solved in blocks of SOLVE_BLOCK rows: the earlier
+    blocks enter the right-hand side through one matrix-vector product.  With
+    g > 0 and w >= 0 every value is positive, so no bound d >= 0 binds.
     """
     c = system.c
     if c <= 0:
         raise ValueError("contraction margin c must be positive (rho too large)")
-    w, g, L = system.w, system.g, system.L
-    W = w.sum(axis=1)
-    d = np.zeros(L)
-    for i in range(L):
-        d[i] = max(0.0, (g[i] + w[i, :i] @ d[:i]) / (c + W[i]))
-    return PiecewiseMetric(values=tuple(d), rho=system.rho)
+    w, diag = system.w, c + system.W
+    d = np.empty(rows)
+    for start in range(0, rows, SOLVE_BLOCK):
+        stop = min(start + SOLVE_BLOCK, rows)
+        rhs = system.g[start:stop] + w[start:stop, :start] @ d[:start]
+        block = np.diag(diag[start:stop]) - w[start:stop, start:stop]
+        d[start:stop] = np.linalg.solve(block, rhs)
+    return d
+
+
+def minimal_metric(system: ConstraintSystem) -> PiecewiseMetric:
+    """Pointwise-least nonnegative solution of the contraction constraints.
+
+    The savings term of constraint i only involves d_j with j < i, so
+    saturating the constraints in order gives it; any feasible metric
+    dominates the result pointwise.
+    """
+    return PiecewiseMetric(values=tuple(_sweep(system, system.L)), rho=system.rho)
 
 
 def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
@@ -143,9 +161,9 @@ def saturated_metric(system: ConstraintSystem) -> PiecewiseMetric:
     preserves every constraint that the minimal solution satisfies and
     leaves the lam > 2 constraints strictly slack.
     """
-    d = np.array(minimal_metric(system).values)
     cut = int(np.searchsorted(system.grid, 2.0, side="right"))  # first index with lam > 2
-    d[cut:] = 1.0
+    d = np.ones(system.L)
+    d[:cut] = _sweep(system, cut)  # the head never references the tail
     return PiecewiseMetric(values=tuple(d), rho=system.rho)
 
 
@@ -158,9 +176,8 @@ def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
     if metric.L != system.L:
         raise ValueError("metric and system grid sizes differ")
     d = np.asarray(metric.values)
-    W = system.w.sum(axis=1)
     sav = system.w @ d  # lower-triangular: row i only sees j < i
-    residuals = (system.c + W) * d - system.g - sav
+    residuals = (system.c + system.W) * d - system.g - sav
     tight = system.grid[residuals < TIGHT_TOL]
     tight_lambda_max = float(tight.max()) if tight.size else 0.0
     return residuals, tight_lambda_max
@@ -212,9 +229,8 @@ def lp_feasible(system: ConstraintSystem) -> bool:
     Independent phase-1 simplex route; must agree with the forward-sweep
     threshold test (all minimal values <= 1) on every instance.
     """
-    W = system.w.sum(axis=1)
     A = -system.w.copy()
-    np.fill_diagonal(A, system.c + W)
+    np.fill_diagonal(A, system.c + system.W)
     return lp.feasible_box(A, system.g, np.ones(system.L))
 
 

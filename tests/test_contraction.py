@@ -199,6 +199,19 @@ class TestMinimalMetric:
         with pytest.raises(ValueError):
             minimal_metric(bad)
 
+    @pytest.mark.parametrize("variant", contraction.VARIANTS)
+    def test_blocked_solve_matches_row_loop(self, variant):
+        # L around the block size and well past it; rho up to the L = 1024 bound.
+        for rho, L in ((0.14, 1), (0.13, 31), (0.13, 32), (0.15, 33), (0.1546, 1024)):
+            system = assemble(rho, L, variant)
+            fast = np.array(minimal_metric(system).values)
+            assert np.allclose(fast, looped_minimal_metric(system), rtol=1e-13, atol=0.0), (rho, L)
+
+    def test_row_sums_follow_replaced_weights(self):
+        system = assemble(0.14, 16)
+        assert np.array_equal(system.W, system.w.sum(axis=1))
+        assert np.all(dataclasses.replace(system, w=np.zeros_like(system.w)).W == 0.0)
+
 
 class TestSaturatedMetric:
     def test_tail_pinned_at_one(self):
@@ -217,6 +230,16 @@ class TestSaturatedMetric:
     def test_passes_metric_axioms_at_optimum(self):
         result = max_density(64)
         assert check_axioms(result.metric).passed
+
+
+def looped_minimal_metric(system):
+    """Reference forward sweep, one constraint at a time."""
+    w, g, L = system.w, system.g, system.L
+    W = w.sum(axis=1)
+    d = np.zeros(L)
+    for i in range(L):
+        d[i] = max(0.0, (g[i] + w[i, :i] @ d[:i]) / (system.c + W[i]))
+    return d
 
 
 def looped_repaired_metric(system):
