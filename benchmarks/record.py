@@ -1,0 +1,146 @@
+"""Record the perfbench workloads on two git revisions into a BENCH_<n>.json file.
+
+    python3 benchmarks/record.py --base eb245b6 --out BENCH_6.json \\
+        --pairs couple_cold=10,ell_sweep=5,bound_table=3,simulate=3
+
+Each revision is exported with `git archive` into .bench_build/record/<sha>,
+and that checkout's own perfbench/run.py runs every workload, one run per
+seed, alternating which revision goes first.  The file holds, per workload
+and revision, every run's end-to-end metrics and failure counts, the median
+and quartiles of each metric, and how many pairs the head revision won,
+together with nproc, the CPU model, the Python and numpy versions and both
+revisions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import time
+from io import BytesIO
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORK = ROOT / ".bench_build" / "record"
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev: str) -> Path:
+    """A fresh checkout of rev's committed files."""
+    sha = git("rev-parse", f"{rev}^{{commit}}")
+    dest = WORK / sha
+    if not (dest / "perfbench" / "run.py").is_file():
+        archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        dest.mkdir(parents=True, exist_ok=True)
+        with tarfile.open(fileobj=BytesIO(archive)) as tar:
+            tar.extractall(dest, filter="data")
+    return dest
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One run of perfbench/run.py; its environment line and result line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if len(lines) < 2:
+        raise SystemExit(f"{checkout.name} {workload} seed {seed}: no result "
+                         f"(exit {proc.returncode}): {proc.stderr.strip()[-400:]}")
+    record, result = json.loads(lines[-2]), json.loads(lines[-1])
+    return {"seed": seed, "exit": proc.returncode, "correct": result["correct"],
+            "attempted": result["attempted"], "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "env": record["env"]}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(runs: dict, better: dict) -> dict:
+    """Medians, quartiles and pair wins of the head revision, per metric."""
+    out = {}
+    for side in ("base", "head"):
+        out[side] = {m: quartiles([r["metrics"][m] for r in runs[side]]) for m in better}
+        out[side]["failed_ops"] = sum(r["failed"] for r in runs[side])
+        out[side]["attempted_ops"] = sum(r["attempted"] for r in runs[side])
+    wins = {}
+    for m, direction in better.items():
+        sign = 1.0 if direction == "lower" else -1.0
+        wins[m] = sum(sign * (b["metrics"][m] - h["metrics"][m]) > 0
+                      for b, h in zip(runs["base"], runs["head"]))
+    out["head_wins"] = wins
+    out["pairs"] = len(runs["head"])
+    out["ratio_of_medians"] = {m: out["head"][m]["median"] / out["base"][m]["median"]
+                               for m in better if out["base"][m]["median"]}
+    return out
+
+
+def parse_pairs(text: str) -> dict:
+    pairs = {}
+    for item in text.split(","):
+        name, count = item.split("=")
+        pairs[name] = int(count)
+    return pairs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="parent revision")
+    parser.add_argument("--head", default="HEAD", help="revision under test")
+    parser.add_argument("--pairs", type=parse_pairs, required=True,
+                        help="workload=pairs,...; pair k runs seed first_seed + k")
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    unknown = set(args.pairs) - {w["name"] for w in spec["workloads"]}
+    if unknown:
+        raise SystemExit(f"unknown workloads: {sorted(unknown)}")
+    checkouts = {"base": export(args.base), "head": export(args.head)}
+    bench_trees = {side: git("rev-parse", f"{path.name}:perfbench")
+                   for side, path in checkouts.items()}
+    report = {
+        "revisions": {side: path.name for side, path in checkouts.items()},
+        "perfbench_tree": bench_trees,
+        "run_seconds": spec["run_seconds"],
+        "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "workloads": {},
+    }
+    envs = []
+    for workload, count in args.pairs.items():
+        runs = {"base": [], "head": []}
+        for k in range(count):
+            seed = args.first_seed + k
+            order = ("base", "head") if k % 2 == 0 else ("head", "base")
+            for side in order:
+                run = run_once(checkouts[side], workload, seed, spec["run_seconds"])
+                envs.append(run.pop("env"))
+                runs[side].append(run)
+                print(f"{workload} seed {seed} {side}: "
+                      + " ".join(f"{m}={v:.4g}" for m, v in run["metrics"].items()),
+                      file=sys.stderr, flush=True)
+        report["workloads"][workload] = {"first_seed": args.first_seed, "order": "alternating",
+                                         **summarize(runs, better), "runs": runs}
+    report["env"] = envs[0] if envs else {}
+    report["env_varied"] = any(e != envs[0] for e in envs)
+    report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,9 +3,12 @@
     PYTHONPATH=src python -m pytest benchmarks
     PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable  # smoke run
 
-One batched sweep step is reported as ns per chain·disk, one stratified
-coupled-trial step as ns per trial (configuration) and one displacement of
-the whole pool as ns per chain, each in `extra_info`.
+The pool has coupling.BATCH chains, the size one group of the estimator
+uses.  One batched sweep step is reported as ns per chain·disk, one
+stratified coupled-trial step as ns per trial (configuration), one
+displacement of the whole pool as ns per chain and the cold start of a pool
+(insertion plus the equilibration sweeps) as ns per chain·step, each in
+`extra_info`.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from harddisks import coupling, dynamics
 from harddisks.metric import PiecewiseMetric
 
-B, N, RHO, STEPS, SEED = 4096, 32, 0.14, 128, 2014
+B, N, RHO, STEPS, SEED = coupling.BATCH, 32, 0.14, 128, 2014
 ELL = 1.0  # displacement of the trial and displacement kernels, units of r
 METRIC = PiecewiseMetric(values=tuple(np.linspace(1.0 / 64, 1.0, 64)))
 
@@ -72,3 +75,15 @@ def test_batch_trials(benchmark, pool):
 
     benchmark.pedantic(coupling._batch_trials, setup=fresh, rounds=20, warmup_rounds=1)
     _report(benchmark, "ns_per_trial", B)
+
+
+def test_equilibrated_pool(benchmark):
+    two_r2 = (2.0 * dynamics.radius_for_density(N, RHO)) ** 2
+    steps = coupling.EQUILIBRATION_SWEEPS * N
+
+    def cold():
+        rng = np.random.default_rng(SEED)
+        coupling._batch_sweep(dynamics.batch_insert(B, N, RHO, rng), steps, two_r2, rng)
+
+    benchmark.pedantic(cold, rounds=3, warmup_rounds=1)
+    _report(benchmark, "ns_per_chain_step", B * steps)

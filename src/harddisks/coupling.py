@@ -11,7 +11,8 @@ same classification to batches of independent chains, stratified: only a
 proposal of the disagreeing disk (probability 1/n) or one into the danger
 crescent Z(y1) \\ Z(x1) (probability (n-1)/n * crescent_area(ell) r^2) can
 change the metric, so each configuration draws one proposal from each and
-weights them by those probabilities.
+weights them by those probabilities.  Each chain yields several successive
+configurations, so the confidence interval is computed from per-chain sums.
 """
 
 from __future__ import annotations
@@ -243,46 +244,93 @@ def _displace(centers: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.nda
 
     A chain can rarely have disk 0 caged so that no direction works at all;
     such chains are evolved further and retried, which leaves the sampled
-    configuration distribution stationary.
+    configuration distribution stationary.  The candidates are tested against
+    disk-major planes of disks 1..n-1 that hold only the pending chains.
     """
     B, n, _ = centers.shape
     y1 = np.empty((B, 2))
     pending = np.arange(B)
+    X, Y = centers[:, 1:, 0].T.copy(), centers[:, 1:, 1].T.copy()
     for round_ in range(200):
         phi = 2.0 * math.pi * rng.random(len(pending))
-        cand = centers[pending, 0] + ell_abs * np.column_stack([np.cos(phi), np.sin(phi)])
-        d = min_image_array(centers[pending, 1:] - cand[:, None, :])
-        dx, dy = d[..., 0], d[..., 1]
-        ok = (dx * dx + dy * dy >= two_r2).all(axis=1)
-        y1[pending[ok]] = cand[ok] % 1.0
-        pending = pending[~ok]
+        cx = centers[pending, 0, 0] + ell_abs * np.cos(phi)
+        cy = centers[pending, 0, 1] + ell_abs * np.sin(phi)
+        d2, dy, nearest = np.empty_like(X), np.empty_like(X), np.empty_like(X)
+        _plane_d2(X, Y, cx, cy, d2, dy, nearest)
+        ok = np.minimum.reduce(d2, axis=0, initial=np.inf) >= two_r2
+        done = pending[ok]
+        y1[done, 0] = cx[ok] % 1.0
+        y1[done, 1] = cy[ok] % 1.0
+        keep = (~ok).nonzero()[0]
+        pending = pending[keep]
         if len(pending) == 0:
             return y1
+        X, Y = X.take(keep, axis=1), Y.take(keep, axis=1)
         if round_ >= 20 and round_ % 10 == 0:
             sub = centers[pending].copy()
             _batch_sweep(sub, 2 * n, two_r2, rng)
             centers[pending] = sub
+            X, Y = sub[:, 1:, 0].T.copy(), sub[:, 1:, 1].T.copy()
     raise RuntimeError("no valid displacement found within the retry budget")
 
 
 @dataclass
 class _Tally:
-    """Running sums over trials; group tallies are added in group order."""
+    """Running sums over trials, kept per chain.
 
-    sum_bound: float = 0.0
-    sum_exact: float = 0.0
-    sumsq_bound: float = 0.0
-    sumsq_exact: float = 0.0
+    chain_bound[c] and chain_exact[c] sum the trial values of chain c and
+    chain_count[c] counts its configurations.  The chains of different
+    groups are distinct, so group tallies are concatenated in group order.
+    """
+
+    chain_bound: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    chain_exact: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    chain_count: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     counts: dict = field(default_factory=lambda: dict.fromkeys(OUTCOME_KINDS, 0))
     crescent_hits: int = 0
     near_savings_sum: float = 0.0
     max_gap: float = -math.inf  # largest delta_exact - delta_bound seen
 
+    def add(self, value_bound: np.ndarray, value_exact: np.ndarray) -> None:
+        """Charge one configuration to each of the first len(value_bound) chains."""
+        grow = len(value_bound) - len(self.chain_count)
+        if grow > 0:
+            self.chain_bound = np.concatenate([self.chain_bound, np.zeros(grow)])
+            self.chain_exact = np.concatenate([self.chain_exact, np.zeros(grow)])
+            self.chain_count = np.concatenate([self.chain_count, np.zeros(grow, np.int64)])
+        k = len(value_bound)
+        self.chain_bound[:k] += value_bound
+        self.chain_exact[:k] += value_exact
+        self.chain_count[:k] += 1
+
+    @property
+    def sum_bound(self) -> float:
+        return float(self.chain_bound.sum())
+
+    @property
+    def sum_exact(self) -> float:
+        return float(self.chain_exact.sum())
+
+    def ci99(self) -> tuple[float, float]:
+        """99% half-widths of the mean bound and exact changes.
+
+        The standard error comes from the per-chain sums S_c over m_c
+        configurations, SE^2 = sum_c (S_c - m_c mean)^2 / N^2, so correlation
+        between the configurations of one chain widens it; with one
+        configuration per chain it is the i.i.d. sd^2 / N.
+        """
+        N = int(self.chain_count.sum())
+
+        def half_width(sums):
+            resid = sums - self.chain_count * (sums.sum() / N)
+            return 2.576 * math.sqrt(float(resid @ resid)) / N
+
+        return half_width(self.chain_bound), half_width(self.chain_exact)
+
     def __iadd__(self, other: "_Tally") -> "_Tally":
-        self.sum_bound += other.sum_bound
-        self.sum_exact += other.sum_exact
-        self.sumsq_bound += other.sumsq_bound
-        self.sumsq_exact += other.sumsq_exact
+        self.chain_bound = np.concatenate([self.chain_bound, other.chain_bound])
+        self.chain_exact = np.concatenate([self.chain_exact, other.chain_exact])
+        self.chain_count = np.concatenate([self.chain_count, other.chain_count])
         for k in OUTCOME_KINDS:
             self.counts[k] += other.counts[k]
         self.crescent_hits += other.crescent_hits
@@ -424,10 +472,7 @@ def _batch_trials(centers, y1, metric, ell_over_r, r, rng, tally: _Tally) -> Non
     value_bound = base + w_cres * bound
     value_exact = base + w_cres * exact
 
-    tally.sum_bound += float(value_bound.sum())
-    tally.sum_exact += float(value_exact.sum())
-    tally.sumsq_bound += float((value_bound * value_bound).sum())
-    tally.sumsq_exact += float((value_exact * value_exact).sum())
+    tally.add(value_bound, value_exact)
     counts = np.bincount(kind, minlength=5)  # crescent proposals
     coalesced = int(coal.sum())  # disk-0 proposals coalesce or change nothing
     counts[0] += coalesced
@@ -440,7 +485,7 @@ def _batch_trials(centers, y1, metric, ell_over_r, r, rng, tally: _Tally) -> Non
 
 
 # Pool settings; a sweep is n single-disk steps.
-BATCH = 4096  # chains per pool
+BATCH = 1024  # chains per pool: one _batch_sweep block at n = 32
 EQUILIBRATION_SWEEPS = 30  # before the first trial
 THIN_SWEEPS = 1  # between trials
 
@@ -502,10 +547,13 @@ def estimate_contraction(
     one-step change: the exact-weight combination (1/n) c0 +
     ((n-1)/n) crescent_area(ell) r^2 c_cres of one uniform disk-0 proposal
     and one uniform danger-crescent proposal (see _batch_trials), so its mean
-    is the expected change of a uniform coupled step and the 99% CI is
-    2.576 sd / sqrt(trials) over configurations.  outcome_counts partitions
+    is the expected change of a uniform coupled step.  Each chain of a group
+    yields about trials / (8 BATCH) successive configurations, so the 99% CI
+    is 2.576 SE with SE^2 = sum_c (S_c - m_c mean)^2 / trials^2 over the
+    per-chain sums S_c of m_c configurations (see _Tally.ci99); it widens
+    when a chain's configurations are correlated.  outcome_counts partitions
     the 2 * trials proposals; "both-rejected" stays 0, as the mirror crescent
-    is never drawn.  The pool settings are fixed: BATCH = 4096 chains per
+    is never drawn.  The pool settings are fixed: BATCH = 1024 chains per
     group, equilibrated for EQUILIBRATION_SWEEPS * n = 30 n steps and thinned
     by THIN_SWEEPS * n = n steps between trials.  Deterministic given the
     seed and independent of the thread count (work is split into fixed
@@ -548,19 +596,16 @@ def estimate_contraction(
         )
 
     N = trials
-    mean_b = total.sum_bound / N
-    mean_e = total.sum_exact / N
-    var_b = max(0.0, total.sumsq_bound / N - mean_b * mean_b)
-    var_e = max(0.0, total.sumsq_exact / N - mean_e * mean_e)
+    ci_b, ci_e = total.ci99()
     return ContractionEstimate(
         n=n,
         rho=rho,
         ell_over_r=ell_over_r,
         trials=N,
-        mean_delta_bound=mean_b,
-        mean_delta_exact=mean_e,
-        ci99_bound=2.576 * math.sqrt(var_b / N),
-        ci99_exact=2.576 * math.sqrt(var_e / N),
+        mean_delta_bound=total.sum_bound / N,
+        mean_delta_exact=total.sum_exact / N,
+        ci99_bound=ci_b,
+        ci99_exact=ci_e,
         outcome_counts=total.counts,
         crescent_hits=total.crescent_hits,
         near_savings_sum=total.near_savings_sum,

@@ -1,0 +1,182 @@
+"""Diagnostics behind the chain-pool constants of harddisks.coupling.
+
+    PYTHONPATH=src python tests/pool_diagnostics.py burn-in
+    PYTHONPATH=src python tests/pool_diagnostics.py correlation --seeds 1,2,3
+    PYTHONPATH=src python tests/pool_diagnostics.py calibration --seeds 1-20
+
+burn-in      From the random-sequential-insertion start of dynamics.batch_insert,
+             the acceptance rate of each sweep and the total-variation distance
+             of the nearest-neighbour histogram from that of a long-run pool;
+             it justifies EQUILIBRATION_SWEEPS.
+correlation  At the `couple` settings, the ratio of the per-chain (cluster) SE
+             that estimate_contraction reports to the i.i.d. SE of the same
+             trial values, and the lag autocorrelations of a chain's successive
+             trial values at THIN_SWEEPS.
+calibration  The spread of the means over seeds divided by the mean reported
+             SE, per displacement; a calibrated CI gives about 1.
+
+Settings: n = 32, rho = 0.14, 10^5 trials, the L = 256 witness metric.  Not
+collected by pytest; every command prints JSON lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import sys
+
+import numpy as np
+
+from harddisks import coupling, dynamics
+from harddisks.contraction import max_density
+
+N, RHO, TRIALS = 32, 0.14, 100_000
+NN_EDGES = np.concatenate([np.linspace(2.0, 4.0, 17), [np.inf]])  # units of r
+
+
+def nn_histogram(centers: np.ndarray, r: float) -> np.ndarray:
+    """Share of disks whose nearest neighbour lies in each NN_EDGES bin."""
+    d = centers[:, :, None, :] - centers[:, None, :, :]
+    d -= np.rint(d)
+    d2 = (d * d).sum(axis=3)
+    idx = np.arange(centers.shape[1])
+    d2[:, idx, idx] = np.inf
+    nn = np.sqrt(d2.min(axis=2)).ravel() / r
+    return np.histogram(nn, bins=NN_EDGES)[0] / nn.size
+
+
+def burn_in(args) -> None:
+    r = dynamics.radius_for_density(N, RHO)
+    two_r2 = (2.0 * r) ** 2
+    B = coupling.BATCH
+    rng = np.random.default_rng(args.seed)
+    reference = dynamics.batch_insert(B, N, RHO, rng)
+    coupling._batch_sweep(reference, args.reference_sweeps * N, two_r2, rng)
+    ref_hist = nn_histogram(reference, r)
+    # a second long-run pool gives the sampling noise of the distance
+    other = dynamics.batch_insert(B, N, RHO, rng)
+    coupling._batch_sweep(other, args.reference_sweeps * N, two_r2, rng)
+    floor = 0.5 * np.abs(nn_histogram(other, r) - ref_hist).sum()
+    print(json.dumps({"reference_sweeps": args.reference_sweeps, "chains": B,
+                      "tv_noise_floor": round(float(floor), 5)}))
+    centers = dynamics.batch_insert(B, N, RHO, rng)
+    for sweep in range(args.sweeps + 1):
+        if sweep:
+            moved = 0
+            for _ in range(N):
+                before = centers.copy()
+                coupling._batch_sweep(centers, 1, two_r2, rng)
+                moved += int((centers != before).any(axis=(1, 2)).sum())
+            acceptance = moved / (N * B)
+        else:
+            acceptance = None
+        hist = nn_histogram(centers, r)
+        print(json.dumps({
+            "sweep": sweep, "acceptance": acceptance,
+            "tv_to_reference": round(float(0.5 * np.abs(hist - ref_hist).sum()), 5),
+            "contact_share": round(float(hist[0]), 5),  # NN within 2.125 r
+        }))
+
+
+def witness():
+    return max_density(256).metric
+
+
+def recorded_estimate(metric, ell: float, seed: int):
+    """estimate_contraction plus every batch of trial values, in group order."""
+    seen: list[tuple[np.ndarray, np.ndarray]] = []
+    add = coupling._Tally.add
+
+    def recording(tally, value_bound, value_exact):
+        seen.append((value_bound.copy(), value_exact.copy()))
+        add(tally, value_bound, value_exact)
+
+    coupling._Tally.add = recording
+    try:
+        est = coupling.estimate_contraction(N, RHO, ell, metric, TRIALS, seed=seed, threads=1)
+    finally:
+        coupling._Tally.add = add
+    return est, seen
+
+
+def correlation(args) -> None:
+    metric = witness()
+    for seed in args.seeds:
+        coupling._POOL_CACHE.clear()
+        est, seen = recorded_estimate(metric, args.ell, seed)
+        v = np.concatenate([b for b, _ in seen])
+        iid = 2.576 * v.std() / math.sqrt(v.size)
+        # consecutive full batches of a group hold the same chains in order
+        full = [b for b, _ in seen if b.size == coupling.BATCH]
+        per_group = len(full) // 8
+        lags = {}
+        for lag in (1, 2, 3):
+            rho = []
+            for g in range(8):
+                seq = np.array(full[g * per_group:(g + 1) * per_group])  # (batches, chains)
+                seq = seq - seq.mean()
+                rho.append(float((seq[lag:] * seq[:-lag]).mean() / (seq * seq).mean()))
+            lags[lag] = round(statistics.fmean(rho), 5)
+        print(json.dumps({
+            "seed": seed, "ell": args.ell, "thin_sweeps": coupling.THIN_SWEEPS,
+            "configs_per_chain": round(TRIALS / (8 * coupling.BATCH), 2),
+            "ci99_per_chain": est.ci99_bound, "ci99_iid": iid,
+            "ratio": round(est.ci99_bound / iid, 4), "lag_autocorrelation": lags,
+        }))
+
+
+def calibration(args) -> None:
+    metric = witness()
+    rows = {ell: [] for ell in args.ells}
+    for seed in args.seeds:
+        coupling._POOL_CACHE.clear()
+        for ell in args.ells:
+            est = coupling.estimate_contraction(N, RHO, ell, metric, TRIALS, seed=seed,
+                                                threads=args.threads)
+            rows[ell].append(est)
+            print(json.dumps({"seed": seed, "ell": ell, "mean_delta_bound": est.mean_delta_bound,
+                              "ci99_bound": est.ci99_bound, "mean_delta_exact": est.mean_delta_exact,
+                              "ci99_exact": est.ci99_exact}), flush=True)
+    for ell, ests in rows.items():
+        out = {"ell": ell, "seeds": len(ests)}
+        for kind in ("bound", "exact"):
+            means = [getattr(e, f"mean_delta_{kind}") for e in ests]
+            se = statistics.fmean(getattr(e, f"ci99_{kind}") / 2.576 for e in ests)
+            out[f"mean_{kind}"] = statistics.fmean(means)
+            out[f"spread_over_se_{kind}"] = round(statistics.stdev(means) / se, 4)
+        print(json.dumps(out))
+
+
+def seeds(text: str) -> list[int]:
+    if "-" in text:
+        lo, hi = map(int, text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("burn-in")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--sweeps", type=int, default=40)
+    p.add_argument("--reference-sweeps", type=int, default=300)
+    p.set_defaults(run=burn_in)
+    p = sub.add_parser("correlation")
+    p.add_argument("--seeds", type=seeds, default=[1, 2, 3])
+    p.add_argument("--ell", type=float, default=1.0)
+    p.set_defaults(run=correlation)
+    p = sub.add_parser("calibration")
+    p.add_argument("--seeds", type=seeds, default=list(range(1, 21)))
+    p.add_argument("--ells", type=lambda t: [float(x) for x in t.split(",")], default=[1.0, 4.0])
+    p.add_argument("--threads", type=int, default=2)
+    p.set_defaults(run=calibration)
+    args = parser.parse_args(argv)
+    args.run(args)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -185,6 +185,28 @@ def reference_batch_sweep(centers, steps, two_r2, rng):
         done += chunk
 
 
+def reference_displace(centers, ell_abs, two_r2, rng):
+    """The (B, n, 2) displacement kernel that _displace replaced, kept as its oracle."""
+    B, n, _ = centers.shape
+    y1 = np.empty((B, 2))
+    pending = np.arange(B)
+    for round_ in range(200):
+        phi = 2.0 * math.pi * rng.random(len(pending))
+        cand = centers[pending, 0] + ell_abs * np.column_stack([np.cos(phi), np.sin(phi)])
+        d = min_image_array(centers[pending, 1:] - cand[:, None, :])
+        dx, dy = d[..., 0], d[..., 1]
+        ok = (dx * dx + dy * dy >= two_r2).all(axis=1)
+        y1[pending[ok]] = cand[ok] % 1.0
+        pending = pending[~ok]
+        if len(pending) == 0:
+            return y1
+        if round_ >= 20 and round_ % 10 == 0:
+            sub = centers[pending].copy()
+            reference_batch_sweep(sub, 2 * n, two_r2, rng)
+            centers[pending] = sub
+    raise RuntimeError("no valid displacement found within the retry budget")
+
+
 def plain_batch_trials(centers, y1, metric, ell_over_r, r, rng, tally) -> None:
     """One uniform coupled step per chain: the unstratified trial kernel that the
     stratified _batch_trials replaced, kept as its oracle."""
@@ -273,10 +295,7 @@ def plain_batch_trials(centers, y1, metric, ell_over_r, r, rng, tally) -> None:
             crossed = metric.eval_array(u1 / r) + metric.eval_array(u2 / r)
             delta_exact[gi] = np.minimum(straight, crossed) - d_ell
 
-    tally.sum_bound += float(delta_bound.sum())
-    tally.sum_exact += float(delta_exact.sum())
-    tally.sumsq_bound += float((delta_bound * delta_bound).sum())
-    tally.sumsq_exact += float((delta_exact * delta_exact).sum())
+    tally.add(delta_bound, delta_exact)
     counts = np.bincount(kinds, minlength=5)
     for k, name in enumerate(OUTCOME_KINDS):
         tally.counts[name] += int(counts[k])
@@ -304,6 +323,33 @@ class TestBatchSweep:
                 coupling._batch_sweep(got, steps, two_r2, np.random.default_rng(steps))
                 assert np.array_equal(got, want), (B, steps)
                 assert all(Configuration(c, r).is_valid() for c in got)
+
+
+class TestDisplace:
+    # scale > 1 widens the exclusion the candidates are tested against, so
+    # some disk 0 stays caged past round 20 and the retry sweeps run; at
+    # scale 1.4 every chain then succeeds, at 1.8 the retry budget runs out
+    @pytest.mark.parametrize("n, rho, ell, scale", [
+        (1, 0.1, 1.0, 1.0), (2, 0.02, 4.0, 1.0), (32, 0.14, 1.0, 1.0),
+        (64, 0.2, 0.5, 1.0), (16, 0.2, 1.0, 1.4), (16, 0.2, 1.0, 1.8),
+    ])
+    def test_matches_reference_layout(self, n, rho, ell, scale):
+        r = radius_for_density(n, rho)
+        two_r2 = (2.0 * scale * r) ** 2
+        start = dynamics.batch_insert(300, n, rho, np.random.default_rng(n))
+        results = []
+        for kernel in (reference_displace, coupling._displace):
+            centers, rng = start.copy(), np.random.default_rng(7)
+            try:
+                y1 = kernel(centers, ell * r, two_r2, rng)
+            except RuntimeError as exc:
+                y1 = str(exc)
+            results.append((y1, centers, rng.random()))
+        (want, want_c, want_next), (got, got_c, got_next) = results
+        assert type(got) is type(want)
+        assert got == want if isinstance(want, str) else np.array_equal(got, want)
+        assert np.array_equal(got_c, want_c)
+        assert got_next == want_next
 
 
 class TestBatchedMatchesScalar:
@@ -357,12 +403,12 @@ class TestEstimateContraction:
         assert a.outcome_counts == b.outcome_counts
 
     def test_outputs_pinned(self, plain_trials):
-        # values of the parent's plain estimator: 500 trials per group fill one
-        # batch, so the pool, the sweep and the plain kernel must match bit for bit
+        # the plain estimator's values: 500 trials per group fill one batch, so
+        # the pool, the sweep and the plain kernel must match bit for bit
         est = estimate_contraction(8, 0.05, 2.0, hamming_metric(), 4000, seed=77)
         assert est.mean_delta_bound == -0.093
         assert est.mean_delta_exact == -0.093
-        assert est.ci99_bound == 0.013437920722492749
+        assert est.ci99_bound == 0.01343792072249275
         assert est.outcome_counts == {
             "coalesced": 421, "unchanged": 3473, "both-rejected": 57,
             "far-move": 0, "near-move": 49,
@@ -453,14 +499,14 @@ class TestEstimateContraction:
             estimate_contraction(1, 0.01, 1.0, hamming_metric(), 10, seed=1)
 
     def test_stratified_outputs_pinned(self):
-        # 33,000 trials are 8 groups of 4125 = 4096 + 29: one partial batch each
+        # 33,000 trials are 8 groups of 4125 = 4 * 1024 + 29: one partial batch each
         est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, 33_000, seed=77)
-        assert est.mean_delta_bound == -0.053022306324472704
-        assert est.mean_delta_exact == -0.05615242192254039
-        assert est.ci99_bound == 0.0003966496579753492
+        assert est.mean_delta_bound == -0.05259409813363476
+        assert est.mean_delta_exact == -0.055686015972639925
+        assert est.ci99_bound == 0.0003993856312328375
         assert est.outcome_counts == {
-            "coalesced": 27507, "unchanged": 6019, "both-rejected": 0,
-            "far-move": 17573, "near-move": 14901,
+            "coalesced": 27315, "unchanged": 6254, "both-rejected": 0,
+            "far-move": 17729, "near-move": 14702,
         }
 
     def test_stratified_counts_partition_draws(self):
@@ -485,6 +531,52 @@ class TestEstimateContraction:
         assert abs(strat.mean_delta_exact - plain.mean_delta_exact) < joint_e
         # the stratified step is far more precise per configuration
         assert strat.ci99_bound < plain.ci99_bound / 5
+
+
+    def test_ci_is_iid_with_one_configuration_per_chain(self, monkeypatch):
+        # trials per group <= BATCH: each chain yields one configuration
+        seen = []
+        add = coupling._Tally.add
+
+        def recording(tally, value_bound, value_exact):
+            seen.append((value_bound.copy(), value_exact.copy()))
+            add(tally, value_bound, value_exact)
+
+        monkeypatch.setattr(coupling._Tally, "add", recording)
+        trials = 8 * coupling.BATCH - 5
+        est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, trials, seed=3)
+        for k, got in ((0, est.ci99_bound), (1, est.ci99_exact)):
+            v = np.concatenate([s[k] for s in seen])
+            assert len(v) == trials
+            mean = v.sum() / trials
+            iid = 2.576 * math.sqrt((float((v * v).sum()) / trials - mean * mean) / trials)
+            assert got == pytest.approx(iid, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_ci_counts_repeated_chain_values_once(self, k):
+        # k identical configurations per chain carry the information of one,
+        # so the per-chain SE is sqrt(k) times the i.i.d. SE of the k C values
+        v = np.random.default_rng(k).normal(size=50)
+        tally = coupling._Tally()
+        for _ in range(k):
+            tally.add(v, 2.0 * v)
+        every = np.tile(v, k)
+        iid = 2.576 * every.std() / math.sqrt(len(every))
+        ci_b, ci_e = tally.ci99()
+        assert ci_b == pytest.approx(math.sqrt(k) * iid, rel=1e-12)
+        assert ci_e == pytest.approx(2.0 * math.sqrt(k) * iid, rel=1e-12)
+
+    def test_pool_size_moves_estimate_within_ci(self, monkeypatch):
+        # 5000 trials per group: about 1.2 or 4.9 configurations per chain
+        args = (8, 0.05, 1.5, TEST_METRIC, 40_000)
+        monkeypatch.setattr(coupling, "BATCH", 4096)
+        large = estimate_contraction(*args, seed=71)
+        monkeypatch.setattr(coupling, "BATCH", 1024)
+        small = estimate_contraction(*args, seed=72)
+        joint_b = math.hypot(large.ci99_bound, small.ci99_bound)
+        joint_e = math.hypot(large.ci99_exact, small.ci99_exact)
+        assert abs(large.mean_delta_bound - small.mean_delta_bound) < joint_b
+        assert abs(large.mean_delta_exact - small.mean_delta_exact) < joint_e
 
 
 class TestStratifiedTrials:
