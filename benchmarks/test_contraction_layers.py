@@ -1,0 +1,48 @@
+"""Layer benchmarks for the contraction half: assembly, one search probe and
+the whole density search.
+
+    PYTHONPATH=src python -m pytest benchmarks/test_contraction_layers.py
+    PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable  # smoke run
+
+At L = 256 and 1024, `test_assemble` reports one unit-density assembly as
+`assemble_ms`, `test_search_probe` one feasibility decision at the bound, on
+the shared system relabelled with that density, as `ms_per_probe`, and
+`test_max_density` the whole search (one assembly, the probes and the
+witness) as `max_density_ms` with its probe count `probes` (the bracket
+check plus the bisection steps), each in `extra_info`.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from harddisks import contraction
+
+LS = (256, 1024)
+
+
+def _report(benchmark, key, digits=3):
+    if benchmark.stats:
+        benchmark.extra_info[key] = round(1e3 * benchmark.stats.stats.min, digits)
+
+
+@pytest.mark.parametrize("L", LS)
+def test_assemble(benchmark, L):
+    benchmark.pedantic(contraction.assemble, args=(contraction.SEARCH_LO, L),
+                       rounds=5, warmup_rounds=1)
+    _report(benchmark, "assemble_ms")
+
+
+@pytest.mark.parametrize("L", LS)
+def test_search_probe(benchmark, L):
+    base = contraction.assemble(contraction.SEARCH_LO, L)
+    system = replace(base, rho=contraction.max_density(L).rho_star)
+    assert benchmark.pedantic(contraction.decide, args=(system,), rounds=20, warmup_rounds=1)
+    _report(benchmark, "ms_per_probe", 4)
+
+
+@pytest.mark.parametrize("L", LS)
+def test_max_density(benchmark, L):
+    result = benchmark.pedantic(contraction.max_density, args=(L,), rounds=5, warmup_rounds=1)
+    benchmark.extra_info["probes"] = result.iterations + 1
+    _report(benchmark, "max_density_ms")

@@ -12,7 +12,7 @@ from .contraction import (
 )
 from .coupling import ContractionEstimate, CoupledPair, coupled_step, estimate_contraction, make_pair
 from .dynamics import ChainStats, Configuration, random_config, run, step
-from .geometry import CLOSE_PACKING_DENSITY, TorusPoint, ball_volume, crescent_angle, crescent_area, torus_dist
+from .geometry import TorusPoint, crescent_angle, crescent_area, torus_dist
 from .metric import PiecewiseMetric, analytic_small_ell, check_axioms, pair_distance
 
 __version__ = "0.1.0"
@@ -22,8 +22,8 @@ __all__ = [
     "max_density", "minimal_metric", "repaired_metric",
     "ContractionEstimate", "CoupledPair",
     "coupled_step", "estimate_contraction", "make_pair", "ChainStats",
-    "Configuration", "random_config", "run", "step", "CLOSE_PACKING_DENSITY",
-    "TorusPoint", "ball_volume", "crescent_angle", "crescent_area",
-    "torus_dist", "PiecewiseMetric", "analytic_small_ell", "check_axioms",
-    "pair_distance", "__version__",
+    "Configuration", "random_config", "run", "step",
+    "TorusPoint", "crescent_angle", "crescent_area", "torus_dist",
+    "PiecewiseMetric", "analytic_small_ell", "check_axioms", "pair_distance",
+    "__version__",
 ]

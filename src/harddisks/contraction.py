@@ -7,9 +7,17 @@ One coupled step contracts the metric in expectation when, for every i,
     (c + W_i) d_i >= g_i + sum_{j<i} w_ij d_j,       c = 1 - 4 rho - eps_hat,
 
 where g_i = (rho/pi) * crescent_area(lam_i) is the pessimistic cost of new
-disagreements and w_ij integrates the relabeling-savings kernel
-2 (pi - theta(u, lam_i)) u over subinterval j, exactly, as differences of its
-antiderivative geometry.outside_zone_area.
+disagreements and w_ij = (rho/pi) * (integral of the relabeling-savings
+kernel 2 (pi - theta(u, lam_i)) u over subinterval j), built exactly as
+differences of its antiderivative geometry.outside_zone_area.  g and w are
+proportional to rho, so the system is stored at unit density, g^ = g/rho and
+w^ = w/rho, and constraint i divided by rho reads
+
+    (mu + W^_i) d_i >= g^_i + sum_{j<i} w^_ij d_j,   mu = c/rho.
+
+Density enters only through mu: one assembly serves every density, and a
+system at another density is `dataclasses.replace(system, rho=...)`, which
+shares the arrays.
 
 Savings only ever reference d(u) for u below the danger-zone radius 2, so
 raising d on (2, 4] above the minimal solution costs nothing and turns every
@@ -25,7 +33,8 @@ axioms; one that fails verification is an error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,37 +53,33 @@ SOLVE_BLOCK = 32  # rows per diagonal block of the forward substitution
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """The assembled constraint data for one (rho, L, variant)."""
+    """The unit-density constraint data for one (L, variant), labelled with a density.
+
+    g, w and W do not depend on rho; rho enters only through mu, so changing
+    it with `dataclasses.replace` costs nothing.
+    """
 
     L: int
     rho: float
-    epsilon_hat: float
-    g: np.ndarray  # crescent-area terms, shape (L,)
-    w: np.ndarray  # lower-triangular savings weights, shape (L, L)
+    g: np.ndarray  # crescent-area terms at unit density, shape (L,)
+    w: np.ndarray  # lower-triangular savings weights at unit density, shape (L, L)
+    W: np.ndarray  # row sums of w, shape (L,)
     variant: str
-    W: np.ndarray = field(init=False, repr=False, compare=False)  # row sums of w
-
-    def __post_init__(self):
-        object.__setattr__(self, "W", self.w.sum(axis=1))
 
     @property
-    def c(self) -> float:
-        return 1.0 - 4.0 * self.rho - self.epsilon_hat
+    def mu(self) -> float:
+        """The contraction margin per unit density, c/rho = (1 - 4 rho - eps_hat)/rho."""
+        return (1.0 - 4.0 * self.rho - EPSILON_HAT) / self.rho
 
     @property
     def grid(self) -> np.ndarray:
         return 4.0 * np.arange(1, self.L + 1) / self.L
 
 
-def assemble(
-    rho: float,
-    L: int,
-    variant: str = "clamped",
-    epsilon_hat: float = EPSILON_HAT,
-) -> ConstraintSystem:
-    """Build the constraint system for one density.
+def assemble(rho: float, L: int, variant: str = "clamped") -> ConstraintSystem:
+    """Build the unit-density constraint system, labelled with density rho.
 
-    w[i, j] = (rho/pi) (F(lam_i, u_{j+1}) - F(lam_i, u_j)) over subinterval
+    w[i, j] = (F(lam_i, u_{j+1}) - F(lam_i, u_j))/pi over subinterval
     j = [u_j, u_{j+1}], j < i only (the partial cell j = i multiplies
     d_i - d_i = 0), with F = outside_zone_area.  The clamped variant truncates
     the kernel at the danger-zone radius by clamping u at 2.
@@ -96,23 +101,23 @@ def assemble(
         F = outside_zone_area(u[None, :stop], lam[start:stop, None])
         # Row i keeps cells j <= i - 1, that is j - (i - start) <= start - 1.
         w[start:stop, : stop - 1] = np.tril(np.diff(F, axis=1), start - 1)
-    w *= rho / np.pi
-    return ConstraintSystem(L=L, rho=rho, epsilon_hat=epsilon_hat,
-                            g=rho / np.pi * crescent_area(lam), w=w, variant=variant)
+    w /= np.pi
+    return ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi, w=w,
+                            W=w.sum(axis=1), variant=variant)
 
 
 def _sweep(system: ConstraintSystem, rows: int) -> np.ndarray:
     """The first `rows` values of the pointwise-least solution.
 
-    Constraint i saturated reads (c + W_i) d_i = g_i + sum_{j<i} w_ij d_j, a
+    Constraint i saturated reads (mu + W_i) d_i = g_i + sum_{j<i} w_ij d_j, a
     lower-triangular system solved in blocks of SOLVE_BLOCK rows: the earlier
     blocks enter the right-hand side through one matrix-vector product.  With
     g > 0 and w >= 0 every value is positive, so no bound d >= 0 binds.
     """
-    c = system.c
-    if c <= 0:
+    mu = system.mu
+    if mu <= 0:
         raise ValueError("contraction margin c must be positive (rho too large)")
-    w, diag = system.w, c + system.W
+    w, diag = system.w, mu + system.W
     d = np.empty(rows)
     for start in range(0, rows, SOLVE_BLOCK):
         stop = min(start + SOLVE_BLOCK, rows)
@@ -170,14 +175,16 @@ def saturated_metric(system: ConstraintSystem) -> PiecewiseMetric:
 def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
     """Per-constraint residuals (c + W_i) d_i - g_i - sum_{j<i} w_ij d_j.
 
-    Returns (residuals, tight_lambda_max) where the latter is the largest
-    grid point whose constraint is tight to within TIGHT_TOL.
+    They are rho times the unit-density residuals, so they keep the units of
+    the constraints as written.  Returns (residuals, tight_lambda_max) where
+    the latter is the largest grid point whose constraint is tight to within
+    TIGHT_TOL.
     """
     if metric.L != system.L:
         raise ValueError("metric and system grid sizes differ")
     d = np.asarray(metric.values)
     sav = system.w @ d  # lower-triangular: row i only sees j < i
-    residuals = (system.c + system.W) * d - system.g - sav
+    residuals = system.rho * ((system.mu + system.W) * d - system.g - sav)
     tight = system.grid[residuals < TIGHT_TOL]
     tight_lambda_max = float(tight.max()) if tight.size else 0.0
     return residuals, tight_lambda_max
@@ -201,13 +208,7 @@ def witness(system: ConstraintSystem):
     return metric, residuals, tight_lambda_max
 
 
-def feasible(
-    rho: float,
-    L: int,
-    variant: str = "clamped",
-    hamming: bool = False,
-    epsilon_hat: float = EPSILON_HAT,
-):
+def feasible(rho: float, L: int, variant: str = "clamped", hamming: bool = False):
     """Decide contractivity at one density; returns (bool, metric or None).
 
     In hamming mode the metric is forced to d = 1 with savings disabled,
@@ -215,9 +216,9 @@ def feasible(
     Otherwise a feasible answer carries the verified repaired witness.
     """
     if hamming:
-        c = 1.0 - 4.0 * rho - epsilon_hat
+        c = 1.0 - 4.0 * rho - EPSILON_HAT
         return c >= 4.0 * rho, PiecewiseMetric(values=(1.0,) * L, rho=rho)
-    system = assemble(rho, L, variant, epsilon_hat)
+    system = assemble(rho, L, variant)
     if not decide(system):
         return False, None
     return True, witness(system)[0]
@@ -227,11 +228,13 @@ def lp_feasible(system: ConstraintSystem) -> bool:
     """Raw LP feasibility of {d in [0,1]^L : contraction constraints hold}.
 
     Independent phase-1 simplex route; must agree with the forward-sweep
-    threshold test (all minimal values <= 1) on every instance.
+    threshold test (all minimal values <= 1) on every instance.  The simplex
+    gets the constraints as written (times rho), not the unit-density form.
     """
-    A = -system.w.copy()
-    np.fill_diagonal(A, system.c + system.W)
-    return lp.feasible_box(A, system.g, np.ones(system.L))
+    rho = system.rho
+    A = -rho * system.w
+    np.fill_diagonal(A, rho * (system.mu + system.W))
+    return lp.feasible_box(A, rho * system.g, np.ones(system.L))
 
 
 @dataclass(frozen=True)
@@ -263,25 +266,21 @@ class BoundResult:
 
 
 def max_density(
-    L: int,
-    tol: float = 1e-6,
-    variant: str = "clamped",
-    hamming: bool = False,
-    epsilon_hat: float = EPSILON_HAT,
+    L: int, tol: float = 1e-6, variant: str = "clamped", hamming: bool = False,
 ) -> BoundResult:
-    """Binary-search the largest density at which the coupling contracts."""
-    if tol < 1e-9:
-        raise ValueError("tol must be at least 1e-9")
-    lo, hi = SEARCH_LO, SEARCH_HI
-    base = None if hamming else assemble(lo, L, variant, epsilon_hat)
+    """Binary-search the largest density at which the coupling contracts.
 
-    def at(rho):  # g and w are proportional to rho, so one assembly serves every probe
-        return replace(base, rho=rho, g=rho / base.rho * base.g, w=rho / base.rho * base.w)
+    The system is assembled once; each probe relabels it with its density.
+    """
+    if not (math.isfinite(tol) and tol >= 1e-9):
+        raise ValueError(f"tol must be finite and at least 1e-9, got {tol}")
+    lo, hi = SEARCH_LO, SEARCH_HI
+    base = None if hamming else assemble(lo, L, variant)
 
     def ok(rho):
         if hamming:
-            return feasible(rho, L, hamming=True, epsilon_hat=epsilon_hat)[0]
-        return decide(at(rho))
+            return feasible(rho, L, hamming=True)[0]
+        return decide(replace(base, rho=rho))
 
     if not ok(lo):
         raise RuntimeError("search bracket lower end unexpectedly infeasible")
@@ -300,13 +299,13 @@ def max_density(
         metric = PiecewiseMetric(values=(1.0,) * L, rho=lo)
         slack, tight_lambda_max = None, 4.0
     else:
-        metric, slack, tight_lambda_max = witness(at(lo))
+        metric, slack, tight_lambda_max = witness(replace(base, rho=lo))
     return BoundResult(
         L=L,
         rho_star=lo,
         tol=tol,
         variant=variant,
-        epsilon_hat=epsilon_hat,
+        epsilon_hat=EPSILON_HAT,
         iterations=iterations,
         metric=metric,
         slack=slack,

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Density of the triangular close packing of disks in the plane.
-CLOSE_PACKING_DENSITY = math.pi * math.sqrt(3.0) / 6.0
-
 
 class GeometryError(ValueError):
     """A geometric precondition was violated (points too spread for a chart)."""
@@ -59,15 +56,6 @@ def torus_dist(p: TorusPoint, q: TorusPoint) -> float:
     dx = min_image(p.x - q.x)
     dy = min_image(p.y - q.y)
     return math.hypot(dx, dy)
-
-
-def ball_volume(dim: int, radius: float) -> float:
-    """Volume of a dim-dimensional ball: pi^(d/2) r^d / Gamma(d/2 + 1)."""
-    if dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim}")
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    return math.pi ** (dim / 2.0) * radius**dim / math.gamma(dim / 2.0 + 1.0)
 
 
 def crescent_area(lam):

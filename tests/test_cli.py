@@ -14,6 +14,22 @@ def run_cli(args):
     return main(args)
 
 
+# stdout of `table --Ls 1,2,3,5,8,12,16,33,64,256`, the same in both variants.
+# A solver change that moves any bound must update these on purpose.
+TABLE_PIN = """L,rho_star
+1,0.124999771118
+2,0.140418996811
+3,0.139675006866
+5,0.144310035706
+8,0.150023546219
+12,0.15143032074
+16,0.152181501389
+33,0.152843542099
+64,0.153998641968
+256,0.154482526779
+"""
+
+
 class TestBound:
     def test_hamming_baseline(self, capsys):
         assert run_cli(["bound", "--hamming", "--L", "1"]) == 0
@@ -42,6 +58,13 @@ class TestBound:
             run_cli(["bound", "--variant", "nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_three(self, tol, capsys):
+        for flags in ([], ["--hamming"]):
+            assert run_cli(["bound", "--L", "16", "--tol", tol, *flags]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "tol" in captured.err
+
 
 class TestTable:
     def test_single_row(self, tmp_path, capsys):
@@ -51,6 +74,17 @@ class TestTable:
         assert lines[0] == "L,rho_star"
         L, rho = lines[1].split(",")
         assert L == "8" and abs(float(rho) - 0.150024) < 2e-4
+
+    @pytest.mark.parametrize("variant", contraction.VARIANTS)
+    def test_stdout_pinned(self, variant, capsys):
+        assert run_cli(["table", "--Ls", "1,2,3,5,8,12,16,33,64,256", "--variant", variant]) == 0
+        assert capsys.readouterr().out == TABLE_PIN
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_three(self, tol, capsys):
+        assert run_cli(["table", "--Ls", "8,16", "--tol", tol]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tol" in captured.err
 
     def test_rows_nondecreasing(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -70,8 +70,8 @@ def quadrature_kernel(L, variant, order=16):
 
 
 def exact_kernel(L, variant):
-    """The savings integrals I of the assembled system, with the factor rho/pi removed."""
-    return assemble(0.125, L, variant=variant).w * (np.pi / 0.125)
+    """The savings integrals I of the assembled system, with the factor 1/pi removed."""
+    return assemble(0.125, L, variant=variant).w * np.pi
 
 
 def adaptive_cell_integral(lam, a, b, variant):
@@ -86,9 +86,10 @@ def adaptive_cell_integral(lam, a, b, variant):
 
 class TestAssemble:
     def test_last_area_term_is_four_rho(self):
+        # The crescent at lam = 4 is the whole zone, 4 pi; at unit density the term is 4.
         for rho in (0.05, 0.14, 0.2):
             system = assemble(rho, 32)
-            assert system.g[-1] == pytest.approx(4.0 * rho, rel=1e-12)
+            assert system.g[-1] == pytest.approx(4.0, rel=1e-12)
 
     def test_area_terms_strictly_increasing(self):
         system = assemble(0.14, 64)
@@ -113,8 +114,8 @@ class TestAssemble:
 
     def test_row_sums_bounded_by_kernel_cap(self):
         system = assemble(0.14, 64)
-        caps = 0.14 * system.grid**2
-        assert np.all(system.w.sum(axis=1) <= caps + 1e-12)
+        assert np.array_equal(system.W, system.w.sum(axis=1))
+        assert np.all(system.W <= system.grid**2)
         # Clamped rows whose cells reach u = 2 integrate the kernel over the
         # whole crescent: F(lam, 2) is its area.
         sums = exact_kernel(64, "clamped").sum(axis=1)
@@ -141,7 +142,7 @@ class TestAssemble:
 
     def test_contraction_margin(self):
         system = assemble(0.14, 8)
-        assert system.c == pytest.approx(1.0 - 4 * 0.14 - EPSILON_HAT)
+        assert system.mu == pytest.approx((1.0 - 4 * 0.14 - EPSILON_HAT) / 0.14)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -155,18 +156,20 @@ class TestAssemble:
 
 
 class TestMinimalMetric:
-    def test_zero_savings_reduces_to_analytic_form(self):
-        system = assemble(0.14, 16, epsilon_hat=0.0)
-        stripped = dataclasses.replace(system, w=np.zeros_like(system.w))
+    def test_zero_savings_reduces_to_analytic_form(self, monkeypatch):
+        monkeypatch.setattr(contraction, "EPSILON_HAT", 0.0)
+        system = assemble(0.14, 16)
+        stripped = dataclasses.replace(system, w=np.zeros_like(system.w), W=np.zeros(16))
         d = minimal_metric(stripped).values
         for lam, v in zip(stripped.grid, d):
             expect = 0.14 / (math.pi * (1 - 4 * 0.14)) * contraction.crescent_area(lam)
             assert v == pytest.approx(expect, rel=1e-12)
 
-    def test_cells_below_one_radius_match_analytic_form(self):
+    def test_cells_below_one_radius_match_analytic_form(self, monkeypatch):
         # No savings exist for displacements below one radius, so the sweep
         # reproduces the closed form there.
-        system = assemble(0.14, 64, epsilon_hat=0.0)
+        monkeypatch.setattr(contraction, "EPSILON_HAT", 0.0)
+        system = assemble(0.14, 64)
         d = minimal_metric(system).values
         for lam, v in zip(system.grid, d):
             if lam <= 1.0:
@@ -195,9 +198,8 @@ class TestMinimalMetric:
 
     def test_rejects_nonpositive_margin(self):
         system = assemble(0.14, 8)
-        bad = dataclasses.replace(system, rho=0.2500001 - EPSILON_HAT, epsilon_hat=1.0)
         with pytest.raises(ValueError):
-            minimal_metric(bad)
+            minimal_metric(dataclasses.replace(system, rho=0.25))
 
     @pytest.mark.parametrize("variant", contraction.VARIANTS)
     def test_blocked_solve_matches_row_loop(self, variant):
@@ -206,11 +208,6 @@ class TestMinimalMetric:
             system = assemble(rho, L, variant)
             fast = np.array(minimal_metric(system).values)
             assert np.allclose(fast, looped_minimal_metric(system), rtol=1e-13, atol=0.0), (rho, L)
-
-    def test_row_sums_follow_replaced_weights(self):
-        system = assemble(0.14, 16)
-        assert np.array_equal(system.W, system.w.sum(axis=1))
-        assert np.all(dataclasses.replace(system, w=np.zeros_like(system.w)).W == 0.0)
 
 
 class TestSaturatedMetric:
@@ -233,12 +230,15 @@ class TestSaturatedMetric:
 
 
 def looped_minimal_metric(system):
-    """Reference forward sweep, one constraint at a time."""
-    w, g, L = system.w, system.g, system.L
+    """Reference forward sweep, one constraint at a time, on the constraints as
+    written: g, w and c at the system's density, rebuilt from the unit system."""
+    rho = system.rho
+    g, w = rho * system.g, rho * system.w
+    c = 1.0 - 4.0 * rho - contraction.EPSILON_HAT
     W = w.sum(axis=1)
-    d = np.zeros(L)
-    for i in range(L):
-        d[i] = max(0.0, (g[i] + w[i, :i] @ d[:i]) / (system.c + W[i]))
+    d = np.zeros(system.L)
+    for i in range(system.L):
+        d[i] = max(0.0, (g[i] + w[i, :i] @ d[:i]) / (c + W[i]))
     return d
 
 
@@ -394,10 +394,12 @@ class TestMaxDensity:
         # bounds here: the tail constraints are pure slack once d = 1 there.
         assert abs(max_density(L, variant=variant).rho_star - rho_star) < 1e-6
 
-    def test_epsilon_hat_insensitivity(self):
-        a = max_density(16).rho_star
-        b = max_density(16, epsilon_hat=0.0).rho_star
-        assert abs(a - b) < 1e-5
+    def test_epsilon_hat_insensitivity(self, monkeypatch):
+        a = max_density(16)
+        monkeypatch.setattr(contraction, "EPSILON_HAT", 0.0)
+        b = max_density(16)
+        assert abs(a.rho_star - b.rho_star) < 1e-5
+        assert (a.epsilon_hat, b.epsilon_hat) == (EPSILON_HAT, 0.0)
 
     def test_single_cell_grid_matches_hamming(self):
         # With one cell the metric is pinned at d(4) and no savings exist, so
@@ -408,6 +410,37 @@ class TestMaxDensity:
     def test_rejects_too_fine_tolerance(self):
         with pytest.raises(ValueError):
             max_density(8, tol=1e-12)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        for hamming in (False, True):
+            with pytest.raises(ValueError):
+                max_density(8, tol=tol, hamming=hamming)
+
+    @pytest.mark.parametrize("variant", contraction.VARIANTS)
+    def test_assembles_once_and_probes_share_the_arrays(self, monkeypatch, variant):
+        built, seen = [], []
+
+        def counted(*args, _fn=contraction.assemble):
+            built.append(_fn(*args))
+            return built[-1]
+
+        def recorded(fn):
+            def wrapper(system):
+                seen.append(system)
+                return fn(system)
+            return wrapper
+
+        monkeypatch.setattr(contraction, "assemble", counted)
+        for name in ("decide", "witness"):
+            monkeypatch.setattr(contraction, name, recorded(getattr(contraction, name)))
+        result = max_density(64, variant=variant)
+        assert len(built) == 1
+        assert len(seen) == result.iterations + 2  # bracket check, probes, witness
+        base = built[0]
+        for system in seen:
+            assert system.w is base.w and system.g is base.g and system.W is base.W
+        assert seen[-1].rho == result.rho_star
 
     def test_json_fields(self):
         payload = json.loads(max_density(8).to_json())

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harddisks.geometry import (
-    CLOSE_PACKING_DENSITY,
     GeometryError,
     LocalChart,
     TorusPoint,
-    ball_volume,
     crescent_angle,
     crescent_angle_array,
     crescent_area,
@@ -39,11 +37,6 @@ def monte_carlo_crescent_area(lam, side, rng):
     in_new = (px - lam) ** 2 + py**2 < 4.0
     in_old = px * px + py * py < 4.0
     return 16.0 * np.mean(in_new & ~in_old)
-
-
-def test_close_packing_constant():
-    assert CLOSE_PACKING_DENSITY == math.pi * math.sqrt(3.0) / 6.0
-    assert abs(CLOSE_PACKING_DENSITY - 0.9069) < 1e-4
 
 
 class TestTorusPoint:
@@ -85,23 +78,6 @@ class TestTorusDist:
         m = min_image(dx)
         assert abs(m) <= 0.5 + 1e-12
         assert (m - dx) == pytest.approx(round(m - dx), abs=1e-9)
-
-
-class TestBallVolume:
-    def test_disk_area(self):
-        assert ball_volume(2, 3.0) == pytest.approx(math.pi * 9.0)
-
-    def test_unit_sphere(self):
-        assert ball_volume(3, 1.0) == pytest.approx(4.0 * math.pi / 3.0)
-
-    def test_interval_length(self):
-        assert ball_volume(1, 2.5) == pytest.approx(5.0)
-
-    def test_rejects_dimension_zero_and_negative_radius(self):
-        with pytest.raises(ValueError):
-            ball_volume(0, 1.0)
-        with pytest.raises(ValueError):
-            ball_volume(2, -1.0)
 
 
 class TestCrescentArea:
