@@ -9,13 +9,17 @@ seed, alternating which revision goes first.  The file holds, per workload
 and revision, every run's end-to-end metrics and failure counts, the median
 and quartiles of each metric, and how many pairs the head revision won,
 together with nproc, the CPU model, the Python and numpy versions and both
-revisions.
+revisions.  Each checkout also runs its own layer benchmarks once
+(`pytest benchmarks --benchmark-json`); `layers` holds, per revision, every
+benchmark's min time in seconds and its `extra_info`, and null for a
+benchmark that only the other revision has.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -61,6 +65,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "env": record["env"]}
+
+
+def run_layers(checkout: Path) -> dict:
+    """One run of the checkout's pytest-benchmark suite: name -> min time and extra_info."""
+    out = checkout / "layers.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks",
+         f"--benchmark-json={out}"],
+        cwd=checkout, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))
+    if proc.returncode != 0 or not out.is_file():
+        raise SystemExit(f"{checkout.name} layer benchmarks failed (exit {proc.returncode}): "
+                         f"{proc.stdout.strip()[-400:]}")
+    benchmarks = json.loads(out.read_text())["benchmarks"]
+    return {b["fullname"]: {"min_s": b["stats"]["min"], "extra_info": b["extra_info"]}
+            for b in benchmarks}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -120,6 +140,10 @@ def main(argv=None) -> int:
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
     }
+    layers = {side: run_layers(path) for side, path in checkouts.items()}
+    names = sorted(set(layers["base"]) | set(layers["head"]))
+    report["layers"] = {side: {name: found.get(name) for name in names}
+                        for side, found in layers.items()}
     envs = []
     for workload, count in args.pairs.items():
         runs = {"base": [], "head": []}

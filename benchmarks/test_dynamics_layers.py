@@ -1,0 +1,43 @@
+"""Layer benchmarks for the chain itself: the CellGrid step and pool insertion.
+
+    PYTHONPATH=src python -m pytest benchmarks/test_dynamics_layers.py
+    PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable  # smoke run
+
+`test_run` times `dynamics.run` for RUN_BLOCK steps at n = 64, ρ = 0.15 (the
+`simulate` settings of perfbench) from one fixed configuration and seed, and
+reports `ns_per_step`.  `test_batch_insert` times the random sequential
+insertion of a pool of coupling.BATCH chains at n = 32, ρ = 0.14 (the pool of
+the contraction estimator) and reports `ns_per_chain_disk`.  Both go into
+`extra_info`.
+"""
+
+import numpy as np
+
+from harddisks import coupling, dynamics
+
+SEED = 2014
+
+
+def _report(benchmark, key, count):
+    if benchmark.stats:
+        benchmark.extra_info[key] = round(1e9 * benchmark.stats.stats.min / count, 3)
+
+
+def test_run(benchmark):
+    steps = dynamics.RUN_BLOCK
+    config = dynamics.random_config(64, 0.15, seed=SEED)
+    _, stats = benchmark.pedantic(dynamics.run, args=(config, steps, SEED),
+                                  rounds=5, warmup_rounds=1)
+    assert stats.steps == steps
+    _report(benchmark, "ns_per_step", steps)
+
+
+def test_batch_insert(benchmark):
+    B, n = coupling.BATCH, 32
+
+    def fresh():
+        return (B, n, 0.14, np.random.default_rng(SEED)), {}
+
+    centers = benchmark.pedantic(dynamics.batch_insert, setup=fresh, rounds=5, warmup_rounds=1)
+    assert centers.shape == (B, n, 2)
+    _report(benchmark, "ns_per_chain_disk", B * n)

@@ -3,7 +3,9 @@
 One step proposes moving a uniformly random disk to a uniformly random torus
 position and accepts iff the new position is at distance >= 2r from every
 other center.  Neighbor queries go through a uniform cell grid; a brute-force
-check is kept as the test oracle.
+check is kept as the test oracle.  `run` draws its proposals in numpy blocks
+and walks them as Python floats, so the per-step grid arithmetic never touches
+numpy scalars.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .geometry import TorusPoint, min_image_array
 
 MAX_INSERTION_ATTEMPTS = 10_000  # per disk and chain
 RUN_BLOCK = 65_536  # proposals drawn per block in run()
+RUN_SLICE = 4_096  # proposals of a block converted to Python floats at once
 
 
 @dataclass(frozen=True)
@@ -146,13 +149,20 @@ class CellGrid:
     """Uniform spatial hash over the torus with cell side >= 2r.
 
     Any blocker of a proposal lies in the 3x3 cell block around it, so a
-    membership query touches O(1) candidates at the densities we run.
+    membership query touches O(1) candidates at the densities we run.  The
+    nine cell lists of each block are gathered once into `neighbours`; `move`
+    edits those lists in place, so the table never goes stale.
     """
 
     def __init__(self, config: Configuration):
-        self.m = max(1, int(1.0 / (2.0 * config.r)))
-        self.r = config.r
-        self.cells: list[list[int]] = [[] for _ in range(self.m * self.m)]
+        m = self.m = max(1, int(1.0 / (2.0 * config.r)))
+        self.lim = 4.0 * config.r * config.r
+        self.cells: list[list[int]] = [[] for _ in range(m * m)]
+        self.neighbours = [
+            tuple(self.cells[((cx + dx) % m) * m + (cy + dy) % m]
+                  for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+            for cx in range(m) for cy in range(m)
+        ]
         self.xs = config.centers[:, 0].tolist()
         self.ys = config.centers[:, 1].tolist()
         self.cell_of = [0] * config.n
@@ -165,21 +175,31 @@ class CellGrid:
         return (int(x * self.m) % self.m) * self.m + (int(y * self.m) % self.m)
 
     def allowed(self, i: int, x: float, y: float) -> bool:
+        """Is center i allowed to move to (x, y)?
+
+        Every stored and proposed coordinate must lie in [0, 1] (a stored one
+        can be exactly 1.0, the float64 value of -1e-20 % 1.0), so each
+        coordinate difference lies in [-1, 1] and one conditional shift by 1
+        is its minimal image, equal bit for bit to `e - round(e)`.
+        """
         m = self.m
-        cx, cy = int(x * m) % m, int(y * m) % m
-        lim = 4.0 * self.r * self.r
-        for dx in (-1, 0, 1):
-            gx = ((cx + dx) % m) * m
-            for dy in (-1, 0, 1):
-                for j in self.cells[gx + (cy + dy) % m]:
-                    if j == i:
-                        continue
-                    ex = self.xs[j] - x
-                    ex -= round(ex)
-                    ey = self.ys[j] - y
-                    ey -= round(ey)
-                    if ex * ex + ey * ey < lim:
-                        return False
+        xs, ys, lim = self.xs, self.ys, self.lim
+        for cell in self.neighbours[(int(x * m) % m) * m + int(y * m) % m]:
+            for j in cell:
+                if j == i:
+                    continue
+                ex = xs[j] - x
+                if ex > 0.5:
+                    ex -= 1.0
+                elif ex < -0.5:
+                    ex += 1.0
+                ey = ys[j] - y
+                if ey > 0.5:
+                    ey -= 1.0
+                elif ey < -0.5:
+                    ey += 1.0
+                if ex * ex + ey * ey < lim:
+                    return False
         return True
 
     def move(self, i: int, x: float, y: float) -> None:
@@ -204,8 +224,11 @@ def step(config: Configuration, rng) -> tuple[Configuration, bool]:
 def run(config: Configuration, steps: int, seed):
     """Run the chain for a number of steps; deterministic given the seed.
 
-    Proposals are drawn in blocks and validity is checked through the cell
-    grid, so long runs stay cheap.  Returns (final configuration, stats).
+    Proposals are drawn in blocks of RUN_BLOCK (all disk indices, then all
+    positions, uniform on [0, 1)) and checked through the cell grid.  Each
+    block is walked in slices of RUN_SLICE that are converted to Python ints
+    and floats first, so the per-step work is plain Python arithmetic.
+    Returns (final configuration, stats).
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -213,6 +236,7 @@ def run(config: Configuration, steps: int, seed):
     if steps == 0:
         return config, ChainStats(steps=0, accepted=0)
     grid = CellGrid(config)
+    allowed, move = grid.allowed, grid.move
     n = config.n
     accepted = 0
     done = 0
@@ -220,12 +244,13 @@ def run(config: Configuration, steps: int, seed):
         todo = min(RUN_BLOCK, steps - done)
         idx = rng.integers(n, size=todo)
         pts = rng.random((todo, 2))
-        for k in range(todo):
-            i = int(idx[k])
-            x, y = pts[k]
-            if grid.allowed(i, x, y):
-                grid.move(i, x, y)
-                accepted += 1
+        for lo in range(0, todo, RUN_SLICE):
+            hi = lo + RUN_SLICE
+            for i, x, y in zip(idx[lo:hi].tolist(), pts[lo:hi, 0].tolist(),
+                               pts[lo:hi, 1].tolist()):
+                if allowed(i, x, y):
+                    move(i, x, y)
+                    accepted += 1
         done += todo
     centers = np.column_stack([grid.xs, grid.ys])
     final = Configuration(centers, config.r, _validate=False)

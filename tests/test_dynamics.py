@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from harddisks.dynamics import (
+    RUN_BLOCK,
     CellGrid,
     ChainStats,
     Configuration,
@@ -19,6 +20,51 @@ from harddisks.dynamics import (
     save_snapshot,
     step,
 )
+
+
+def reference_allowed(grid, i, x, y):
+    """CellGrid.allowed on numpy scalars: block cells by %, wrap by round."""
+    m = grid.m
+    cx, cy = int(x * m) % m, int(y * m) % m
+    lim = grid.lim
+    for dx in (-1, 0, 1):
+        gx = ((cx + dx) % m) * m
+        for dy in (-1, 0, 1):
+            for j in grid.cells[gx + (cy + dy) % m]:
+                if j == i:
+                    continue
+                ex = grid.xs[j] - x
+                ex -= round(ex)
+                ey = grid.ys[j] - y
+                ey -= round(ey)
+                if ex * ex + ey * ey < lim:
+                    return False
+    return True
+
+
+def reference_run(config, steps, seed):
+    """The step loop of run() as it read before its Python-float rewrite.
+
+    Same draws (per block: all indices, then all positions), but every step
+    reads numpy scalars out of the block arrays.
+    """
+    rng = np.random.default_rng(seed)
+    grid = CellGrid(config)
+    accepted = 0
+    done = 0
+    while done < steps:
+        todo = min(RUN_BLOCK, steps - done)
+        idx = rng.integers(config.n, size=todo)
+        pts = rng.random((todo, 2))
+        for k in range(todo):
+            i = int(idx[k])
+            x, y = pts[k]
+            if reference_allowed(grid, i, x, y):
+                grid.move(i, x, y)
+                accepted += 1
+        done += todo
+    centers = np.column_stack([grid.xs, grid.ys])
+    return centers, ChainStats(steps=steps, accepted=accepted)
 
 
 class FakeRng:
@@ -155,6 +201,23 @@ class TestCellGrid:
                 x, y = rng.random(2)
                 assert grid.allowed(i, x, y) == move_allowed_bruteforce(config, i, (x, y))
 
+    def test_wrap_edge_cases_match_bruteforce(self):
+        r = 0.02
+        config = Configuration(
+            [[-1e-20, 0.5], [0.0, 0.2], [0.75, 0.75], [0.5, -1e-20], [0.3, 0.0]], r=r
+        )
+        assert config.centers[0, 0] == 1.0 and config.centers[3, 1] == 1.0
+        grid = CellGrid(config)
+        seam = [0.0, 1e-12, 0.01, 0.03, 0.99, 0.97, 1.0 - 1e-12]
+        proposals = [(0.25, 0.75), (0.75, 0.25), (0.25, 0.25), (0.5, 0.0), (0.0, 0.5)]
+        proposals += [(x, y) for x in seam for y in (0.2, 0.5)]
+        proposals += [(x, y) for x in (0.3, 0.5) for y in seam]
+        for xy in proposals:
+            for i in range(config.n):
+                assert grid.allowed(i, *xy) == move_allowed_bruteforce(config, i, xy), (i, xy)
+        blocked = [xy for xy in proposals if not move_allowed_bruteforce(config, 2, xy)]
+        assert (0.99, 0.2) in blocked and (1.0 - 1e-12, 0.5) in blocked
+
     def test_tracks_moves(self):
         config = random_config(16, 0.1, seed=8)
         grid = CellGrid(config)
@@ -195,6 +258,15 @@ class TestRun:
         final, stat = run(config, 100_000, seed=13)
         assert final.is_valid()
         assert stat.accepted + stat.rejected == stat.steps == 100_000
+
+    @pytest.mark.parametrize("steps", [1, 4_097, RUN_BLOCK + 1])
+    @pytest.mark.parametrize("n,rho", [(1, 0.1), (2, 0.002), (16, 0.1), (48, 0.16), (64, 0.15)])
+    def test_run_matches_reference(self, n, rho, steps):
+        config = random_config(n, rho, seed=20 + n)
+        final, stat = run(config, steps, seed=21 + n)
+        centers, expect = reference_run(config, steps, seed=21 + n)
+        assert np.array_equal(final.centers, centers)
+        assert stat == expect
 
     def test_acceptance_rate_at_least_union_bound(self):
         config = random_config(64, 0.15, seed=14)
