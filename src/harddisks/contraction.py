@@ -28,6 +28,9 @@ the (geometrically empty) region u > 2, which the `as_written` variant
 includes.  The returned metric is the repaired witness, whose tail is the
 capped subadditive completion instead, so it also satisfies the metric
 axioms; one that fails verification is an error.
+
+The Hamming baseline needs no system: with d = 1 and savings disabled the
+condition is c >= 4 rho, so its bound is (1 - eps_hat)/8 in closed form.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import lp
 from .geometry import crescent_area, outside_zone_area
 from .metric import PiecewiseMetric
 
@@ -46,7 +48,7 @@ EPSILON_HAT = 1e-6  # contraction slack n * epsilon, from epsilon = 1e-6 / n
 VARIANTS = ("clamped", "as_written")
 
 TIGHT_TOL = 1e-8  # a constraint with residual below this counts as tight
-SEARCH_LO = 0.12  # below the Hamming baseline (1 - eps_hat)/8 in every mode
+SEARCH_LO = 0.12  # below the Hamming baseline (1 - eps_hat)/8, so feasible at every L
 SEARCH_HI = 0.25
 SOLVE_BLOCK = 32  # rows per diagonal block of the forward substitution
 
@@ -208,35 +210,6 @@ def witness(system: ConstraintSystem):
     return metric, residuals, tight_lambda_max
 
 
-def feasible(rho: float, L: int, variant: str = "clamped", hamming: bool = False):
-    """Decide contractivity at one density; returns (bool, metric or None).
-
-    In hamming mode the metric is forced to d = 1 with savings disabled,
-    which reduces the condition to c >= 4 rho, the classical 1/8 baseline.
-    Otherwise a feasible answer carries the verified repaired witness.
-    """
-    if hamming:
-        c = 1.0 - 4.0 * rho - EPSILON_HAT
-        return c >= 4.0 * rho, PiecewiseMetric(values=(1.0,) * L, rho=rho)
-    system = assemble(rho, L, variant)
-    if not decide(system):
-        return False, None
-    return True, witness(system)[0]
-
-
-def lp_feasible(system: ConstraintSystem) -> bool:
-    """Raw LP feasibility of {d in [0,1]^L : contraction constraints hold}.
-
-    Independent phase-1 simplex route; must agree with the forward-sweep
-    threshold test (all minimal values <= 1) on every instance.  The simplex
-    gets the constraints as written (times rho), not the unit-density form.
-    """
-    rho = system.rho
-    A = -rho * system.w
-    np.fill_diagonal(A, rho * (system.mu + system.W))
-    return lp.feasible_box(A, rho * system.g, np.ones(system.L))
-
-
 @dataclass(frozen=True)
 class BoundResult:
     """Outcome of the density binary search."""
@@ -271,18 +244,22 @@ def max_density(
     """Binary-search the largest density at which the coupling contracts.
 
     The system is assembled once; each probe relabels it with its density.
+    In hamming mode the metric is forced to d = 1 with savings disabled, so
+    the condition reduces to c >= 4 rho, that is 1 - eps_hat >= 8 rho: the
+    classical 1/8 baseline, returned in closed form as (1 - eps_hat)/8 with
+    the unit metric and no search iterations.
     """
     if not (math.isfinite(tol) and tol >= 1e-9):
         raise ValueError(f"tol must be finite and at least 1e-9, got {tol}")
+    if hamming:
+        rho = (1.0 - EPSILON_HAT) / 8.0
+        return BoundResult(L=L, rho_star=rho, tol=tol, variant=variant,
+                           epsilon_hat=EPSILON_HAT, iterations=0,
+                           metric=PiecewiseMetric(values=(1.0,) * L, rho=rho),
+                           slack=None, tight_lambda_max=4.0)
     lo, hi = SEARCH_LO, SEARCH_HI
-    base = None if hamming else assemble(lo, L, variant)
-
-    def ok(rho):
-        if hamming:
-            return feasible(rho, L, hamming=True)[0]
-        return decide(replace(base, rho=rho))
-
-    if not ok(lo):
+    base = assemble(lo, L, variant)
+    if not decide(base):
         raise RuntimeError("search bracket lower end unexpectedly infeasible")
     iterations = 0
     # Bisect somewhat past the requested resolution so the returned feasible
@@ -291,15 +268,11 @@ def max_density(
     while hi - lo >= tol_eff:
         mid = 0.5 * (lo + hi)
         iterations += 1
-        if ok(mid):
+        if decide(replace(base, rho=mid)):
             lo = mid
         else:
             hi = mid
-    if hamming:
-        metric = PiecewiseMetric(values=(1.0,) * L, rho=lo)
-        slack, tight_lambda_max = None, 4.0
-    else:
-        metric, slack, tight_lambda_max = witness(replace(base, rho=lo))
+    metric, slack, tight_lambda_max = witness(replace(base, rho=lo))
     return BoundResult(
         L=L,
         rho_star=lo,

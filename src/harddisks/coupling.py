@@ -6,12 +6,13 @@ mirrored across the bisector of the disagreeing centers.  Each step is
 classified and charged with two deltas: the pessimistic analysis bound
 (new disagreements at d_max = 1) and the exact greedy-relabel metric change.
 
-`coupled_step` is the scalar reference.  `estimate_contraction` applies the
-same classification to batches of independent chains, stratified: only a
-proposal of the disagreeing disk (probability 1/n) or one into the danger
-crescent Z(y1) \\ Z(x1) (probability (n-1)/n * crescent_area(ell) r^2) can
-change the metric, so each configuration draws one proposal from each and
-weights them by those probabilities.  Each chain yields several successive
+`estimate_contraction` applies this classification to batches of independent
+chains, stratified: only a proposal of the disagreeing disk (probability 1/n)
+or one into the danger crescent Z(y1) \\ Z(x1) (probability
+(n-1)/n * crescent_area(ell) r^2) can change the metric, so each
+configuration draws one proposal from each and weights them by those
+probabilities.  The tests replay it through a scalar coupled step, one
+proposal at a time (tests/oracles.py).  Each chain yields several successive
 configurations, so the confidence interval is computed from per-chain sums.
 """
 
@@ -24,124 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
-    Configuration,
-    batch_insert,
-    move_allowed_bruteforce,
-    propose,
-    radius_for_density,
-    random_config,
-)
-from .geometry import (
-    TorusPoint,
-    crescent_area,
-    min_image_array,
-    reflect_across_bisector,
-    torus_dist,
-)
-from .metric import PiecewiseMetric, disagreements, pair_distance
+from .dynamics import batch_insert, radius_for_density
+from .geometry import crescent_area, min_image_array
+from .metric import PiecewiseMetric
 
 OUTCOME_KINDS = ("coalesced", "unchanged", "both-rejected", "far-move", "near-move")
-
-
-@dataclass(frozen=True)
-class CoupledPair:
-    """Two configurations sharing n and r, disagreeing only at disk 0."""
-
-    X: Configuration
-    Y: Configuration
-
-    def __post_init__(self):
-        if self.X.n != self.Y.n or self.X.r != self.Y.r:
-            raise ValueError("coupled configurations must share n and r")
-
-    @property
-    def ell(self) -> float:
-        return torus_dist(self.X.point(0), self.Y.point(0))
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Classification of one coupled step and its metric deltas."""
-
-    kind: str
-    delta_bound: float
-    delta_exact: float
-    s: float | None  # |z - y1| for crescent proposals, in absolute units
-    X: Configuration
-    Y: Configuration
-
-
-def make_pair(n: int, rho: float, ell_over_r: float, seed) -> CoupledPair:
-    """Equilibrated X plus a copy with disk 0 displaced by exactly ell_over_r * r.
-
-    One chain of the estimator's pool: inserted, swept 20 n steps, displaced.
-    """
-    if not 0 < ell_over_r <= 4:
-        raise ValueError("displacement must lie in (0, 4] (units of r)")
-    rng = np.random.default_rng(seed)
-    r = radius_for_density(n, rho)
-    two_r2 = (2.0 * r) ** 2
-    centers = random_config(n, rho, rng).centers.copy()[None]
-    _batch_sweep(centers, 20 * n, two_r2, rng)
-    y1 = _displace(centers, ell_over_r * r, two_r2, rng)[0]
-    X = Configuration(centers[0], r)
-    return CoupledPair(X=X, Y=X.replace(0, y1))
-
-
-def coupled_step(pair: CoupledPair, metric: PiecewiseMetric, rng) -> StepOutcome:
-    """One step of the coupled chains; see module docstring for the cases."""
-    j, z = propose(pair.X, rng)
-    return classify_step(pair, metric, j, z)
-
-
-def classify_step(pair: CoupledPair, metric: PiecewiseMetric, j: int, z: TorusPoint) -> StepOutcome:
-    """Apply the coupling rules to one proposal (deterministic part of a step)."""
-    X, Y = pair.X, pair.Y
-    r = X.r
-    two_r = 2.0 * r
-    x1, y1 = X.point(0), Y.point(0)
-    ell = torus_dist(x1, y1)
-    d_ell = metric.eval(ell / r)
-    zxy = (z.x, z.y)
-
-    if j == 0:
-        # Same proposal in both chains; the blockers coincide, so the move
-        # succeeds in both (coalescence) or in neither.
-        if move_allowed_bruteforce(X, 0, zxy):
-            Xn = X.replace(0, zxy)
-            return StepOutcome("coalesced", -d_ell, -d_ell, None, Xn, Xn)
-        return StepOutcome("unchanged", 0.0, 0.0, None, X, Y)
-
-    a = torus_dist(z, x1)
-    b = torus_dist(z, y1)
-    if a < two_r and b >= two_r:
-        # Mirror crescent Z(x1)\Z(y1): z is blocked by disk 0 in X and its
-        # reflection is blocked by disk 0 in Y.
-        return StepOutcome("both-rejected", 0.0, 0.0, None, X, Y)
-    if b >= two_r or a < two_r:
-        # Either both danger zones (blocked in both) or neither (identical
-        # proposal, identical outcome); the disagreement is untouched.
-        ok = a >= two_r and move_allowed_bruteforce(X, j, zxy)
-        if ok:
-            return StepOutcome("unchanged", 0.0, 0.0, None, X.replace(j, zxy), Y.replace(j, zxy))
-        return StepOutcome("unchanged", 0.0, 0.0, None, X, Y)
-
-    # Danger crescent Z(y1)\Z(x1): X proposes z, Y its mirror image.
-    zbar = reflect_across_bisector(z, x1, y1)
-    ok_x = move_allowed_bruteforce(X, j, zxy)
-    ok_y = move_allowed_bruteforce(Y, j, (zbar.x, zbar.y))
-    if not ok_x and not ok_y:
-        return StepOutcome("unchanged", 0.0, 0.0, None, X, Y)
-    s = b
-    Xn = X.replace(j, zxy) if ok_x else X
-    Yn = Y.replace(j, (zbar.x, zbar.y)) if ok_y else Y
-    if s >= ell:
-        kind, bound = "far-move", 1.0
-    else:
-        kind, bound = "near-move", 1.0 + metric.eval(s / r) - d_ell
-    exact = pair_distance(disagreements(Xn, Yn), metric) - d_ell
-    return StepOutcome(kind, bound, exact, s, Xn, Yn)
 
 
 @dataclass(frozen=True)
@@ -403,7 +291,7 @@ def _clear_of_shared(centers, proposals, two_r2: float) -> np.ndarray:
 
 
 def _classify_proposals(centers, y1, metric, ell_over_r, r, z0, j, z):
-    """The coupling rules of classify_step applied to each chain's two proposals.
+    """The coupling rules of the module docstring applied to each chain's two proposals.
 
     Returns (coal, kind, bound, exact): whether the disk-0 proposal z0
     coalesces the pair, and for disk j moving to the crescent point z its
@@ -557,9 +445,9 @@ def estimate_contraction(
     group, equilibrated for EQUILIBRATION_SWEEPS * n = 30 n steps and thinned
     by THIN_SWEEPS * n = n steps between trials.  Deterministic given the
     seed and independent of the thread count (work is split into fixed
-    groups).  Needs n >= 2 and 8r < 1, where the crescent's planar area is
-    its area on the torus (ValueError otherwise).  An exact metric change
-    above the analysis bound raises RuntimeError.
+    groups).  Needs n >= 2, 0 < rho < 1/4 and 8r < 1, where the crescent's
+    planar area is its area on the torus (ValueError otherwise).  An exact
+    metric change above the analysis bound raises RuntimeError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -567,7 +455,9 @@ def estimate_contraction(
         raise ValueError("displacement must lie in (0, 4] (units of r)")
     if n < 2:
         raise ValueError("a coupled pair needs n >= 2 disks")
-    if rho > 0 and 8.0 * radius_for_density(n, rho) >= 1.0:
+    if not 0 < rho < 0.25:
+        raise ValueError(f"density must lie in (0, 1/4), got {rho}")
+    if 8.0 * radius_for_density(n, rho) >= 1.0:
         raise ValueError(
             f"8r = {8.0 * radius_for_density(n, rho):.3g} at n={n}, rho={rho}; "
             "the coupled estimate needs 8r < 1"

@@ -2,10 +2,10 @@
 
 One step proposes moving a uniformly random disk to a uniformly random torus
 position and accepts iff the new position is at distance >= 2r from every
-other center.  Neighbor queries go through a uniform cell grid; a brute-force
-check is kept as the test oracle.  `run` draws its proposals in numpy blocks
-and walks them as Python floats, so the per-step grid arithmetic never touches
-numpy scalars.
+other center.  Neighbor queries go through a uniform cell grid, which the
+tests audit against a brute-force check (tests/oracles.py).  `run` draws its
+proposals in numpy blocks and walks them as Python floats, so the per-step
+grid arithmetic never touches numpy scalars.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TorusPoint, min_image_array
+from .geometry import min_image_array
 
 MAX_INSERTION_ATTEMPTS = 10_000  # per disk and chain
 RUN_BLOCK = 65_536  # proposals drawn per block in run()
@@ -64,9 +64,6 @@ class Configuration:
     def rho(self) -> float:
         return self.n * math.pi * self.r * self.r
 
-    def point(self, i: int) -> TorusPoint:
-        return TorusPoint(self.centers[i, 0], self.centers[i, 1])
-
     def is_valid(self) -> bool:
         """Full O(n^2) pairwise audit of the hard-core constraint."""
         c = self.centers
@@ -75,16 +72,6 @@ class Configuration:
             if np.any((d * d).sum(axis=1) < (2.0 * self.r) ** 2 - 1e-15):
                 return False
         return True
-
-    def replace(self, i: int, xy) -> "Configuration":
-        centers = self.centers.copy()
-        centers[i] = np.asarray(xy) % 1.0
-        out = Configuration.__new__(Configuration)
-        out.n = self.n
-        out.r = self.r
-        out.centers = centers
-        centers.setflags(write=False)
-        return out
 
 
 def radius_for_density(n: int, rho: float) -> float:
@@ -99,6 +86,8 @@ def batch_insert(B: int, n: int, rho: float, rng) -> np.ndarray:
     0..k-1 of that chain, at most MAX_INSERTION_ATTEMPTS times.  Returns the
     centers, shape (B, n, 2).
     """
+    if n < 1:
+        raise ValueError(f"insertion needs at least one disk, got n={n}")
     if not 0 < rho < 0.25:
         raise ValueError(f"density must lie in (0, 1/4), got {rho}")
     two_r2 = (2.0 * radius_for_density(n, rho)) ** 2
@@ -128,21 +117,6 @@ def random_config(n: int, rho: float, seed) -> Configuration:
     """Random sequential insertion of one configuration; see batch_insert."""
     centers = batch_insert(1, n, rho, np.random.default_rng(seed))
     return Configuration(centers[0], radius_for_density(n, rho))
-
-
-def propose(config: Configuration, rng) -> tuple[int, TorusPoint]:
-    """Uniform disk index and uniform torus position."""
-    i = int(rng.integers(config.n))
-    x, y = rng.random(2)
-    return i, TorusPoint(x, y)
-
-
-def move_allowed_bruteforce(config: Configuration, i: int, xy) -> bool:
-    """O(n) oracle: is center i allowed to move to xy?"""
-    d = min_image_array(config.centers - np.asarray(xy))
-    dist2 = (d * d).sum(axis=1)
-    dist2[i] = np.inf  # the moved disk's own old position never blocks
-    return bool(np.all(dist2 >= (2.0 * config.r) ** 2))
 
 
 class CellGrid:
@@ -211,14 +185,6 @@ class CellGrid:
             self.cell_of[i] = c
         self.xs[i] = x
         self.ys[i] = y
-
-
-def step(config: Configuration, rng) -> tuple[Configuration, bool]:
-    """One move attempt; returns (next configuration, accepted)."""
-    i, p = propose(config, rng)
-    if move_allowed_bruteforce(config, i, (p.x, p.y)):
-        return config.replace(i, (p.x, p.y)), True
-    return config, False
 
 
 def run(config: Configuration, steps: int, seed):

@@ -1,4 +1,4 @@
-"""The piecewise-constant coupling metric d(l) and distances between configurations.
+"""The piecewise-constant coupling metric d(l): evaluation, axioms and its CSV format.
 
 A metric is stored as L constant values on equal subintervals of [0, 4]
 (lengths in units of r), with d(0) = 0 and d identically 1 beyond 4.
@@ -6,13 +6,12 @@ A metric is stored as L constant values on equal subintervals of [0, 4]
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import crescent_area, torus_dist
+from .geometry import crescent_area
 
 AXIOM_TOL = 1e-12  # slack allowed in each axiom comparison
 
@@ -58,11 +57,6 @@ class PiecewiseMetric:
         out = np.asarray(self.values)[idx - 1]
         out = np.where(lam == 0.0, 0.0, out)
         return np.where(lam > 4.0, 1.0, out)
-
-
-def hamming_metric(L: int = 1) -> PiecewiseMetric:
-    """The constant metric d = 1: every disagreement counts fully."""
-    return PiecewiseMetric(values=(1.0,) * L)
 
 
 def analytic_small_ell(lam: float, rho: float) -> float:
@@ -120,54 +114,6 @@ def check_axioms(metric: PiecewiseMetric) -> AxiomReport:
     return report
 
 
-@dataclass(frozen=True)
-class DisagreementPair:
-    """Two same-radius configurations differing in at most two disk positions."""
-
-    config_a: "Configuration"
-    config_b: "Configuration"
-    indices: tuple
-
-    def __post_init__(self):
-        if len(self.indices) > 2:
-            raise ValueError("only pairs differing in at most 2 disks are supported")
-
-
-def disagreements(config_a, config_b) -> DisagreementPair:
-    """Build a DisagreementPair from two configurations with the same n and r."""
-    if config_a.n != config_b.n or config_a.r != config_b.r:
-        raise ValueError("configurations must share n and r")
-    idx = []
-    for i in range(config_a.n):
-        if torus_dist(config_a.point(i), config_b.point(i)) > 0.0:
-            idx.append(i)
-    return DisagreementPair(config_a, config_b, tuple(idx))
-
-
-def pair_distance(pair: DisagreementPair, metric: PiecewiseMetric) -> float:
-    """Metric distance between the two configurations of a pair.
-
-    One disagreement: d(l/r).  Two disagreements: the better of the straight
-    and the crossed index pairing, so that switched disks count as identical.
-    """
-    a, b = pair.config_a, pair.config_b
-    r = a.r
-    idx = pair.indices
-    if len(idx) == 0:
-        return 0.0
-    if len(idx) == 1:
-        (i,) = idx
-        return metric.eval(torus_dist(a.point(i), b.point(i)) / r)
-    i, j = idx
-    straight = metric.eval(torus_dist(a.point(i), b.point(i)) / r) + metric.eval(
-        torus_dist(a.point(j), b.point(j)) / r
-    )
-    crossed = metric.eval(torus_dist(a.point(i), b.point(j)) / r) + metric.eval(
-        torus_dist(a.point(j), b.point(i)) / r
-    )
-    return min(straight, crossed)
-
-
 def to_csv(metric: PiecewiseMetric, path) -> None:
     """Write `lambda_right,d` rows at lam_i = 4i/L; the d = 1 tail is implicit."""
     with open(path, "w") as fh:
@@ -179,14 +125,22 @@ def to_csv(metric: PiecewiseMetric, path) -> None:
 def from_csv(path) -> PiecewiseMetric:
     """Read a `lambda_right,d` CSV.
 
-    A row off the grid lam_k = 4k/L, a value d_k outside [0, 1] or a value
-    above the next row's (each within AXIOM_TOL) is an error naming the row.
+    A row without exactly two fields, a row off the grid lam_k = 4k/L, a value
+    d_k outside [0, 1] or a value above the next row's (each within AXIOM_TOL)
+    is an error naming the row.
     """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "lambda_right,d":
             raise ValueError(f"unexpected metric CSV header: {header!r}")
-        rows = [[float(x) for x in line.split(",")] for line in fh if line.strip()]
+        rows = []
+        for line in fh:
+            if not line.strip():
+                continue
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ValueError(f"metric CSV row {len(rows) + 1}: {len(fields)} fields, expected 2")
+            rows.append([float(x) for x in fields])
     L = len(rows)
     for k, (lam, d) in enumerate(rows, start=1):
         if abs(lam - 4.0 * k / L) > 1e-9:
@@ -196,16 +150,3 @@ def from_csv(path) -> PiecewiseMetric:
         if k < L and d > rows[k][1] + AXIOM_TOL:
             raise ValueError(f"metric CSV row {k}: d {d:.12g} exceeds row {k + 1}'s {rows[k][1]:.12g}")
     return PiecewiseMetric(values=tuple(v for _, v in rows))
-
-
-def to_json(metric: PiecewiseMetric) -> str:
-    payload = {"L": metric.L, "rho": metric.rho, "values": list(metric.values)}
-    return json.dumps(payload)
-
-
-def from_json(text: str) -> PiecewiseMetric:
-    payload = json.loads(text)
-    m = PiecewiseMetric(values=tuple(payload["values"]), rho=payload.get("rho"))
-    if payload.get("L") not in (None, m.L):
-        raise ValueError("metric JSON: L field disagrees with values length")
-    return m

@@ -1,0 +1,467 @@
+"""Reference implementations that the tests check the package against.
+
+Not collected by pytest; the test modules import it.  The package computes
+each result one way, batched or in closed form; each oracle here is a second,
+scalar or independent route to the same result:
+
+- Torus geometry (`TorusPoint`, `min_image`, `torus_dist`, `LocalChart`,
+  `reflect_across_bisector`): test_geometry and criterion 6 check their
+  identities.  The batched mirror image in `coupling._classify_proposals`
+  meets `reflect_across_bisector` through `classify_step` below.
+- `crescent_angle`, `crescent_angle_array`: the angle in the savings kernel
+  2 (pi - theta(u, lam)) u.  test_geometry checks that
+  `geometry.outside_zone_area` is its antiderivative, and test_contraction
+  checks `contraction.assemble` against quadratures of it.
+- `move_allowed_bruteforce`, `propose`, `step`, `replaced`: the O(n) scalar
+  single-disk chain.  test_dynamics and criterion 8 audit
+  `dynamics.CellGrid` against `move_allowed_bruteforce` step by step.
+- `hamming_metric`, `disagreements`, `pair_distance`: the unit metric d = 1
+  and the metric distance between two configurations (test_metric).
+- `CoupledPair`, `make_pair`, `coupled_step`, `classify_step`: the scalar
+  coupled step.  test_coupling replays the batched, stratified trial kernel
+  of `coupling.estimate_contraction` through `classify_step`, proposal by
+  proposal.
+- `feasible_box`, `lp_feasible`: a phase-1 simplex.  test_contraction and
+  criterion 7 check the forward-sweep feasibility threshold against it.
+- `feasible`: one density decided from a fresh assembly through
+  `contraction.decide` and `contraction.witness`, as the `metric` command
+  does; test_contraction checks table anchors with it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from harddisks import contraction, coupling
+from harddisks.dynamics import Configuration, radius_for_density, random_config
+from harddisks.geometry import min_image_array
+from harddisks.metric import PiecewiseMetric
+
+# --- torus geometry, in absolute units ---------------------------------------
+
+
+class GeometryError(ValueError):
+    """A geometric precondition was violated (points too spread for a chart)."""
+
+
+def _wrap(x: float) -> float:
+    x = x - math.floor(x)
+    # x - floor(x) can round up to 1.0 for tiny negative inputs
+    return 0.0 if x >= 1.0 else x
+
+
+@dataclass(frozen=True)
+class TorusPoint:
+    """A point on the unit 2-torus; coordinates reduced into [0, 1)."""
+
+    x: float
+    y: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", _wrap(self.x))
+        object.__setattr__(self, "y", _wrap(self.y))
+
+
+def min_image(dx: float) -> float:
+    """Signed minimal-image representative of a coordinate difference.
+
+    IEEE remainder is exact and antisymmetric, so torus_dist is exactly
+    symmetric in its arguments.
+    """
+    return math.remainder(dx, 1.0)
+
+
+def torus_dist(p: TorusPoint, q: TorusPoint) -> float:
+    """Euclidean distance of the minimal-image difference; at most sqrt(2)/2."""
+    dx = min_image(p.x - q.x)
+    dy = min_image(p.y - q.y)
+    return math.hypot(dx, dy)
+
+
+@dataclass(frozen=True)
+class LocalChart:
+    """Euclidean chart around an origin, valid for neighborhoods of diameter < 1/2.
+
+    Maps torus points to plane coordinates via minimal-image vectors; the
+    round trip is the identity within distance 1/4 of the origin.
+    """
+
+    origin: TorusPoint
+
+    def to_plane(self, p: TorusPoint) -> tuple[float, float]:
+        return (min_image(p.x - self.origin.x), min_image(p.y - self.origin.y))
+
+    def to_torus(self, v: tuple[float, float]) -> TorusPoint:
+        return TorusPoint(self.origin.x + v[0], self.origin.y + v[1])
+
+
+def reflect_across_bisector(z: TorusPoint, a: TorusPoint, b: TorusPoint) -> TorusPoint:
+    """Mirror z across the perpendicular bisector of segment ab.
+
+    The reflection is performed in a local chart centered at the midpoint of
+    a and b, which is consistent only when all three points are well inside a
+    half-torus patch.  Swaps distances: |z' - a| = |z - b| and vice versa.
+    """
+    ell = torus_dist(a, b)
+    if ell == 0.0:
+        raise GeometryError("bisector undefined: endpoints coincide")
+    # Midpoint in a's chart, then re-center the chart there.
+    mid = TorusPoint(a.x + min_image(b.x - a.x) / 2.0, a.y + min_image(b.y - a.y) / 2.0)
+    chart = LocalChart(mid)
+    if torus_dist(z, mid) >= 0.25 or ell >= 0.25:
+        raise GeometryError("points too spread for a consistent local chart")
+    zx, zy = chart.to_plane(z)
+    ax, ay = chart.to_plane(a)
+    bx, by = chart.to_plane(b)
+    ux, uy = (bx - ax) / ell, (by - ay) / ell
+    t = zx * ux + zy * uy  # component along ab, measured from the midpoint
+    return chart.to_torus((zx - 2.0 * t * ux, zy - 2.0 * t * uy))
+
+
+# --- the crescent angle, in units of r ---------------------------------------
+
+
+def crescent_angle(u: float, lam: float) -> float:
+    """Half-angle (at y1) of the arc of radius u that lies outside the crescent.
+
+    The circle of radius u around y1 meets the crescent along an arc of
+    angular width 2*(pi - theta).  For degenerate triangles the boundary
+    rules apply: theta = 0 when u < lam - 2 (the whole circle is inside the
+    crescent) and theta = pi when u < 2 - lam (none of it is).
+    """
+    if u < 0:
+        raise ValueError("u must be nonnegative")
+    if not 0 < lam <= 4:
+        raise ValueError("lam must lie in (0, 4]")
+    if u == 0.0:
+        return math.pi if lam <= 2.0 else 0.0
+    if u < 2.0 - lam:
+        return math.pi
+    if u < lam - 2.0:
+        return 0.0
+    # Law of cosines for the triangle (u, lam, 2); clamp against float drift
+    # at the regime boundaries, where theta is exact by the rules above.
+    arg = (u * u + lam * lam - 4.0) / (2.0 * lam * u)
+    return math.acos(min(1.0, max(-1.0, arg)))
+
+
+def crescent_angle_array(u, lam):
+    """Vectorized crescent_angle; u and lam broadcast together."""
+    u = np.asarray(u, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = (u * u + lam * lam - 4.0) / (2.0 * lam * u)
+        th = np.arccos(np.clip(arg, -1.0, 1.0))
+    th = np.where(u < lam - 2.0, 0.0, th)
+    th = np.where(u < 2.0 - lam, np.pi, th)
+    th = np.where(u == 0.0, np.where(lam <= 2.0, np.pi, 0.0), th)
+    return th
+
+
+# --- the scalar single-disk chain --------------------------------------------
+
+
+def _point(config: Configuration, i: int) -> TorusPoint:
+    return TorusPoint(*config.centers[i])
+
+
+def replaced(config: Configuration, i: int, xy) -> Configuration:
+    """A copy of config with center i moved to xy (reduced mod 1), not validated."""
+    centers = config.centers.copy()
+    centers[i] = np.asarray(xy) % 1.0
+    out = Configuration.__new__(Configuration)
+    out.n = config.n
+    out.r = config.r
+    out.centers = centers
+    centers.setflags(write=False)
+    return out
+
+
+def propose(config: Configuration, rng) -> tuple[int, TorusPoint]:
+    """Uniform disk index and uniform torus position."""
+    i = int(rng.integers(config.n))
+    x, y = rng.random(2)
+    return i, TorusPoint(x, y)
+
+
+def move_allowed_bruteforce(config: Configuration, i: int, xy) -> bool:
+    """O(n) check: is center i allowed to move to xy?"""
+    d = min_image_array(config.centers - np.asarray(xy))
+    dist2 = (d * d).sum(axis=1)
+    dist2[i] = np.inf  # the moved disk's own old position never blocks
+    return bool(np.all(dist2 >= (2.0 * config.r) ** 2))
+
+
+def step(config: Configuration, rng) -> tuple[Configuration, bool]:
+    """One move attempt; returns (next configuration, accepted)."""
+    i, p = propose(config, rng)
+    if move_allowed_bruteforce(config, i, (p.x, p.y)):
+        return replaced(config, i, (p.x, p.y)), True
+    return config, False
+
+
+# --- distances between configurations -----------------------------------------
+
+
+def hamming_metric(L: int = 1) -> PiecewiseMetric:
+    """The constant metric d = 1: every disagreement counts fully."""
+    return PiecewiseMetric(values=(1.0,) * L)
+
+
+@dataclass(frozen=True)
+class DisagreementPair:
+    """Two same-radius configurations differing in at most two disk positions."""
+
+    config_a: Configuration
+    config_b: Configuration
+    indices: tuple
+
+    def __post_init__(self):
+        if len(self.indices) > 2:
+            raise ValueError("only pairs differing in at most 2 disks are supported")
+
+
+def disagreements(config_a, config_b) -> DisagreementPair:
+    """Build a DisagreementPair from two configurations with the same n and r."""
+    if config_a.n != config_b.n or config_a.r != config_b.r:
+        raise ValueError("configurations must share n and r")
+    idx = []
+    for i in range(config_a.n):
+        if torus_dist(_point(config_a, i), _point(config_b, i)) > 0.0:
+            idx.append(i)
+    return DisagreementPair(config_a, config_b, tuple(idx))
+
+
+def pair_distance(pair: DisagreementPair, metric: PiecewiseMetric) -> float:
+    """Metric distance between the two configurations of a pair.
+
+    One disagreement: d(l/r).  Two disagreements: the better of the straight
+    and the crossed index pairing, so that switched disks count as identical.
+    """
+    a, b = pair.config_a, pair.config_b
+    r = a.r
+    idx = pair.indices
+
+    def d(i, j):
+        return metric.eval(torus_dist(_point(a, i), _point(b, j)) / r)
+
+    if len(idx) == 0:
+        return 0.0
+    if len(idx) == 1:
+        (i,) = idx
+        return d(i, i)
+    i, j = idx
+    return min(d(i, i) + d(j, j), d(i, j) + d(j, i))
+
+
+# --- the scalar coupled step --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CoupledPair:
+    """Two configurations sharing n and r, disagreeing only at disk 0."""
+
+    X: Configuration
+    Y: Configuration
+
+    def __post_init__(self):
+        if self.X.n != self.Y.n or self.X.r != self.Y.r:
+            raise ValueError("coupled configurations must share n and r")
+
+    @property
+    def ell(self) -> float:
+        return torus_dist(_point(self.X, 0), _point(self.Y, 0))
+
+
+@dataclass(frozen=True)
+class StepOutcome:
+    """Classification of one coupled step and its metric deltas."""
+
+    kind: str
+    delta_bound: float
+    delta_exact: float
+    s: float | None  # |z - y1| for crescent proposals, in absolute units
+    X: Configuration
+    Y: Configuration
+
+
+def make_pair(n: int, rho: float, ell_over_r: float, seed) -> CoupledPair:
+    """Equilibrated X plus a copy with disk 0 displaced by exactly ell_over_r * r.
+
+    One chain of the estimator's pool: inserted, swept 20 n steps, displaced.
+    """
+    if not 0 < ell_over_r <= 4:
+        raise ValueError("displacement must lie in (0, 4] (units of r)")
+    rng = np.random.default_rng(seed)
+    r = radius_for_density(n, rho)
+    two_r2 = (2.0 * r) ** 2
+    centers = random_config(n, rho, rng).centers.copy()[None]
+    coupling._batch_sweep(centers, 20 * n, two_r2, rng)
+    y1 = coupling._displace(centers, ell_over_r * r, two_r2, rng)[0]
+    X = Configuration(centers[0], r)
+    return CoupledPair(X=X, Y=replaced(X, 0, y1))
+
+
+def coupled_step(pair: CoupledPair, metric: PiecewiseMetric, rng) -> StepOutcome:
+    """One step of the coupled chains: a uniform proposal, then classify_step."""
+    j, z = propose(pair.X, rng)
+    return classify_step(pair, metric, j, z)
+
+
+def classify_step(pair: CoupledPair, metric: PiecewiseMetric, j: int, z: TorusPoint) -> StepOutcome:
+    """Apply the coupling rules to one proposal (deterministic part of a step).
+
+    Both chains propose disk j; outside the symmetric difference of the two
+    danger zones they propose the same point z, and inside it Y proposes the
+    mirror image of z across the bisector of x1 and y1.
+    """
+    X, Y = pair.X, pair.Y
+    r = X.r
+    two_r = 2.0 * r
+    x1, y1 = _point(X, 0), _point(Y, 0)
+    ell = torus_dist(x1, y1)
+    d_ell = metric.eval(ell / r)
+    zxy = (z.x, z.y)
+
+    if j == 0:
+        # Same proposal in both chains; the blockers coincide, so the move
+        # succeeds in both (coalescence) or in neither.
+        if move_allowed_bruteforce(X, 0, zxy):
+            Xn = replaced(X, 0, zxy)
+            return StepOutcome("coalesced", -d_ell, -d_ell, None, Xn, Xn)
+        return StepOutcome("unchanged", 0.0, 0.0, None, X, Y)
+
+    a = torus_dist(z, x1)
+    b = torus_dist(z, y1)
+    if a < two_r and b >= two_r:
+        # Mirror crescent Z(x1)\Z(y1): z is blocked by disk 0 in X and its
+        # reflection is blocked by disk 0 in Y.
+        return StepOutcome("both-rejected", 0.0, 0.0, None, X, Y)
+    if b >= two_r or a < two_r:
+        # Either both danger zones (blocked in both) or neither (identical
+        # proposal, identical outcome); the disagreement is untouched.
+        ok = a >= two_r and move_allowed_bruteforce(X, j, zxy)
+        if ok:
+            return StepOutcome("unchanged", 0.0, 0.0, None, replaced(X, j, zxy), replaced(Y, j, zxy))
+        return StepOutcome("unchanged", 0.0, 0.0, None, X, Y)
+
+    # Danger crescent Z(y1)\Z(x1): X proposes z, Y its mirror image.
+    zbar = reflect_across_bisector(z, x1, y1)
+    ok_x = move_allowed_bruteforce(X, j, zxy)
+    ok_y = move_allowed_bruteforce(Y, j, (zbar.x, zbar.y))
+    if not ok_x and not ok_y:
+        return StepOutcome("unchanged", 0.0, 0.0, None, X, Y)
+    s = b
+    Xn = replaced(X, j, zxy) if ok_x else X
+    Yn = replaced(Y, j, (zbar.x, zbar.y)) if ok_y else Y
+    if s >= ell:
+        kind, bound = "far-move", 1.0
+    else:
+        kind, bound = "near-move", 1.0 + metric.eval(s / r) - d_ell
+    exact = pair_distance(disagreements(Xn, Yn), metric) - d_ell
+    return StepOutcome(kind, bound, exact, s, Xn, Yn)
+
+
+# --- feasibility of the contraction constraints -------------------------------
+
+PIVOT_TOL = 1e-9  # reduced costs, pivots and ratio ties below this count as zero
+
+
+def feasible_box(A, b, ub) -> bool:
+    """True iff some x with 0 <= x <= ub satisfies A x >= b.
+
+    Phase-1 simplex: minimizes the sum of artificial variables on a dense
+    tableau with Bland's anti-cycling rule; meant for small systems.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ub = np.asarray(ub, dtype=float)
+    m, n = A.shape
+
+    # Rows: A x - s + a = b (artificials only where b > 0), and x + t = ub.
+    # Starting basis: artificials / surplus on the first block, slacks on the
+    # second.  Minimize the artificial sum.
+    neg = b < 0
+    A = A.copy()
+    b = b.copy()
+    A[neg] *= -1.0  # flip rows with negative rhs: -A x + s' = -b, s' >= 0
+    b[neg] *= -1.0
+    sign = np.where(neg, 1.0, -1.0)  # surplus sign per row after flipping
+
+    n_rows = m + n
+    n_cols = n + m + n + m  # x, surplus, box slacks, artificials
+    T = np.zeros((n_rows + 1, n_cols + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.diag(sign)
+    T[:m, -1] = b
+    T[m : m + n, :n] = np.eye(n)
+    T[m : m + n, n + m : n + m + n] = np.eye(n)
+    T[m : m + n, -1] = ub
+    art = n + m + n
+    T[:m, art : art + m] = np.eye(m)
+
+    basis = list(range(art, art + m)) + list(range(n + m, n + m + n))
+    # Objective: minimize sum of artificials; express in terms of nonbasics.
+    T[-1, :] = -T[:m, :].sum(axis=0)
+    T[-1, art : art + m] = 0.0
+
+    for _ in range(50 * n_cols):
+        # Bland: entering = smallest index with negative reduced cost.
+        enter = -1
+        for j in range(n_cols):
+            if T[-1, j] < -PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            break
+        col = T[:n_rows, enter]
+        rhs = T[:n_rows, -1]
+        best_ratio, leave = None, -1
+        for i in range(n_rows):
+            if col[i] > PIVOT_TOL:
+                ratio = rhs[i] / col[i]
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio - PIVOT_TOL
+                    or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leave])
+                ):
+                    best_ratio, leave = ratio, i
+        if leave < 0:
+            raise RuntimeError("phase-1 objective unbounded; malformed system")
+        piv = T[leave, enter]
+        T[leave] /= piv
+        for i in range(n_rows + 1):
+            if i != leave and T[i, enter] != 0.0:
+                T[i] -= T[i, enter] * T[leave]
+        basis[leave] = enter
+    else:
+        raise RuntimeError("phase-1 simplex failed to converge")
+
+    return -T[-1, -1] < PIVOT_TOL
+
+
+def lp_feasible(system: contraction.ConstraintSystem) -> bool:
+    """Raw LP feasibility of {d in [0,1]^L : contraction constraints hold}.
+
+    Must agree with the forward-sweep threshold test (all minimal values
+    <= 1) on every instance.  The simplex gets the constraints as written
+    (times rho), not the unit-density form.
+    """
+    rho = system.rho
+    A = -rho * system.w
+    np.fill_diagonal(A, rho * (system.mu + system.W))
+    return feasible_box(A, rho * system.g, np.ones(system.L))
+
+
+def feasible(rho: float, L: int, variant: str = "clamped"):
+    """Decide contractivity at one density; returns (bool, metric or None).
+
+    A feasible answer carries the verified repaired witness.
+    """
+    system = contraction.assemble(rho, L, variant)
+    if not contraction.decide(system):
+        return False, None
+    return True, contraction.witness(system)[0]

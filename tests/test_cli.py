@@ -1,9 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import harddisks
 from harddisks import contraction, coupling, dynamics
 from harddisks.cli import main
 from harddisks.metric import PiecewiseMetric, from_csv, to_csv
@@ -28,6 +33,34 @@ TABLE_PIN = """L,rho_star
 64,0.153998641968
 256,0.154482526779
 """
+
+
+PUBLIC_NAMES = [
+    "BoundResult", "ConstraintSystem", "assemble",
+    "max_density", "minimal_metric", "repaired_metric",
+    "ContractionEstimate", "estimate_contraction", "ChainStats",
+    "Configuration", "random_config", "run",
+    "crescent_area",
+    "PiecewiseMetric", "analytic_small_ell", "check_axioms",
+    "__version__",
+]
+
+
+class TestPublicSurface:
+    def test_all_pinned_and_resolvable(self):
+        assert harddisks.__all__ == PUBLIC_NAMES
+        for name in PUBLIC_NAMES:
+            assert getattr(harddisks, name) is not None, name
+
+    def test_cli_import_loads_no_test_code(self, tmp_path):
+        # the oracles module is importable here, so an import of it would show
+        paths = [Path(harddisks.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+        code = ("import sys, harddisks.cli; "
+                "print([m for m in ('scipy', 'pytest', 'oracles') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
 
 class TestBound:
@@ -166,6 +199,11 @@ class TestSimulate:
         assert run_cli(["simulate", "--n", "4", "--rho", "0.02",
                         "--steps", "-5", "--seed", "1"]) == 3
 
+    def test_no_disks_exits_three(self, capsys):
+        assert run_cli(["simulate", "--n", "0", "--rho", "0.15",
+                        "--steps", "10", "--seed", "1"]) == 3
+        assert "n=0" in capsys.readouterr().err
+
     def test_out_of_range_density_exits_three(self, capsys):
         assert run_cli(["simulate", "--n", "8", "--rho", "0.3",
                         "--steps", "10", "--seed", "1"]) == 3
@@ -241,6 +279,13 @@ class TestCouple:
                         "--trials", "10", "--metric", str(metric_file),
                         "--seed", "1"]) == 3
         assert "density must lie in (0, 1/4)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho", ["-0.1", "0"])
+    def test_nonpositive_density_exits_three(self, metric_file, rho, capsys):
+        assert run_cli(["couple", "--n", "8", "--rho", rho, "--ell", "1.0",
+                        "--trials", "10", "--metric", str(metric_file),
+                        "--seed", "1"]) == 3
+        assert "density" in capsys.readouterr().err
 
     def test_radius_outside_coupling_regime_exits_three(self, metric_file, capsys):
         assert run_cli(["couple", "--n", "2", "--rho", "0.2", "--ell", "1.0",

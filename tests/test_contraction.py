@@ -8,19 +8,18 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from harddisks import contraction, lp
+from harddisks import contraction
 from harddisks.contraction import (
     EPSILON_HAT,
     assemble,
-    feasible,
-    lp_feasible,
     max_density,
     minimal_metric,
     saturated_metric,
     slack_report,
 )
-from harddisks.geometry import crescent_angle, crescent_angle_array, crescent_area
+from harddisks.geometry import crescent_area
 from harddisks.metric import PiecewiseMetric, analytic_small_ell, check_axioms
+from oracles import crescent_angle, crescent_angle_array, feasible, feasible_box, lp_feasible
 
 # Frozen oracle: minimal solution for L = 8, rho = 0.14, computed with an
 # independent LP solve (minimize the coordinate sum subject to the same
@@ -304,18 +303,18 @@ class TestSlackReport:
 
 class TestLpFeasibleBox:
     def test_simple_feasible_and_infeasible(self):
-        assert lp.feasible_box(np.array([[1.0]]), np.array([0.5]), np.array([1.0]))
-        assert not lp.feasible_box(np.array([[1.0]]), np.array([2.0]), np.array([1.0]))
+        assert feasible_box(np.array([[1.0]]), np.array([0.5]), np.array([1.0]))
+        assert not feasible_box(np.array([[1.0]]), np.array([2.0]), np.array([1.0]))
 
     def test_negative_rhs_rows(self):
         # -x >= -2 is satisfiable within [0, 1]; -x >= 0.5 is not.
-        assert lp.feasible_box(np.array([[-1.0]]), np.array([-2.0]), np.array([1.0]))
-        assert not lp.feasible_box(np.array([[-1.0]]), np.array([0.5]), np.array([1.0]))
+        assert feasible_box(np.array([[-1.0]]), np.array([-2.0]), np.array([1.0]))
+        assert not feasible_box(np.array([[-1.0]]), np.array([0.5]), np.array([1.0]))
 
     def test_coupled_system(self):
         A = np.array([[1.0, 1.0], [-1.0, 1.0]])
-        assert lp.feasible_box(A, np.array([1.0, 0.0]), np.ones(2))
-        assert not lp.feasible_box(A, np.array([1.9, 0.5]), np.ones(2))
+        assert feasible_box(A, np.array([1.0, 0.0]), np.ones(2))
+        assert not feasible_box(A, np.array([1.9, 0.5]), np.ones(2))
 
 
 class TestLpAgreement:
@@ -360,9 +359,12 @@ class TestFeasible:
             max_density(16)
 
     def test_hamming_mode_threshold(self):
-        limit = (1.0 - EPSILON_HAT) / 8.0
-        assert feasible(limit - 1e-9, 4, hamming=True)[0]
-        assert not feasible(limit + 1e-9, 4, hamming=True)[0]
+        # d = 1 with savings disabled: contraction iff c = 1 - 4 rho - eps_hat >= 4 rho
+        rho = max_density(4, hamming=True).rho_star
+        assert rho == (1.0 - EPSILON_HAT) / 8.0
+        assert 1.0 - 4.0 * rho - EPSILON_HAT >= 4.0 * rho
+        above = rho + 1e-9
+        assert not 1.0 - 4.0 * above - EPSILON_HAT >= 4.0 * above
 
 
 class TestMaxDensity:

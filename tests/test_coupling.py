@@ -8,24 +8,22 @@ import pytest
 from scipy import stats
 
 from harddisks import coupling, dynamics
-from harddisks.coupling import (
-    OUTCOME_KINDS,
+from harddisks.coupling import OUTCOME_KINDS, estimate_contraction
+from harddisks.dynamics import Configuration, radius_for_density, random_config
+from harddisks.geometry import crescent_area, min_image_array, outside_zone_area
+from harddisks.metric import PiecewiseMetric
+from oracles import (
     CoupledPair,
+    TorusPoint,
     classify_step,
     coupled_step,
-    estimate_contraction,
-    make_pair,
-)
-from harddisks.dynamics import Configuration, radius_for_density, random_config
-from harddisks.geometry import (
-    TorusPoint,
     crescent_angle_array,
-    crescent_area,
-    min_image_array,
-    outside_zone_area,
+    hamming_metric,
+    make_pair,
+    reflect_across_bisector,
+    replaced,
     torus_dist,
 )
-from harddisks.metric import PiecewiseMetric, hamming_metric
 
 TEST_METRIC = PiecewiseMetric(values=tuple(np.minimum(1.0, np.linspace(0.05, 1.6, 32))))
 
@@ -145,8 +143,6 @@ class TestClassifyStep:
     def test_reflected_proposal_marginally_uniform(self):
         # The Y chain's effective proposal (reflected inside the symmetric
         # difference of the danger zones) must stay uniform on the torus.
-        from harddisks.geometry import reflect_across_bisector
-
         rng = np.random.default_rng(22)
         r = self.r
         x1, y1 = TorusPoint(0.5, 0.5), TorusPoint(0.5 + 3.0 * r, 0.5)
@@ -381,7 +377,7 @@ class TestBatchedMatchesScalar:
         counts = {k: 0 for k in OUTCOME_KINDS}
         for b in range(B):
             X = Configuration(centers[b], r, _validate=False)
-            pair = CoupledPair(X=X, Y=X.replace(0, y1[b]))
+            pair = CoupledPair(X=X, Y=replaced(X, 0, y1[b]))
             out = classify_step(pair, TEST_METRIC, int(j[b]), TorusPoint(*z[b]))
             sum_b += out.delta_bound
             sum_e += out.delta_exact
@@ -484,8 +480,9 @@ class TestEstimateContraction:
             estimate_contraction(8, 0.05, 1.0, hamming_metric(), 0, seed=1)
         with pytest.raises(ValueError):
             estimate_contraction(8, 0.05, 5.0, hamming_metric(), 10, seed=1)
-        with pytest.raises(ValueError, match="density"):
-            estimate_contraction(8, 0.3, 1.0, hamming_metric(), 10, seed=1)
+        for rho in (0.3, -0.1, 0.0):
+            with pytest.raises(ValueError, match="density"):
+                estimate_contraction(8, rho, 1.0, hamming_metric(), 10, seed=1)
 
     def test_exact_change_above_bound_is_an_error(self, positive_gap):
         with pytest.raises(RuntimeError, match=r"by 0\.25 at rho=0\.05, ell=1\.5"):
@@ -607,7 +604,7 @@ class TestStratifiedTrials:
         counts = dict.fromkeys(OUTCOME_KINDS, 0)
         for b in range(B):
             X = Configuration(centers[b], r, _validate=False)
-            pair = CoupledPair(X=X, Y=X.replace(0, y1[b]))
+            pair = CoupledPair(X=X, Y=replaced(X, 0, y1[b]))
             first = classify_step(pair, TEST_METRIC, 0, TorusPoint(*z0[b]))
             assert (first.kind == "coalesced") == coal[b]
             assert 1 <= j[b] < n

@@ -12,14 +12,12 @@ from harddisks.dynamics import (
     ChainStats,
     Configuration,
     load_snapshot,
-    move_allowed_bruteforce,
-    propose,
     radius_for_density,
     random_config,
     run,
     save_snapshot,
-    step,
 )
+from oracles import move_allowed_bruteforce, propose, replaced, step
 
 
 def reference_allowed(grid, i, x, y):
@@ -107,7 +105,7 @@ class TestConfiguration:
 
     def test_replace_keeps_original_intact(self):
         a = Configuration([[0.2, 0.2], [0.6, 0.6]], r=0.01)
-        b = a.replace(0, (0.4, 0.4))
+        b = replaced(a, 0, (0.4, 0.4))
         assert a.centers[0, 0] == 0.2 and b.centers[0, 0] == 0.4
 
 
@@ -228,7 +226,7 @@ class TestCellGrid:
             x, y = rng.random(2)
             if grid.allowed(i, x, y):
                 grid.move(i, x, y)
-                current = current.replace(i, (x, y))
+                current = replaced(current, i, (x, y))
         rebuilt = CellGrid(current)
         assert sorted(map(tuple, zip(grid.xs, grid.ys))) == sorted(
             map(tuple, zip(rebuilt.xs, rebuilt.ys))

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harddisks.geometry import (
+from harddisks.geometry import crescent_area, outside_zone_area
+from oracles import (
     GeometryError,
     LocalChart,
     TorusPoint,
     crescent_angle,
     crescent_angle_array,
-    crescent_area,
     min_image,
-    outside_zone_area,
     reflect_across_bisector,
     torus_dist,
 )

@@ -10,19 +10,8 @@ from hypothesis import strategies as st
 from harddisks import metric as metric_mod
 from harddisks.dynamics import Configuration
 from harddisks.geometry import crescent_area
-from harddisks.metric import (
-    DisagreementPair,
-    PiecewiseMetric,
-    analytic_small_ell,
-    check_axioms,
-    disagreements,
-    from_csv,
-    from_json,
-    hamming_metric,
-    pair_distance,
-    to_csv,
-    to_json,
-)
+from harddisks.metric import PiecewiseMetric, analytic_small_ell, check_axioms, from_csv, to_csv
+from oracles import DisagreementPair, disagreements, hamming_metric, pair_distance, replaced
 
 
 class TestEval:
@@ -114,7 +103,7 @@ class TestPairDistance:
 
     def test_single_disagreement_at_tail(self):
         a = _config([[0.5, 0.5], [0.1, 0.1]], self.r)
-        b = a.replace(0, (0.5 + 4 * self.r, 0.5))
+        b = replaced(a, 0, (0.5 + 4 * self.r, 0.5))
         m = PiecewiseMetric(values=tuple(np.linspace(0.1, 1.0, 8)))
         assert pair_distance(disagreements(a, b), m) == 1.0
 
@@ -141,7 +130,7 @@ class TestPairDistance:
         m = PiecewiseMetric(values=tuple(np.linspace(0.1, 1.0, 8)))
         for _ in range(50):
             a = Configuration([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]], r)
-            b = a.replace(0, a.centers[0] + (rng.random(2) - 0.5) * 0.05)
+            b = replaced(a, 0, a.centers[0] + (rng.random(2) - 0.5) * 0.05)
             assert pair_distance(disagreements(a, b), m) == pytest.approx(
                 pair_distance(disagreements(b, a), m), abs=1e-15
             )
@@ -186,7 +175,9 @@ class TestSerialization:
         header, *rows = path.read_text().splitlines()
         dropped = [header, rows[0], rows[1], rows[3]]  # L = 3 grid: 4/3, 8/3, 4
         swapped = [header, rows[0], rows[2], rows[1], rows[3]]
-        for lines, bad_row in ((dropped, "row 1"), (swapped, "row 2")):
+        extra = [header, rows[0], rows[1], rows[2], rows[3] + ",2"]  # "4,1,2"
+        for lines, bad_row in ((dropped, "row 1"), (swapped, "row 2"),
+                               (extra, "row 4: 3 fields, expected 2")):
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(ValueError, match=bad_row):
                 from_csv(path)
@@ -204,12 +195,3 @@ class TestSerialization:
                 from_csv(path)
         path.write_text("lambda_right,d\n1,0.5\n2,0.4999999999995\n3,1.0000000000005\n4,1\n")
         assert from_csv(path).L == 4  # dips within AXIOM_TOL are accepted
-
-    def test_json_round_trip(self):
-        m = PiecewiseMetric(values=(0.25, 0.5, 0.75, 1.0), rho=0.14)
-        back = from_json(to_json(m))
-        assert back.values == m.values and back.rho == 0.14
-
-    def test_json_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            from_json('{"L": 3, "values": [0.5, 1.0]}')
