@@ -1,13 +1,14 @@
-"""Layer benchmarks for the contraction half: assembly, one search probe and
-the whole density search.
+"""Layer benchmarks for the contraction half: assembly, one search probe, the
+witness and the whole density search.
 
     PYTHONPATH=src python -m pytest benchmarks/test_contraction_layers.py
     PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable  # smoke run
 
 At L = 256 and 1024, `test_assemble` reports one unit-density assembly as
 `assemble_ms`, `test_search_probe` one feasibility decision at the bound, on
-the shared system relabelled with that density, as `ms_per_probe`, and
-`test_max_density` the whole search (one assembly, the probes and the
+the shared system relabelled with that density, as `ms_per_probe`,
+`test_witness` the repaired witness and its verification at the bound as
+`ms`, and `test_max_density` the whole search (one assembly, the probes and the
 witness) as `max_density_ms` with its probe count `probes` (the bracket
 check plus the bisection steps), each in `extra_info`.
 """
@@ -39,6 +40,15 @@ def test_search_probe(benchmark, L):
     system = replace(base, rho=contraction.max_density(L).rho_star)
     assert benchmark.pedantic(contraction.decide, args=(system,), rounds=20, warmup_rounds=1)
     _report(benchmark, "ms_per_probe", 4)
+
+
+@pytest.mark.parametrize("L", LS)
+def test_witness(benchmark, L):
+    base = contraction.assemble(contraction.SEARCH_LO, L)
+    system = replace(base, rho=contraction.max_density(L).rho_star)
+    metric, _, _ = benchmark.pedantic(contraction.witness, args=(system,), rounds=5, warmup_rounds=1)
+    assert metric.L == L
+    _report(benchmark, "ms")
 
 
 @pytest.mark.parametrize("L", LS)

@@ -38,6 +38,6 @@ def test_batch_insert(benchmark):
     def fresh():
         return (B, n, 0.14, np.random.default_rng(SEED)), {}
 
-    centers = benchmark.pedantic(dynamics.batch_insert, setup=fresh, rounds=5, warmup_rounds=1)
-    assert centers.shape == (B, n, 2)
+    P = benchmark.pedantic(dynamics.batch_insert, setup=fresh, rounds=5, warmup_rounds=1)
+    assert P.shape == (2, n, B)
     _report(benchmark, "ns_per_chain_disk", B * n)

@@ -4,7 +4,7 @@
     PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable  # smoke run
 
 The pool has coupling.BATCH chains, the size one group of the estimator
-uses.  One batched sweep step is reported as ns per chain·disk, one
+uses, stored disk-major as one array of shape (2, n, chains).  One batched sweep step is reported as ns per chain·disk, one
 stratified coupled-trial step as ns per trial (configuration), one
 displacement of the whole pool as ns per chain and the cold start of a pool
 (insertion plus the equilibration sweeps) as ns per chain·step, each in

@@ -136,7 +136,7 @@ def minimal_metric(system: ConstraintSystem) -> PiecewiseMetric:
     saturating the constraints in order gives it; any feasible metric
     dominates the result pointwise.
     """
-    return PiecewiseMetric(values=tuple(_sweep(system, system.L)), rho=system.rho)
+    return PiecewiseMetric(values=tuple(_sweep(system, system.L)))
 
 
 def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
@@ -157,7 +157,7 @@ def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
         head = d[:i]  # pairs d_j + d_{i-1-j}; empty only for the single cell of L = 1
         best = np.min(head + head[::-1], initial=1.0)
         d[i] = max(best, m[i], d[i - 1])
-    return PiecewiseMetric(values=tuple(d), rho=system.rho)
+    return PiecewiseMetric(values=tuple(d))
 
 
 def saturated_metric(system: ConstraintSystem) -> PiecewiseMetric:
@@ -171,7 +171,7 @@ def saturated_metric(system: ConstraintSystem) -> PiecewiseMetric:
     cut = int(np.searchsorted(system.grid, 2.0, side="right"))  # first index with lam > 2
     d = np.ones(system.L)
     d[:cut] = _sweep(system, cut)  # the head never references the tail
-    return PiecewiseMetric(values=tuple(d), rho=system.rho)
+    return PiecewiseMetric(values=tuple(d))
 
 
 def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
@@ -251,11 +251,13 @@ def max_density(
     """
     if not (math.isfinite(tol) and tol >= 1e-9):
         raise ValueError(f"tol must be finite and at least 1e-9, got {tol}")
+    if L < 1:
+        raise ValueError("grid size must be at least 1")
     if hamming:
         rho = (1.0 - EPSILON_HAT) / 8.0
         return BoundResult(L=L, rho_star=rho, tol=tol, variant=variant,
                            epsilon_hat=EPSILON_HAT, iterations=0,
-                           metric=PiecewiseMetric(values=(1.0,) * L, rho=rho),
+                           metric=PiecewiseMetric(values=(1.0,) * L),
                            slack=None, tight_lambda_max=4.0)
     lo, hi = SEARCH_LO, SEARCH_HI
     base = assemble(lo, L, variant)

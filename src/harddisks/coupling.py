@@ -14,6 +14,8 @@ configuration draws one proposal from each and weights them by those
 probabilities.  The tests replay it through a scalar coupled step, one
 proposal at a time (tests/oracles.py).  Each chain yields several successive
 configurations, so the confidence interval is computed from per-chain sums.
+A pool of chains is one disk-major array P (2, n, chains) from batch_insert,
+and every pool step tests proposals through geometry.plane_d2 or clear_of.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import batch_insert, radius_for_density
-from .geometry import crescent_area, min_image_array
+from .geometry import SWEEP_BLOCK_PAIRS, clear_of, crescent_area, min_image_array, plane_d2
 from .metric import PiecewiseMetric
 
 OUTCOME_KINDS = ("coalesced", "unchanged", "both-rejected", "far-move", "near-move")
@@ -62,103 +64,65 @@ class ContractionEstimate:
         return json.dumps(payload, indent=2)
 
 
-SWEEP_BLOCK_PAIRS = 1 << 15  # chain·disk pairs per block of the plane kernels
+def _batch_sweep(P: np.ndarray, steps: int, two_r2: float, rng) -> None:
+    """Advance every chain of the pool P by `steps` single-disk moves, in place.
 
-
-def _plane_d2(X, Y, px, py, d2, dy, nearest) -> None:
-    """Squared torus distances from (px[c], py[c]) to the disks of chain c.
-
-    X, Y are disk-major coordinate planes (disks, chains); the result goes to
-    d2, and dy and nearest are scratch buffers of the same shape.
+    The rejection test is a minimum over the contiguous disk rows of the
+    planes P[0], P[1].  The chains are split into column blocks of
+    max(1, SWEEP_BLOCK_PAIRS // n) chains that stay in cache for a whole
+    chunk of 128 steps.  The draws are those of the (B, n, 2) kernel kept in
+    the tests: per chunk, disk indices of shape (chunk, B), then positions of
+    shape (chunk, B, 2); the arithmetic per chain is the same, so every chain
+    ends in the same state bit for bit.
     """
-    np.subtract(X, px, out=d2)
-    np.rint(d2, out=nearest)
-    d2 -= nearest
-    np.subtract(Y, py, out=dy)
-    np.rint(dy, out=nearest)
-    dy -= nearest
-    d2 *= d2
-    dy *= dy
-    d2 += dy
-
-
-def _batch_sweep(centers: np.ndarray, steps: int, two_r2: float, rng) -> None:
-    """Advance every chain by `steps` single-disk moves, in place.
-
-    Works on disk-major coordinate planes X, Y of shape (n, chains), so the
-    rejection test is a minimum over contiguous rows.  The chains are split
-    into blocks of max(1, SWEEP_BLOCK_PAIRS // n) chains that stay in cache
-    for a whole chunk of 128 steps.  The draws are those of the (B, n, 2)
-    kernel kept in the tests: per chunk, disk indices of shape (chunk, B),
-    then positions of shape (chunk, B, 2); the arithmetic per chain is the
-    same, so every chain ends in the same state bit for bit.
-    """
-    B, n, _ = centers.shape
+    n, B = P.shape[1:]
     width = max(1, SWEEP_BLOCK_PAIRS // n)
-    blocks = [
-        (lo, np.ascontiguousarray(centers[lo : lo + width, :, 0].T),
-         np.ascontiguousarray(centers[lo : lo + width, :, 1].T))
-        for lo in range(0, B, width)
-    ]
     cols = np.arange(min(width, B))
-    dx = np.empty((n, len(cols)))
-    dy = np.empty_like(dx)
-    nearest = np.empty_like(dx)
+    dx, dy, nearest = np.empty((3, n, len(cols)))
     done = 0
     while done < steps:
         chunk = min(128, steps - done)
         j_all = rng.integers(n, size=(chunk, B))
         z_all = rng.random((chunk, B, 2))
-        for lo, X, Y in blocks:
+        for lo in range(0, B, width):
+            X, Y = P[:, :, lo : lo + width]
             w = X.shape[1]
             c, ex, ey, near = cols[:w], dx[:, :w], dy[:, :w], nearest[:, :w]
             for t in range(chunk):
                 j = j_all[t, lo : lo + w]
-                zx = z_all[t, lo : lo + w, 0]
-                zy = z_all[t, lo : lo + w, 1]
-                _plane_d2(X, Y, zx, zy, ex, ey, near)
+                zx, zy = z_all[t, lo : lo + w].T
+                plane_d2(X, Y, zx, zy, ex, ey, near)
                 ex[j, c] = np.inf
                 ok = (np.minimum.reduce(ex, axis=0) >= two_r2).nonzero()[0]
                 X[j[ok], ok] = zx[ok]
                 Y[j[ok], ok] = zy[ok]
         done += chunk
-    for lo, X, Y in blocks:
-        centers[lo : lo + X.shape[1], :, 0] = X.T
-        centers[lo : lo + X.shape[1], :, 1] = Y.T
 
 
-def _displace(centers: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.ndarray:
+def _displace(P: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.ndarray:
     """A valid position at distance exactly ell_abs from disk 0, per chain.
 
     A chain can rarely have disk 0 caged so that no direction works at all;
     such chains are evolved further and retried, which leaves the sampled
-    configuration distribution stationary.  The candidates are tested against
-    disk-major planes of disks 1..n-1 that hold only the pending chains.
+    configuration distribution stationary.  Each round tests the candidates
+    against disks 1..n-1 of the pending chains only.  Returns (chains, 2).
     """
-    B, n, _ = centers.shape
+    n, B = P.shape[1:]
     y1 = np.empty((B, 2))
     pending = np.arange(B)
-    X, Y = centers[:, 1:, 0].T.copy(), centers[:, 1:, 1].T.copy()
     for round_ in range(200):
         phi = 2.0 * math.pi * rng.random(len(pending))
-        cx = centers[pending, 0, 0] + ell_abs * np.cos(phi)
-        cy = centers[pending, 0, 1] + ell_abs * np.sin(phi)
-        d2, dy, nearest = np.empty_like(X), np.empty_like(X), np.empty_like(X)
-        _plane_d2(X, Y, cx, cy, d2, dy, nearest)
-        ok = np.minimum.reduce(d2, axis=0, initial=np.inf) >= two_r2
-        done = pending[ok]
-        y1[done, 0] = cx[ok] % 1.0
-        y1[done, 1] = cy[ok] % 1.0
-        keep = (~ok).nonzero()[0]
-        pending = pending[keep]
+        cx = P[0, 0, pending] + ell_abs * np.cos(phi)
+        cy = P[1, 0, pending] + ell_abs * np.sin(phi)
+        ok = clear_of(*P[:, 1:, pending], [((cx, cy), None)], two_r2)[0]
+        y1[pending[ok]] = np.column_stack((cx, cy))[ok] % 1.0
+        pending = pending[~ok]
         if len(pending) == 0:
             return y1
-        X, Y = X.take(keep, axis=1), Y.take(keep, axis=1)
         if round_ >= 20 and round_ % 10 == 0:
-            sub = centers[pending].copy()
+            sub = P[:, :, pending]
             _batch_sweep(sub, 2 * n, two_r2, rng)
-            centers[pending] = sub
-            X, Y = sub[:, 1:, 0].T.copy(), sub[:, 1:, 1].T.copy()
+            P[:, :, pending] = sub
     raise RuntimeError("no valid displacement found within the retry budget")
 
 
@@ -230,7 +194,7 @@ class _Tally:
 CRESCENT_ROUNDS = 1000  # rejection rounds of _draw_proposals; each succeeds w.p. >= 1/pi
 
 
-def _draw_proposals(centers, y1, ell_over_r: float, r: float, rng):
+def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
     """One uniform disk-0 proposal and one danger-crescent proposal per chain.
 
     Returns (z0, j, z): z0 uniform on the torus; j uniform on 1..n-1 and z
@@ -241,12 +205,12 @@ def _draw_proposals(centers, y1, ell_over_r: float, r: float, rng):
     from x1 are taken in the plane: while 8r < 1 no other image of x1 comes
     within 2r of the disk around y1.
     """
-    B, n, _ = centers.shape
+    n, B = P.shape[1:]
     two_r2 = (2.0 * r) ** 2
     lo2 = max(0.0, (2.0 - ell_over_r) * r) ** 2
     z0 = rng.random((B, 2))
     j = rng.integers(1, n, size=B)
-    shift = min_image_array(y1 - centers[:, 0])  # x1 -> y1
+    shift = min_image_array(y1 - P[:, 0].T)  # x1 -> y1
     z = np.empty((B, 2))
     pending = np.arange(B)
     for _ in range(CRESCENT_ROUNDS):
@@ -256,8 +220,7 @@ def _draw_proposals(centers, y1, ell_over_r: float, r: float, rng):
         bx, by = s * np.cos(phi), s * np.sin(phi)  # z - y1
         ax, ay = bx + shift[pending, 0], by + shift[pending, 1]  # z - x1
         ok = (ax * ax + ay * ay >= two_r2) & (bx * bx + by * by < two_r2)
-        z[pending[ok], 0] = bx[ok]
-        z[pending[ok], 1] = by[ok]
+        z[pending[ok]] = np.column_stack((bx, by))[ok]
         pending = pending[~ok]
         if len(pending) == 0:
             z += y1
@@ -265,32 +228,7 @@ def _draw_proposals(centers, y1, ell_over_r: float, r: float, rng):
     raise RuntimeError("no crescent proposal found within the rejection budget")
 
 
-def _clear_of_shared(centers, proposals, two_r2: float) -> np.ndarray:
-    """Per proposal (points, skip) and chain: is the point at distance >= 2r
-    from every shared disk 1..n-1 except disk skip + 1 (none if skip is None)?
-
-    Uses disk-major planes in cache-sized blocks of chains, as _batch_sweep.
-    """
-    B, n, _ = centers.shape
-    width = max(1, SWEEP_BLOCK_PAIRS // n)
-    out = np.empty((len(proposals), B), dtype=bool)
-    cols = np.arange(min(width, B))
-    dx = np.empty((n - 1, len(cols)))
-    dy, nearest = np.empty_like(dx), np.empty_like(dx)
-    for lo in range(0, B, width):
-        X = np.ascontiguousarray(centers[lo : lo + width, 1:, 0].T)
-        Y = np.ascontiguousarray(centers[lo : lo + width, 1:, 1].T)
-        w = X.shape[1]
-        ex = dx[:, :w]
-        for k, (p, skip) in enumerate(proposals):
-            _plane_d2(X, Y, p[lo : lo + w, 0], p[lo : lo + w, 1], ex, dy[:, :w], nearest[:, :w])
-            if skip is not None:
-                ex[skip[lo : lo + w], cols[:w]] = np.inf
-            out[k, lo : lo + w] = np.minimum.reduce(ex, axis=0) >= two_r2
-    return out
-
-
-def _classify_proposals(centers, y1, metric, ell_over_r, r, z0, j, z):
+def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
     """The coupling rules of the module docstring applied to each chain's two proposals.
 
     Returns (coal, kind, bound, exact): whether the disk-0 proposal z0
@@ -298,11 +236,10 @@ def _classify_proposals(centers, y1, metric, ell_over_r, r, z0, j, z):
     outcome (an index into OUTCOME_KINDS: unchanged, far-move or near-move)
     and its two metric changes.
     """
-    B = len(centers)
     two_r2 = (2.0 * r) ** 2
     ell_abs = ell_over_r * r
     d_ell = metric.eval(ell_over_r)
-    cols = np.arange(B)
+    cols = np.arange(P.shape[2])
 
     def dist2(p, q):
         d = min_image_array(p - q)
@@ -312,7 +249,7 @@ def _classify_proposals(centers, y1, metric, ell_over_r, r, z0, j, z):
         return np.sqrt(dist2(p, q))
 
     # j != 0: X proposes z, Y its mirror image across the bisector of x1, y1.
-    x1 = centers[:, 0]
+    x1 = P[:, 0].T
     u = min_image_array(y1 - x1)
     mid = x1 + 0.5 * u
     u /= ell_abs
@@ -322,7 +259,7 @@ def _classify_proposals(centers, y1, metric, ell_over_r, r, z0, j, z):
     # j = 0: both chains propose z0 against the same blockers.  Disk 0 blocks
     # neither crescent proposal: z lies outside Z(x1), so its mirror image
     # lies outside Z(y1); the mirror image is still checked against y1.
-    coal, okx, oky = _clear_of_shared(centers, ((z0, None), (z, j - 1), (zbar, j - 1)), two_r2)
+    coal, okx, oky = clear_of(*P[:, 1:], ((z0.T, None), (z.T, j - 1), (zbar.T, j - 1)), two_r2)
     oky &= dist2(zbar, y1) >= two_r2
     succ = okx | oky
 
@@ -334,7 +271,7 @@ def _classify_proposals(centers, y1, metric, ell_over_r, r, z0, j, z):
 
     # Exact change: the cheaper of keeping and swapping the labels of the two
     # disagreeing pairs (x1, y1) and (x_j', y_j').
-    xj = centers[cols, j]
+    xj = P[:, j, cols].T
     xj_new = np.where(okx[:, None], z, xj)
     yj_new = np.where(oky[:, None], zbar, xj)
     straight = d_ell + metric.eval_array(dist(xj_new, yj_new) / r)
@@ -343,7 +280,7 @@ def _classify_proposals(centers, y1, metric, ell_over_r, r, z0, j, z):
     return coal, kind, bound, exact
 
 
-def _batch_trials(centers, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
+def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
     """One stratified coupled step per chain; accumulate its value and outcomes.
 
     Only two strata of proposals change the metric: disk 0 (probability 1/n)
@@ -352,9 +289,9 @@ def _batch_trials(centers, y1, metric, ell_over_r, r, rng, tally: _Tally) -> Non
     (1/n) c0 + ((n-1)/n) crescent_area(ell) r^2 c_cres, for the bound and
     the exact change alike; every other proposal contributes exactly 0.
     """
-    B, n, _ = centers.shape
-    z0, j, z = _draw_proposals(centers, y1, ell_over_r, r, rng)
-    coal, kind, bound, exact = _classify_proposals(centers, y1, metric, ell_over_r, r, z0, j, z)
+    n, B = P.shape[1:]
+    z0, j, z = _draw_proposals(P, y1, ell_over_r, r, rng)
+    coal, kind, bound, exact = _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z)
     w_cres = (n - 1) / n * crescent_area(ell_over_r) * r * r
     base = np.where(coal, -metric.eval(ell_over_r) / n, 0.0)
     value_bound = base + w_cres * bound
@@ -379,7 +316,7 @@ THIN_SWEEPS = 1  # between trials
 
 # Equilibrating a pool of chains is the dominant cost and is independent of
 # the displacement under study, so finished pools are memoized per (problem,
-# seed group).  The generator state is snapshotted with the centers, making a
+# seed group).  The generator state is snapshotted with the pool, making a
 # cache hit bit-identical to recomputing from scratch.
 _POOL_CACHE: dict = {}
 _POOL_CACHE_MAX = 16
@@ -389,17 +326,17 @@ def _equilibrated_pool(ss, B, n, rho, two_r2):
     key = (n, rho, ss.entropy, ss.spawn_key, B)
     hit = _POOL_CACHE.get(key)
     if hit is not None:
-        centers, state = hit
+        P, state = hit
         rng = np.random.default_rng()
         rng.bit_generator.state = state
-        return centers.copy(), rng
+        return P.copy(), rng
     rng = np.random.default_rng(ss)
-    centers = batch_insert(B, n, rho, rng)
-    _batch_sweep(centers, EQUILIBRATION_SWEEPS * n, two_r2, rng)
+    P = batch_insert(B, n, rho, rng)
+    _batch_sweep(P, EQUILIBRATION_SWEEPS * n, two_r2, rng)
     if len(_POOL_CACHE) >= _POOL_CACHE_MAX:
         _POOL_CACHE.pop(next(iter(_POOL_CACHE)))
-    _POOL_CACHE[key] = (centers.copy(), rng.bit_generator.state)
-    return centers, rng
+    _POOL_CACHE[key] = (P.copy(), rng.bit_generator.state)
+    return P, rng
 
 
 def _run_group(n, rho, ell_over_r, metric, trials, ss) -> _Tally:
@@ -407,15 +344,15 @@ def _run_group(n, rho, ell_over_r, metric, trials, ss) -> _Tally:
     two_r2 = (2.0 * r) ** 2
     B = min(BATCH, trials)
     tally = _Tally()
-    centers, rng = _equilibrated_pool(ss, B, n, rho, two_r2)
+    P, rng = _equilibrated_pool(ss, B, n, rho, two_r2)
     done = 0
     while done < trials:
         # the last batch of a group thins only the chains it uses
-        pool = centers[: min(B, trials - done)]
+        pool = P[:, :, : min(B, trials - done)]
         _batch_sweep(pool, THIN_SWEEPS * n, two_r2, rng)
         y1 = _displace(pool, ell_over_r * r, two_r2, rng)
         _batch_trials(pool, y1, metric, ell_over_r, r, rng, tally)
-        done += len(pool)
+        done += pool.shape[2]
     return tally
 
 
@@ -444,13 +381,16 @@ def estimate_contraction(
     is never drawn.  The pool settings are fixed: BATCH = 1024 chains per
     group, equilibrated for EQUILIBRATION_SWEEPS * n = 30 n steps and thinned
     by THIN_SWEEPS * n = n steps between trials.  Deterministic given the
-    seed and independent of the thread count (work is split into fixed
-    groups).  Needs n >= 2, 0 < rho < 1/4 and 8r < 1, where the crescent's
-    planar area is its area on the torus (ValueError otherwise).  An exact
-    metric change above the analysis bound raises RuntimeError.
+    seed and independent of the thread count (fixed groups of work, run by a
+    pool of `threads` >= 1 workers).  Needs n >= 2, 0 < rho < 1/4 and 8r < 1,
+    where the crescent's planar area is its area on the torus (ValueError
+    otherwise).  An exact metric change above the analysis bound raises
+    RuntimeError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if not 0 < ell_over_r <= 4:
         raise ValueError("displacement must lie in (0, 4] (units of r)")
     if n < 2:
@@ -463,19 +403,14 @@ def estimate_contraction(
             "the coupled estimate needs 8r < 1"
         )
     groups = 8 if trials >= 8 else 1
-    per = [trials // groups] * groups
-    for k in range(trials - sum(per)):
-        per[k] += 1
+    per = [trials // groups + (k < trials % groups) for k in range(groups)]
     seeds = np.random.SeedSequence(seed).spawn(groups)
 
     def group(g):
         return _run_group(n, rho, ell_over_r, metric, per[g], seeds[g])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tallies = list(pool.map(group, range(groups)))
-    else:
-        tallies = [group(g) for g in range(groups)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        tallies = list(pool.map(group, range(groups)))
     total = _Tally()
     for tally in tallies:
         total += tally
@@ -485,15 +420,14 @@ def estimate_contraction(
             f"at rho={rho}, ell={ell_over_r} (units of r)"
         )
 
-    N = trials
     ci_b, ci_e = total.ci99()
     return ContractionEstimate(
         n=n,
         rho=rho,
         ell_over_r=ell_over_r,
-        trials=N,
-        mean_delta_bound=total.sum_bound / N,
-        mean_delta_exact=total.sum_exact / N,
+        trials=trials,
+        mean_delta_bound=total.sum_bound / trials,
+        mean_delta_exact=total.sum_exact / trials,
         ci99_bound=ci_b,
         ci99_exact=ci_e,
         outcome_counts=total.counts,

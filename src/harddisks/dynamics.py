@@ -5,7 +5,8 @@ position and accepts iff the new position is at distance >= 2r from every
 other center.  Neighbor queries go through a uniform cell grid, which the
 tests audit against a brute-force check (tests/oracles.py).  `run` draws its
 proposals in numpy blocks and walks them as Python floats, so the per-step
-grid arithmetic never touches numpy scalars.
+grid arithmetic never touches numpy scalars.  `batch_insert` fills a pool of
+chains at once, disk-major, through geometry.clear_of.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import min_image_array
+from .geometry import clear_of, min_image_array
 
 MAX_INSERTION_ATTEMPTS = 10_000  # per disk and chain
 RUN_BLOCK = 65_536  # proposals drawn per block in run()
@@ -84,23 +85,20 @@ def batch_insert(B: int, n: int, rho: float, rng) -> np.ndarray:
 
     Disk k of each chain is redrawn until it lies at distance >= 2r from disks
     0..k-1 of that chain, at most MAX_INSERTION_ATTEMPTS times.  Returns the
-    centers, shape (B, n, 2).
+    pool disk-major, as P of shape (2, n, B): x rows P[0] and y rows P[1].
     """
     if n < 1:
         raise ValueError(f"insertion needs at least one disk, got n={n}")
     if not 0 < rho < 0.25:
         raise ValueError(f"density must lie in (0, 1/4), got {rho}")
     two_r2 = (2.0 * radius_for_density(n, rho)) ** 2
-    centers = np.empty((B, n, 2))
-    centers[:, 0] = rng.random((B, 2))
-    for k in range(1, n):
+    P = np.empty((2, n, B))
+    for k in range(n):  # disk 0 has no disks to clear: its first draw holds
         pending = np.arange(B)
         for _ in range(MAX_INSERTION_ATTEMPTS):
             p = rng.random((len(pending), 2))
-            d = min_image_array(centers[pending, :k] - p[:, None, :])
-            dx, dy = d[..., 0], d[..., 1]
-            ok = (dx * dx + dy * dy >= two_r2).all(axis=1)
-            centers[pending[ok], k] = p[ok]
+            ok = clear_of(*P[:, :k, pending], [(p.T, None)], two_r2)[0]
+            P[:, k, pending[ok]] = p[ok].T
             pending = pending[~ok]
             if len(pending) == 0:
                 break
@@ -110,13 +108,13 @@ def batch_insert(B: int, n: int, rho: float, rng) -> np.ndarray:
                 f"{MAX_INSERTION_ATTEMPTS} attempts (n={n}, rho={rho}); "
                 "density too high for this initializer"
             )
-    return centers
+    return P
 
 
 def random_config(n: int, rho: float, seed) -> Configuration:
     """Random sequential insertion of one configuration; see batch_insert."""
-    centers = batch_insert(1, n, rho, np.random.default_rng(seed))
-    return Configuration(centers[0], radius_for_density(n, rho))
+    P = batch_insert(1, n, rho, np.random.default_rng(seed))
+    return Configuration(P[:, :, 0].T, radius_for_density(n, rho))
 
 
 class CellGrid:

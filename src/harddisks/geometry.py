@@ -1,8 +1,9 @@
-"""Minimal-image torus differences and the closed-form crescent areas behind the coupling.
+"""Minimal-image torus distances, the clearance kernel and the closed-form crescent areas.
 
-The package computes distances only in batches, through min_image_array; the
-scalar torus points, the crescent angle and the mirror reflection are test
-oracles (tests/oracles.py).  All crescent formulas work in normalized units:
+The package computes distances only in batches: min_image_array for points,
+plane_d2 and clear_of for disk-major chain pools.  The scalar torus points, the
+crescent angle and the mirror reflection are test oracles (tests/oracles.py).
+All crescent formulas work in normalized units:
 lengths are measured in multiples of the disk radius r, areas in multiples
 of r^2.  The danger zone
 around a center is then a disk of radius 2, and two zones are disjoint once
@@ -18,6 +19,52 @@ def min_image_array(d):
     """Vectorized minimal-image reduction of coordinate differences."""
     d = np.asarray(d, dtype=float)
     return d - np.round(d)
+
+
+SWEEP_BLOCK_PAIRS = 1 << 15  # chain·disk pairs per block of the plane kernels
+
+
+def plane_d2(X, Y, px, py, d2, dy, nearest) -> None:
+    """Squared torus distances from (px[c], py[c]) to the disks of chain c.
+
+    X, Y are disk-major coordinate planes (disks, chains); the result goes to
+    d2, and dy and nearest are scratch buffers of the same shape.
+    """
+    np.subtract(X, px, out=d2)
+    np.rint(d2, out=nearest)
+    d2 -= nearest
+    np.subtract(Y, py, out=dy)
+    np.rint(dy, out=nearest)
+    dy -= nearest
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+
+
+def clear_of(X, Y, proposals, two_r2: float) -> np.ndarray:
+    """Per proposal (points, skip) and chain c: is the point (px[c], py[c]) at
+    squared distance >= two_r2 from every disk of chain c but disk skip[c]?
+
+    X, Y are disk-major planes (disks, chains), possibly with no disks; points
+    is a pair (px, py) and skip an index array or None.  Returns booleans of
+    shape (len(proposals), chains), computed in cache-sized blocks of chains.
+    """
+    rows, B = X.shape
+    width = max(1, SWEEP_BLOCK_PAIRS // max(1, rows))
+    out = np.empty((len(proposals), B), dtype=bool)
+    cols = np.arange(min(width, B))
+    d2, dy, nearest = np.empty((3, rows, len(cols)))
+    for lo in range(0, B, width):
+        hi = lo + width
+        Xb, Yb = X[:, lo:hi], Y[:, lo:hi]
+        w = Xb.shape[1]
+        e = d2[:, :w]
+        for k, ((px, py), skip) in enumerate(proposals):
+            plane_d2(Xb, Yb, px[lo:hi], py[lo:hi], e, dy[:, :w], nearest[:, :w])
+            if skip is not None:
+                e[skip[lo:hi], cols[:w]] = np.inf
+            out[k, lo:hi] = np.minimum.reduce(e, axis=0, initial=np.inf) >= two_r2
+    return out
 
 
 def crescent_area(lam):

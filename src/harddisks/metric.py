@@ -21,7 +21,6 @@ class PiecewiseMetric:
     """d(lam) = values[i-1] for lam in ((i-1)*4/L, i*4/L]; 1 beyond 4; 0 at 0."""
 
     values: tuple
-    rho: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
@@ -125,9 +124,9 @@ def to_csv(metric: PiecewiseMetric, path) -> None:
 def from_csv(path) -> PiecewiseMetric:
     """Read a `lambda_right,d` CSV.
 
-    A row without exactly two fields, a row off the grid lam_k = 4k/L, a value
-    d_k outside [0, 1] or a value above the next row's (each within AXIOM_TOL)
-    is an error naming the row.
+    A row without exactly two fields, a field that is not a number, a row off
+    the grid lam_k = 4k/L, a value d_k outside [0, 1] or a value above the
+    next row's (each within AXIOM_TOL) is an error naming the row.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -140,7 +139,11 @@ def from_csv(path) -> PiecewiseMetric:
             fields = line.split(",")
             if len(fields) != 2:
                 raise ValueError(f"metric CSV row {len(rows) + 1}: {len(fields)} fields, expected 2")
-            rows.append([float(x) for x in fields])
+            try:
+                rows.append([float(x) for x in fields])
+            except ValueError:
+                raise ValueError(f"metric CSV row {len(rows) + 1}: non-numeric field in "
+                                 f"{line.strip()!r}") from None
     L = len(rows)
     for k, (lam, d) in enumerate(rows, start=1):
         if abs(lam - 4.0 * k / L) > 1e-9:

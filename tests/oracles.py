@@ -298,10 +298,10 @@ def make_pair(n: int, rho: float, ell_over_r: float, seed) -> CoupledPair:
     rng = np.random.default_rng(seed)
     r = radius_for_density(n, rho)
     two_r2 = (2.0 * r) ** 2
-    centers = random_config(n, rho, rng).centers.copy()[None]
-    coupling._batch_sweep(centers, 20 * n, two_r2, rng)
-    y1 = coupling._displace(centers, ell_over_r * r, two_r2, rng)[0]
-    X = Configuration(centers[0], r)
+    P = random_config(n, rho, rng).centers.T[:, :, None].copy()  # a pool of one chain
+    coupling._batch_sweep(P, 20 * n, two_r2, rng)
+    y1 = coupling._displace(P, ell_over_r * r, two_r2, rng)[0]
+    X = Configuration(P[:, :, 0].T, r)
     return CoupledPair(X=X, Y=replaced(X, 0, y1))
 
 

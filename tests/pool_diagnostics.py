@@ -36,14 +36,15 @@ N, RHO, TRIALS = 32, 0.14, 100_000
 NN_EDGES = np.concatenate([np.linspace(2.0, 4.0, 17), [np.inf]])  # units of r
 
 
-def nn_histogram(centers: np.ndarray, r: float) -> np.ndarray:
-    """Share of disks whose nearest neighbour lies in each NN_EDGES bin."""
-    d = centers[:, :, None, :] - centers[:, None, :, :]
+def nn_histogram(P: np.ndarray, r: float) -> np.ndarray:
+    """Share of disks whose nearest neighbour lies in each NN_EDGES bin, over
+    the pool P of shape (2, n, chains)."""
+    d = P[:, :, None, :] - P[:, None, :, :]
     d -= np.rint(d)
-    d2 = (d * d).sum(axis=3)
-    idx = np.arange(centers.shape[1])
-    d2[:, idx, idx] = np.inf
-    nn = np.sqrt(d2.min(axis=2)).ravel() / r
+    d2 = (d * d).sum(axis=0)
+    idx = np.arange(P.shape[1])
+    d2[idx, idx] = np.inf
+    nn = np.sqrt(d2.min(axis=1)).ravel() / r
     return np.histogram(nn, bins=NN_EDGES)[0] / nn.size
 
 
@@ -61,18 +62,18 @@ def burn_in(args) -> None:
     floor = 0.5 * np.abs(nn_histogram(other, r) - ref_hist).sum()
     print(json.dumps({"reference_sweeps": args.reference_sweeps, "chains": B,
                       "tv_noise_floor": round(float(floor), 5)}))
-    centers = dynamics.batch_insert(B, N, RHO, rng)
+    P = dynamics.batch_insert(B, N, RHO, rng)
     for sweep in range(args.sweeps + 1):
         if sweep:
             moved = 0
             for _ in range(N):
-                before = centers.copy()
-                coupling._batch_sweep(centers, 1, two_r2, rng)
-                moved += int((centers != before).any(axis=(1, 2)).sum())
+                before = P.copy()
+                coupling._batch_sweep(P, 1, two_r2, rng)
+                moved += int((P != before).any(axis=(0, 1)).sum())
             acceptance = moved / (N * B)
         else:
             acceptance = None
-        hist = nn_histogram(centers, r)
+        hist = nn_histogram(P, r)
         print(json.dumps({
             "sweep": sweep, "acceptance": acceptance,
             "tv_to_reference": round(float(0.5 * np.abs(hist - ref_hist).sum()), 5),

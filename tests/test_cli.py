@@ -91,6 +91,13 @@ class TestBound:
             run_cli(["bound", "--variant", "nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("L", ["0", "-3"])
+    def test_empty_grid_exits_three(self, L, capsys):
+        for flags in ([], ["--hamming"]):
+            assert run_cli(["bound", "--L", L, *flags]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "grid size must be at least 1" in captured.err
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_exits_three(self, tol, capsys):
         for flags in ([], ["--hamming"]):
@@ -268,6 +275,21 @@ class TestCouple:
         assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0",
                         "--trials", "10", "--metric", str(bad), "--seed", "1"]) == 3
         assert "metric CSV row 1: d 2 outside [0, 1]" in capsys.readouterr().err
+
+    def test_metric_file_non_numeric_exits_three(self, tmp_path, metric_file, capsys):
+        header, *rows = metric_file.read_text().splitlines()
+        bad = tmp_path / "text.csv"
+        bad.write_text("\n".join([header, *rows[:3], "0.5,x", *rows[4:]]) + "\n")
+        assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0",
+                        "--trials", "10", "--metric", str(bad), "--seed", "1"]) == 3
+        assert "metric CSV row 4: non-numeric field in '0.5,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_thread_count_exits_three(self, metric_file, threads, capsys):
+        assert run_cli(["--threads", threads, "couple", "--n", "8", "--rho", "0.1",
+                        "--ell", "1.0", "--trials", "10", "--metric", str(metric_file),
+                        "--seed", "1"]) == 3
+        assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
 
     def test_bad_displacement_exits_three(self, metric_file):
         assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "9.0",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from harddisks import coupling, dynamics
+from harddisks import coupling, dynamics, geometry
 from harddisks.coupling import OUTCOME_KINDS, estimate_contraction
 from harddisks.dynamics import Configuration, radius_for_density, random_config
 from harddisks.geometry import crescent_area, min_image_array, outside_zone_area
@@ -203,9 +203,11 @@ def reference_displace(centers, ell_abs, two_r2, rng):
     raise RuntimeError("no valid displacement found within the retry budget")
 
 
-def plain_batch_trials(centers, y1, metric, ell_over_r, r, rng, tally) -> None:
+def plain_batch_trials(P, y1, metric, ell_over_r, r, rng, tally) -> None:
     """One uniform coupled step per chain: the unstratified trial kernel that the
-    stratified _batch_trials replaced, kept as its oracle."""
+    stratified _batch_trials replaced, kept as its oracle.  It takes the pool
+    P (2, n, B) and reads it as the (B, n, 2) view P.T."""
+    centers = P.T
     B, n, _ = centers.shape
     two_r = 2.0 * r
     two_r2 = two_r * two_r
@@ -310,13 +312,14 @@ class TestBatchSweep:
     def test_matches_reference_layout(self, n, rho):
         r = radius_for_density(n, rho)
         two_r2 = (2.0 * r) ** 2
-        one_block = max(1, coupling.SWEEP_BLOCK_PAIRS // n)
+        one_block = max(1, geometry.SWEEP_BLOCK_PAIRS // n)
         for B in (1, 7, one_block + 1):  # the last block of one_block + 1 is partial
             start = dynamics.batch_insert(B, n, rho, np.random.default_rng(B))
             for steps in (0, 1, 129):  # 129 crosses a 128-step chunk
-                want, got = start.copy(), start.copy()
+                want, P = start.T.copy(), start.copy()
                 reference_batch_sweep(want, steps, two_r2, np.random.default_rng(steps))
-                coupling._batch_sweep(got, steps, two_r2, np.random.default_rng(steps))
+                coupling._batch_sweep(P, steps, two_r2, np.random.default_rng(steps))
+                got = P.T
                 assert np.array_equal(got, want), (B, steps)
                 assert all(Configuration(c, r).is_valid() for c in got)
 
@@ -334,13 +337,14 @@ class TestDisplace:
         two_r2 = (2.0 * scale * r) ** 2
         start = dynamics.batch_insert(300, n, rho, np.random.default_rng(n))
         results = []
-        for kernel in (reference_displace, coupling._displace):
-            centers, rng = start.copy(), np.random.default_rng(7)
+        # the reference takes the pool as (B, n, 2); P.T shows _displace's that way
+        for kernel, pool in ((reference_displace, start.T.copy()), (coupling._displace, start.copy())):
+            rng = np.random.default_rng(7)
             try:
-                y1 = kernel(centers, ell * r, two_r2, rng)
+                y1 = kernel(pool, ell * r, two_r2, rng)
             except RuntimeError as exc:
                 y1 = str(exc)
-            results.append((y1, centers, rng.random()))
+            results.append((y1, pool if kernel is reference_displace else pool.T, rng.random()))
         (want, want_c, want_next), (got, got_c, got_next) = results
         assert type(got) is type(want)
         assert got == want if isinstance(want, str) else np.array_equal(got, want)
@@ -355,10 +359,11 @@ class TestBatchedMatchesScalar:
         two_r2 = (2.0 * r) ** 2
         rng = np.random.default_rng(31)
         B = 300
-        centers = dynamics.batch_insert(B, n, rho, rng)
-        coupling._batch_sweep(centers, 5 * n, two_r2, rng)
+        P = dynamics.batch_insert(B, n, rho, rng)
+        coupling._batch_sweep(P, 5 * n, two_r2, rng)
         ell_over_r = 2.5
-        y1 = coupling._displace(centers, ell_over_r * r, two_r2, rng)
+        y1 = coupling._displace(P, ell_over_r * r, two_r2, rng)
+        centers = P.T
 
         j = rng.integers(n, size=B)
         z = rng.random((B, 2))
@@ -371,7 +376,7 @@ class TestBatchedMatchesScalar:
                 return z
 
         tally = coupling._Tally()
-        plain_batch_trials(centers, y1, TEST_METRIC, ell_over_r, r, Scripted(), tally)
+        plain_batch_trials(P, y1, TEST_METRIC, ell_over_r, r, Scripted(), tally)
 
         sum_b = sum_e = 0.0
         counts = {k: 0 for k in OUTCOME_KINDS}
@@ -480,6 +485,9 @@ class TestEstimateContraction:
             estimate_contraction(8, 0.05, 1.0, hamming_metric(), 0, seed=1)
         with pytest.raises(ValueError):
             estimate_contraction(8, 0.05, 5.0, hamming_metric(), 10, seed=1)
+        for threads in (0, -2):
+            with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+                estimate_contraction(8, 0.05, 1.0, hamming_metric(), 10, seed=1, threads=threads)
         for rho in (0.3, -0.1, 0.0):
             with pytest.raises(ValueError, match="density"):
                 estimate_contraction(8, rho, 1.0, hamming_metric(), 10, seed=1)
@@ -583,9 +591,10 @@ class TestStratifiedTrials:
         r = radius_for_density(n, rho)
         two_r2 = (2.0 * r) ** 2
         rng = np.random.default_rng(41)
-        centers = dynamics.batch_insert(B, n, rho, rng)
-        coupling._batch_sweep(centers, 5 * n, two_r2, rng)
-        y1 = coupling._displace(centers, ell * r, two_r2, rng)
+        P = dynamics.batch_insert(B, n, rho, rng)
+        coupling._batch_sweep(P, 5 * n, two_r2, rng)
+        y1 = coupling._displace(P, ell * r, two_r2, rng)
+        centers = P.T
         state = rng.bit_generator.state
 
         def replay_rng():
@@ -593,11 +602,11 @@ class TestStratifiedTrials:
             gen.bit_generator.state = state
             return gen
 
-        z0, j, z = coupling._draw_proposals(centers, y1, ell, r, replay_rng())
+        z0, j, z = coupling._draw_proposals(P, y1, ell, r, replay_rng())
         coal, kind, bound, exact = coupling._classify_proposals(
-            centers, y1, TEST_METRIC, ell, r, z0, j, z)
+            P, y1, TEST_METRIC, ell, r, z0, j, z)
         tally = coupling._Tally()
-        coupling._batch_trials(centers, y1, TEST_METRIC, ell, r, replay_rng(), tally)
+        coupling._batch_trials(P, y1, TEST_METRIC, ell, r, replay_rng(), tally)
 
         w_cres = (n - 1) / n * crescent_area(ell) * r * r
         sum_b = sum_e = 0.0
@@ -627,9 +636,9 @@ class TestStratifiedTrials:
         r, B = 0.01, 100_000
         x1 = np.array([0.995, 0.5])  # the crescent straddles the seam x = 0
         y1 = (x1 + [ell * r, 0.0]) % 1.0
-        centers = np.tile(np.array([x1, [0.5, 0.0]]), (B, 1, 1))
+        P = np.tile(np.array([x1, [0.5, 0.0]]), (B, 1, 1)).T
         _, j, z = coupling._draw_proposals(
-            centers, np.tile(y1, (B, 1)), ell, r, np.random.default_rng(int(10 * ell)))
+            P, np.tile(y1, (B, 1)), ell, r, np.random.default_rng(int(10 * ell)))
         assert np.all(j == 1)
         a = min_image_array(z - x1)
         b = min_image_array(z - y1)

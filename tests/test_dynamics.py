@@ -6,18 +6,49 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from harddisks import dynamics
 from harddisks.dynamics import (
     RUN_BLOCK,
     CellGrid,
     ChainStats,
     Configuration,
+    batch_insert,
     load_snapshot,
     radius_for_density,
     random_config,
     run,
     save_snapshot,
 )
+from harddisks.geometry import min_image_array
 from oracles import move_allowed_bruteforce, propose, replaced, step
+
+
+def reference_batch_insert(B, n, rho, rng):
+    """The (B, n, 2) insertion that batch_insert replaced, kept as its oracle.
+
+    Same draws and the same arithmetic per chain; it returns the pool chain-major.
+    """
+    two_r2 = (2.0 * radius_for_density(n, rho)) ** 2
+    centers = np.empty((B, n, 2))
+    centers[:, 0] = rng.random((B, 2))
+    for k in range(1, n):
+        pending = np.arange(B)
+        for _ in range(dynamics.MAX_INSERTION_ATTEMPTS):
+            p = rng.random((len(pending), 2))
+            d = min_image_array(centers[pending, :k] - p[:, None, :])
+            dx, dy = d[..., 0], d[..., 1]
+            ok = (dx * dx + dy * dy >= two_r2).all(axis=1)
+            centers[pending[ok], k] = p[ok]
+            pending = pending[~ok]
+            if len(pending) == 0:
+                break
+        else:
+            raise RuntimeError(
+                f"random insertion failed: disk {k} found no free position in "
+                f"{dynamics.MAX_INSERTION_ATTEMPTS} attempts (n={n}, rho={rho}); "
+                "density too high for this initializer"
+            )
+    return centers
 
 
 def reference_allowed(grid, i, x, y):
@@ -136,6 +167,31 @@ class TestRandomConfig:
         config = random_config(64, 0.15, seed=7)
         assert config.centers[0].tolist() == [0.625095466604667, 0.8972138009695755]
         assert config.centers[-1].tolist() == [0.9156354351007324, 0.04665223795388718]
+
+
+class TestBatchInsert:
+    # (513, 65): at disk 64 the clearance blocks hold 512 chains, so one is partial
+    @pytest.mark.parametrize("B, n, rho", [
+        (1, 1, 0.1), (7, 2, 0.002), (1, 64, 0.15), (300, 32, 0.14), (40, 64, 0.2), (513, 65, 0.15),
+    ])
+    def test_matches_reference_layout(self, B, n, rho):
+        want_rng, got_rng = np.random.default_rng(B + n), np.random.default_rng(B + n)
+        want = reference_batch_insert(B, n, rho, want_rng)
+        got = batch_insert(B, n, rho, got_rng)
+        assert got.shape == (2, n, B)
+        assert np.array_equal(got, want.T)
+        assert got_rng.random() == want_rng.random()
+
+    def test_jammed_insertion_matches_reference(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_INSERTION_ATTEMPTS", 1)
+        results = []
+        for kernel in (reference_batch_insert, batch_insert):
+            rng = np.random.default_rng(3)
+            with pytest.raises(RuntimeError, match="random insertion failed") as info:
+                kernel(5, 64, 0.2, rng)
+            results.append((str(info.value), rng.random()))
+        assert results[0] == results[1]
+        assert "attempts (n=64, rho=0.2)" in results[0][0]
 
 
 class TestPropose:

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harddisks.geometry import crescent_area, outside_zone_area
+from harddisks.dynamics import batch_insert, radius_for_density
+from harddisks.geometry import (
+    SWEEP_BLOCK_PAIRS,
+    clear_of,
+    crescent_area,
+    min_image_array,
+    outside_zone_area,
+)
 from oracles import (
     GeometryError,
     LocalChart,
@@ -242,3 +249,42 @@ class TestReflectAcrossBisector:
             reflect_across_bisector(TorusPoint(0.2, 0.2), p, p)
         with pytest.raises(GeometryError):
             reflect_across_bisector(TorusPoint(0.9, 0.9), TorusPoint(0.1, 0.1), TorusPoint(0.15, 0.1))
+
+
+def bruteforce_clear(P, c, xy, skip, two_r2):
+    """Chain c of the pool P (2, n, B): is xy clear of every disk but skip?"""
+    d = min_image_array(P[:, :, c].T - np.asarray(xy))
+    dist2 = (d * d).sum(axis=1)
+    if skip is not None:
+        dist2[skip] = np.inf
+    return bool(np.all(dist2 >= two_r2))
+
+
+class TestClearOf:
+    # n = 65 gives blocks of SWEEP_BLOCK_PAIRS // 64 = 512 chains; B = 513
+    # leaves a partial second block
+    @pytest.mark.parametrize("B, n", [(1, 2), (9, 8), (SWEEP_BLOCK_PAIRS // 64 + 1, 65)])
+    def test_matches_bruteforce_with_skip_rows(self, B, n):
+        rho = 0.15
+        rng = np.random.default_rng(n)
+        P = batch_insert(B, n, rho, rng)
+        two_r2 = (2.0 * radius_for_density(n, rho)) ** 2
+        cols = np.arange(B)
+        skip = rng.integers(n, size=B)
+        # points just off the skipped disk: blocked by it unless it is skipped
+        near = P[:, skip, cols] + 0.1 * np.sqrt(two_r2)
+        uniform = rng.random((2, B))
+        proposals = [(uniform, None), (uniform, skip), (near, skip), (near, None)]
+        got = clear_of(P[0], P[1], proposals, two_r2)
+        assert got.shape == (4, B)
+        for k, (points, rows) in enumerate(proposals):
+            for c in range(B):
+                want = bruteforce_clear(P, c, points[:, c], None if rows is None else rows[c], two_r2)
+                assert got[k, c] == want, (k, c)
+        assert not got[3].any()
+        assert got[2].any() and not got[0].all()
+
+    def test_zero_rows_are_clear(self):
+        X = np.empty((0, 5))
+        got = clear_of(X, X, [(np.zeros((2, 5)), None)], 1.0)
+        assert got.shape == (1, 5) and got.all()

@@ -176,8 +176,10 @@ class TestSerialization:
         dropped = [header, rows[0], rows[1], rows[3]]  # L = 3 grid: 4/3, 8/3, 4
         swapped = [header, rows[0], rows[2], rows[1], rows[3]]
         extra = [header, rows[0], rows[1], rows[2], rows[3] + ",2"]  # "4,1,2"
+        text = [header, rows[0], rows[1], rows[2], "4,x"]
         for lines, bad_row in ((dropped, "row 1"), (swapped, "row 2"),
-                               (extra, "row 4: 3 fields, expected 2")):
+                               (extra, "row 4: 3 fields, expected 2"),
+                               (text, "row 4: non-numeric field in '4,x'")):
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(ValueError, match=bad_row):
                 from_csv(path)
