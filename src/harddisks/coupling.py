@@ -78,7 +78,10 @@ def _batch_sweep(P: np.ndarray, steps: int, two_r2: float, rng) -> None:
     n, B = P.shape[1:]
     width = max(1, SWEEP_BLOCK_PAIRS // n)
     cols = np.arange(min(width, B))
-    dx, dy, nearest = np.empty((3, n, len(cols)))
+    # separate allocations: buffers a multiple of 4 KiB apart slow the ufuncs pairing them
+    dx = np.empty((n, len(cols)))
+    dy = np.empty_like(dx)
+    nearest = np.empty_like(dx)
     done = 0
     while done < steps:
         chunk = min(128, steps - done)
@@ -112,10 +115,9 @@ def _displace(P: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.ndarray:
     pending = np.arange(B)
     for round_ in range(200):
         phi = 2.0 * math.pi * rng.random(len(pending))
-        cx = P[0, 0, pending] + ell_abs * np.cos(phi)
-        cy = P[1, 0, pending] + ell_abs * np.sin(phi)
-        ok = clear_of(*P[:, 1:, pending], [((cx, cy), None)], two_r2)[0]
-        y1[pending[ok]] = np.column_stack((cx, cy))[ok] % 1.0
+        cand = P[:, 0, pending] + ell_abs * np.array((np.cos(phi), np.sin(phi)))
+        ok = clear_of(*P[:, 1:, pending], [(cand, None)], two_r2)[0]
+        y1[pending[ok]] = cand[:, ok].T % 1.0
         pending = pending[~ok]
         if len(pending) == 0:
             return y1
@@ -220,7 +222,8 @@ def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
         bx, by = s * np.cos(phi), s * np.sin(phi)  # z - y1
         ax, ay = bx + shift[pending, 0], by + shift[pending, 1]  # z - x1
         ok = (ax * ax + ay * ay >= two_r2) & (bx * bx + by * by < two_r2)
-        z[pending[ok]] = np.column_stack((bx, by))[ok]
+        z[pending[ok], 0] = bx[ok]
+        z[pending[ok], 1] = by[ok]
         pending = pending[~ok]
         if len(pending) == 0:
             z += y1
@@ -239,7 +242,6 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
     two_r2 = (2.0 * r) ** 2
     ell_abs = ell_over_r * r
     d_ell = metric.eval(ell_over_r)
-    cols = np.arange(P.shape[2])
 
     def dist2(p, q):
         d = min_image_array(p - q)
@@ -271,7 +273,7 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
 
     # Exact change: the cheaper of keeping and swapping the labels of the two
     # disagreeing pairs (x1, y1) and (x_j', y_j').
-    xj = P[:, j, cols].T
+    xj = P[:, j, np.arange(len(j))].T  # disk j of each chain
     xj_new = np.where(okx[:, None], z, xj)
     yj_new = np.where(oky[:, None], zbar, xj)
     straight = d_ell + metric.eval_array(dist(xj_new, yj_new) / r)

@@ -52,18 +52,17 @@ def clear_of(X, Y, proposals, two_r2: float) -> np.ndarray:
     rows, B = X.shape
     width = max(1, SWEEP_BLOCK_PAIRS // max(1, rows))
     out = np.empty((len(proposals), B), dtype=bool)
-    cols = np.arange(min(width, B))
-    d2, dy, nearest = np.empty((3, rows, len(cols)))
+    d2 = np.empty((rows, min(width, B)))  # separate buffers, as in coupling._batch_sweep
+    dy, nearest = np.empty_like(d2), np.empty_like(d2)
     for lo in range(0, B, width):
         hi = lo + width
         Xb, Yb = X[:, lo:hi], Y[:, lo:hi]
         w = Xb.shape[1]
-        e = d2[:, :w]
         for k, ((px, py), skip) in enumerate(proposals):
-            plane_d2(Xb, Yb, px[lo:hi], py[lo:hi], e, dy[:, :w], nearest[:, :w])
+            plane_d2(Xb, Yb, px[lo:hi], py[lo:hi], d2[:, :w], dy[:, :w], nearest[:, :w])
             if skip is not None:
-                e[skip[lo:hi], cols[:w]] = np.inf
-            out[k, lo:hi] = np.minimum.reduce(e, axis=0, initial=np.inf) >= two_r2
+                d2[skip[lo:hi], np.arange(w)] = np.inf
+            out[k, lo:hi] = np.minimum.reduce(d2[:, :w], axis=0, initial=np.inf) >= two_r2
     return out
 
 
