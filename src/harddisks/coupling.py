@@ -108,15 +108,17 @@ def _displace(P: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.ndarray:
     A chain can rarely have disk 0 caged so that no direction works at all;
     such chains are evolved further and retried, which leaves the sampled
     configuration distribution stationary.  Each round tests the candidates
-    against disks 1..n-1 of the pending chains only.  Returns (chains, 2).
+    against disks 1..n-1 of the pending chains only, gathered into Q.
+    Returns (chains, 2).
     """
     n, B = P.shape[1:]
     y1 = np.empty((B, 2))
     pending = np.arange(B)
+    Q = P[:, 1:]  # every chain is pending at first: no gather
     for round_ in range(200):
         phi = 2.0 * math.pi * rng.random(len(pending))
         cand = P[:, 0, pending] + ell_abs * np.array((np.cos(phi), np.sin(phi)))
-        ok = clear_of(*P[:, 1:, pending], [(cand, None)], two_r2)[0]
+        ok = clear_of(*Q, [(cand, None)], two_r2)[0]
         y1[pending[ok]] = cand[:, ok].T % 1.0
         pending = pending[~ok]
         if len(pending) == 0:
@@ -125,6 +127,7 @@ def _displace(P: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.ndarray:
             sub = P[:, :, pending]
             _batch_sweep(sub, 2 * n, two_r2, rng)
             P[:, :, pending] = sub
+        Q = P[:, 1:, pending]
     raise RuntimeError("no valid displacement found within the retry budget")
 
 
@@ -243,12 +246,9 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
     ell_abs = ell_over_r * r
     d_ell = metric.eval(ell_over_r)
 
-    def dist2(p, q):
-        d = min_image_array(p - q)
-        return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-
     def dist(p, q):
-        return np.sqrt(dist2(p, q))
+        d = min_image_array(p - q)
+        return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
     # j != 0: X proposes z, Y its mirror image across the bisector of x1, y1.
     x1 = P[:, 0].T
@@ -262,7 +262,7 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
     # neither crescent proposal: z lies outside Z(x1), so its mirror image
     # lies outside Z(y1); the mirror image is still checked against y1.
     coal, okx, oky = clear_of(*P[:, 1:], ((z0.T, None), (z.T, j - 1), (zbar.T, j - 1)), two_r2)
-    oky &= dist2(zbar, y1) >= two_r2
+    oky &= clear_of(*y1.T[:, None], [(zbar.T, None)], two_r2)[0]
     succ = okx | oky
 
     s = dist(z, y1)
