@@ -10,10 +10,14 @@ classified and charged with two deltas: the pessimistic analysis bound
 chains, stratified: only a proposal of the disagreeing disk (probability 1/n)
 or one into the danger crescent Z(y1) \\ Z(x1) (probability
 (n-1)/n * crescent_area(ell) r^2) can change the metric, so each
-configuration draws one proposal from each and weights them by those
-probabilities.  The tests replay it through a scalar coupled step, one
-proposal at a time (tests/oracles.py).  Each chain yields several successive
-configurations, so the confidence interval is computed from per-chain sums.
+configuration draws K0 proposals from the first stratum and KC from the
+second and weights the mean of each by those probabilities.  Proposal noise
+within one configuration, not the spread between configurations, dominates
+the variance, so several cheap proposals share each expensive configuration
+(two-stage sampling: Cochran, Sampling Techniques, 3rd ed., 1977, ch. 10).
+The tests replay it through a scalar coupled step, one proposal at a time
+(tests/oracles.py).  Each chain yields several successive configurations, so
+the confidence interval is computed from per-chain sums.
 A pool of chains is one disk-major array P (2, n, chains) from batch_insert,
 and every pool step tests proposals through geometry.plane_d2 or clear_of.
 """
@@ -45,7 +49,9 @@ class ContractionEstimate:
     ci99_bound: float
     ci99_exact: float
     outcome_counts: dict
-    # diagnostics for tying the simulator back to the crescent geometry
+    # diagnostics, kept out of to_json: configurations = ceil(trials / K0)
+    # and the crescent proposals drawn (KC per configuration)
+    configurations: int
     crescent_hits: int
     near_savings_sum: float
 
@@ -200,9 +206,10 @@ CRESCENT_ROUNDS = 1000  # rejection rounds of _draw_proposals; each succeeds w.p
 
 
 def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
-    """One uniform disk-0 proposal and one danger-crescent proposal per chain.
+    """K0 uniform disk-0 proposals and KC danger-crescent proposals per chain.
 
-    Returns (z0, j, z): z0 uniform on the torus; j uniform on 1..n-1 and z
+    Returns (z0, j, z) of shapes (K0, chains, 2), (KC, chains) and
+    (KC, chains, 2): z0 uniform on the torus; j uniform on 1..n-1 and z
     uniform on the crescent Z(y1) \\ Z(x1).  z is drawn by rejection from the
     2r disk around y1, restricted to the annulus at distance >= 2r - ell from
     y1 (no closer point lies outside Z(x1)), and redrawn while it lies in
@@ -213,11 +220,11 @@ def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
     n, B = P.shape[1:]
     two_r2 = (2.0 * r) ** 2
     lo2 = max(0.0, (2.0 - ell_over_r) * r) ** 2
-    z0 = rng.random((B, 2))
-    j = rng.integers(1, n, size=B)
-    shift = min_image_array(y1 - P[:, 0].T)  # x1 -> y1
-    z = np.empty((B, 2))
-    pending = np.arange(B)
+    z0 = rng.random((K0, B, 2))
+    j = rng.integers(1, n, size=(KC, B))
+    shift = np.tile(min_image_array(y1 - P[:, 0].T), (KC, 1))  # x1 -> y1, per (k, chain)
+    z = np.empty((KC * B, 2))
+    pending = np.arange(KC * B)
     for _ in range(CRESCENT_ROUNDS):
         u = rng.random((len(pending), 2))
         s = np.sqrt(lo2 + (two_r2 - lo2) * u[:, 0])
@@ -229,16 +236,17 @@ def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
         z[pending[ok], 1] = by[ok]
         pending = pending[~ok]
         if len(pending) == 0:
-            z += y1
+            z = z.reshape(KC, B, 2) + y1
             return z0, j, z % 1.0
     raise RuntimeError("no crescent proposal found within the rejection budget")
 
 
 def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
-    """The coupling rules of the module docstring applied to each chain's two proposals.
+    """The coupling rules of the module docstring applied to each chain's proposals.
 
-    Returns (coal, kind, bound, exact): whether the disk-0 proposal z0
-    coalesces the pair, and for disk j moving to the crescent point z its
+    Takes the draws of _draw_proposals and returns (coal, kind, bound, exact):
+    of shape (K0, chains), whether each disk-0 proposal z0 coalesces the pair,
+    and of shape (KC, chains), for disk j moving to the crescent point z, its
     outcome (an index into OUTCOME_KINDS: unchanged, far-move or near-move)
     and its two metric changes.
     """
@@ -248,7 +256,7 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
 
     def dist(p, q):
         d = min_image_array(p - q)
-        return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
 
     # j != 0: X proposes z, Y its mirror image across the bisector of x1, y1.
     x1 = P[:, 0].T
@@ -256,13 +264,16 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
     mid = x1 + 0.5 * u
     u /= ell_abs
     w = min_image_array(z - mid)
-    zbar = (mid + w - 2.0 * (w * u).sum(axis=1, keepdims=True) * u) % 1.0
+    zbar = (mid + w - 2.0 * (w * u).sum(axis=-1, keepdims=True) * u) % 1.0
 
     # j = 0: both chains propose z0 against the same blockers.  Disk 0 blocks
     # neither crescent proposal: z lies outside Z(x1), so its mirror image
     # lies outside Z(y1); the mirror image is still checked against y1.
-    coal, okx, oky = clear_of(*P[:, 1:], ((z0.T, None), (z.T, j - 1), (zbar.T, j - 1)), two_r2)
-    oky &= clear_of(*y1.T[:, None], [(zbar.T, None)], two_r2)[0]
+    proposals = ([(p.T, None) for p in z0] + [(p.T, jk - 1) for p, jk in zip(z, j)]
+                 + [(p.T, jk - 1) for p, jk in zip(zbar, j)])
+    clear = clear_of(*P[:, 1:], proposals, two_r2)
+    coal, okx, oky = clear[:K0], clear[K0 : K0 + KC], clear[K0 + KC :]
+    oky &= clear_of(*y1.T[:, None], [(p.T, None) for p in zbar], two_r2)
     succ = okx | oky
 
     s = dist(z, y1)
@@ -273,9 +284,9 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
 
     # Exact change: the cheaper of keeping and swapping the labels of the two
     # disagreeing pairs (x1, y1) and (x_j', y_j').
-    xj = P[:, j, np.arange(len(j))].T  # disk j of each chain
-    xj_new = np.where(okx[:, None], z, xj)
-    yj_new = np.where(oky[:, None], zbar, xj)
+    xj = np.moveaxis(P[:, j, np.arange(j.shape[1])], 0, -1)  # disk j of each chain
+    xj_new = np.where(okx[..., None], z, xj)
+    yj_new = np.where(oky[..., None], zbar, xj)
     straight = d_ell + metric.eval_array(dist(xj_new, yj_new) / r)
     crossed = metric.eval_array(dist(xj_new, y1) / r) + metric.eval_array(dist(x1, yj_new) / r)
     exact = np.where(succ, np.minimum(straight, crossed) - d_ell, 0.0)
@@ -287,34 +298,41 @@ def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
 
     Only two strata of proposals change the metric: disk 0 (probability 1/n)
     and the danger crescent (probability (n-1)/n * crescent_area(ell) r^2).
-    Each chain draws one proposal from each, and its trial value is
-    (1/n) c0 + ((n-1)/n) crescent_area(ell) r^2 c_cres, for the bound and
-    the exact change alike; every other proposal contributes exactly 0.
+    Each chain draws K0 proposals from the first and KC from the second, and
+    its configuration is charged (1/n) mean(c0) + ((n-1)/n)
+    crescent_area(ell) r^2 mean(c_cres), for the bound and the exact change
+    alike; every other proposal contributes exactly 0.
     """
-    n, B = P.shape[1:]
+    n = P.shape[1]
     z0, j, z = _draw_proposals(P, y1, ell_over_r, r, rng)
     coal, kind, bound, exact = _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z)
     w_cres = (n - 1) / n * crescent_area(ell_over_r) * r * r
-    base = np.where(coal, -metric.eval(ell_over_r) / n, 0.0)
-    value_bound = base + w_cres * bound
-    value_exact = base + w_cres * exact
+    base = (-metric.eval(ell_over_r) / n) * coal.mean(axis=0)
+    value_bound = base + w_cres * bound.mean(axis=0)
+    value_exact = base + w_cres * exact.mean(axis=0)
 
     tally.add(value_bound, value_exact)
-    counts = np.bincount(kind, minlength=5)  # crescent proposals
+    counts = np.bincount(kind.ravel(), minlength=5)  # crescent proposals
     coalesced = int(coal.sum())  # disk-0 proposals coalesce or change nothing
     counts[0] += coalesced
-    counts[1] += B - coalesced
+    counts[1] += coal.size - coalesced
     for k, name in enumerate(OUTCOME_KINDS):
         tally.counts[name] += int(counts[k])
-    tally.crescent_hits += B
+    tally.crescent_hits += kind.size
     tally.near_savings_sum += float((1.0 - bound[kind == 4]).sum())  # d(ell) - d(s)
     tally.max_gap = max(tally.max_gap, float((exact - bound).max()))
 
 
 # Pool settings; a sweep is n single-disk steps.
 BATCH = 1024  # chains per pool: one _batch_sweep block at n = 32
-EQUILIBRATION_SWEEPS = 30  # before the first trial
-THIN_SWEEPS = 1  # between trials
+EQUILIBRATION_SWEEPS = 30  # before the first configuration
+THIN_SWEEPS = 1  # between configurations
+# Proposals per configuration: K0 of disk 0 and KC into the crescent.  They
+# carry about 99 % of the variance of one configuration's value; a scan of K0 in
+# {8, 16, 24, 32, 48} and KC in {1, 2, 3, 4} at the ell_sweep settings put
+# the lowest ci99^2 x CPU time at K0 = 32, KC = 4 (see README, `couple`).
+K0 = 32
+KC = 4
 
 # Equilibrating a pool of chains is the dominant cost and is independent of
 # the displacement under study, so finished pools are memoized per (problem,
@@ -341,16 +359,16 @@ def _equilibrated_pool(ss, B, n, rho, two_r2):
     return P, rng
 
 
-def _run_group(n, rho, ell_over_r, metric, trials, ss) -> _Tally:
+def _run_group(n, rho, ell_over_r, metric, configs, ss) -> _Tally:
     r = radius_for_density(n, rho)
     two_r2 = (2.0 * r) ** 2
-    B = min(BATCH, trials)
+    B = min(BATCH, configs)
     tally = _Tally()
     P, rng = _equilibrated_pool(ss, B, n, rho, two_r2)
     done = 0
-    while done < trials:
+    while done < configs:
         # the last batch of a group thins only the chains it uses
-        pool = P[:, :, : min(B, trials - done)]
+        pool = P[:, :, : min(B, configs - done)]
         _batch_sweep(pool, THIN_SWEEPS * n, two_r2, rng)
         y1 = _displace(pool, ell_over_r * r, two_r2, rng)
         _batch_trials(pool, y1, metric, ell_over_r, r, rng, tally)
@@ -369,25 +387,27 @@ def estimate_contraction(
 ) -> ContractionEstimate:
     """Monte Carlo estimate of the one-step expected metric change.
 
-    Each trial is one equilibrated configuration from a pool of independent
-    chains, with a freshly displaced twin.  It is charged the stratified
-    one-step change: the exact-weight combination (1/n) c0 +
-    ((n-1)/n) crescent_area(ell) r^2 c_cres of one uniform disk-0 proposal
-    and one uniform danger-crescent proposal (see _batch_trials), so its mean
-    is the expected change of a uniform coupled step.  Each chain of a group
-    yields about trials / (8 BATCH) successive configurations, so the 99% CI
-    is 2.576 SE with SE^2 = sum_c (S_c - m_c mean)^2 / trials^2 over the
-    per-chain sums S_c of m_c configurations (see _Tally.ci99); it widens
-    when a chain's configurations are correlated.  outcome_counts partitions
-    the 2 * trials proposals; "both-rejected" stays 0, as the mirror crescent
-    is never drawn.  The pool settings are fixed: BATCH = 1024 chains per
-    group, equilibrated for EQUILIBRATION_SWEEPS * n = 30 n steps and thinned
-    by THIN_SWEEPS * n = n steps between trials.  Deterministic given the
-    seed and independent of the thread count (fixed groups of work, run by a
-    pool of `threads` >= 1 workers).  Needs n >= 2, 0 < rho < 1/4 and 8r < 1,
-    where the crescent's planar area is its area on the torus (ValueError
-    otherwise).  An exact metric change above the analysis bound raises
-    RuntimeError.
+    `trials` counts disk-0 proposals: the estimate runs ceil(trials / K0)
+    configurations, each an equilibrated configuration from a pool of
+    independent chains with a freshly displaced twin.  Each configuration is
+    charged the stratified one-step change: the exact-weight combination
+    (1/n) mean(c0) + ((n-1)/n) crescent_area(ell) r^2 mean(c_cres) over K0
+    uniform disk-0 proposals and KC uniform danger-crescent proposals (see
+    _batch_trials), so its mean is the expected change of a uniform coupled
+    step.  Each chain of a group yields about configurations / (8 BATCH)
+    successive configurations, so the 99% CI is 2.576 SE with SE^2 =
+    sum_c (S_c - m_c mean)^2 / N^2 over the per-chain sums S_c of m_c
+    configurations and the N configurations (see _Tally.ci99); it widens when
+    a chain's configurations are correlated.  outcome_counts partitions the
+    (K0 + KC) N proposals; "both-rejected" stays 0, as the mirror crescent is
+    never drawn.  The pool settings are fixed: BATCH = 1024 chains per group,
+    equilibrated for EQUILIBRATION_SWEEPS * n = 30 n steps and thinned by
+    THIN_SWEEPS * n = n steps between configurations.  Deterministic given
+    the seed and independent of the thread count (fixed groups of work, run
+    by a pool of `threads` >= 1 workers).  Needs n >= 2, 0 < rho < 1/4 and
+    8r < 1, where the crescent's planar area is its area on the torus
+    (ValueError otherwise).  An exact metric change above the analysis bound
+    raises RuntimeError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -404,8 +424,9 @@ def estimate_contraction(
             f"8r = {8.0 * radius_for_density(n, rho):.3g} at n={n}, rho={rho}; "
             "the coupled estimate needs 8r < 1"
         )
-    groups = 8 if trials >= 8 else 1
-    per = [trials // groups + (k < trials % groups) for k in range(groups)]
+    configs = -(-trials // K0)
+    groups = 8 if configs >= 8 else 1
+    per = [configs // groups + (k < configs % groups) for k in range(groups)]
     seeds = np.random.SeedSequence(seed).spawn(groups)
 
     def group(g):
@@ -428,11 +449,12 @@ def estimate_contraction(
         rho=rho,
         ell_over_r=ell_over_r,
         trials=trials,
-        mean_delta_bound=total.sum_bound / trials,
-        mean_delta_exact=total.sum_exact / trials,
+        mean_delta_bound=total.sum_bound / configs,
+        mean_delta_exact=total.sum_exact / configs,
         ci99_bound=ci_b,
         ci99_exact=ci_e,
         outcome_counts=total.counts,
+        configurations=configs,
         crescent_hits=total.crescent_hits,
         near_savings_sum=total.near_savings_sum,
     )

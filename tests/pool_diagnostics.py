@@ -1,7 +1,7 @@
 """Diagnostics behind the chain-pool constants of harddisks.coupling.
 
     PYTHONPATH=src python tests/pool_diagnostics.py burn-in
-    PYTHONPATH=src python tests/pool_diagnostics.py correlation --seeds 1,2,3
+    PYTHONPATH=src python tests/pool_diagnostics.py correlation --seeds 1,2,3 --trials 2000000
     PYTHONPATH=src python tests/pool_diagnostics.py calibration --seeds 1-20
 
 burn-in      From the random-sequential-insertion start of dynamics.batch_insert,
@@ -10,13 +10,17 @@ burn-in      From the random-sequential-insertion start of dynamics.batch_insert
              it justifies EQUILIBRATION_SWEEPS.
 correlation  At the `couple` settings, the ratio of the per-chain (cluster) SE
              that estimate_contraction reports to the i.i.d. SE of the same
-             trial values, and the lag autocorrelations of a chain's successive
-             trial values at THIN_SWEEPS.
+             configuration values, and the lag autocorrelations of a chain's
+             successive configuration values at THIN_SWEEPS.  A chain yields
+             more than one configuration only past 8 * BATCH * K0 trials, so
+             lags need a larger --trials than the default.
 calibration  The spread of the means over seeds divided by the mean reported
-             SE, per displacement; a calibrated CI gives about 1.
+             SE, per displacement; a calibrated CI gives about 1 (null with a
+             single seed).
 
-Settings: n = 32, rho = 0.14, 10^5 trials, the L = 256 witness metric.  Not
-collected by pytest; every command prints JSON lines.
+Settings: n = 32, rho = 0.14, 10^5 trials (disk-0 proposals; --trials), the
+L = 256 witness metric.  Not collected by pytest; every command prints JSON
+lines.
 """
 
 from __future__ import annotations
@@ -85,46 +89,62 @@ def witness():
     return max_density(256).metric
 
 
-def recorded_estimate(metric, ell: float, seed: int):
-    """estimate_contraction plus every batch of trial values, in group order."""
-    seen: list[tuple[np.ndarray, np.ndarray]] = []
-    add = coupling._Tally.add
+def recorded_estimate(metric, ell: float, seed: int, trials: int):
+    """estimate_contraction plus every batch of configuration values, per group."""
+    groups: list[list[np.ndarray]] = []
+    add, run_group = coupling._Tally.add, coupling._run_group
 
     def recording(tally, value_bound, value_exact):
-        seen.append((value_bound.copy(), value_exact.copy()))
+        groups[-1].append(value_bound.copy())
         add(tally, value_bound, value_exact)
 
-    coupling._Tally.add = recording
+    def grouped(*args):
+        groups.append([])  # threads=1 runs the groups one after another
+        return run_group(*args)
+
+    coupling._Tally.add, coupling._run_group = recording, grouped
     try:
-        est = coupling.estimate_contraction(N, RHO, ell, metric, TRIALS, seed=seed, threads=1)
+        est = coupling.estimate_contraction(N, RHO, ell, metric, trials, seed=seed, threads=1)
     finally:
-        coupling._Tally.add = add
-    return est, seen
+        coupling._Tally.add, coupling._run_group = add, run_group
+    return est, groups
+
+
+def lag_autocorrelation(groups, lag: int):
+    """Mean over groups of the lag correlation of each chain's successive values.
+
+    Batch t of a group holds chains 0..len-1 in order, so chain c pairs its
+    values in batches t and t + lag while both batches reach it.  None when no
+    chain has two configurations lag apart.
+    """
+    rho = []
+    for batches in groups:
+        v = np.concatenate(batches)
+        mean, pairs, num = v.mean(), 0, 0.0
+        for a, b in zip(batches, batches[lag:]):
+            k = min(len(a), len(b))
+            pairs += k
+            num += float(((a[:k] - mean) * (b[:k] - mean)).sum())
+        if pairs:
+            rho.append((num / pairs) / float(((v - mean) ** 2).mean()))
+    return round(statistics.fmean(rho), 5) if rho else None
 
 
 def correlation(args) -> None:
     metric = witness()
     for seed in args.seeds:
         coupling._POOL_CACHE.clear()
-        est, seen = recorded_estimate(metric, args.ell, seed)
-        v = np.concatenate([b for b, _ in seen])
+        est, groups = recorded_estimate(metric, args.ell, seed, args.trials)
+        v = np.concatenate([b for batches in groups for b in batches])
         iid = 2.576 * v.std() / math.sqrt(v.size)
-        # consecutive full batches of a group hold the same chains in order
-        full = [b for b, _ in seen if b.size == coupling.BATCH]
-        per_group = len(full) // 8
-        lags = {}
-        for lag in (1, 2, 3):
-            rho = []
-            for g in range(8):
-                seq = np.array(full[g * per_group:(g + 1) * per_group])  # (batches, chains)
-                seq = seq - seq.mean()
-                rho.append(float((seq[lag:] * seq[:-lag]).mean() / (seq * seq).mean()))
-            lags[lag] = round(statistics.fmean(rho), 5)
+        chains = sum(len(batches[0]) for batches in groups)
         print(json.dumps({
-            "seed": seed, "ell": args.ell, "thin_sweeps": coupling.THIN_SWEEPS,
-            "configs_per_chain": round(TRIALS / (8 * coupling.BATCH), 2),
+            "seed": seed, "ell": args.ell, "trials": args.trials,
+            "configurations": est.configurations, "thin_sweeps": coupling.THIN_SWEEPS,
+            "configs_per_chain": round(v.size / chains, 2),
             "ci99_per_chain": est.ci99_bound, "ci99_iid": iid,
-            "ratio": round(est.ci99_bound / iid, 4), "lag_autocorrelation": lags,
+            "ratio": round(est.ci99_bound / iid, 4),
+            "lag_autocorrelation": {lag: lag_autocorrelation(groups, lag) for lag in (1, 2, 3)},
         }))
 
 
@@ -134,7 +154,7 @@ def calibration(args) -> None:
     for seed in args.seeds:
         coupling._POOL_CACHE.clear()
         for ell in args.ells:
-            est = coupling.estimate_contraction(N, RHO, ell, metric, TRIALS, seed=seed,
+            est = coupling.estimate_contraction(N, RHO, ell, metric, args.trials, seed=seed,
                                                 threads=args.threads)
             rows[ell].append(est)
             print(json.dumps({"seed": seed, "ell": ell, "mean_delta_bound": est.mean_delta_bound,
@@ -146,7 +166,8 @@ def calibration(args) -> None:
             means = [getattr(e, f"mean_delta_{kind}") for e in ests]
             se = statistics.fmean(getattr(e, f"ci99_{kind}") / 2.576 for e in ests)
             out[f"mean_{kind}"] = statistics.fmean(means)
-            out[f"spread_over_se_{kind}"] = round(statistics.stdev(means) / se, 4)
+            out[f"spread_over_se_{kind}"] = (round(statistics.stdev(means) / se, 4)
+                                             if len(means) > 1 else None)
         print(json.dumps(out))
 
 
@@ -168,11 +189,13 @@ def main(argv=None) -> int:
     p = sub.add_parser("correlation")
     p.add_argument("--seeds", type=seeds, default=[1, 2, 3])
     p.add_argument("--ell", type=float, default=1.0)
+    p.add_argument("--trials", type=int, default=TRIALS)
     p.set_defaults(run=correlation)
     p = sub.add_parser("calibration")
     p.add_argument("--seeds", type=seeds, default=list(range(1, 21)))
     p.add_argument("--ells", type=lambda t: [float(x) for x in t.split(",")], default=[1.0, 4.0])
     p.add_argument("--threads", type=int, default=2)
+    p.add_argument("--trials", type=int, default=TRIALS)
     p.set_defaults(run=calibration)
     args = parser.parse_args(argv)
     args.run(args)

@@ -243,8 +243,9 @@ class TestCouple:
         payload = json.loads(out.read_text())
         assert payload["trials"] == 20000
         assert payload["mean_delta_exact"] <= payload["mean_delta_bound"] + 1e-12
-        # one disk-0 and one crescent proposal per configuration
-        assert sum(payload["outcome_counts"].values()) == 2 * 20000
+        # K0 disk-0 and KC crescent proposals per configuration
+        configs = -(-20000 // coupling.K0)
+        assert sum(payload["outcome_counts"].values()) == (coupling.K0 + coupling.KC) * configs
 
     def test_thread_count_does_not_change_output(self, tmp_path, metric_file):
         outs = []

@@ -302,8 +302,10 @@ def plain_batch_trials(P, y1, metric, ell_over_r, r, rng, tally) -> None:
 
 @pytest.fixture()
 def plain_trials(monkeypatch):
-    """Run estimate_contraction with the plain trial kernel on the same pool."""
+    """Run estimate_contraction with the plain trial kernel on the same pool,
+    one configuration per trial."""
     monkeypatch.setattr(coupling, "_batch_trials", plain_batch_trials)
+    monkeypatch.setattr(coupling, "K0", 1)
 
 
 class TestBatchSweep:
@@ -504,24 +506,39 @@ class TestEstimateContraction:
             estimate_contraction(1, 0.01, 1.0, hamming_metric(), 10, seed=1)
 
     def test_stratified_outputs_pinned(self):
-        # 33,000 trials are 8 groups of 4125 = 4 * 1024 + 29: one partial batch each
-        est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, 33_000, seed=77)
-        assert est.mean_delta_bound == -0.05259409813363476
-        assert est.mean_delta_exact == -0.055686015972639925
-        assert est.ci99_bound == 0.0003993856312328375
+        # 33,000 * K0 trials are 33,000 configurations, 8 groups of
+        # 4125 = 4 * 1024 + 29: one partial batch each
+        est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, 33_000 * coupling.K0, seed=77)
+        assert est.configurations == 33_000
+        assert est.mean_delta_bound == -0.052771480369537514
+        assert est.mean_delta_exact == -0.055885841129657866
+        assert est.ci99_bound == 7.2033027626618e-05
         assert est.outcome_counts == {
-            "coalesced": 27315, "unchanged": 6254, "both-rejected": 0,
-            "far-move": 17729, "near-move": 14702,
+            "coalesced": 876717, "unchanged": 181327, "both-rejected": 0,
+            "far-move": 70580, "near-move": 59376,
         }
 
     def test_stratified_counts_partition_draws(self):
-        # each configuration draws one disk-0 and one crescent proposal; the
+        # each configuration draws K0 disk-0 and KC crescent proposals; the
         # mirror crescent is never drawn
-        est = estimate_contraction(16, 0.10, 1.5, hamming_metric(), 10_000, seed=4)
-        assert sum(est.outcome_counts.values()) == 20_000
+        configs = 10_000
+        est = estimate_contraction(16, 0.10, 1.5, hamming_metric(), configs * coupling.K0, seed=4)
+        assert est.configurations == configs
+        assert sum(est.outcome_counts.values()) == (coupling.K0 + coupling.KC) * configs
         assert est.outcome_counts["both-rejected"] == 0
-        assert est.crescent_hits == est.trials == 10_000
+        assert est.crescent_hits == coupling.KC * configs
         assert est.outcome_counts["far-move"] > 0 and est.outcome_counts["near-move"] > 0
+
+    @pytest.mark.parametrize("trials", [1, 31, 33, 1000])
+    def test_trials_round_up_to_whole_configurations(self, trials):
+        est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, trials, seed=6)
+        configs = -(-trials // coupling.K0)
+        assert est.trials == trials
+        assert est.configurations == configs
+        assert (configs - 1) * coupling.K0 < trials <= configs * coupling.K0
+        assert sum(est.outcome_counts.values()) == (coupling.K0 + coupling.KC) * configs
+        assert est.outcome_counts["coalesced"] + est.outcome_counts["unchanged"] >= coupling.K0 * configs
+        assert est.crescent_hits == coupling.KC * configs
 
     @pytest.mark.parametrize("ell", [1.5, 3.0])
     def test_stratified_matches_plain_within_joint_ci(self, ell, monkeypatch):
@@ -529,6 +546,7 @@ class TestEstimateContraction:
         args = (16, 0.10, ell, TEST_METRIC, 40_000)
         strat = estimate_contraction(*args, seed=61)
         monkeypatch.setattr(coupling, "_batch_trials", plain_batch_trials)
+        monkeypatch.setattr(coupling, "K0", 1)  # one plain proposal per trial
         plain = estimate_contraction(*args, seed=62)
         joint_b = math.hypot(strat.ci99_bound, plain.ci99_bound)
         joint_e = math.hypot(strat.ci99_exact, plain.ci99_exact)
@@ -548,13 +566,14 @@ class TestEstimateContraction:
             add(tally, value_bound, value_exact)
 
         monkeypatch.setattr(coupling._Tally, "add", recording)
-        trials = 8 * coupling.BATCH - 5
-        est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, trials, seed=3)
+        configs = 8 * coupling.BATCH - 5
+        est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, configs * coupling.K0, seed=3)
+        assert est.configurations == configs
         for k, got in ((0, est.ci99_bound), (1, est.ci99_exact)):
             v = np.concatenate([s[k] for s in seen])
-            assert len(v) == trials
-            mean = v.sum() / trials
-            iid = 2.576 * math.sqrt((float((v * v).sum()) / trials - mean * mean) / trials)
+            assert len(v) == configs
+            mean = v.sum() / configs
+            iid = 2.576 * math.sqrt((float((v * v).sum()) / configs - mean * mean) / configs)
             assert got == pytest.approx(iid, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("k", [1, 4, 9])
@@ -572,8 +591,8 @@ class TestEstimateContraction:
         assert ci_e == pytest.approx(2.0 * math.sqrt(k) * iid, rel=1e-12)
 
     def test_pool_size_moves_estimate_within_ci(self, monkeypatch):
-        # 5000 trials per group: about 1.2 or 4.9 configurations per chain
-        args = (8, 0.05, 1.5, TEST_METRIC, 40_000)
+        # 5000 configurations per group: about 1.2 or 4.9 per chain
+        args = (8, 0.05, 1.5, TEST_METRIC, 40_000 * coupling.K0)
         monkeypatch.setattr(coupling, "BATCH", 4096)
         large = estimate_contraction(*args, seed=71)
         monkeypatch.setattr(coupling, "BATCH", 1024)
@@ -584,29 +603,36 @@ class TestEstimateContraction:
         assert abs(large.mean_delta_exact - small.mean_delta_exact) < joint_e
 
 
+def _replay_pool(n, rho, B, ell, seed):
+    """An equilibrated-enough pool, its displaced y1 and a generator state to replay."""
+    r = radius_for_density(n, rho)
+    two_r2 = (2.0 * r) ** 2
+    rng = np.random.default_rng(seed)
+    P = dynamics.batch_insert(B, n, rho, rng)
+    coupling._batch_sweep(P, 5 * n, two_r2, rng)
+    y1 = coupling._displace(P, ell * r, two_r2, rng)
+    return P, y1, r, rng.bit_generator.state
+
+
+def _rng_at(state):
+    gen = np.random.default_rng()
+    gen.bit_generator.state = state
+    return gen
+
+
 class TestStratifiedTrials:
     @pytest.mark.parametrize("ell", [0.5, 1.5, 3.0])
     def test_replays_through_classify_step(self, ell):
         n, rho, B = 8, 0.05, 300
-        r = radius_for_density(n, rho)
-        two_r2 = (2.0 * r) ** 2
-        rng = np.random.default_rng(41)
-        P = dynamics.batch_insert(B, n, rho, rng)
-        coupling._batch_sweep(P, 5 * n, two_r2, rng)
-        y1 = coupling._displace(P, ell * r, two_r2, rng)
+        P, y1, r, state = _replay_pool(n, rho, B, ell, seed=41)
         centers = P.T
-        state = rng.bit_generator.state
 
-        def replay_rng():
-            gen = np.random.default_rng()
-            gen.bit_generator.state = state
-            return gen
-
-        z0, j, z = coupling._draw_proposals(P, y1, ell, r, replay_rng())
+        z0, j, z = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
+        assert z0.shape == (coupling.K0, B, 2) and z.shape == (coupling.KC, B, 2)
         coal, kind, bound, exact = coupling._classify_proposals(
             P, y1, TEST_METRIC, ell, r, z0, j, z)
         tally = coupling._Tally()
-        coupling._batch_trials(P, y1, TEST_METRIC, ell, r, replay_rng(), tally)
+        coupling._batch_trials(P, y1, TEST_METRIC, ell, r, _rng_at(state), tally)
 
         w_cres = (n - 1) / n * crescent_area(ell) * r * r
         sum_b = sum_e = 0.0
@@ -614,32 +640,58 @@ class TestStratifiedTrials:
         for b in range(B):
             X = Configuration(centers[b], r, _validate=False)
             pair = CoupledPair(X=X, Y=replaced(X, 0, y1[b]))
-            first = classify_step(pair, TEST_METRIC, 0, TorusPoint(*z0[b]))
-            assert (first.kind == "coalesced") == coal[b]
-            assert 1 <= j[b] < n
-            out = classify_step(pair, TEST_METRIC, int(j[b]), TorusPoint(*z[b]))
-            assert out.kind == OUTCOME_KINDS[kind[b]], b
-            assert out.delta_bound == pytest.approx(bound[b], abs=1e-12)
-            assert out.delta_exact == pytest.approx(exact[b], abs=1e-12)
-            sum_b += first.delta_bound / n + w_cres * out.delta_bound
-            sum_e += first.delta_exact / n + w_cres * out.delta_exact
-            counts[first.kind] += 1
-            counts[out.kind] += 1
+            c0_b = c0_e = cc_b = cc_e = 0.0
+            for k in range(coupling.K0):
+                first = classify_step(pair, TEST_METRIC, 0, TorusPoint(*z0[k, b]))
+                assert (first.kind == "coalesced") == coal[k, b]
+                c0_b += first.delta_bound
+                c0_e += first.delta_exact
+                counts[first.kind] += 1
+            for k in range(coupling.KC):
+                assert 1 <= j[k, b] < n
+                out = classify_step(pair, TEST_METRIC, int(j[k, b]), TorusPoint(*z[k, b]))
+                assert out.kind == OUTCOME_KINDS[kind[k, b]], (k, b)
+                assert out.delta_bound == pytest.approx(bound[k, b], abs=1e-12)
+                assert out.delta_exact == pytest.approx(exact[k, b], abs=1e-12)
+                cc_b += out.delta_bound
+                cc_e += out.delta_exact
+                counts[out.kind] += 1
+            sum_b += c0_b / (n * coupling.K0) + w_cres * cc_b / coupling.KC
+            sum_e += c0_e / (n * coupling.K0) + w_cres * cc_e / coupling.KC
         assert tally.sum_bound == pytest.approx(sum_b, abs=1e-12)
         assert tally.sum_exact == pytest.approx(sum_e, abs=1e-12)
         assert tally.counts == counts
+        assert list(tally.chain_count) == [1] * B
+
+    def test_disk0_mean_matches_free_area(self):
+        # A disk-0 proposal coalesces iff it lies 2r clear of disks 1..n-1, so
+        # the mean of the K0 indicators of every chain estimates the pool's
+        # free-area fraction, which 10^5 uniform points measure through clear_of.
+        n, rho, B, ell = 32, 0.14, 256, 1.0
+        P, y1, r, state = _replay_pool(n, rho, B, ell, seed=43)
+        z0, j, z = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
+        coal = coupling._classify_proposals(P, y1, TEST_METRIC, ell, r, z0, j, z)[0]
+        pts = np.random.default_rng(44).random((100_000 // B, B, 2))
+        free = geometry.clear_of(*P[:, 1:], [(p.T, None) for p in pts], (2.0 * r) ** 2)
+        p = float(free.mean())
+        assert 0.3 < p < 0.7
+        # 99.9% binomial CI of the difference of the two means
+        sigma = math.sqrt(p * (1 - p) * (1 / coal.size + 1 / free.size))
+        assert abs(float(coal.mean()) - p) < 3.29 * sigma
 
     @pytest.mark.parametrize("ell", [0.5, 1.5, 3.0, 4.0])
     def test_crescent_draws_uniform(self, ell):
         # |z - y1| = s r has density 2 (pi - theta(s)) s / A(ell) on (0, 2),
         # whose integrals are differences of outside_zone_area
-        r, B = 0.01, 100_000
+        r, B = 0.01, 100_000 // coupling.KC
         x1 = np.array([0.995, 0.5])  # the crescent straddles the seam x = 0
         y1 = (x1 + [ell * r, 0.0]) % 1.0
         P = np.tile(np.array([x1, [0.5, 0.0]]), (B, 1, 1)).T
         _, j, z = coupling._draw_proposals(
             P, np.tile(y1, (B, 1)), ell, r, np.random.default_rng(int(10 * ell)))
         assert np.all(j == 1)
+        z = z.reshape(-1, 2)  # KC * B = 10^5 crescent points
+        draws = len(z)
         a = min_image_array(z - x1)
         b = min_image_array(z - y1)
         assert np.all(np.hypot(a[:, 0], a[:, 1]) >= 2.0 * r)
@@ -647,11 +699,11 @@ class TestStratifiedTrials:
         edges = np.linspace(0.0, 2.0, 41)
         cdf = outside_zone_area(edges, ell) / crescent_area(ell)
         assert cdf[-1] == pytest.approx(1.0)
-        expected = B * np.diff(cdf)
+        expected = draws * np.diff(cdf)
         seen = np.histogram(s, bins=edges)[0]
         keep = expected > 5  # bins below 2 - ell hold no crescent
         assert seen[~keep].sum() <= 5
         assert stats.chisquare(seen[keep], expected[keep] * seen[keep].sum() / expected[keep].sum()).pvalue > 1e-3
         # mirror symmetry across the x1-y1 axis
         above = int((b[:, 1] > 0).sum())
-        assert abs(above - B / 2) < 4 * math.sqrt(B / 4)
+        assert abs(above - draws / 2) < 4 * math.sqrt(draws / 4)
