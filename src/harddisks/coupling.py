@@ -139,9 +139,9 @@ def _displace(P: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.ndarray:
 
 @dataclass
 class _Tally:
-    """Running sums over trials, kept per chain.
+    """Running sums over configurations, kept per chain.
 
-    chain_bound[c] and chain_exact[c] sum the trial values of chain c and
+    chain_bound[c] and chain_exact[c] sum the configuration values of chain c and
     chain_count[c] counts its configurations.  The chains of different
     groups are distinct, so group tallies are concatenated in group order.
     """

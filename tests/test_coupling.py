@@ -532,12 +532,13 @@ class TestEstimateContraction:
     @pytest.mark.parametrize("trials", [1, 31, 33, 1000])
     def test_trials_round_up_to_whole_configurations(self, trials):
         est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, trials, seed=6)
-        configs = -(-trials // coupling.K0)
+        configs = math.ceil(trials / coupling.K0)
         assert est.trials == trials
         assert est.configurations == configs
-        assert (configs - 1) * coupling.K0 < trials <= configs * coupling.K0
-        assert sum(est.outcome_counts.values()) == (coupling.K0 + coupling.KC) * configs
-        assert est.outcome_counts["coalesced"] + est.outcome_counts["unchanged"] >= coupling.K0 * configs
+        counts = est.outcome_counts
+        assert sum(counts.values()) == (coupling.K0 + coupling.KC) * configs
+        assert counts["coalesced"] <= coupling.K0 * configs
+        assert counts["far-move"] + counts["near-move"] <= coupling.KC * configs
         assert est.crescent_hits == coupling.KC * configs
 
     @pytest.mark.parametrize("ell", [1.5, 3.0])
