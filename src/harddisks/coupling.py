@@ -294,7 +294,8 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
 
 
 def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
-    """One stratified coupled step per chain; accumulate its value and outcomes.
+    """The stratified one-step change of each chain's configuration; accumulate
+    it and the outcomes of its proposals.
 
     Only two strata of proposals change the metric: disk 0 (probability 1/n)
     and the danger crescent (probability (n-1)/n * crescent_area(ell) r^2).
@@ -327,10 +328,10 @@ def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
 BATCH = 1024  # chains per pool: one _batch_sweep block at n = 32
 EQUILIBRATION_SWEEPS = 30  # before the first configuration
 THIN_SWEEPS = 1  # between configurations
-# Proposals per configuration: K0 of disk 0 and KC into the crescent.  They
-# carry about 99 % of the variance of one configuration's value; a scan of K0 in
-# {8, 16, 24, 32, 48} and KC in {1, 2, 3, 4} at the ell_sweep settings put
-# the lowest ci99^2 x CPU time at K0 = 32, KC = 4 (see README, `couple`).
+# Proposals per configuration: K0 of disk 0 and KC into the crescent.  With one
+# of each, proposal noise is about 99 % of a configuration value's variance; a
+# scan of K0 in {8, 16, 24, 32, 48} and KC in {1, 2, 3, 4} at the ell_sweep
+# settings put the lowest ci99^2 x CPU time at K0 = 32, KC = 4 (README, `couple`).
 K0 = 32
 KC = 4
 
