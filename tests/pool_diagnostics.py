@@ -3,6 +3,7 @@
     PYTHONPATH=src python tests/pool_diagnostics.py burn-in
     PYTHONPATH=src python tests/pool_diagnostics.py correlation --seeds 1,2,3 --trials 2000000
     PYTHONPATH=src python tests/pool_diagnostics.py calibration --seeds 1-20
+    PYTHONPATH=src python tests/pool_diagnostics.py calibration --seeds 1-40 --trials 2000000
 
 burn-in      From the random-sequential-insertion start of dynamics.batch_insert,
              the acceptance rate of each sweep and the total-variation distance
@@ -16,7 +17,8 @@ correlation  At the `couple` settings, the ratio of the per-chain (cluster) SE
              lags need a larger --trials than the default.
 calibration  The spread of the means over seeds divided by the mean reported
              SE, per displacement; a calibrated CI gives about 1 (null with a
-             single seed).
+             single seed).  At the default trials each chain yields one
+             configuration; --trials 2000000 checks the CI across several.
 
 Settings: n = 32, rho = 0.14, 10^5 trials (disk-0 proposals; --trials), the
 L = 256 witness metric.  Not collected by pytest; every command prints JSON

@@ -543,12 +543,15 @@ class TestEstimateContraction:
 
     @pytest.mark.parametrize("ell", [1.5, 3.0])
     def test_stratified_matches_plain_within_joint_ci(self, ell, monkeypatch):
-        # at ell = 1.5 crescent moves are far or near; at 3.0 all are near
-        args = (16, 0.10, ell, TEST_METRIC, 40_000)
-        strat = estimate_contraction(*args, seed=61)
+        # at ell = 1.5 crescent moves are far or near; at 3.0 all are near.
+        # Both sides run 40,000 configurations.
+        configs = 40_000
+        strat = estimate_contraction(16, 0.10, ell, TEST_METRIC, configs * coupling.K0, seed=61)
+        assert strat.configurations == configs
         monkeypatch.setattr(coupling, "_batch_trials", plain_batch_trials)
-        monkeypatch.setattr(coupling, "K0", 1)  # one plain proposal per trial
-        plain = estimate_contraction(*args, seed=62)
+        monkeypatch.setattr(coupling, "K0", 1)  # one plain proposal per configuration
+        plain = estimate_contraction(16, 0.10, ell, TEST_METRIC, configs, seed=62)
+        assert plain.configurations == configs
         joint_b = math.hypot(strat.ci99_bound, plain.ci99_bound)
         joint_e = math.hypot(strat.ci99_exact, plain.ci99_exact)
         assert abs(strat.mean_delta_bound - plain.mean_delta_bound) < joint_b
