@@ -6,8 +6,8 @@
 `test_run` times `dynamics.run` for RUN_BLOCK steps at n = 64, ρ = 0.15 (the
 `simulate` settings of perfbench) from one fixed configuration and seed, and
 reports `ns_per_step`.  `test_batch_insert` times the random sequential
-insertion of a pool of coupling.BATCH chains at n = 32, ρ = 0.14 (the pool of
-the contraction estimator) and reports `ns_per_chain_disk`.  Both go into
+insertion of a pool of coupling.BATCH chains at n = 32, ρ = 0.14 (the
+estimator's pool) and reports `ns_per_chain_disk`.  Both go into
 `extra_info`.
 """
 

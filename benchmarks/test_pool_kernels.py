@@ -3,8 +3,8 @@
     PYTHONPATH=src python -m pytest benchmarks
     PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable  # smoke run
 
-The pool has coupling.BATCH chains, the size one group of the estimator
-uses, stored disk-major as one array of shape (2, n, chains).  One batched
+The pool has coupling.BATCH chains, the largest pool the estimator runs,
+stored disk-major as one array of shape (2, n, chains).  One batched
 sweep step is reported as ns per chain·disk; one stratified coupled-trial
 step, K0 disk-0 and KC crescent proposals per chain, as ns per configuration
 and as ns per trial (disk-0 proposal); one displacement of the whole pool as
@@ -72,7 +72,7 @@ def test_batch_trials(benchmark, pool):
     y1 = coupling._displace(start.copy(), ELL * r, (2.0 * r) ** 2, _rng(state))
 
     def fresh():
-        return (start, y1, METRIC, ELL, r, _rng(state), coupling._Tally()), {}
+        return (start, y1, METRIC, ELL, r, _rng(state), coupling._Tally(B)), {}
 
     benchmark.pedantic(coupling._batch_trials, setup=fresh, rounds=20, warmup_rounds=1)
     _report(benchmark, "ns_per_configuration", B)

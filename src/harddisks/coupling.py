@@ -16,8 +16,9 @@ within one configuration, not the spread between configurations, dominates
 the variance, so several cheap proposals share each expensive configuration
 (two-stage sampling: Cochran, Sampling Techniques, 3rd ed., 1977, ch. 10).
 The tests replay it through a scalar coupled step, one proposal at a time
-(tests/oracles.py).  Each chain yields several successive configurations, so
-the confidence interval is computed from per-chain sums.
+(tests/oracles.py).  One estimate runs one vectorized pool of at most BATCH
+chains and no threads; each chain yields several successive configurations,
+so the confidence interval is computed from per-chain sums.
 A pool of chains is one disk-major array P (2, n, chains) from batch_insert,
 and every pool step tests proposals through geometry.plane_d2 or clear_of.
 """
@@ -26,8 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,30 +137,24 @@ def _displace(P: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.ndarray:
     raise RuntimeError("no valid displacement found within the retry budget")
 
 
-@dataclass
 class _Tally:
-    """Running sums over configurations, kept per chain.
+    """Running sums over configurations, kept per chain of one pool.
 
-    chain_bound[c] and chain_exact[c] sum the configuration values of chain c and
-    chain_count[c] counts its configurations.  The chains of different
-    groups are distinct, so group tallies are concatenated in group order.
+    chain_bound[c] and chain_exact[c] sum the configuration values of chain c
+    and chain_count[c] counts its configurations.
     """
 
-    chain_bound: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    chain_exact: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    chain_count: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    counts: dict = field(default_factory=lambda: dict.fromkeys(OUTCOME_KINDS, 0))
-    crescent_hits: int = 0
-    near_savings_sum: float = 0.0
-    max_gap: float = -math.inf  # largest delta_exact - delta_bound seen
+    def __init__(self, chains: int):
+        self.chain_bound = np.zeros(chains)
+        self.chain_exact = np.zeros(chains)
+        self.chain_count = np.zeros(chains, dtype=np.int64)
+        self.counts = dict.fromkeys(OUTCOME_KINDS, 0)
+        self.crescent_hits = 0
+        self.near_savings_sum = 0.0
+        self.max_gap = -math.inf  # largest delta_exact - delta_bound seen
 
     def add(self, value_bound: np.ndarray, value_exact: np.ndarray) -> None:
         """Charge one configuration to each of the first len(value_bound) chains."""
-        grow = len(value_bound) - len(self.chain_count)
-        if grow > 0:
-            self.chain_bound = np.concatenate([self.chain_bound, np.zeros(grow)])
-            self.chain_exact = np.concatenate([self.chain_exact, np.zeros(grow)])
-            self.chain_count = np.concatenate([self.chain_count, np.zeros(grow, np.int64)])
         k = len(value_bound)
         self.chain_bound[:k] += value_bound
         self.chain_exact[:k] += value_exact
@@ -189,17 +183,6 @@ class _Tally:
             return 2.576 * math.sqrt(float(resid @ resid)) / N
 
         return half_width(self.chain_bound), half_width(self.chain_exact)
-
-    def __iadd__(self, other: "_Tally") -> "_Tally":
-        self.chain_bound = np.concatenate([self.chain_bound, other.chain_bound])
-        self.chain_exact = np.concatenate([self.chain_exact, other.chain_exact])
-        self.chain_count = np.concatenate([self.chain_count, other.chain_count])
-        for k in OUTCOME_KINDS:
-            self.counts[k] += other.counts[k]
-        self.crescent_hits += other.crescent_hits
-        self.near_savings_sum += other.near_savings_sum
-        self.max_gap = max(self.max_gap, other.max_gap)
-        return self
 
 
 CRESCENT_ROUNDS = 1000  # rejection rounds of _draw_proposals; each succeeds w.p. >= 1/pi
@@ -325,7 +308,10 @@ def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
 
 
 # Pool settings; a sweep is n single-disk steps.
-BATCH = 1024  # chains per pool: one _batch_sweep block at n = 32
+# Chains per pool.  A scan of 256, 512 and 1024 on the couple_cold and ell_sweep
+# workloads (README, `couple`) put 512 within 4 % of the lowest ci99^2 x CPU
+# time on both; 256 lost 11 % on ell_sweep and 1024 lost 30 % on couple_cold.
+BATCH = 512
 EQUILIBRATION_SWEEPS = 30  # before the first configuration
 THIN_SWEEPS = 1  # between configurations
 # Proposals per configuration: K0 of disk 0 and KC into the crescent.  With one
@@ -337,14 +323,15 @@ KC = 4
 
 # Equilibrating a pool of chains is the dominant cost and is independent of
 # the displacement under study, so finished pools are memoized per (problem,
-# seed group).  The generator state is snapshotted with the pool, making a
-# cache hit bit-identical to recomputing from scratch.
+# seed, pool size).  The generator state is snapshotted with the pool, making
+# a cache hit bit-identical to recomputing from scratch.
 _POOL_CACHE: dict = {}
 _POOL_CACHE_MAX = 16
 
 
-def _equilibrated_pool(ss, B, n, rho, two_r2):
-    key = (n, rho, ss.entropy, ss.spawn_key, B)
+def _equilibrated_pool(seed, B, n, rho, two_r2):
+    ss = np.random.SeedSequence(seed)
+    key = (n, rho, ss.entropy, B)
     hit = _POOL_CACHE.get(key)
     if hit is not None:
         P, state = hit
@@ -360,23 +347,6 @@ def _equilibrated_pool(ss, B, n, rho, two_r2):
     return P, rng
 
 
-def _run_group(n, rho, ell_over_r, metric, configs, ss) -> _Tally:
-    r = radius_for_density(n, rho)
-    two_r2 = (2.0 * r) ** 2
-    B = min(BATCH, configs)
-    tally = _Tally()
-    P, rng = _equilibrated_pool(ss, B, n, rho, two_r2)
-    done = 0
-    while done < configs:
-        # the last batch of a group thins only the chains it uses
-        pool = P[:, :, : min(B, configs - done)]
-        _batch_sweep(pool, THIN_SWEEPS * n, two_r2, rng)
-        y1 = _displace(pool, ell_over_r * r, two_r2, rng)
-        _batch_trials(pool, y1, metric, ell_over_r, r, rng, tally)
-        done += pool.shape[2]
-    return tally
-
-
 def estimate_contraction(
     n: int,
     rho: float,
@@ -388,27 +358,28 @@ def estimate_contraction(
 ) -> ContractionEstimate:
     """Monte Carlo estimate of the one-step expected metric change.
 
-    `trials` counts disk-0 proposals: the estimate runs ceil(trials / K0)
-    configurations, each an equilibrated configuration from a pool of
-    independent chains with a freshly displaced twin.  Each configuration is
-    charged the stratified one-step change: the exact-weight combination
-    (1/n) mean(c0) + ((n-1)/n) crescent_area(ell) r^2 mean(c_cres) over K0
-    uniform disk-0 proposals and KC uniform danger-crescent proposals (see
-    _batch_trials), so its mean is the expected change of a uniform coupled
-    step.  Each chain of a group yields about configurations / (8 BATCH)
-    successive configurations, so the 99% CI is 2.576 SE with SE^2 =
+    `trials` counts disk-0 proposals: the estimate runs N = ceil(trials / K0)
+    configurations, each an equilibrated configuration from one pool of
+    B = min(BATCH, N) independent chains with a freshly displaced twin.  Each
+    configuration is charged the stratified one-step change: the exact-weight
+    combination (1/n) mean(c0) + ((n-1)/n) crescent_area(ell) r^2 mean(c_cres)
+    over K0 uniform disk-0 proposals and KC uniform danger-crescent proposals
+    (see _batch_trials), so its mean is the expected change of a uniform
+    coupled step.  The pool is equilibrated for EQUILIBRATION_SWEEPS * n steps
+    and then runs rounds of thinning by THIN_SWEEPS * n steps, displacement
+    and trials until N configurations are charged; the last round uses only
+    the chains it needs, so every chain yields floor(N / B) or ceil(N / B)
+    successive configurations.  The 99% CI is 2.576 SE with SE^2 =
     sum_c (S_c - m_c mean)^2 / N^2 over the per-chain sums S_c of m_c
-    configurations and the N configurations (see _Tally.ci99); it widens when
-    a chain's configurations are correlated.  outcome_counts partitions the
-    (K0 + KC) N proposals; "both-rejected" stays 0, as the mirror crescent is
-    never drawn.  The pool settings are fixed: BATCH = 1024 chains per group,
-    equilibrated for EQUILIBRATION_SWEEPS * n = 30 n steps and thinned by
-    THIN_SWEEPS * n = n steps between configurations.  Deterministic given
-    the seed and independent of the thread count (fixed groups of work, run
-    by a pool of `threads` >= 1 workers).  Needs n >= 2, 0 < rho < 1/4 and
-    8r < 1, where the crescent's planar area is its area on the torus
-    (ValueError otherwise).  An exact metric change above the analysis bound
-    raises RuntimeError.
+    configurations (see _Tally.ci99); it widens when a chain's configurations
+    are correlated.  outcome_counts partitions the (K0 + KC) N proposals;
+    "both-rejected" stays 0, as the mirror crescent is never drawn.
+    Deterministic given the seed.  `threads` (>= 1) is accepted for the
+    callers that pass a worker bound, but the pool is vectorized and starts
+    no threads, so the result never depends on it.  Needs n >= 2,
+    0 < rho < 1/4 and 8r < 1, where the crescent's planar area is its area
+    on the torus (ValueError otherwise).  An exact metric change above the
+    analysis bound raises RuntimeError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -420,42 +391,42 @@ def estimate_contraction(
         raise ValueError("a coupled pair needs n >= 2 disks")
     if not 0 < rho < 0.25:
         raise ValueError(f"density must lie in (0, 1/4), got {rho}")
-    if 8.0 * radius_for_density(n, rho) >= 1.0:
+    r = radius_for_density(n, rho)
+    if 8.0 * r >= 1.0:
         raise ValueError(
-            f"8r = {8.0 * radius_for_density(n, rho):.3g} at n={n}, rho={rho}; "
-            "the coupled estimate needs 8r < 1"
+            f"8r = {8.0 * r:.3g} at n={n}, rho={rho}; the coupled estimate needs 8r < 1"
         )
+    two_r2 = (2.0 * r) ** 2
     configs = -(-trials // K0)
-    groups = 8 if configs >= 8 else 1
-    per = [configs // groups + (k < configs % groups) for k in range(groups)]
-    seeds = np.random.SeedSequence(seed).spawn(groups)
-
-    def group(g):
-        return _run_group(n, rho, ell_over_r, metric, per[g], seeds[g])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        tallies = list(pool.map(group, range(groups)))
-    total = _Tally()
-    for tally in tallies:
-        total += tally
-    if total.max_gap > 1e-12:
+    B = min(BATCH, configs)
+    P, rng = _equilibrated_pool(seed, B, n, rho, two_r2)
+    tally = _Tally(B)
+    done = 0
+    while done < configs:
+        # the last round thins only the chains it uses
+        pool = P[:, :, : min(B, configs - done)]
+        _batch_sweep(pool, THIN_SWEEPS * n, two_r2, rng)
+        y1 = _displace(pool, ell_over_r * r, two_r2, rng)
+        _batch_trials(pool, y1, metric, ell_over_r, r, rng, tally)
+        done += pool.shape[2]
+    if tally.max_gap > 1e-12:
         raise RuntimeError(
-            f"exact metric change exceeded the analysis bound by {total.max_gap:.3g} "
+            f"exact metric change exceeded the analysis bound by {tally.max_gap:.3g} "
             f"at rho={rho}, ell={ell_over_r} (units of r)"
         )
 
-    ci_b, ci_e = total.ci99()
+    ci_b, ci_e = tally.ci99()
     return ContractionEstimate(
         n=n,
         rho=rho,
         ell_over_r=ell_over_r,
         trials=trials,
-        mean_delta_bound=total.sum_bound / configs,
-        mean_delta_exact=total.sum_exact / configs,
+        mean_delta_bound=tally.sum_bound / configs,
+        mean_delta_exact=tally.sum_exact / configs,
         ci99_bound=ci_b,
         ci99_exact=ci_e,
-        outcome_counts=total.counts,
+        outcome_counts=tally.counts,
         configurations=configs,
-        crescent_hits=total.crescent_hits,
-        near_savings_sum=total.near_savings_sum,
+        crescent_hits=tally.crescent_hits,
+        near_savings_sum=tally.near_savings_sum,
     )

@@ -3,22 +3,27 @@
     PYTHONPATH=src python tests/pool_diagnostics.py burn-in
     PYTHONPATH=src python tests/pool_diagnostics.py correlation --seeds 1,2,3 --trials 2000000
     PYTHONPATH=src python tests/pool_diagnostics.py calibration --seeds 1-20
-    PYTHONPATH=src python tests/pool_diagnostics.py calibration --seeds 1-40 --trials 2000000
+    PYTHONPATH=src python tests/pool_diagnostics.py calibration --seeds 1-20 --trials 2000000
+    PYTHONPATH=src python tests/pool_diagnostics.py equilibration --seeds 1-20
 
-burn-in      From the random-sequential-insertion start of dynamics.batch_insert,
-             the acceptance rate of each sweep and the total-variation distance
-             of the nearest-neighbour histogram from that of a long-run pool;
-             it justifies EQUILIBRATION_SWEEPS.
-correlation  At the `couple` settings, the ratio of the per-chain (cluster) SE
-             that estimate_contraction reports to the i.i.d. SE of the same
-             configuration values, and the lag autocorrelations of a chain's
-             successive configuration values at THIN_SWEEPS.  A chain yields
-             more than one configuration only past 8 * BATCH * K0 trials, so
-             lags need a larger --trials than the default.
-calibration  The spread of the means over seeds divided by the mean reported
-             SE, per displacement; a calibrated CI gives about 1 (null with a
-             single seed).  At the default trials each chain yields one
-             configuration; --trials 2000000 checks the CI across several.
+burn-in        From the random-sequential-insertion start of dynamics.batch_insert,
+               the acceptance rate of each sweep and the total-variation distance
+               of the nearest-neighbour histogram from that of a long-run pool;
+               it justifies EQUILIBRATION_SWEEPS.
+correlation    At the `couple` settings, the ratio of the per-chain (cluster) SE
+               that estimate_contraction reports to the i.i.d. SE of the same
+               configuration values, and the lag autocorrelations of a chain's
+               successive configuration values at THIN_SWEEPS.  A chain yields
+               more than one configuration only past BATCH * K0 trials.
+calibration    The spread of the means over seeds divided by the mean reported
+               SE, per displacement; a calibrated CI gives about 1 (null with a
+               single seed).  At the default trials each chain yields about 6
+               configurations, at --trials 2000000 about 120.
+equilibration  The estimator's mean over the seeds and the 99% half-width of that
+               mean, per displacement, with EQUILIBRATION_SWEEPS set to 3, 10 and
+               30, and whether each differs from the 30-sweep mean by more than
+               the joint half-width.  Sweep count s runs the seeds 1000 s + seed,
+               so the three sets are independent.
 
 Settings: n = 32, rho = 0.14, 10^5 trials (disk-0 proposals; --trials), the
 L = 256 witness metric.  Not collected by pytest; every command prints JSON
@@ -92,61 +97,52 @@ def witness():
 
 
 def recorded_estimate(metric, ell: float, seed: int, trials: int):
-    """estimate_contraction plus every batch of configuration values, per group."""
-    groups: list[list[np.ndarray]] = []
-    add, run_group = coupling._Tally.add, coupling._run_group
+    """estimate_contraction plus every batch of configuration values of its pool."""
+    batches: list[np.ndarray] = []
+    add = coupling._Tally.add
 
     def recording(tally, value_bound, value_exact):
-        groups[-1].append(value_bound.copy())
+        batches.append(value_bound.copy())
         add(tally, value_bound, value_exact)
 
-    def grouped(*args):
-        groups.append([])  # threads=1 runs the groups one after another
-        return run_group(*args)
-
-    coupling._Tally.add, coupling._run_group = recording, grouped
+    coupling._Tally.add = recording
     try:
-        est = coupling.estimate_contraction(N, RHO, ell, metric, trials, seed=seed, threads=1)
+        est = coupling.estimate_contraction(N, RHO, ell, metric, trials, seed=seed)
     finally:
-        coupling._Tally.add, coupling._run_group = add, run_group
-    return est, groups
+        coupling._Tally.add = add
+    return est, batches
 
 
-def lag_autocorrelation(groups, lag: int):
-    """Mean over groups of the lag correlation of each chain's successive values.
+def lag_autocorrelation(batches, lag: int):
+    """The lag correlation of each chain's successive configuration values.
 
-    Batch t of a group holds chains 0..len-1 in order, so chain c pairs its
-    values in batches t and t + lag while both batches reach it.  None when no
-    chain has two configurations lag apart.
+    Batch t holds chains 0..len-1 in order, so chain c pairs its values in
+    batches t and t + lag while both batches reach it.  None when no chain has
+    two configurations lag apart.
     """
-    rho = []
-    for batches in groups:
-        v = np.concatenate(batches)
-        mean, pairs, num = v.mean(), 0, 0.0
-        for a, b in zip(batches, batches[lag:]):
-            k = min(len(a), len(b))
-            pairs += k
-            num += float(((a[:k] - mean) * (b[:k] - mean)).sum())
-        if pairs:
-            rho.append((num / pairs) / float(((v - mean) ** 2).mean()))
-    return round(statistics.fmean(rho), 5) if rho else None
+    v = np.concatenate(batches)
+    mean, pairs, num = v.mean(), 0, 0.0
+    for a, b in zip(batches, batches[lag:]):
+        k = min(len(a), len(b))
+        pairs += k
+        num += float(((a[:k] - mean) * (b[:k] - mean)).sum())
+    return round((num / pairs) / float(((v - mean) ** 2).mean()), 5) if pairs else None
 
 
 def correlation(args) -> None:
     metric = witness()
     for seed in args.seeds:
         coupling._POOL_CACHE.clear()
-        est, groups = recorded_estimate(metric, args.ell, seed, args.trials)
-        v = np.concatenate([b for batches in groups for b in batches])
+        est, batches = recorded_estimate(metric, args.ell, seed, args.trials)
+        v = np.concatenate(batches)
         iid = 2.576 * v.std() / math.sqrt(v.size)
-        chains = sum(len(batches[0]) for batches in groups)
         print(json.dumps({
             "seed": seed, "ell": args.ell, "trials": args.trials,
             "configurations": est.configurations, "thin_sweeps": coupling.THIN_SWEEPS,
-            "configs_per_chain": round(v.size / chains, 2),
+            "configs_per_chain": round(v.size / len(batches[0]), 2),
             "ci99_per_chain": est.ci99_bound, "ci99_iid": iid,
             "ratio": round(est.ci99_bound / iid, 4),
-            "lag_autocorrelation": {lag: lag_autocorrelation(groups, lag) for lag in (1, 2, 3)},
+            "lag_autocorrelation": {lag: lag_autocorrelation(batches, lag) for lag in (1, 2, 3)},
         }))
 
 
@@ -156,8 +152,7 @@ def calibration(args) -> None:
     for seed in args.seeds:
         coupling._POOL_CACHE.clear()
         for ell in args.ells:
-            est = coupling.estimate_contraction(N, RHO, ell, metric, args.trials, seed=seed,
-                                                threads=args.threads)
+            est = coupling.estimate_contraction(N, RHO, ell, metric, args.trials, seed=seed)
             rows[ell].append(est)
             print(json.dumps({"seed": seed, "ell": ell, "mean_delta_bound": est.mean_delta_bound,
                               "ci99_bound": est.ci99_bound, "mean_delta_exact": est.mean_delta_exact,
@@ -173,11 +168,49 @@ def calibration(args) -> None:
         print(json.dumps(out))
 
 
+def equilibration(args) -> None:
+    metric = witness()
+    default = coupling.EQUILIBRATION_SWEEPS
+    pooled = {}
+    try:
+        for sweeps in (3, 10, 30):
+            coupling.EQUILIBRATION_SWEEPS = sweeps
+            coupling._POOL_CACHE.clear()
+            ests = {ell: [] for ell in args.ells}
+            for seed in args.seeds:
+                for ell in args.ells:
+                    ests[ell].append(coupling.estimate_contraction(
+                        N, RHO, ell, metric, TRIALS, seed=1000 * sweeps + seed))
+            for ell, rows in ests.items():
+                # the seeds are independent, so the half-widths add in quadrature
+                pooled[sweeps, ell] = tuple(
+                    (statistics.fmean(getattr(e, f"mean_delta_{kind}") for e in rows),
+                     math.hypot(*(getattr(e, f"ci99_{kind}") for e in rows)) / len(rows))
+                    for kind in ("bound", "exact"))
+    finally:
+        coupling.EQUILIBRATION_SWEEPS = default
+        coupling._POOL_CACHE.clear()
+    for (sweeps, ell), both in pooled.items():
+        out = {"sweeps": sweeps, "ell": ell, "seeds": len(args.seeds)}
+        for kind, (mean, ci) in zip(("bound", "exact"), both):
+            ref_mean, ref_ci = pooled[30, ell][kind == "exact"]
+            joint = math.hypot(ci, ref_ci)
+            out[f"mean_{kind}"] = mean
+            out[f"ci99_{kind}"] = ci
+            out[f"diff_to_30_{kind}"] = mean - ref_mean
+            out[f"within_joint_ci_{kind}"] = sweeps == 30 or abs(mean - ref_mean) < joint
+        print(json.dumps(out))
+
+
 def seeds(text: str) -> list[int]:
     if "-" in text:
         lo, hi = map(int, text.split("-"))
         return list(range(lo, hi + 1))
     return [int(s) for s in text.split(",")]
+
+
+def floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
 
 
 def main(argv=None) -> int:
@@ -195,10 +228,13 @@ def main(argv=None) -> int:
     p.set_defaults(run=correlation)
     p = sub.add_parser("calibration")
     p.add_argument("--seeds", type=seeds, default=list(range(1, 21)))
-    p.add_argument("--ells", type=lambda t: [float(x) for x in t.split(",")], default=[1.0, 4.0])
-    p.add_argument("--threads", type=int, default=2)
+    p.add_argument("--ells", type=floats, default=[1.0, 4.0])
     p.add_argument("--trials", type=int, default=TRIALS)
     p.set_defaults(run=calibration)
+    p = sub.add_parser("equilibration")
+    p.add_argument("--seeds", type=seeds, default=list(range(1, 21)))
+    p.add_argument("--ells", type=floats, default=[1.0, 4.0])
+    p.set_defaults(run=equilibration)
     args = parser.parse_args(argv)
     args.run(args)
     return 0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -377,7 +378,7 @@ class TestBatchedMatchesScalar:
             def random(self, shape=None):
                 return z
 
-        tally = coupling._Tally()
+        tally = coupling._Tally(B)
         plain_batch_trials(P, y1, TEST_METRIC, ell_over_r, r, Scripted(), tally)
 
         sum_b = sum_e = 0.0
@@ -397,24 +398,54 @@ class TestBatchedMatchesScalar:
 class TestEstimateContraction:
     def test_deterministic_and_thread_independent(self):
         m = hamming_metric()
+        runs = []
+        for threads in (1, 2, 4):
+            coupling._POOL_CACHE.clear()
+            runs.append(estimate_contraction(8, 0.05, 2.0, m, 4000, seed=77, threads=threads))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_starts_no_threads(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("estimate_contraction started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         coupling._POOL_CACHE.clear()
-        a = estimate_contraction(8, 0.05, 2.0, m, 4000, seed=77, threads=1)
-        coupling._POOL_CACHE.clear()
-        b = estimate_contraction(8, 0.05, 2.0, m, 4000, seed=77, threads=4)
-        assert a.mean_delta_bound == b.mean_delta_bound
-        assert a.mean_delta_exact == b.mean_delta_exact
-        assert a.outcome_counts == b.outcome_counts
+        est = estimate_contraction(8, 0.05, 2.0, hamming_metric(), 4000 * coupling.K0,
+                                   seed=77, threads=4)
+        assert est.configurations == 4000
+
+    @pytest.mark.parametrize("configs", [5, coupling.BATCH, 2 * coupling.BATCH + 37])
+    def test_one_pool_serves_every_configuration(self, configs, monkeypatch):
+        # B = min(BATCH, configs) chains; each yields floor or ceil of configs / B
+        seen = []
+        batch_trials = coupling._batch_trials
+
+        def recording(P, y1, metric, ell_over_r, r, rng, tally):
+            seen.append((P.shape[2], tally))
+            batch_trials(P, y1, metric, ell_over_r, r, rng, tally)
+
+        monkeypatch.setattr(coupling, "_batch_trials", recording)
+        est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, configs * coupling.K0, seed=8)
+        assert est.configurations == configs
+        B = min(coupling.BATCH, configs)
+        tally = seen[0][1]
+        assert all(t is tally for _, t in seen)
+        assert len(tally.chain_count) == B
+        assert [width for width, _ in seen] == [B] * (configs // B) + [configs % B] * (configs % B > 0)
+        assert set(tally.chain_count) <= {configs // B, -(-configs // B)}
+        assert int(tally.chain_count.sum()) == configs
 
     def test_outputs_pinned(self, plain_trials):
-        # the plain estimator's values: 500 trials per group fill one batch, so
-        # the pool, the sweep and the plain kernel must match bit for bit
+        # the plain estimator's values: 4000 configurations from one pool of
+        # BATCH chains, so the pool, the sweep and the plain kernel must match
+        # bit for bit
         est = estimate_contraction(8, 0.05, 2.0, hamming_metric(), 4000, seed=77)
-        assert est.mean_delta_bound == -0.093
-        assert est.mean_delta_exact == -0.093
-        assert est.ci99_bound == 0.01343792072249275
+        assert est.mean_delta_bound == -0.08225
+        assert est.mean_delta_exact == -0.08225
+        assert est.ci99_bound == 0.01395151912023232
         assert est.outcome_counts == {
-            "coalesced": 421, "unchanged": 3473, "both-rejected": 57,
-            "far-move": 0, "near-move": 49,
+            "coalesced": 394, "unchanged": 3491, "both-rejected": 50,
+            "far-move": 0, "near-move": 65,
         }
 
     def test_pool_cache_hit_is_bit_identical(self):
@@ -506,16 +537,16 @@ class TestEstimateContraction:
             estimate_contraction(1, 0.01, 1.0, hamming_metric(), 10, seed=1)
 
     def test_stratified_outputs_pinned(self):
-        # 33,000 * K0 trials are 33,000 configurations, 8 groups of
-        # 4125 = 4 * 1024 + 29: one partial batch each
+        # 33,000 * K0 trials are 33,000 configurations from one pool of
+        # BATCH = 512 chains: 64 full rounds and a partial one of 232 chains
         est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, 33_000 * coupling.K0, seed=77)
         assert est.configurations == 33_000
-        assert est.mean_delta_bound == -0.052771480369537514
-        assert est.mean_delta_exact == -0.055885841129657866
-        assert est.ci99_bound == 7.2033027626618e-05
+        assert est.mean_delta_bound == -0.052822205627351446
+        assert est.mean_delta_exact == -0.055938531880735325
+        assert est.ci99_bound == 6.996723863370683e-05
         assert est.outcome_counts == {
-            "coalesced": 876717, "unchanged": 181327, "both-rejected": 0,
-            "far-move": 70580, "near-move": 59376,
+            "coalesced": 877283, "unchanged": 180883, "both-rejected": 0,
+            "far-move": 70261, "near-move": 59573,
         }
 
     def test_stratified_counts_partition_draws(self):
@@ -561,7 +592,7 @@ class TestEstimateContraction:
 
 
     def test_ci_is_iid_with_one_configuration_per_chain(self, monkeypatch):
-        # trials per group <= BATCH: each chain yields one configuration
+        # configurations < BATCH: each chain of the pool yields one
         seen = []
         add = coupling._Tally.add
 
@@ -570,7 +601,7 @@ class TestEstimateContraction:
             add(tally, value_bound, value_exact)
 
         monkeypatch.setattr(coupling._Tally, "add", recording)
-        configs = 8 * coupling.BATCH - 5
+        configs = coupling.BATCH - 5
         est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, configs * coupling.K0, seed=3)
         assert est.configurations == configs
         for k, got in ((0, est.ci99_bound), (1, est.ci99_exact)):
@@ -585,7 +616,7 @@ class TestEstimateContraction:
         # k identical configurations per chain carry the information of one,
         # so the per-chain SE is sqrt(k) times the i.i.d. SE of the k C values
         v = np.random.default_rng(k).normal(size=50)
-        tally = coupling._Tally()
+        tally = coupling._Tally(len(v))
         for _ in range(k):
             tally.add(v, 2.0 * v)
         every = np.tile(v, k)
@@ -595,7 +626,7 @@ class TestEstimateContraction:
         assert ci_e == pytest.approx(2.0 * math.sqrt(k) * iid, rel=1e-12)
 
     def test_pool_size_moves_estimate_within_ci(self, monkeypatch):
-        # 5000 configurations per group: about 1.2 or 4.9 per chain
+        # 40,000 configurations in one pool: about 9.8 or 39 per chain
         args = (8, 0.05, 1.5, TEST_METRIC, 40_000 * coupling.K0)
         monkeypatch.setattr(coupling, "BATCH", 4096)
         large = estimate_contraction(*args, seed=71)
@@ -635,7 +666,7 @@ class TestStratifiedTrials:
         assert z0.shape == (coupling.K0, B, 2) and z.shape == (coupling.KC, B, 2)
         coal, kind, bound, exact = coupling._classify_proposals(
             P, y1, TEST_METRIC, ell, r, z0, j, z)
-        tally = coupling._Tally()
+        tally = coupling._Tally(B)
         coupling._batch_trials(P, y1, TEST_METRIC, ell, r, _rng_at(state), tally)
 
         w_cres = (n - 1) / n * crescent_area(ell) * r * r
