@@ -171,34 +171,33 @@ def calibration(args) -> None:
 def equilibration(args) -> None:
     metric = witness()
     default = coupling.EQUILIBRATION_SWEEPS
-    pooled = {}
+    runs = {}
     try:
         for sweeps in (3, 10, 30):
             coupling.EQUILIBRATION_SWEEPS = sweeps
             coupling._POOL_CACHE.clear()
-            ests = {ell: [] for ell in args.ells}
             for seed in args.seeds:
                 for ell in args.ells:
-                    ests[ell].append(coupling.estimate_contraction(
+                    runs.setdefault((sweeps, ell), []).append(coupling.estimate_contraction(
                         N, RHO, ell, metric, TRIALS, seed=1000 * sweeps + seed))
-            for ell, rows in ests.items():
-                # the seeds are independent, so the half-widths add in quadrature
-                pooled[sweeps, ell] = tuple(
-                    (statistics.fmean(getattr(e, f"mean_delta_{kind}") for e in rows),
-                     math.hypot(*(getattr(e, f"ci99_{kind}") for e in rows)) / len(rows))
-                    for kind in ("bound", "exact"))
     finally:
         coupling.EQUILIBRATION_SWEEPS = default
         coupling._POOL_CACHE.clear()
-    for (sweeps, ell), both in pooled.items():
-        out = {"sweeps": sweeps, "ell": ell, "seeds": len(args.seeds)}
-        for kind, (mean, ci) in zip(("bound", "exact"), both):
-            ref_mean, ref_ci = pooled[30, ell][kind == "exact"]
-            joint = math.hypot(ci, ref_ci)
+
+    def pooled(ests, kind):
+        # the seeds are independent, so the half-widths add in quadrature
+        return (statistics.fmean(getattr(e, f"mean_delta_{kind}") for e in ests),
+                math.hypot(*(getattr(e, f"ci99_{kind}") for e in ests)) / len(ests))
+
+    for (sweeps, ell), ests in runs.items():
+        out = {"sweeps": sweeps, "ell": ell, "seeds": len(ests)}
+        for kind in ("bound", "exact"):
+            mean, ci = pooled(ests, kind)
+            ref_mean, ref_ci = pooled(runs[30, ell], kind)
             out[f"mean_{kind}"] = mean
             out[f"ci99_{kind}"] = ci
             out[f"diff_to_30_{kind}"] = mean - ref_mean
-            out[f"within_joint_ci_{kind}"] = sweeps == 30 or abs(mean - ref_mean) < joint
+            out[f"within_joint_ci_{kind}"] = abs(mean - ref_mean) < math.hypot(ci, ref_ci)
         print(json.dumps(out))
 
 
