@@ -8,8 +8,10 @@ stored disk-major as one array of shape (2, n, chains).  One batched
 sweep step is reported as ns per chain·disk; one stratified coupled-trial
 step, K0 disk-0 and KC crescent proposals per chain, as ns per configuration
 and as ns per trial (disk-0 proposal); one displacement of the whole pool as
-ns per chain; and the cold start of a pool (insertion plus the equilibration
-sweeps) as ns per chain·step, each in `extra_info`.
+ns per chain, over DISPLACE_POOLS freshly seeded pools, because a few caged
+chains set its cost and differ from pool to pool; and the cold start of a
+pool (insertion plus the equilibration sweeps) as ns per chain·step, each in
+`extra_info`.
 """
 
 import numpy as np
@@ -19,18 +21,23 @@ from harddisks import coupling, dynamics
 from harddisks.metric import PiecewiseMetric
 
 B, N, RHO, STEPS, SEED = coupling.BATCH, 32, 0.14, 128, 2014
+DISPLACE_POOLS = 16  # seeds SEED, SEED + 1, ...
 ELL = 1.0  # displacement of the trial and displacement kernels, units of r
 METRIC = PiecewiseMetric(values=tuple(np.linspace(1.0 / 64, 1.0, 64)))
 
 
-@pytest.fixture(scope="module")
-def pool():
+def _pool(seed):
     """An equilibrated-enough pool and the generator state after it."""
     two_r2 = (2.0 * dynamics.radius_for_density(N, RHO)) ** 2
-    rng = np.random.default_rng(SEED)
+    rng = np.random.default_rng(seed)
     start = dynamics.batch_insert(B, N, RHO, rng)
     coupling._batch_sweep(start, 4 * N, two_r2, rng)  # leave the insertion state
     return start, rng.bit_generator.state
+
+
+@pytest.fixture(scope="module")
+def pool():
+    return _pool(SEED)
 
 
 def _rng(state):
@@ -55,15 +62,19 @@ def test_batch_sweep(benchmark, pool):
     _report(benchmark, "ns_per_chain_disk", STEPS * B * N)
 
 
-def test_displace(benchmark, pool):
-    start, state = pool
+def test_displace(benchmark):
+    pools = [_pool(SEED + k) for k in range(DISPLACE_POOLS)]
     r = dynamics.radius_for_density(N, RHO)
 
     def fresh():
-        return (start.copy(), ELL * r, (2.0 * r) ** 2, _rng(state)), {}
+        return ([(start.copy(), _rng(state)) for start, state in pools],), {}
 
-    benchmark.pedantic(coupling._displace, setup=fresh, rounds=20, warmup_rounds=1)
-    _report(benchmark, "ns_per_chain", B)
+    def displace_each(copies):
+        for P, rng in copies:
+            coupling._displace(P, ELL * r, (2.0 * r) ** 2, rng)
+
+    benchmark.pedantic(displace_each, setup=fresh, rounds=5, warmup_rounds=1)
+    _report(benchmark, "ns_per_chain", DISPLACE_POOLS * B)
 
 
 def test_batch_trials(benchmark, pool):

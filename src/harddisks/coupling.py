@@ -14,7 +14,9 @@ configuration draws K0 proposals from the first stratum and KC from the
 second and weights the mean of each by those probabilities.  Proposal noise
 within one configuration, not the spread between configurations, dominates
 the variance, so several cheap proposals share each expensive configuration
-(two-stage sampling: Cochran, Sampling Techniques, 3rd ed., 1977, ch. 10).
+(two-stage sampling: Cochran, Sampling Techniques, 3rd ed., 1977, ch. 10),
+and the K0 disk-0 points form a randomly shifted lattice rather than
+independent points.
 The tests replay it through a scalar coupled step, one proposal at a time
 (tests/oracles.py).  One estimate runs one vectorized pool of at most BATCH
 chains and no threads; each chain yields several successive configurations,
@@ -189,21 +191,29 @@ CRESCENT_ROUNDS = 1000  # rejection rounds of _draw_proposals; each succeeds w.p
 
 
 def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
-    """K0 uniform disk-0 proposals and KC danger-crescent proposals per chain.
+    """K0 disk-0 proposals and KC danger-crescent proposals per chain.
 
     Returns (z0, j, z) of shapes (K0, chains, 2), (KC, chains) and
-    (KC, chains, 2): z0 uniform on the torus; j uniform on 1..n-1 and z
-    uniform on the crescent Z(y1) \\ Z(x1).  z is drawn by rejection from the
-    2r disk around y1, restricted to the annulus at distance >= 2r - ell from
-    y1 (no closer point lies outside Z(x1)), and redrawn while it lies in
-    Z(x1).  At least 1/pi of that annulus is crescent at any ell.  Offsets
-    from x1 are taken in the plane: while 8r < 1 no other image of x1 comes
-    within 2r of the disk around y1.
+    (KC, chains, 2).  Each chain's z0 is the rank-1 lattice
+    {(k / K0, (7k mod K0) / K0)} shifted mod 1 by one uniform point
+    (Cranley & Patterson, SIAM J. Numer. Anal. 13, 1976): every point is
+    uniform on the torus, so the mean of the K0 indicators stays unbiased,
+    but the points cover the torus evenly and their mean varies less than
+    that of K0 independent points.  j is uniform on 1..n-1 and z uniform on
+    the crescent Z(y1) \\ Z(x1).  z is drawn by rejection from the 2r disk
+    around y1, restricted to the annulus at distance >= 2r - ell from y1 (no
+    closer point lies outside Z(x1)), and redrawn while it lies in Z(x1).
+    At least 1/pi of that annulus is crescent at any ell.  Offsets from x1
+    are taken in the plane: while 8r < 1 no other image of x1 comes within 2r
+    of the disk around y1.
     """
     n, B = P.shape[1:]
     two_r2 = (2.0 * r) ** 2
     lo2 = max(0.0, (2.0 - ell_over_r) * r) ** 2
-    z0 = rng.random((K0, B, 2))
+    # multiplier 7: a scan of 3, 5, 7, 9, 11 and 13 at K0 = 32 (README, `couple`)
+    k = np.arange(K0)
+    lattice = np.stack((k, 7 * k % K0), axis=-1) / K0
+    z0 = (lattice[:, None] + rng.random((B, 2))) % 1.0
     j = rng.integers(1, n, size=(KC, B))
     shift = np.tile(min_image_array(y1 - P[:, 0].T), (KC, 1))  # x1 -> y1, per (k, chain)
     z = np.empty((KC * B, 2))
@@ -282,8 +292,8 @@ def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
 
     Only two strata of proposals change the metric: disk 0 (probability 1/n)
     and the danger crescent (probability (n-1)/n * crescent_area(ell) r^2).
-    Each chain draws K0 proposals from the first and KC from the second, and
-    its configuration is charged (1/n) mean(c0) + ((n-1)/n)
+    Each chain draws K0 proposals from the first (a shifted lattice, see
+    _draw_proposals) and KC from the second, and its configuration is charged (1/n) mean(c0) + ((n-1)/n)
     crescent_area(ell) r^2 mean(c_cres), for the bound and the exact change
     alike; every other proposal contributes exactly 0.
     """
@@ -312,7 +322,11 @@ def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
 # workloads (README, `couple`) put 512 within 4 % of the lowest ci99^2 x CPU
 # time on both; 256 lost 11 % on ell_sweep and 1024 lost 30 % on couple_cold.
 BATCH = 512
-EQUILIBRATION_SWEEPS = 30  # before the first configuration
+# Sweeps before the first configuration.  Over 20 seeds at 1, 3, 5 and 30
+# sweeps (tests/pool_diagnostics.py equilibration, README) every mean lay
+# within the joint ci99 of the 30-sweep mean at ell = 1 and 4; the largest
+# gap was 38e-6 against a joint half-width of 59e-6.
+EQUILIBRATION_SWEEPS = 5
 THIN_SWEEPS = 1  # between configurations
 # Proposals per configuration: K0 of disk 0 and KC into the crescent.  With one
 # of each, proposal noise is about 99 % of a configuration value's variance; a
@@ -363,9 +377,10 @@ def estimate_contraction(
     B = min(BATCH, N) independent chains with a freshly displaced twin.  Each
     configuration is charged the stratified one-step change: the exact-weight
     combination (1/n) mean(c0) + ((n-1)/n) crescent_area(ell) r^2 mean(c_cres)
-    over K0 uniform disk-0 proposals and KC uniform danger-crescent proposals
-    (see _batch_trials), so its mean is the expected change of a uniform
-    coupled step.  The pool is equilibrated for EQUILIBRATION_SWEEPS * n steps
+    over K0 disk-0 proposals, a randomly shifted lattice of points that are
+    each uniform on the torus, and KC uniform danger-crescent proposals (see
+    _draw_proposals and _batch_trials), so its mean is the expected change of
+    a uniform coupled step.  The pool is equilibrated for EQUILIBRATION_SWEEPS * n steps
     and then runs rounds of thinning by THIN_SWEEPS * n steps, displacement
     and trials until N configurations are charged; the last round uses only
     the chains it needs, so every chain yields floor(N / B) or ceil(N / B)

@@ -4,7 +4,7 @@
     PYTHONPATH=src python tests/pool_diagnostics.py correlation --seeds 1,2,3 --trials 2000000
     PYTHONPATH=src python tests/pool_diagnostics.py calibration --seeds 1-20
     PYTHONPATH=src python tests/pool_diagnostics.py calibration --seeds 1-20 --trials 2000000
-    PYTHONPATH=src python tests/pool_diagnostics.py equilibration --seeds 1-20
+    PYTHONPATH=src python tests/pool_diagnostics.py equilibration --seeds 1-20 --sweeps 1,3,5,30
 
 burn-in        From the random-sequential-insertion start of dynamics.batch_insert,
                the acceptance rate of each sweep and the total-variation distance
@@ -20,10 +20,11 @@ calibration    The spread of the means over seeds divided by the mean reported
                single seed).  At the default trials each chain yields about 6
                configurations, at --trials 2000000 about 120.
 equilibration  The estimator's mean over the seeds and the 99% half-width of that
-               mean, per displacement, with EQUILIBRATION_SWEEPS set to 3, 10 and
-               30, and whether each differs from the 30-sweep mean by more than
-               the joint half-width.  Sweep count s runs the seeds 1000 s + seed,
-               so the three sets are independent.
+               mean, per displacement, with EQUILIBRATION_SWEEPS set to each of
+               --sweeps (default 1, 3, 5, 30), and whether each differs from the
+               mean at the largest count, the reference, by more than the joint
+               half-width.  Sweep count s runs the seeds 1000 s + seed, so the
+               sets are independent.
 
 Settings: n = 32, rho = 0.14, 10^5 trials (disk-0 proposals; --trials), the
 L = 256 witness metric.  Not collected by pytest; every command prints JSON
@@ -171,9 +172,10 @@ def calibration(args) -> None:
 def equilibration(args) -> None:
     metric = witness()
     default = coupling.EQUILIBRATION_SWEEPS
+    reference = max(args.sweeps)
     runs = {}
     try:
-        for sweeps in (3, 10, 30):
+        for sweeps in args.sweeps:
             coupling.EQUILIBRATION_SWEEPS = sweeps
             coupling._POOL_CACHE.clear()
             for seed in args.seeds:
@@ -193,15 +195,15 @@ def equilibration(args) -> None:
         out = {"sweeps": sweeps, "ell": ell, "seeds": len(ests)}
         for kind in ("bound", "exact"):
             mean, ci = pooled(ests, kind)
-            ref_mean, ref_ci = pooled(runs[30, ell], kind)
+            ref_mean, ref_ci = pooled(runs[reference, ell], kind)
             out[f"mean_{kind}"] = mean
             out[f"ci99_{kind}"] = ci
-            out[f"diff_to_30_{kind}"] = mean - ref_mean
+            out[f"diff_to_{reference}_{kind}"] = mean - ref_mean
             out[f"within_joint_ci_{kind}"] = abs(mean - ref_mean) < math.hypot(ci, ref_ci)
         print(json.dumps(out))
 
 
-def seeds(text: str) -> list[int]:
+def ints(text: str) -> list[int]:
     if "-" in text:
         lo, hi = map(int, text.split("-"))
         return list(range(lo, hi + 1))
@@ -221,18 +223,19 @@ def main(argv=None) -> int:
     p.add_argument("--reference-sweeps", type=int, default=300)
     p.set_defaults(run=burn_in)
     p = sub.add_parser("correlation")
-    p.add_argument("--seeds", type=seeds, default=[1, 2, 3])
+    p.add_argument("--seeds", type=ints, default=[1, 2, 3])
     p.add_argument("--ell", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=TRIALS)
     p.set_defaults(run=correlation)
     p = sub.add_parser("calibration")
-    p.add_argument("--seeds", type=seeds, default=list(range(1, 21)))
+    p.add_argument("--seeds", type=ints, default=list(range(1, 21)))
     p.add_argument("--ells", type=floats, default=[1.0, 4.0])
     p.add_argument("--trials", type=int, default=TRIALS)
     p.set_defaults(run=calibration)
     p = sub.add_parser("equilibration")
-    p.add_argument("--seeds", type=seeds, default=list(range(1, 21)))
+    p.add_argument("--seeds", type=ints, default=list(range(1, 21)))
     p.add_argument("--ells", type=floats, default=[1.0, 4.0])
+    p.add_argument("--sweeps", type=ints, default=[1, 3, 5, 30])
     p.set_defaults(run=equilibration)
     args = parser.parse_args(argv)
     args.run(args)

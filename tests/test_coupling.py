@@ -440,12 +440,12 @@ class TestEstimateContraction:
         # BATCH chains, so the pool, the sweep and the plain kernel must match
         # bit for bit
         est = estimate_contraction(8, 0.05, 2.0, hamming_metric(), 4000, seed=77)
-        assert est.mean_delta_bound == -0.08225
-        assert est.mean_delta_exact == -0.08225
-        assert est.ci99_bound == 0.01395151912023232
+        assert est.mean_delta_bound == -0.09075
+        assert est.mean_delta_exact == -0.09075
+        assert est.ci99_bound == 0.012954371783173123
         assert est.outcome_counts == {
-            "coalesced": 394, "unchanged": 3491, "both-rejected": 50,
-            "far-move": 0, "near-move": 65,
+            "coalesced": 409, "unchanged": 3502, "both-rejected": 43,
+            "far-move": 0, "near-move": 46,
         }
 
     def test_pool_cache_hit_is_bit_identical(self):
@@ -541,12 +541,12 @@ class TestEstimateContraction:
         # BATCH = 512 chains: 64 full rounds and a partial one of 232 chains
         est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, 33_000 * coupling.K0, seed=77)
         assert est.configurations == 33_000
-        assert est.mean_delta_bound == -0.052822205627351446
-        assert est.mean_delta_exact == -0.055938531880735325
-        assert est.ci99_bound == 6.996723863370683e-05
+        assert est.mean_delta_bound == -0.052784860009209324
+        assert est.mean_delta_exact == -0.05589830559859597
+        assert est.ci99_bound == 3.8228173043636536e-05
         assert est.outcome_counts == {
-            "coalesced": 877283, "unchanged": 180883, "both-rejected": 0,
-            "far-move": 70261, "near-move": 59573,
+            "coalesced": 876839, "unchanged": 181284, "both-rejected": 0,
+            "far-move": 70518, "near-move": 59359,
         }
 
     def test_stratified_counts_partition_draws(self):
@@ -710,9 +710,51 @@ class TestStratifiedTrials:
         free = geometry.clear_of(*P[:, 1:], [(p.T, None) for p in pts], (2.0 * r) ** 2)
         p = float(free.mean())
         assert 0.3 < p < 0.7
-        # 99.9% binomial CI of the difference of the two means
+        # 99.9% binomial CI of the difference of the two means; the K0 points
+        # of a chain form a shifted lattice, whose mean varies less than that
+        # of K0 independent points, so the binomial sigma is conservative
         sigma = math.sqrt(p * (1 - p) * (1 / coal.size + 1 / free.size))
         assert abs(float(coal.mean()) - p) < 3.29 * sigma
+
+    def test_disk0_points_are_a_shifted_lattice(self):
+        P, y1, r, state = _replay_pool(8, 0.05, 300, 1.5, seed=47)
+        z0 = coupling._draw_proposals(P, y1, 1.5, r, _rng_at(state))[0]
+        k = np.arange(coupling.K0)
+        lattice = np.stack((k / coupling.K0, (7 * k % coupling.K0) / coupling.K0), axis=-1)
+        assert np.all((0.0 <= z0) & (z0 < 1.0))
+        # lattice point 0 is the origin, so z0[0] is each chain's shift
+        expected = (lattice[:, None] + z0[0]) % 1.0
+        assert np.abs(min_image_array(z0 - expected)).max() < 1e-12
+        assert len(np.unique(z0[0], axis=0)) == 300
+
+    def test_disk0_points_marginally_uniform(self):
+        # every point of the shifted lattice is uniform on the torus: each
+        # lattice index k, across 6,400 chains, fills an 8 x 8 grid evenly
+        B = 6400
+        r, x1 = 0.01, np.array([0.3, 0.5])
+        P = np.tile(np.array([x1, [0.5, 0.0]]), (B, 1, 1)).T
+        z0 = coupling._draw_proposals(P, np.tile(x1 + [r, 0.0], (B, 1)), 1.0, r,
+                                      np.random.default_rng(48))[0]
+        for k in (0, 1, coupling.K0 - 1):
+            cells = np.floor(8 * z0[k]).astype(int)
+            seen = np.bincount(8 * cells[:, 0] + cells[:, 1], minlength=64)
+            assert stats.chisquare(seen).pvalue > 1e-3, k
+
+    def test_lattice_mean_varies_less_than_binomial(self):
+        # on a fixed pool, the mean of a chain's K0 indicators over 200 shifts
+        # varies less than the binomial p (1 - p) / K0 of independent points
+        n, rho, B, ell = 32, 0.14, 64, 1.0
+        P, y1, r, _ = _replay_pool(n, rho, B, ell, seed=45)
+        rng = np.random.default_rng(46)
+        means = []
+        for _ in range(200):
+            z0, j, z = coupling._draw_proposals(P, y1, ell, r, rng)
+            means.append(coupling._classify_proposals(P, y1, TEST_METRIC, ell, r, z0, j, z)[0]
+                         .mean(axis=0))
+        means = np.array(means)
+        p = means.mean(axis=0)
+        binomial = float((p * (1 - p)).mean()) / coupling.K0
+        assert float(means.var(axis=0, ddof=1).mean()) < 0.8 * binomial
 
     @pytest.mark.parametrize("ell", [0.5, 1.5, 3.0, 4.0])
     def test_crescent_draws_uniform(self, ell):
