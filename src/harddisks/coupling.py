@@ -212,8 +212,10 @@ def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
     lo2 = max(0.0, (2.0 - ell_over_r) * r) ** 2
     # multiplier 7: a scan of 3, 5, 7, 9, 11 and 13 at K0 = 32 (README, `couple`)
     k = np.arange(K0)
-    lattice = np.stack((k, 7 * k % K0), axis=-1) / K0
-    z0 = (lattice[:, None] + rng.random((B, 2))) % 1.0
+    lattice = np.stack((k, 7 * k % K0), axis=-1)[:, :, None] / K0
+    # laid out (K0, 2, chains), so every ufunc runs along the chains
+    z0 = lattice + rng.random((2, B))
+    z0 -= z0 >= 1.0  # mod 1: each coordinate lies in [0, 2), and x - 1 is exact
     j = rng.integers(1, n, size=(KC, B))
     shift = np.tile(min_image_array(y1 - P[:, 0].T), (KC, 1))  # x1 -> y1, per (k, chain)
     z = np.empty((KC * B, 2))
@@ -230,7 +232,7 @@ def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
         pending = pending[~ok]
         if len(pending) == 0:
             z = z.reshape(KC, B, 2) + y1
-            return z0, j, z % 1.0
+            return z0.transpose(0, 2, 1), j, z % 1.0
     raise RuntimeError("no crescent proposal found within the rejection budget")
 
 
