@@ -327,7 +327,7 @@ BATCH = 512
 # Sweeps before the first configuration.  Over 20 seeds at 1, 3, 5 and 30
 # sweeps (tests/pool_diagnostics.py equilibration, README) every mean lay
 # within the joint ci99 of the 30-sweep mean at ell = 1 and 4; the largest
-# gap was 38e-6 against a joint half-width of 59e-6.
+# gap was 27e-6 against a joint half-width of 59e-6.
 EQUILIBRATION_SWEEPS = 5
 THIN_SWEEPS = 1  # between configurations
 # Proposals per configuration: K0 of disk 0 and KC into the crescent.  With one
