@@ -295,9 +295,10 @@ def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
     Only two strata of proposals change the metric: disk 0 (probability 1/n)
     and the danger crescent (probability (n-1)/n * crescent_area(ell) r^2).
     Each chain draws K0 proposals from the first (a shifted lattice, see
-    _draw_proposals) and KC from the second, and its configuration is charged (1/n) mean(c0) + ((n-1)/n)
-    crescent_area(ell) r^2 mean(c_cres), for the bound and the exact change
-    alike; every other proposal contributes exactly 0.
+    _draw_proposals) and KC from the second, and its configuration is
+    charged (1/n) mean(c0) + ((n-1)/n) crescent_area(ell) r^2 mean(c_cres),
+    for the bound and the exact change alike; every other proposal
+    contributes exactly 0.
     """
     n = P.shape[1]
     z0, j, z = _draw_proposals(P, y1, ell_over_r, r, rng)
@@ -382,11 +383,11 @@ def estimate_contraction(
     over K0 disk-0 proposals, a randomly shifted lattice of points that are
     each uniform on the torus, and KC uniform danger-crescent proposals (see
     _draw_proposals and _batch_trials), so its mean is the expected change of
-    a uniform coupled step.  The pool is equilibrated for EQUILIBRATION_SWEEPS * n steps
-    and then runs rounds of thinning by THIN_SWEEPS * n steps, displacement
-    and trials until N configurations are charged; the last round uses only
-    the chains it needs, so every chain yields floor(N / B) or ceil(N / B)
-    successive configurations.  The 99% CI is 2.576 SE with SE^2 =
+    a uniform coupled step.  The pool is equilibrated for
+    EQUILIBRATION_SWEEPS * n steps and then runs rounds of thinning by
+    THIN_SWEEPS * n steps, displacement and trials until N configurations
+    are charged; the last round uses only the chains it needs, so every
+    chain yields floor(N / B) or ceil(N / B) successive configurations.  The 99% CI is 2.576 SE with SE^2 =
     sum_c (S_c - m_c mean)^2 / N^2 over the per-chain sums S_c of m_c
     configurations (see _Tally.ci99); it widens when a chain's configurations
     are correlated.  outcome_counts partitions the (K0 + KC) N proposals;
