@@ -749,8 +749,8 @@ class TestStratifiedTrials:
         means = []
         for _ in range(200):
             z0, j, z = coupling._draw_proposals(P, y1, ell, r, rng)
-            means.append(coupling._classify_proposals(P, y1, TEST_METRIC, ell, r, z0, j, z)[0]
-                         .mean(axis=0))
+            coal = coupling._classify_proposals(P, y1, TEST_METRIC, ell, r, z0, j, z)[0]
+            means.append(coal.mean(axis=0))
         means = np.array(means)
         p = means.mean(axis=0)
         binomial = float((p * (1 - p)).mean()) / coupling.K0
