@@ -9,9 +9,12 @@ seed, alternating which revision goes first.  The file holds, per workload
 and revision, every run's end-to-end metrics and failure counts, the median
 and quartiles of each metric, and how many pairs the head revision won,
 together with nproc, the CPU model, the Python and numpy versions and both
-revisions.  Each checkout also runs its own layer benchmarks once
-(`pytest benchmarks --benchmark-json`); `layers` holds, per revision, every
-benchmark's min time in seconds and its `extra_info`, and null for a
+revisions.  Each checkout also runs its own layer benchmarks
+(`pytest benchmarks --benchmark-json`) LAYER_ROUNDS times, alternating which
+revision goes first, so that host drift between rounds shows up as spread
+within each revision rather than as a difference between them.  `layers`
+holds, per revision, every benchmark's min time in seconds over all rounds,
+each round's min and the `extra_info` of the fastest round, and null for a
 benchmark that only the other revision has.
 """
 
@@ -30,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_build" / "record"
+LAYER_ROUNDS = 3  # layer suite runs per revision
 
 
 def git(*args: str) -> str:
@@ -68,7 +72,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def run_layers(checkout: Path) -> dict:
-    """One run of the checkout's pytest-benchmark suite: name -> min time and extra_info."""
+    """One run of the checkout's pytest-benchmark suite: name -> (min time, extra_info)."""
     out = checkout / "layers.json"
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks",
@@ -79,8 +83,33 @@ def run_layers(checkout: Path) -> dict:
         raise SystemExit(f"{checkout.name} layer benchmarks failed (exit {proc.returncode}): "
                          f"{proc.stdout.strip()[-400:]}")
     benchmarks = json.loads(out.read_text())["benchmarks"]
-    return {b["fullname"]: {"min_s": b["stats"]["min"], "extra_info": b["extra_info"]}
-            for b in benchmarks}
+    return {b["fullname"]: (b["stats"]["min"], b["extra_info"]) for b in benchmarks}
+
+
+def record_layers(checkouts: dict) -> dict:
+    """LAYER_ROUNDS alternating rounds of both layer suites, merged per benchmark.
+
+    Round k runs base first when k is even and head first otherwise.  Per
+    revision and benchmark: the min over the rounds, every round's min and the
+    fastest round's extra_info; null where only the other revision has it.
+    """
+    rounds = {"base": [], "head": []}
+    for k in range(LAYER_ROUNDS):
+        for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
+            rounds[side].append(run_layers(checkouts[side]))
+    names = sorted({name for runs in rounds.values() for found in runs for name in found})
+    layers = {}
+    for side, runs in rounds.items():
+        layers[side] = {}
+        for name in names:
+            timings = [found[name] for found in runs if name in found]
+            if not timings:
+                layers[side][name] = None
+                continue
+            best, info = min(timings, key=lambda t: t[0])
+            layers[side][name] = {"min_s": best, "round_min_s": [t for t, _ in timings],
+                                  "extra_info": info}
+    return layers
 
 
 def quartiles(values: list[float]) -> dict:
@@ -140,10 +169,8 @@ def main(argv=None) -> int:
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
     }
-    layers = {side: run_layers(path) for side, path in checkouts.items()}
-    names = sorted(set(layers["base"]) | set(layers["head"]))
-    report["layers"] = {side: {name: found.get(name) for name in names}
-                        for side, found in layers.items()}
+    report["layers"] = record_layers(checkouts)
+    report["layer_rounds"] = LAYER_ROUNDS
     envs = []
     for workload, count in args.pairs.items():
         runs = {"base": [], "head": []}

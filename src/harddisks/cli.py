@@ -47,10 +47,8 @@ def _emit(text: str, out_path: str | None, command: str, params: dict, seed, t0:
 
 def cmd_bound(args) -> int:
     t0 = time.perf_counter()
-    result = contraction.max_density(
-        L=args.L, tol=args.tol, variant=args.variant, hamming=args.hamming,
-    )
-    params = {"L": args.L, "tol": args.tol, "variant": args.variant, "hamming": args.hamming}
+    result = contraction.max_density(L=args.L, tol=args.tol, hamming=args.hamming)
+    params = {"L": args.L, "tol": args.tol, "hamming": args.hamming}
     _emit(result.to_json(), args.out, "bound", params, None, t0)
     return 0
 
@@ -59,16 +57,16 @@ def cmd_table(args) -> int:
     t0 = time.perf_counter()
     lines = ["L,rho_star"]
     for L in args.Ls:
-        result = contraction.max_density(L=L, tol=args.tol, variant=args.variant)
+        result = contraction.max_density(L=L, tol=args.tol)
         lines.append(f"{L},{result.rho_star:.12g}")
-    params = {"Ls": args.Ls, "tol": args.tol, "variant": args.variant}
+    params = {"Ls": args.Ls, "tol": args.tol}
     _emit("\n".join(lines), args.out, "table", params, None, t0)
     return 0
 
 
 def cmd_metric(args) -> int:
     t0 = time.perf_counter()
-    system = contraction.assemble(args.rho, args.L, args.variant)
+    system = contraction.assemble(args.rho, args.L)
     if not contraction.decide(system):
         print(f"error: density {args.rho} is infeasible at L={args.L}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -86,7 +84,7 @@ def cmd_metric(args) -> int:
     report = {
         "L": args.L,
         "rho": args.rho,
-        "variant": args.variant,
+        "variant": "clamped",  # the savings kernel of the constraints
         "axioms_pass": axioms.passed,
         "tight_lambda_max": tight_lambda_max,
         "min_residual": float(f"{residuals.min():.12g}"),
@@ -96,7 +94,7 @@ def cmd_metric(args) -> int:
     with open(args.out + ".report.json", "w") as fh:
         fh.write(report_text + "\n")
     print(report_text)
-    params = {"L": args.L, "rho": args.rho, "variant": args.variant}
+    params = {"L": args.L, "rho": args.rho}
     _write_manifest(args.out, "metric", params, None, time.perf_counter() - t0)
     return 0
 
@@ -155,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="binary-search the largest contractive density")
     p.add_argument("--L", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--variant", choices=contraction.VARIANTS, default="clamped")
     p.add_argument("--hamming", action="store_true",
                    help="force the unit metric with savings disabled (1/8 baseline)")
     p.add_argument("--out")
@@ -164,14 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="bounds for a list of grid sizes, as CSV")
     p.add_argument("--Ls", type=lambda s: [int(x) for x in s.split(",")], required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--variant", choices=contraction.VARIANTS, default="clamped")
     p.add_argument("--out")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("metric", help="export the optimized metric with slack and axiom reports")
     p.add_argument("--L", type=int, default=256)
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--variant", choices=contraction.VARIANTS, default="clamped")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_metric)
 

@@ -19,15 +19,16 @@ Density enters only through mu: one assembly serves every density, and a
 system at another density is `dataclasses.replace(system, rho=...)`, which
 shares the arrays.
 
-Savings only ever reference d(u) for u below the danger-zone radius 2, so
-raising d on (2, 4] above the minimal solution costs nothing and turns every
-constraint there into pure slack.  Feasibility is decided on the saturated
-witness alone (minimal values on (0, 2], tail pinned at 1, residuals
-re-verified), so the bound does not depend on how the savings integral treats
-the (geometrically empty) region u > 2, which the `as_written` variant
-includes.  The returned metric is the repaired witness, whose tail is the
-capped subadditive completion instead, so it also satisfies the metric
-axioms; one that fails verification is an error.
+The savings kernel lives inside the danger zone, so its integral stops at
+u = 2 (the region u > 2 is geometrically empty): `assemble` clamps u there.
+Savings therefore only ever reference d(u) for u below 2, so raising d on
+(2, 4] above the minimal solution costs nothing and turns every constraint
+there into pure slack.  Feasibility is decided on the saturated witness alone
+(minimal values on (0, 2], tail pinned at 1, residuals re-verified), so the
+bound would not move if the integral ran on past u = 2.  The returned metric
+is the repaired witness, whose tail is the capped subadditive completion
+instead, so it also satisfies the metric axioms; one that fails verification
+is an error.
 
 The Hamming baseline needs no system: with d = 1 and savings disabled the
 condition is c >= 4 rho, so its bound is (1 - eps_hat)/8 in closed form.
@@ -42,10 +43,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import crescent_area, outside_zone_area
-from .metric import PiecewiseMetric
+from .metric import PiecewiseMetric, grid_edges
 
 EPSILON_HAT = 1e-6  # contraction slack n * epsilon, from epsilon = 1e-6 / n
-VARIANTS = ("clamped", "as_written")
 
 TIGHT_TOL = 1e-8  # a constraint with residual below this counts as tight
 SEARCH_LO = 0.12  # below the Hamming baseline (1 - eps_hat)/8, so feasible at every L
@@ -55,7 +55,7 @@ SOLVE_BLOCK = 32  # rows per diagonal block of the forward substitution
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """The unit-density constraint data for one (L, variant), labelled with a density.
+    """The unit-density constraint data for one grid size L, labelled with a density.
 
     g, w and W do not depend on rho; rho enters only through mu, so changing
     it with `dataclasses.replace` costs nothing.
@@ -66,7 +66,6 @@ class ConstraintSystem:
     g: np.ndarray  # crescent-area terms at unit density, shape (L,)
     w: np.ndarray  # lower-triangular savings weights at unit density, shape (L, L)
     W: np.ndarray  # row sums of w, shape (L,)
-    variant: str
 
     @property
     def mu(self) -> float:
@@ -75,27 +74,23 @@ class ConstraintSystem:
 
     @property
     def grid(self) -> np.ndarray:
-        return 4.0 * np.arange(1, self.L + 1) / self.L
+        return grid_edges(self.L)[1:]
 
 
-def assemble(rho: float, L: int, variant: str = "clamped") -> ConstraintSystem:
+def assemble(rho: float, L: int) -> ConstraintSystem:
     """Build the unit-density constraint system, labelled with density rho.
 
     w[i, j] = (F(lam_i, u_{j+1}) - F(lam_i, u_j))/pi over subinterval
     j = [u_j, u_{j+1}], j < i only (the partial cell j = i multiplies
-    d_i - d_i = 0), with F = outside_zone_area.  The clamped variant truncates
-    the kernel at the danger-zone radius by clamping u at 2.
+    d_i - d_i = 0), with F = outside_zone_area.  The kernel is truncated at
+    the danger-zone radius by clamping u at 2.
     """
     if not 0 < rho < 0.25:
         raise ValueError(f"density must lie in (0, 1/4), got {rho}")
     if L < 1:
         raise ValueError("grid size must be at least 1")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    lam = 4.0 * np.arange(1, L + 1) / L
-    u = 4.0 / L * np.arange(L)
-    if variant == "clamped":
-        u = np.minimum(u, 2.0)
+    edges = grid_edges(L)
+    lam, u = edges[1:], np.minimum(edges[:-1], 2.0)
     w = np.zeros((L, L))
     step = max(1, (1 << 16) // L)  # row blocks keep temporaries far below L x L
     for start in range(0, L, step):
@@ -105,7 +100,7 @@ def assemble(rho: float, L: int, variant: str = "clamped") -> ConstraintSystem:
         w[start:stop, : stop - 1] = np.tril(np.diff(F, axis=1), start - 1)
     w /= np.pi
     return ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi, w=w,
-                            W=w.sum(axis=1), variant=variant)
+                            W=w.sum(axis=1))
 
 
 def _sweep(system: ConstraintSystem, rows: int) -> np.ndarray:
@@ -217,7 +212,6 @@ class BoundResult:
     L: int
     rho_star: float
     tol: float
-    variant: str
     epsilon_hat: float
     iterations: int
     metric: PiecewiseMetric
@@ -229,7 +223,7 @@ class BoundResult:
             "L": self.L,
             "rho_star": float(f"{self.rho_star:.12g}"),
             "tol": self.tol,
-            "variant": self.variant,
+            "variant": "clamped",  # the savings kernel the bound used
             "epsilon_hat": self.epsilon_hat,
             "iterations": self.iterations,
             "metric": {"values": [float(f"{v:.12g}") for v in self.metric.values]},
@@ -238,9 +232,7 @@ class BoundResult:
         return json.dumps(payload, indent=2)
 
 
-def max_density(
-    L: int, tol: float = 1e-6, variant: str = "clamped", hamming: bool = False,
-) -> BoundResult:
+def max_density(L: int, tol: float = 1e-6, hamming: bool = False) -> BoundResult:
     """Binary-search the largest density at which the coupling contracts.
 
     The system is assembled once; each probe relabels it with its density.
@@ -255,12 +247,11 @@ def max_density(
         raise ValueError("grid size must be at least 1")
     if hamming:
         rho = (1.0 - EPSILON_HAT) / 8.0
-        return BoundResult(L=L, rho_star=rho, tol=tol, variant=variant,
-                           epsilon_hat=EPSILON_HAT, iterations=0,
+        return BoundResult(L=L, rho_star=rho, tol=tol, epsilon_hat=EPSILON_HAT, iterations=0,
                            metric=PiecewiseMetric(values=(1.0,) * L),
                            slack=None, tight_lambda_max=4.0)
     lo, hi = SEARCH_LO, SEARCH_HI
-    base = assemble(lo, L, variant)
+    base = assemble(lo, L)
     if not decide(base):
         raise RuntimeError("search bracket lower end unexpectedly infeasible")
     iterations = 0
@@ -279,7 +270,6 @@ def max_density(
         L=L,
         rho_star=lo,
         tol=tol,
-        variant=variant,
         epsilon_hat=EPSILON_HAT,
         iterations=iterations,
         metric=metric,

@@ -16,6 +16,11 @@ from .geometry import crescent_area
 AXIOM_TOL = 1e-12  # slack allowed in each axiom comparison
 
 
+def grid_edges(L: int) -> np.ndarray:
+    """The L + 1 cell edges lam_k = 4k/L; cell i is (lam_{i-1}, lam_i]."""
+    return 4.0 * np.arange(L + 1) / L
+
+
 @dataclass(frozen=True)
 class PiecewiseMetric:
     """d(lam) = values[i-1] for lam in ((i-1)*4/L, i*4/L]; 1 beyond 4; 0 at 0."""
@@ -34,18 +39,10 @@ class PiecewiseMetric:
     @property
     def grid(self) -> np.ndarray:
         """Right endpoints lam_i = 4i/L."""
-        L = self.L
-        return 4.0 * np.arange(1, L + 1) / L
+        return grid_edges(self.L)[1:]
 
     def eval(self, lam: float) -> float:
-        if lam < 0:
-            raise ValueError("displacement length must be nonnegative")
-        if lam == 0.0:
-            return 0.0
-        if lam > 4.0:
-            return 1.0
-        i = max(1, math.ceil(lam * self.L / 4.0 - 1e-12))
-        return self.values[min(i, self.L) - 1]
+        return float(self.eval_array(lam))
 
     def eval_array(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
@@ -144,12 +141,13 @@ def from_csv(path) -> PiecewiseMetric:
             except ValueError:
                 raise ValueError(f"metric CSV row {len(rows) + 1}: non-numeric field in "
                                  f"{line.strip()!r}") from None
-    L = len(rows)
-    for k, (lam, d) in enumerate(rows, start=1):
-        if abs(lam - 4.0 * k / L) > 1e-9:
+    metric = PiecewiseMetric(values=tuple(d for _, d in rows))
+    L = metric.L
+    for k, ((lam, d), edge) in enumerate(zip(rows, metric.grid), start=1):
+        if abs(lam - edge) > 1e-9:
             raise ValueError(f"metric CSV row {k}: lambda_right {lam:.12g}, expected 4*{k}/{L}")
         if not -AXIOM_TOL <= d <= 1.0 + AXIOM_TOL:
             raise ValueError(f"metric CSV row {k}: d {d:.12g} outside [0, 1]")
         if k < L and d > rows[k][1] + AXIOM_TOL:
             raise ValueError(f"metric CSV row {k}: d {d:.12g} exceeds row {k + 1}'s {rows[k][1]:.12g}")
-    return PiecewiseMetric(values=tuple(v for _, v in rows))
+    return metric

@@ -21,6 +21,11 @@ scalar or independent route to the same result:
   coupled step.  test_coupling replays the batched, stratified trial kernel
   of `coupling.estimate_contraction` through `classify_step`, proposal by
   proposal.
+- `assemble_as_written`: `contraction.assemble` without the clamp at u = 2,
+  so the savings integral runs on over the geometrically empty region
+  u > 2.  test_contraction checks the kernel quadratures and the blocked
+  solve on it, and criterion 5 and test_cli check that it gives the same
+  bounds as the package.
 - `feasible_box`, `lp_feasible`: a phase-1 simplex.  test_contraction and
   criterion 7 check the forward-sweep feasibility threshold against it.
 - `feasible`: one density decided from a fresh assembly through
@@ -37,8 +42,8 @@ import numpy as np
 
 from harddisks import contraction, coupling
 from harddisks.dynamics import Configuration, radius_for_density, random_config
-from harddisks.geometry import min_image_array
-from harddisks.metric import PiecewiseMetric
+from harddisks.geometry import crescent_area, min_image_array, outside_zone_area
+from harddisks.metric import PiecewiseMetric, grid_edges
 
 # --- torus geometry, in absolute units ---------------------------------------
 
@@ -456,12 +461,26 @@ def lp_feasible(system: contraction.ConstraintSystem) -> bool:
     return feasible_box(A, rho * system.g, np.ones(system.L))
 
 
-def feasible(rho: float, L: int, variant: str = "clamped"):
+def assemble_as_written(rho: float, L: int) -> contraction.ConstraintSystem:
+    """A drop-in `contraction.assemble` whose savings integral is not clamped at u = 2.
+
+    w[i, j] integrates the kernel over the whole cell j < i, so the rows with
+    cells past u = 2 carry savings from a region the crescent never reaches.
+    The saturated witness never reads those columns, so the bound is the same.
+    """
+    edges = grid_edges(L)
+    F = outside_zone_area(edges[None, :], edges[1:, None])
+    w = np.tril(np.diff(F, axis=1), -1) / np.pi
+    return contraction.ConstraintSystem(L=L, rho=rho, g=crescent_area(edges[1:]) / np.pi,
+                                        w=w, W=w.sum(axis=1))
+
+
+def feasible(rho: float, L: int):
     """Decide contractivity at one density; returns (bool, metric or None).
 
     A feasible answer carries the verified repaired witness.
     """
-    system = contraction.assemble(rho, L, variant)
+    system = contraction.assemble(rho, L)
     if not contraction.decide(system):
         return False, None
     return True, contraction.witness(system)[0]

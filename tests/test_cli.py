@@ -13,14 +13,16 @@ from harddisks import contraction, coupling, dynamics
 from harddisks.cli import main
 from harddisks.metric import PiecewiseMetric, from_csv, to_csv
 from harddisks.contraction import max_density
+from oracles import assemble_as_written
 
 
 def run_cli(args):
     return main(args)
 
 
-# stdout of `table --Ls 1,2,3,5,8,12,16,33,64,256`, the same in both variants.
-# A solver change that moves any bound must update these on purpose.
+# stdout of `table --Ls 1,2,3,5,8,12,16,33,64,256`, the same under the
+# oracles.assemble_as_written kernel.  A solver change that moves any bound
+# must update these pins on purpose.
 TABLE_PIN = """L,rho_star
 1,0.124999771118
 2,0.140418996811
@@ -32,6 +34,125 @@ TABLE_PIN = """L,rho_star
 33,0.152843542099
 64,0.153998641968
 256,0.154482526779
+"""
+
+# Bytes of `bound --L 16`, `bound --L 16 --hamming` and `metric --L 16 --rho
+# 0.15 --out m.csv` (its stdout, which is also m.csv.report.json, then m.csv
+# and m.csv.overlay.csv), pinned like TABLE_PIN.
+BOUND16_PIN = """{
+  "L": 16,
+  "rho_star": 0.152181501389,
+  "tol": 1e-06,
+  "variant": "clamped",
+  "epsilon_hat": 1e-06,
+  "iterations": 20,
+  "metric": {
+    "values": [
+      0.123722622159,
+      0.24696021261,
+      0.369221959438,
+      0.490005138402,
+      0.604601303563,
+      0.693815062346,
+      0.758165978563,
+      0.804473565516,
+      0.928196187675,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0
+    ]
+  },
+  "tight_lambda_max": 2.0
+}
+"""
+
+BOUND16_HAMMING_PIN = """{
+  "L": 16,
+  "rho_star": 0.124999875,
+  "tol": 1e-06,
+  "variant": "clamped",
+  "epsilon_hat": 1e-06,
+  "iterations": 0,
+  "metric": {
+    "values": [
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0,
+      1.0
+    ]
+  },
+  "tight_lambda_max": 4.0
+}
+"""
+
+METRIC16_REPORT_PIN = """{
+  "L": 16,
+  "rho": 0.15,
+  "variant": "clamped",
+  "axioms_pass": true,
+  "tight_lambda_max": 2.0,
+  "min_residual": -6.66133814775e-17,
+  "residuals": [
+    0.0,
+    0.0,
+    0.0,
+    0.0,
+    3.12250225676e-18,
+    -3.33066907388e-17,
+    -1.66533453694e-17,
+    -6.66133814775e-17,
+    0.0680426123635,
+    0.130422860012,
+    0.110145710126,
+    0.0896015529803,
+    0.0695518512015,
+    0.0511679326473,
+    0.0360210975698,
+    0.0273378875203
+  ]
+}
+"""
+
+METRIC16_CSV_PIN = """lambda_right,d
+0.25,0.119288747568
+0.5,0.238109845615
+0.75,0.35599007156
+1,0.4724447174
+1.25,0.583073822265
+1.5,0.669871708338
+1.75,0.7330680464
+2,0.778913280345
+2.25,0.898202027913
+2.5,1
+2.75,1
+3,1
+3.25,1
+3.5,1
+3.75,1
+4,1
+"""
+
+METRIC16_OVERLAY_PIN = """lambda_right,d,d_analytic
+0.25,0.119288747568,0.119288449346
+0.5,0.238109845615,0.238109250341
+0.75,0.35599007156,0.355989181585
+1,0.4724447174,0.472443536289
 """
 
 
@@ -86,10 +207,16 @@ class TestBound:
                 run_cli(["bound", *flags])
             assert exc.value.code == 2
 
-    def test_bad_variant_exits_two(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["bound", "--variant", "nope"])
-        assert exc.value.code == 2
+    def test_variant_flag_removed_exits_two(self):
+        for command in (["bound"], ["table", "--Ls", "8"], ["metric", "--rho", "0.15", "--out", "m.csv"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli([*command, "--variant", "clamped"])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags, pin", [([], BOUND16_PIN), (["--hamming"], BOUND16_HAMMING_PIN)])
+    def test_stdout_pinned(self, flags, pin, capsys):
+        assert run_cli(["bound", "--L", "16", *flags]) == 0
+        assert capsys.readouterr().out == pin
 
     @pytest.mark.parametrize("L", ["0", "-3"])
     def test_empty_grid_exits_three(self, L, capsys):
@@ -115,9 +242,11 @@ class TestTable:
         L, rho = lines[1].split(",")
         assert L == "8" and abs(float(rho) - 0.150024) < 2e-4
 
-    @pytest.mark.parametrize("variant", contraction.VARIANTS)
-    def test_stdout_pinned(self, variant, capsys):
-        assert run_cli(["table", "--Ls", "1,2,3,5,8,12,16,33,64,256", "--variant", variant]) == 0
+    @pytest.mark.parametrize("variant", ["clamped", "as_written"])
+    def test_stdout_pinned(self, variant, monkeypatch, capsys):
+        if variant == "as_written":
+            monkeypatch.setattr(contraction, "assemble", assemble_as_written)
+        assert run_cli(["table", "--Ls", "1,2,3,5,8,12,16,33,64,256"]) == 0
         assert capsys.readouterr().out == TABLE_PIN
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -146,6 +275,14 @@ class TestMetric:
         overlay = (tmp_path / "m.csv.overlay.csv").read_text().splitlines()
         assert overlay[0] == "lambda_right,d,d_analytic"
         assert len(overlay) - 1 == 16  # grid points with lambda <= 1
+
+    def test_outputs_pinned(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert run_cli(["metric", "--L", "16", "--rho", "0.15", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == METRIC16_REPORT_PIN
+        assert (tmp_path / "m.csv.report.json").read_text() == METRIC16_REPORT_PIN
+        assert out.read_text() == METRIC16_CSV_PIN
+        assert (tmp_path / "m.csv.overlay.csv").read_text() == METRIC16_OVERLAY_PIN
 
     def test_small_instance(self, tmp_path):
         out = tmp_path / "m.csv"

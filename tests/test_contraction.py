@@ -19,7 +19,14 @@ from harddisks.contraction import (
 )
 from harddisks.geometry import crescent_area
 from harddisks.metric import PiecewiseMetric, analytic_small_ell, check_axioms
-from oracles import crescent_angle, crescent_angle_array, feasible, feasible_box, lp_feasible
+from oracles import (
+    assemble_as_written,
+    crescent_angle,
+    crescent_angle_array,
+    feasible,
+    feasible_box,
+    lp_feasible,
+)
 
 # Frozen oracle: minimal solution for L = 8, rho = 0.14, computed with an
 # independent LP solve (minimize the coordinate sum subject to the same
@@ -35,12 +42,16 @@ MINIMAL_L8_RHO014 = (
     0.879529707054,
 )
 
+# The package's assembly and the oracle that integrates the savings kernel
+# past u = 2 as well, keyed by the labels the parametrized tests carry.
+ASSEMBLIES = {"clamped": assemble, "as_written": assemble_as_written}
+
 
 def quadrature_kernel(L, variant, order=16):
     """Gauss-Legendre oracle for the savings integrals I of exact_kernel.
 
-    Each cell is split at the kernel kinks u = |lam_i - 2| and, in the clamped
-    variant, truncated at the danger-zone radius u = 2.
+    Each cell is split at the kernel kinks u = |lam_i - 2| and, for the clamped
+    assembly, truncated at the danger-zone radius u = 2.
     """
     h = 4.0 / L
     lam = h * np.arange(1, L + 1)
@@ -70,7 +81,7 @@ def quadrature_kernel(L, variant, order=16):
 
 def exact_kernel(L, variant):
     """The savings integrals I of the assembled system, with the factor 1/pi removed."""
-    return assemble(0.125, L, variant=variant).w * np.pi
+    return ASSEMBLIES[variant](0.125, L).w * np.pi
 
 
 def adaptive_cell_integral(lam, a, b, variant):
@@ -124,13 +135,13 @@ class TestAssemble:
     def test_closed_form_matches_gauss_legendre(self):
         # The 16-point rule is off by up to 3.4e-5 in the cells that start at
         # the kernel's square-root kink u = 2 - lam.
-        for variant in contraction.VARIANTS:
+        for variant in ASSEMBLIES:
             exact = exact_kernel(64, variant)
             quad = quadrature_kernel(64, variant)
             assert np.array_equal(exact == 0.0, quad == 0.0)
             assert np.allclose(exact, quad, rtol=5e-5, atol=0.0), variant
 
-    @pytest.mark.parametrize("variant", contraction.VARIANTS)
+    @pytest.mark.parametrize("variant", ASSEMBLIES)
     def test_closed_form_matches_adaptive_quadrature(self, variant):
         L = 64
         h = 4.0 / L
@@ -150,8 +161,6 @@ class TestAssemble:
             assemble(-0.1, 8)
         with pytest.raises(ValueError):
             assemble(0.14, 0)
-        with pytest.raises(ValueError):
-            assemble(0.14, 8, variant="bogus")
 
 
 class TestMinimalMetric:
@@ -200,11 +209,11 @@ class TestMinimalMetric:
         with pytest.raises(ValueError):
             minimal_metric(dataclasses.replace(system, rho=0.25))
 
-    @pytest.mark.parametrize("variant", contraction.VARIANTS)
+    @pytest.mark.parametrize("variant", ASSEMBLIES)
     def test_blocked_solve_matches_row_loop(self, variant):
         # L around the block size and well past it; rho up to the L = 1024 bound.
         for rho, L in ((0.14, 1), (0.13, 31), (0.13, 32), (0.15, 33), (0.1546, 1024)):
-            system = assemble(rho, L, variant)
+            system = ASSEMBLIES[variant](rho, L)
             fast = np.array(minimal_metric(system).values)
             assert np.allclose(fast, looped_minimal_metric(system), rtol=1e-13, atol=0.0), (rho, L)
 
@@ -380,9 +389,10 @@ class TestMaxDensity:
         result = max_density(16)
         assert not feasible(result.rho_star + result.tol, 16)[0]
 
-    def test_variant_agreement_at_moderate_grid(self):
-        a = max_density(64, variant="clamped").rho_star
-        b = max_density(64, variant="as_written").rho_star
+    def test_variant_agreement_at_moderate_grid(self, monkeypatch):
+        a = max_density(64).rho_star
+        monkeypatch.setattr(contraction, "assemble", assemble_as_written)
+        b = max_density(64).rho_star
         assert abs(a - b) < 1e-5
 
     @pytest.mark.parametrize("L, variant, rho_star", [
@@ -391,10 +401,11 @@ class TestMaxDensity:
         (3, "as_written", 0.139675007),
         (64, "as_written", 0.153998642),
     ])
-    def test_saturated_rule_decides_feasibility(self, L, variant, rho_star):
+    def test_saturated_rule_decides_feasibility(self, monkeypatch, L, variant, rho_star):
         # Requiring every minimal value <= 1, tail included, gives other
         # bounds here: the tail constraints are pure slack once d = 1 there.
-        assert abs(max_density(L, variant=variant).rho_star - rho_star) < 1e-6
+        monkeypatch.setattr(contraction, "assemble", ASSEMBLIES[variant])
+        assert abs(max_density(L).rho_star - rho_star) < 1e-6
 
     def test_epsilon_hat_insensitivity(self, monkeypatch):
         a = max_density(16)
@@ -419,11 +430,11 @@ class TestMaxDensity:
             with pytest.raises(ValueError):
                 max_density(8, tol=tol, hamming=hamming)
 
-    @pytest.mark.parametrize("variant", contraction.VARIANTS)
+    @pytest.mark.parametrize("variant", ASSEMBLIES)
     def test_assembles_once_and_probes_share_the_arrays(self, monkeypatch, variant):
         built, seen = [], []
 
-        def counted(*args, _fn=contraction.assemble):
+        def counted(*args, _fn=ASSEMBLIES[variant]):
             built.append(_fn(*args))
             return built[-1]
 
@@ -436,7 +447,7 @@ class TestMaxDensity:
         monkeypatch.setattr(contraction, "assemble", counted)
         for name in ("decide", "witness"):
             monkeypatch.setattr(contraction, name, recorded(getattr(contraction, name)))
-        result = max_density(64, variant=variant)
+        result = max_density(64)
         assert len(built) == 1
         assert len(seen) == result.iterations + 2  # bracket check, probes, witness
         base = built[0]
