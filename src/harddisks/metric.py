@@ -46,9 +46,10 @@ class PiecewiseMetric:
 
     def eval_array(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
-        if np.any(lam < 0):
+        if not np.all(lam >= 0):  # NaN included
             raise ValueError("displacement length must be nonnegative")
-        idx = np.ceil(lam * self.L / 4.0 - 1e-12).astype(int)
+        # beyond 4 the value is 1 anyway; clipping keeps inf out of the int cast
+        idx = np.ceil(np.minimum(lam, 4.0) * self.L / 4.0 - 1e-12).astype(int)
         idx = np.clip(idx, 1, self.L)
         out = np.asarray(self.values)[idx - 1]
         out = np.where(lam == 0.0, 0.0, out)

@@ -40,6 +40,13 @@ class TestEval:
             m.eval(-0.1)
         with pytest.raises(ValueError):
             m.eval_array([0.5, -0.1])
+        with pytest.raises(ValueError):
+            m.eval(math.nan)
+
+    def test_infinite_displacement_is_one(self):
+        m = PiecewiseMetric(values=(0.1, 0.2))
+        assert m.eval(math.inf) == 1.0
+        assert m.eval_array([0.5, math.inf]).tolist() == [0.1, 1.0]
 
     @given(st.floats(min_value=0.0, max_value=6.0, allow_nan=False))
     def test_eval_array_matches_scalar(self, lam):
