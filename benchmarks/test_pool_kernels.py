@@ -6,18 +6,19 @@
 The pool has coupling.BATCH chains, the largest pool the estimator runs,
 stored disk-major as one array of shape (2, n, chains).  One batched
 sweep step is reported as ns per chain·disk; one stratified coupled-trial
-step, K0 disk-0 and KC crescent proposals per chain, as ns per configuration
-and as ns per trial (disk-0 proposal); one displacement of the whole pool as
-ns per chain, over DISPLACE_POOLS freshly seeded pools, because a few caged
-chains set its cost and differ from pool to pool; and the cold start of a
-pool (insertion plus the equilibration sweeps) as ns per chain·step, each in
-`extra_info`.
+step, the m^2 disk-0 grid points and KC crescent proposals per chain, as ns
+per configuration; the disk-0 grid count of the whole pool
+(geometry.free_grid_counts) as ns per chain; one displacement of the whole
+pool as ns per chain, over DISPLACE_POOLS freshly seeded pools, because a
+few caged chains set its cost and differ from pool to pool; and the cold
+start of a pool (insertion plus the equilibration sweeps) as ns per
+chain·step, each in `extra_info`.
 """
 
 import numpy as np
 import pytest
 
-from harddisks import coupling, dynamics
+from harddisks import coupling, dynamics, geometry
 from harddisks.metric import PiecewiseMetric
 
 B, N, RHO, STEPS, SEED = coupling.BATCH, 32, 0.14, 128, 2014
@@ -87,7 +88,15 @@ def test_batch_trials(benchmark, pool):
 
     benchmark.pedantic(coupling._batch_trials, setup=fresh, rounds=20, warmup_rounds=1)
     _report(benchmark, "ns_per_configuration", B)
-    _report(benchmark, "ns_per_trial", B * coupling.K0)
+
+
+def test_free_grid_counts(benchmark, pool):
+    start, state = pool
+    r = dynamics.radius_for_density(N, RHO)
+    shift = _rng(state).random((2, B))
+    args = (*start[:, 1:], shift, geometry.cells_per_side(r), (2.0 * r) ** 2)
+    benchmark.pedantic(geometry.free_grid_counts, args=args, rounds=50, warmup_rounds=1)
+    _report(benchmark, "ns_per_chain", B)
 
 
 def test_equilibrated_pool(benchmark):

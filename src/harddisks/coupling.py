@@ -10,19 +10,22 @@ classified and charged with two deltas: the pessimistic analysis bound
 chains, stratified: only a proposal of the disagreeing disk (probability 1/n)
 or one into the danger crescent Z(y1) \\ Z(x1) (probability
 (n-1)/n * crescent_area(ell) r^2) can change the metric, so each
-configuration draws K0 proposals from the first stratum and KC from the
-second and weights the mean of each by those probabilities.  Proposal noise
-within one configuration, not the spread between configurations, dominates
-the variance, so several cheap proposals share each expensive configuration
-(two-stage sampling: Cochran, Sampling Techniques, 3rd ed., 1977, ch. 10),
-and the K0 disk-0 points form a randomly shifted lattice rather than
-independent points.
+configuration weights the mean outcome of each stratum by those
+probabilities.  A disk-0 proposal coalesces the pair exactly when it lies 2r
+clear of disks 1..n-1, so its stratum mean is the free-area fraction, counted
+on a randomly shifted m x m grid with cell side 1/m >= 2r
+(geometry.free_grid_counts); the crescent stratum draws KC proposals.
+Proposal noise within one configuration, not the spread between
+configurations, dominates the variance, so many cheap proposals share each
+expensive configuration (two-stage sampling: Cochran, Sampling Techniques,
+3rd ed., 1977, ch. 10).
 The tests replay it through a scalar coupled step, one proposal at a time
 (tests/oracles.py).  One estimate runs one vectorized pool of at most BATCH
 chains and no threads; each chain yields several successive configurations,
 so the confidence interval is computed from per-chain sums.
 A pool of chains is one disk-major array P (2, n, chains) from batch_insert,
-and every pool step tests proposals through geometry.plane_d2 or clear_of.
+and every pool step tests proposals through geometry.plane_d2, clear_of or
+free_grid_counts.
 """
 
 from __future__ import annotations
@@ -34,7 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import batch_insert, radius_for_density
-from .geometry import SWEEP_BLOCK_PAIRS, clear_of, crescent_area, min_image_array, plane_d2
+from .geometry import (
+    SWEEP_BLOCK_PAIRS,
+    cells_per_side,
+    clear_of,
+    crescent_area,
+    free_grid_counts,
+    min_image_array,
+    plane_d2,
+)
 from .metric import PiecewiseMetric
 
 OUTCOME_KINDS = ("coalesced", "unchanged", "both-rejected", "far-move", "near-move")
@@ -192,15 +203,14 @@ CRESCENT_ROUNDS = 1000  # rejection rounds of _draw_proposals; each succeeds w.p
 
 
 def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
-    """K0 disk-0 proposals and KC danger-crescent proposals per chain.
+    """The disk-0 grid shift and KC danger-crescent proposals per chain.
 
-    Returns (z0, j, z) of shapes (K0, chains, 2), (KC, chains) and
-    (KC, chains, 2).  Each chain's z0 is the rank-1 lattice
-    {(k / K0, (7k mod K0) / K0)} shifted mod 1 by one uniform point
-    (Cranley & Patterson, SIAM J. Numer. Anal. 13, 1976): every point is
-    uniform on the torus, so the mean of the K0 indicators stays unbiased,
-    but the points cover the torus evenly and their mean varies less than
-    that of K0 independent points.  j is uniform on 1..n-1 and z uniform on
+    Returns (shift, j, z) of shapes (2, chains), (KC, chains) and
+    (KC, chains, 2).  shift is uniform on the unit square: the chain's
+    disk-0 proposals are the m x m grid {(i/m, j/m) + shift mod 1} (Cranley &
+    Patterson, SIAM J. Numer. Anal. 13, 1976).  Every grid point is uniform
+    on the torus, so the mean of its indicators stays unbiased, but the
+    points cover the torus evenly.  j is uniform on 1..n-1 and z uniform on
     the crescent Z(y1) \\ Z(x1).  z is drawn by rejection from the 2r disk
     around y1, restricted to the annulus at distance >= 2r - ell from y1 (no
     closer point lies outside Z(x1)), and redrawn while it lies in Z(x1).
@@ -211,14 +221,9 @@ def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
     n, B = P.shape[1:]
     two_r2 = (2.0 * r) ** 2
     lo2 = max(0.0, (2.0 - ell_over_r) * r) ** 2
-    # multiplier 7: a scan of 3, 5, 7, 9, 11 and 13 at K0 = 32 (README, `couple`)
-    k = np.arange(K0)
-    lattice = np.stack((k, 7 * k % K0), axis=-1)[:, :, None] / K0
-    # laid out (K0, 2, chains), so every ufunc runs along the chains
-    z0 = lattice + rng.random((2, B))
-    z0 -= z0 >= 1.0  # mod 1: each coordinate lies in [0, 2), and x - 1 is exact
+    shift = rng.random((2, B))
     j = rng.integers(1, n, size=(KC, B))
-    shift = np.tile(min_image_array(y1 - P[:, 0].T), (KC, 1))  # x1 -> y1, per (k, chain)
+    x1_to_y1 = np.tile(min_image_array(y1 - P[:, 0].T), (KC, 1))  # per (k, chain)
     z = np.empty((KC * B, 2))
     pending = np.arange(KC * B)
     for _ in range(CRESCENT_ROUNDS):
@@ -226,25 +231,25 @@ def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
         s = np.sqrt(lo2 + (two_r2 - lo2) * u[:, 0])
         phi = 2.0 * math.pi * u[:, 1]
         bx, by = s * np.cos(phi), s * np.sin(phi)  # z - y1
-        ax, ay = bx + shift[pending, 0], by + shift[pending, 1]  # z - x1
+        ax, ay = bx + x1_to_y1[pending, 0], by + x1_to_y1[pending, 1]  # z - x1
         ok = (ax * ax + ay * ay >= two_r2) & (bx * bx + by * by < two_r2)
         z[pending[ok], 0] = bx[ok]
         z[pending[ok], 1] = by[ok]
         pending = pending[~ok]
         if len(pending) == 0:
             z = z.reshape(KC, B, 2) + y1
-            return z0.transpose(0, 2, 1), j, z - np.floor(z)  # mod 1
+            return shift, j, z - np.floor(z)  # mod 1
     raise RuntimeError("no crescent proposal found within the rejection budget")
 
 
-def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
+def _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z):
     """The coupling rules of the module docstring applied to each chain's proposals.
 
-    Takes the draws of _draw_proposals and returns (coal, kind, bound, exact):
-    of shape (K0, chains), whether each disk-0 proposal z0 coalesces the pair,
-    and of shape (KC, chains), for disk j moving to the crescent point z, its
-    outcome (an index into OUTCOME_KINDS: unchanged, far-move or near-move)
-    and its two metric changes.
+    Takes the draws of _draw_proposals and returns (free, kind, bound, exact):
+    of shape (chains,), how many of the m^2 disk-0 grid points coalesce the
+    pair (m = cells_per_side(r)), and of shape (KC, chains), for disk j moving
+    to the crescent point z, its outcome (an index into OUTCOME_KINDS:
+    unchanged, far-move or near-move) and its two metric changes.
     """
     two_r2 = (2.0 * r) ** 2
     ell_abs = ell_over_r * r
@@ -263,13 +268,15 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
     zbar = mid + w - 2.0 * (w * u).sum(axis=-1, keepdims=True) * u
     zbar -= np.floor(zbar)  # mod 1
 
-    # j = 0: both chains propose z0 against the same blockers.  Disk 0 blocks
-    # neither crescent proposal: z lies outside Z(x1), so its mirror image
-    # lies outside Z(y1); the mirror image is still checked against y1.
-    proposals = ([(p.T, None) for p in z0] + [(p.T, jk - 1) for p, jk in zip(z, j)]
-                 + [(p.T, jk - 1) for p, jk in zip(zbar, j)])
+    # j = 0: both chains propose each grid point against the same blockers.
+    free = free_grid_counts(*P[:, 1:], shift, cells_per_side(r), two_r2)
+
+    # Disk 0 blocks neither crescent proposal: z lies outside Z(x1), so its
+    # mirror image lies outside Z(y1); the mirror image is still checked
+    # against y1.
+    proposals = [(p.T, jk - 1) for p, jk in zip(z, j)] + [(p.T, jk - 1) for p, jk in zip(zbar, j)]
     clear = clear_of(*P[:, 1:], proposals, two_r2)
-    coal, okx, oky = clear[:K0], clear[K0 : K0 + KC], clear[K0 + KC :]
+    okx, oky = clear[:KC], clear[KC:]
     oky &= clear_of(*y1.T[:, None], [(p.T, None) for p in zbar], two_r2)
     succ = okx | oky
 
@@ -287,7 +294,7 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z):
     straight = d_ell + metric.eval_array(dist(xj_new, yj_new) / r)
     crossed = metric.eval_array(dist(xj_new, y1) / r) + metric.eval_array(dist(x1, yj_new) / r)
     exact = np.where(succ, np.minimum(straight, crossed) - d_ell, 0.0)
-    return coal, kind, bound, exact
+    return free, kind, bound, exact
 
 
 def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
@@ -296,25 +303,27 @@ def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
 
     Only two strata of proposals change the metric: disk 0 (probability 1/n)
     and the danger crescent (probability (n-1)/n * crescent_area(ell) r^2).
-    Each chain draws K0 proposals from the first (a shifted lattice, see
-    _draw_proposals) and KC from the second, and its configuration is
-    charged (1/n) mean(c0) + ((n-1)/n) crescent_area(ell) r^2 mean(c_cres),
+    Each chain classifies the m^2 points of a shifted grid from the first (see
+    _draw_proposals) and KC proposals from the second, and its configuration
+    is charged (1/n) mean(c0) + ((n-1)/n) crescent_area(ell) r^2 mean(c_cres),
     for the bound and the exact change alike; every other proposal
-    contributes exactly 0.
+    contributes exactly 0.  A coalescing disk-0 proposal changes the metric
+    by -d(ell) and any other by 0, so mean(c0) = -d(ell) free / m^2.
     """
     n = P.shape[1]
-    z0, j, z = _draw_proposals(P, y1, ell_over_r, r, rng)
-    coal, kind, bound, exact = _classify_proposals(P, y1, metric, ell_over_r, r, z0, j, z)
+    shift, j, z = _draw_proposals(P, y1, ell_over_r, r, rng)
+    free, kind, bound, exact = _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z)
+    grid = cells_per_side(r) ** 2
     w_cres = (n - 1) / n * crescent_area(ell_over_r) * r * r
-    base = (-metric.eval(ell_over_r) / n) * coal.mean(axis=0)
+    base = (-metric.eval(ell_over_r) / n) * (free / grid)
     value_bound = base + w_cres * bound.mean(axis=0)
     value_exact = base + w_cres * exact.mean(axis=0)
 
     tally.add(value_bound, value_exact)
     counts = np.bincount(kind.ravel(), minlength=5)  # crescent proposals
-    coalesced = int(coal.sum())  # disk-0 proposals coalesce or change nothing
+    coalesced = int(free.sum())  # disk-0 proposals coalesce or change nothing
     counts[0] += coalesced
-    counts[1] += coal.size - coalesced
+    counts[1] += grid * len(free) - coalesced
     for k, name in enumerate(OUTCOME_KINDS):
         tally.counts[name] += int(counts[k])
     tally.crescent_hits += kind.size
@@ -333,10 +342,11 @@ BATCH = 512
 # gap was 27e-6 against a joint half-width of 59e-6.
 EQUILIBRATION_SWEEPS = 5
 THIN_SWEEPS = 1  # between configurations
-# Proposals per configuration: K0 of disk 0 and KC into the crescent.  With one
-# of each, proposal noise is about 99 % of a configuration value's variance; a
-# scan of K0 in {8, 16, 24, 32, 48} and KC in {1, 2, 3, 4} at the ell_sweep
-# settings put the lowest ci99^2 x CPU time at K0 = 32, KC = 4 (README, `couple`).
+# Trials per configuration: estimate_contraction runs ceil(trials / K0)
+# configurations, and each classifies the m^2 disk-0 grid points and KC
+# crescent proposals.  KC = 4 comes from a scan of KC in {1, 2, 3, 4} at the
+# ell_sweep settings (README, `couple`) with 32 disk-0 proposals per
+# configuration, which K0 = 32 keeps as the configurations bought per trial.
 K0 = 32
 KC = 4
 
@@ -377,22 +387,23 @@ def estimate_contraction(
 ) -> ContractionEstimate:
     """Monte Carlo estimate of the one-step expected metric change.
 
-    `trials` counts disk-0 proposals: the estimate runs N = ceil(trials / K0)
-    configurations, each an equilibrated configuration from one pool of
-    B = min(BATCH, N) independent chains with a freshly displaced twin.  Each
-    configuration is charged the stratified one-step change: the exact-weight
-    combination (1/n) mean(c0) + ((n-1)/n) crescent_area(ell) r^2 mean(c_cres)
-    over K0 disk-0 proposals, a randomly shifted lattice of points that are
-    each uniform on the torus, and KC uniform danger-crescent proposals (see
-    _draw_proposals and _batch_trials), so its mean is the expected change of
-    a uniform coupled step.  The pool is equilibrated for
-    EQUILIBRATION_SWEEPS * n steps and then runs rounds of thinning by
-    THIN_SWEEPS * n steps, displacement and trials until N configurations
-    are charged; the last round uses only the chains it needs, so every
-    chain yields floor(N / B) or ceil(N / B) successive configurations.  The 99% CI is 2.576 SE with SE^2 =
+    The estimate runs N = ceil(trials / K0) configurations, each an
+    equilibrated configuration from one pool of B = min(BATCH, N)
+    independent chains with a freshly displaced twin.  Each configuration is
+    charged the stratified one-step change: the exact-weight combination
+    (1/n) mean(c0) + ((n-1)/n) crescent_area(ell) r^2 mean(c_cres) over the
+    m^2 disk-0 proposals of a randomly shifted grid, m = cells_per_side(r),
+    whose points are each uniform on the torus, and KC uniform
+    danger-crescent proposals (see _draw_proposals and _batch_trials), so
+    its mean is the expected change of a uniform coupled step.  The pool is
+    equilibrated for EQUILIBRATION_SWEEPS * n steps and then runs rounds of
+    thinning by THIN_SWEEPS * n steps, displacement and trials until N
+    configurations are charged; the last round uses only the chains it
+    needs, so every chain yields floor(N / B) or ceil(N / B) successive
+    configurations.  The 99% CI is 2.576 SE with SE^2 =
     sum_c (S_c - m_c mean)^2 / N^2 over the per-chain sums S_c of m_c
     configurations (see _Tally.ci99); it widens when a chain's configurations
-    are correlated.  outcome_counts partitions the (K0 + KC) N proposals;
+    are correlated.  outcome_counts partitions the (m^2 + KC) N proposals;
     "both-rejected" stays 0, as the mirror crescent is never drawn.
     Deterministic given the seed.  `threads` (>= 1) is accepted for the
     callers that pass a worker bound, but the pool is vectorized and starts

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import clear_of, min_image_array
+from .geometry import cells_per_side, clear_of, min_image_array
 
 MAX_INSERTION_ATTEMPTS = 10_000  # per disk and chain
 RUN_BLOCK = 65_536  # proposals drawn per block in run()
@@ -127,7 +127,7 @@ class CellGrid:
     """
 
     def __init__(self, config: Configuration):
-        m = self.m = max(1, int(1.0 / (2.0 * config.r)))
+        m = self.m = cells_per_side(config.r)
         self.lim = 4.0 * config.r * config.r
         self.cells: list[list[int]] = [[] for _ in range(m * m)]
         self.neighbours = [

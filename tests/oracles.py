@@ -8,6 +8,10 @@ scalar or independent route to the same result:
   `reflect_across_bisector`): test_geometry and criterion 6 check their
   identities.  The batched mirror image in `coupling._classify_proposals`
   meets `reflect_across_bisector` through `classify_step` below.
+- `shifted_grid`, `free_grid_bruteforce`: the disk-0 grid points of a
+  chain pool and their free count through `geometry.clear_of`, m^2 tests
+  per disk.  test_geometry checks `geometry.free_grid_counts` against it,
+  and test_coupling replays the grid through `classify_step`.
 - `crescent_angle`, `crescent_angle_array`: the angle in the savings kernel
   2 (pi - theta(u, lam)) u.  test_geometry checks that
   `geometry.outside_zone_area` is its antiderivative, and test_contraction
@@ -42,7 +46,7 @@ import numpy as np
 
 from harddisks import contraction, coupling
 from harddisks.dynamics import Configuration, radius_for_density, random_config
-from harddisks.geometry import crescent_area, min_image_array, outside_zone_area
+from harddisks.geometry import clear_of, crescent_area, min_image_array, outside_zone_area
 from harddisks.metric import PiecewiseMetric, grid_edges
 
 # --- torus geometry, in absolute units ---------------------------------------
@@ -124,6 +128,20 @@ def reflect_across_bisector(z: TorusPoint, a: TorusPoint, b: TorusPoint) -> Toru
     ux, uy = (bx - ax) / ell, (by - ay) / ell
     t = zx * ux + zy * uy  # component along ab, measured from the midpoint
     return chart.to_torus((zx - 2.0 * t * ux, zy - 2.0 * t * uy))
+
+
+def shifted_grid(shift, m: int) -> np.ndarray:
+    """The grid {(i/m, j/m) + shift[:, c] mod 1} of each chain c, as points of
+    shape (m^2, 2, chains) ordered by i m + j."""
+    i, j = np.divmod(np.arange(m * m), m)
+    points = np.stack((i, j), axis=1)[:, :, None] / m + shift
+    points -= points >= 1.0  # each coordinate lies in [0, 2)
+    return points
+
+
+def free_grid_bruteforce(X, Y, shift, m: int, two_r2: float) -> np.ndarray:
+    """Per chain, the shifted grid points clear of every disk, by clear_of."""
+    return clear_of(X, Y, [(p, None) for p in shifted_grid(shift, m)], two_r2).sum(axis=0)
 
 
 # --- the crescent angle, in units of r ---------------------------------------

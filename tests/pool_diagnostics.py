@@ -5,6 +5,7 @@
     PYTHONPATH=src python tests/pool_diagnostics.py calibration --seeds 1-20
     PYTHONPATH=src python tests/pool_diagnostics.py calibration --seeds 1-20 --trials 2000000
     PYTHONPATH=src python tests/pool_diagnostics.py equilibration --seeds 1-20 --sweeps 1,3,5,30
+    PYTHONPATH=src python tests/pool_diagnostics.py variance --ell 1
 
 burn-in        From the random-sequential-insertion start of dynamics.batch_insert,
                the acceptance rate of each sweep and the total-variation distance
@@ -25,10 +26,14 @@ equilibration  The estimator's mean over the seeds and the 99% half-width of tha
                mean at the largest count, the reference, by more than the joint
                half-width.  Sweep count s runs the seeds 1000 s + seed, so the
                sets are independent.
+variance       The variance of one configuration value split three ways: the
+               disk-0 grid noise and the crescent noise within a configuration
+               (over --repeats proposal draws on each of --rounds * BATCH
+               configurations) and the spread between configurations.
 
-Settings: n = 32, rho = 0.14, 10^5 trials (disk-0 proposals; --trials), the
-L = 256 witness metric.  Not collected by pytest; every command prints JSON
-lines.
+Settings: n = 32, rho = 0.14, 10^5 trials (--trials; ceil(trials / K0)
+configurations), the L = 256 witness metric.  Not collected by pytest; every
+command prints JSON lines.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import sys
 
 import numpy as np
 
-from harddisks import coupling, dynamics
+from harddisks import coupling, dynamics, geometry
 from harddisks.contraction import max_density
 
 N, RHO, TRIALS = 32, 0.14, 100_000
@@ -203,6 +208,35 @@ def equilibration(args) -> None:
         print(json.dumps(out))
 
 
+def variance(args) -> None:
+    metric = witness()
+    r = dynamics.radius_for_density(N, RHO)
+    two_r2 = (2.0 * r) ** 2
+    rng = np.random.default_rng(args.seed)
+    P = dynamics.batch_insert(coupling.BATCH, N, RHO, rng)
+    coupling._batch_sweep(P, coupling.EQUILIBRATION_SWEEPS * N, two_r2, rng)
+    w_disk0 = -metric.eval(args.ell) / (N * geometry.cells_per_side(r) ** 2)
+    w_cres = (N - 1) / N * geometry.crescent_area(args.ell) * r * r
+    disk0, cres = [], []  # per round, (repeats, chains)
+    for _ in range(args.rounds):
+        coupling._batch_sweep(P, coupling.THIN_SWEEPS * N, two_r2, rng)
+        y1 = coupling._displace(P, args.ell * r, two_r2, rng)
+        draws = [coupling._draw_proposals(P, y1, args.ell, r, rng) for _ in range(args.repeats)]
+        parts = [coupling._classify_proposals(P, y1, metric, args.ell, r, *d) for d in draws]
+        disk0.append(np.array([w_disk0 * free for free, _, _, _ in parts]))
+        cres.append(np.array([w_cres * bound.mean(axis=0) for _, _, bound, _ in parts]))
+    D, C = np.concatenate(disk0, axis=1), np.concatenate(cres, axis=1)
+    within = (D + C).var(axis=0, ddof=1).mean()
+    # the spread of the per-configuration means, less their own proposal noise
+    between = (D + C).mean(axis=0).var(ddof=1) - within / args.repeats
+    print(json.dumps({
+        "ell": args.ell, "configurations": D.shape[1], "repeats": args.repeats,
+        "disk0_noise": float(D.var(axis=0, ddof=1).mean()),
+        "crescent_noise": float(C.var(axis=0, ddof=1).mean()),
+        "between_configurations": float(between), "total": float(within + between),
+    }))
+
+
 def ints(text: str) -> list[int]:
     if "-" in text:
         lo, hi = map(int, text.split("-"))
@@ -237,6 +271,12 @@ def main(argv=None) -> int:
     p.add_argument("--ells", type=floats, default=[1.0, 4.0])
     p.add_argument("--sweeps", type=ints, default=[1, 3, 5, 30])
     p.set_defaults(run=equilibration)
+    p = sub.add_parser("variance")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--ell", type=float, default=1.0)
+    p.add_argument("--rounds", type=int, default=4)
+    p.add_argument("--repeats", type=int, default=50)
+    p.set_defaults(run=variance)
     args = parser.parse_args(argv)
     args.run(args)
     return 0

@@ -19,10 +19,12 @@ from oracles import (
     classify_step,
     coupled_step,
     crescent_angle_array,
+    free_grid_bruteforce,
     hamming_metric,
     make_pair,
     reflect_across_bisector,
     replaced,
+    shifted_grid,
     torus_dist,
 )
 
@@ -31,6 +33,11 @@ TEST_METRIC = PiecewiseMetric(values=tuple(np.minimum(1.0, np.linspace(0.05, 1.6
 
 def _pair(n=8, rho=0.02, ell_over_r=2.0, seed=0):
     return make_pair(n, rho, ell_over_r, seed)
+
+
+def _grid_points(n, rho):
+    """m^2, the disk-0 proposals of one configuration."""
+    return geometry.cells_per_side(radius_for_density(n, rho)) ** 2
 
 
 class TestMakePair:
@@ -541,21 +548,21 @@ class TestEstimateContraction:
         # BATCH = 512 chains: 64 full rounds and a partial one of 232 chains
         est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, 33_000 * coupling.K0, seed=77)
         assert est.configurations == 33_000
-        assert est.mean_delta_bound == -0.052796365691027504
-        assert est.mean_delta_exact == -0.05590981128041414
-        assert est.ci99_bound == 3.836578497393527e-05
+        assert est.mean_delta_bound == -0.052811222354250655
+        assert est.mean_delta_exact == -0.05592466794363729
+        assert est.ci99_bound == 2.034405196430986e-05
         assert est.outcome_counts == {
-            "coalesced": 877001, "unchanged": 181122, "both-rejected": 0,
+            "coalesced": 3316951, "unchanged": 678172, "both-rejected": 0,
             "far-move": 70518, "near-move": 59359,
         }
 
     def test_stratified_counts_partition_draws(self):
-        # each configuration draws K0 disk-0 and KC crescent proposals; the
-        # mirror crescent is never drawn
+        # each configuration classifies m^2 disk-0 grid points and KC crescent
+        # proposals; the mirror crescent is never drawn
         configs = 10_000
         est = estimate_contraction(16, 0.10, 1.5, hamming_metric(), configs * coupling.K0, seed=4)
         assert est.configurations == configs
-        assert sum(est.outcome_counts.values()) == (coupling.K0 + coupling.KC) * configs
+        assert sum(est.outcome_counts.values()) == (_grid_points(16, 0.10) + coupling.KC) * configs
         assert est.outcome_counts["both-rejected"] == 0
         assert est.crescent_hits == coupling.KC * configs
         assert est.outcome_counts["far-move"] > 0 and est.outcome_counts["near-move"] > 0
@@ -567,8 +574,9 @@ class TestEstimateContraction:
         assert est.trials == trials
         assert est.configurations == configs
         counts = est.outcome_counts
-        assert sum(counts.values()) == (coupling.K0 + coupling.KC) * configs
-        assert counts["coalesced"] <= coupling.K0 * configs
+        grid = _grid_points(8, 0.05)
+        assert sum(counts.values()) == (grid + coupling.KC) * configs
+        assert counts["coalesced"] <= grid * configs
         assert counts["far-move"] + counts["near-move"] <= coupling.KC * configs
         assert est.crescent_hits == coupling.KC * configs
 
@@ -658,17 +666,21 @@ def _rng_at(state):
 class TestStratifiedTrials:
     @pytest.mark.parametrize("ell", [0.5, 1.5, 3.0])
     def test_replays_through_classify_step(self, ell):
-        n, rho, B = 8, 0.05, 300
+        # m = 11, so each chain replays 121 grid points and KC crescent proposals
+        n, rho, B = 8, 0.05, 80
         P, y1, r, state = _replay_pool(n, rho, B, ell, seed=41)
         centers = P.T
+        m = geometry.cells_per_side(r)
+        assert m == 11
 
-        z0, j, z = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
-        assert z0.shape == (coupling.K0, B, 2) and z.shape == (coupling.KC, B, 2)
-        coal, kind, bound, exact = coupling._classify_proposals(
-            P, y1, TEST_METRIC, ell, r, z0, j, z)
+        shift, j, z = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
+        assert shift.shape == (2, B) and z.shape == (coupling.KC, B, 2)
+        free, kind, bound, exact = coupling._classify_proposals(
+            P, y1, TEST_METRIC, ell, r, shift, j, z)
         tally = coupling._Tally(B)
         coupling._batch_trials(P, y1, TEST_METRIC, ell, r, _rng_at(state), tally)
 
+        grid = shifted_grid(shift, m)
         w_cres = (n - 1) / n * crescent_area(ell) * r * r
         sum_b = sum_e = 0.0
         counts = dict.fromkeys(OUTCOME_KINDS, 0)
@@ -676,12 +688,14 @@ class TestStratifiedTrials:
             X = Configuration(centers[b], r, _validate=False)
             pair = CoupledPair(X=X, Y=replaced(X, 0, y1[b]))
             c0_b = c0_e = cc_b = cc_e = 0.0
-            for k in range(coupling.K0):
-                first = classify_step(pair, TEST_METRIC, 0, TorusPoint(*z0[k, b]))
-                assert (first.kind == "coalesced") == coal[k, b]
+            coalesced = 0
+            for point in grid[:, :, b]:
+                first = classify_step(pair, TEST_METRIC, 0, TorusPoint(*point))
+                coalesced += first.kind == "coalesced"
                 c0_b += first.delta_bound
                 c0_e += first.delta_exact
                 counts[first.kind] += 1
+            assert coalesced == free[b], b
             for k in range(coupling.KC):
                 assert 1 <= j[k, b] < n
                 out = classify_step(pair, TEST_METRIC, int(j[k, b]), TorusPoint(*z[k, b]))
@@ -691,8 +705,8 @@ class TestStratifiedTrials:
                 cc_b += out.delta_bound
                 cc_e += out.delta_exact
                 counts[out.kind] += 1
-            sum_b += c0_b / (n * coupling.K0) + w_cres * cc_b / coupling.KC
-            sum_e += c0_e / (n * coupling.K0) + w_cres * cc_e / coupling.KC
+            sum_b += c0_b / (n * m * m) + w_cres * cc_b / coupling.KC
+            sum_e += c0_e / (n * m * m) + w_cres * cc_e / coupling.KC
         assert tally.sum_bound == pytest.approx(sum_b, abs=1e-12)
         assert tally.sum_exact == pytest.approx(sum_e, abs=1e-12)
         assert tally.counts == counts
@@ -700,60 +714,65 @@ class TestStratifiedTrials:
 
     def test_disk0_mean_matches_free_area(self):
         # A disk-0 proposal coalesces iff it lies 2r clear of disks 1..n-1, so
-        # the mean of the K0 indicators of every chain estimates the pool's
+        # the free share of every chain's m^2 grid points estimates the pool's
         # free-area fraction, which 10^5 uniform points measure through clear_of.
         n, rho, B, ell = 32, 0.14, 256, 1.0
         P, y1, r, state = _replay_pool(n, rho, B, ell, seed=43)
-        z0, j, z = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
-        coal = coupling._classify_proposals(P, y1, TEST_METRIC, ell, r, z0, j, z)[0]
+        shift, j, z = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
+        free = coupling._classify_proposals(P, y1, TEST_METRIC, ell, r, shift, j, z)[0]
+        grid_points = B * geometry.cells_per_side(r) ** 2
         pts = np.random.default_rng(44).random((100_000 // B, B, 2))
-        free = geometry.clear_of(*P[:, 1:], [(p.T, None) for p in pts], (2.0 * r) ** 2)
-        p = float(free.mean())
+        uniform = geometry.clear_of(*P[:, 1:], [(p.T, None) for p in pts], (2.0 * r) ** 2)
+        p = float(uniform.mean())
         assert 0.3 < p < 0.7
-        # 99.9% binomial CI of the difference of the two means; the K0 points
-        # of a chain form a shifted lattice, whose mean varies less than that
-        # of K0 independent points, so the binomial sigma is conservative
-        sigma = math.sqrt(p * (1 - p) * (1 / coal.size + 1 / free.size))
-        assert abs(float(coal.mean()) - p) < 3.29 * sigma
+        # 99.9% binomial CI of the difference of the two means; the grid points
+        # of a chain cover the torus evenly, so their mean varies less than
+        # that of independent points and the binomial sigma is conservative
+        sigma = math.sqrt(p * (1 - p) * (1 / grid_points + 1 / uniform.size))
+        assert abs(float(free.sum()) / grid_points - p) < 3.29 * sigma
 
-    def test_disk0_points_are_a_shifted_lattice(self):
+    def test_disk0_points_are_a_shifted_grid(self):
+        # the shift is the round's first draw, one uniform point per chain,
+        # and the free counts are those of clear_of on the grid it shifts
         P, y1, r, state = _replay_pool(8, 0.05, 300, 1.5, seed=47)
-        z0 = coupling._draw_proposals(P, y1, 1.5, r, _rng_at(state))[0]
-        k = np.arange(coupling.K0)
-        lattice = np.stack((k / coupling.K0, (7 * k % coupling.K0) / coupling.K0), axis=-1)
-        assert np.all((0.0 <= z0) & (z0 < 1.0))
-        # lattice point 0 is the origin, so z0[0] is each chain's shift
-        expected = (lattice[:, None] + z0[0]) % 1.0
-        assert np.abs(min_image_array(z0 - expected)).max() < 1e-12
-        assert len(np.unique(z0[0], axis=0)) == 300
+        shift, j, z = coupling._draw_proposals(P, y1, 1.5, r, _rng_at(state))
+        assert np.array_equal(shift, _rng_at(state).random((2, 300)))
+        assert len(np.unique(shift, axis=1).T) == 300
+        free = coupling._classify_proposals(P, y1, TEST_METRIC, 1.5, r, shift, j, z)[0]
+        m = geometry.cells_per_side(r)
+        assert np.array_equal(free, free_grid_bruteforce(*P[:, 1:], shift, m, (2.0 * r) ** 2))
 
     def test_disk0_points_marginally_uniform(self):
-        # every point of the shifted lattice is uniform on the torus: each
-        # lattice index k, across 6,400 chains, fills an 8 x 8 grid evenly
+        # every point of the shifted grid is uniform on the torus: each grid
+        # point, across 6,400 chains, fills an 8 x 8 grid of cells evenly
         B = 6400
         r, x1 = 0.01, np.array([0.3, 0.5])
         P = np.tile(np.array([x1, [0.5, 0.0]]), (B, 1, 1)).T
-        z0 = coupling._draw_proposals(P, np.tile(x1 + [r, 0.0], (B, 1)), 1.0, r,
-                                      np.random.default_rng(48))[0]
-        for k in (0, 1, coupling.K0 - 1):
-            cells = np.floor(8 * z0[k]).astype(int)
-            seen = np.bincount(8 * cells[:, 0] + cells[:, 1], minlength=64)
+        shift = coupling._draw_proposals(P, np.tile(x1 + [r, 0.0], (B, 1)), 1.0, r,
+                                         np.random.default_rng(48))[0]
+        m = geometry.cells_per_side(r)
+        grid = shifted_grid(shift, m)
+        for k in (0, 1, m + 3, m * m - 1):
+            cells = np.floor(8 * grid[k]).astype(int)
+            seen = np.bincount(8 * cells[0] + cells[1], minlength=64)
             assert stats.chisquare(seen).pvalue > 1e-3, k
 
-    def test_lattice_mean_varies_less_than_binomial(self):
-        # on a fixed pool, the mean of a chain's K0 indicators over 200 shifts
-        # varies less than the binomial p (1 - p) / K0 of independent points
+    def test_grid_mean_varies_less_than_binomial(self):
+        # on a fixed pool, the free share of a chain's m^2 grid points over 200
+        # shifts varies less than the binomial p (1 - p) / m^2 of independent
+        # points
         n, rho, B, ell = 32, 0.14, 64, 1.0
         P, y1, r, _ = _replay_pool(n, rho, B, ell, seed=45)
+        grid = geometry.cells_per_side(r) ** 2
         rng = np.random.default_rng(46)
         means = []
         for _ in range(200):
-            z0, j, z = coupling._draw_proposals(P, y1, ell, r, rng)
-            coal = coupling._classify_proposals(P, y1, TEST_METRIC, ell, r, z0, j, z)[0]
-            means.append(coal.mean(axis=0))
+            shift, j, z = coupling._draw_proposals(P, y1, ell, r, rng)
+            free = coupling._classify_proposals(P, y1, TEST_METRIC, ell, r, shift, j, z)[0]
+            means.append(free / grid)
         means = np.array(means)
         p = means.mean(axis=0)
-        binomial = float((p * (1 - p)).mean()) / coupling.K0
+        binomial = float((p * (1 - p)).mean()) / grid
         assert float(means.var(axis=0, ddof=1).mean()) < 0.8 * binomial
 
     @pytest.mark.parametrize("ell", [0.5, 1.5, 3.0, 4.0])

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from harddisks.dynamics import batch_insert, radius_for_density
 from harddisks.geometry import (
     SWEEP_BLOCK_PAIRS,
+    cells_per_side,
     clear_of,
     crescent_area,
+    free_grid_counts,
     min_image_array,
     outside_zone_area,
 )
@@ -21,8 +23,10 @@ from oracles import (
     TorusPoint,
     crescent_angle,
     crescent_angle_array,
+    free_grid_bruteforce,
     min_image,
     reflect_across_bisector,
+    shifted_grid,
     torus_dist,
 )
 
@@ -288,3 +292,62 @@ class TestClearOf:
         X = np.empty((0, 5))
         got = clear_of(X, X, [(np.zeros((2, 5)), None)], 1.0)
         assert got.shape == (1, 5) and got.all()
+
+
+class TestFreeGridCounts:
+    # m = cells_per_side(r) runs from 4 (8r = 0.98) to 20
+    @pytest.mark.parametrize("n, rho, m", [
+        (4, 0.19, 4), (16, 0.2, 7), (8, 0.05, 11), (32, 0.14, 13), (110, 0.2, 20),
+    ])
+    def test_matches_clear_of_on_random_pools(self, n, rho, m):
+        r = radius_for_density(n, rho)
+        assert cells_per_side(r) == m
+        two_r2 = (2.0 * r) ** 2
+        rng = np.random.default_rng(m)
+        P = batch_insert(200, n, rho, rng)
+        for _ in range(4):
+            shift = rng.random((2, 200))
+            got = free_grid_counts(*P[:, 1:], shift, m, two_r2)
+            assert np.array_equal(got, free_grid_bruteforce(*P[:, 1:], shift, m, two_r2))
+        assert 0 < got.min() and got.max() < m * m
+
+    def test_zero_shift_and_coordinates_at_one(self):
+        n, rho = 32, 0.14
+        r = radius_for_density(n, rho)
+        m, two_r2 = cells_per_side(r), (2.0 * r) ** 2
+        rng = np.random.default_rng(5)
+        P = batch_insert(100, n, rho, rng)
+        P[0, 1, :50] = 1.0  # x - floor(x) can return 1.0
+        P[1, 2, 25:75] = 1.0
+        shift = rng.random((2, 100))
+        shift[:, :40] = 0.0
+        # a disk a hair below the shift: its grid coordinate often rounds up to m
+        P[:, 3, 40:60] = np.nextafter(shift[:, 40:60], 0.0)
+        u = P[:, 3, 40:60] - shift[:, 40:60]
+        assert np.any(((u - np.floor(u)) * m).astype(int) == m)
+        got = free_grid_counts(*P, shift, m, two_r2)
+        assert np.array_equal(got, free_grid_bruteforce(*P, shift, m, two_r2))
+
+    def test_disk_on_a_grid_point_blocks_only_it(self):
+        # 2r < 1/m, so the neighbouring grid points at 1/m stay free
+        r = radius_for_density(32, 0.14)
+        m, two_r2 = cells_per_side(r), (2.0 * r) ** 2
+        shift = np.random.default_rng(6).random((2, 50))
+        points = shifted_grid(shift, m)
+        k = np.arange(50) * 7 % (m * m)
+        on_grid = points[k, :, np.arange(50)].T[:, None, :]  # (2, 1 disk, chains)
+        got = free_grid_counts(*on_grid, shift, m, two_r2)
+        assert np.array_equal(got, free_grid_bruteforce(*on_grid, shift, m, two_r2))
+        assert np.all(got == m * m - 1)
+
+    def test_disk_exactly_one_cell_from_a_corner_does_not_block_it(self):
+        # two_r2 = 1/m^2, the largest the kernel takes; every value is dyadic,
+        # so the distance 1/m from the disk to the corners beside it is exact
+        m, shift = 4, np.array([[0.25], [0.5]])
+        disk = np.array([[[0.5]], [[0.75]]])  # grid point (1, 1)
+        got = free_grid_counts(*disk, shift, m, 1.0 / m**2)
+        assert got.tolist() == [m * m - 1]
+        assert free_grid_bruteforce(*disk, shift, m, 1.0 / m**2).tolist() == [m * m - 1]
+        # a hair closer to the corner (2, 1), that corner is blocked too
+        disk[0] = np.nextafter(0.5, 1.0)
+        assert free_grid_counts(*disk, shift, m, 1.0 / m**2).tolist() == [m * m - 2]
