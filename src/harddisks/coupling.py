@@ -247,7 +247,7 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z):
 
     Takes the draws of _draw_proposals and returns (free, kind, bound, exact):
     of shape (chains,), how many of the m^2 disk-0 grid points coalesce the
-    pair (m = cells_per_side(r)), and of shape (KC, chains), for disk j moving
+    pair (m = _grid_side(r)), and of shape (KC, chains), for disk j moving
     to the crescent point z, its outcome (an index into OUTCOME_KINDS:
     unchanged, far-move or near-move) and its two metric changes.
     """
@@ -269,7 +269,7 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z):
     zbar -= np.floor(zbar)  # mod 1
 
     # j = 0: both chains propose each grid point against the same blockers.
-    free = free_grid_counts(*P[:, 1:], shift, cells_per_side(r), two_r2)
+    free = free_grid_counts(*P[:, 1:], shift, _grid_side(r), two_r2)
 
     # Disk 0 blocks neither crescent proposal: z lies outside Z(x1), so its
     # mirror image lies outside Z(y1); the mirror image is still checked
@@ -313,7 +313,7 @@ def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
     n = P.shape[1]
     shift, j, z = _draw_proposals(P, y1, ell_over_r, r, rng)
     free, kind, bound, exact = _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z)
-    grid = cells_per_side(r) ** 2
+    grid = _grid_side(r) ** 2
     w_cres = (n - 1) / n * crescent_area(ell_over_r) * r * r
     base = (-metric.eval(ell_over_r) / n) * (free / grid)
     value_bound = base + w_cres * bound.mean(axis=0)
@@ -346,9 +346,20 @@ THIN_SWEEPS = 1  # between configurations
 # configurations, and each classifies the m^2 disk-0 grid points and KC
 # crescent proposals.  KC = 4 comes from a scan of KC in {1, 2, 3, 4} at the
 # ell_sweep settings (README, `couple`) with 32 disk-0 proposals per
-# configuration, which K0 = 32 keeps as the configurations bought per trial.
+# configuration; K0 = 32 keeps that scan's one configuration per 32 trials.
 K0 = 32
 KC = 4
+# Largest side of the disk-0 grid.  The grid costs m^2 per configuration in
+# memory and counting, and m = cells_per_side(r) grows as 1/r (1,253 at n = 2,
+# rho = 1e-6); at m = 13 (n 32, rho 0.14) its noise is already a sixth of the
+# crescent noise (README, `couple`).
+DISK0_GRID_MAX = 32
+
+
+def _grid_side(r: float) -> int:
+    """m of the disk-0 grid: cell side 1/m >= 2r, at most DISK0_GRID_MAX."""
+    return min(cells_per_side(r), DISK0_GRID_MAX)
+
 
 # Equilibrating a pool of chains is the dominant cost and is independent of
 # the displacement under study, so finished pools are memoized per (problem,
@@ -392,7 +403,7 @@ def estimate_contraction(
     independent chains with a freshly displaced twin.  Each configuration is
     charged the stratified one-step change: the exact-weight combination
     (1/n) mean(c0) + ((n-1)/n) crescent_area(ell) r^2 mean(c_cres) over the
-    m^2 disk-0 proposals of a randomly shifted grid, m = cells_per_side(r),
+    m^2 disk-0 proposals of a randomly shifted grid, m = _grid_side(r),
     whose points are each uniform on the torus, and KC uniform
     danger-crescent proposals (see _draw_proposals and _batch_trials), so
     its mean is the expected change of a uniform coupled step.  The pool is

@@ -2,8 +2,9 @@
 
 The package computes distances only in batches: min_image_array for points,
 plane_d2 and clear_of for disk-major chain pools, and free_grid_counts for a
-shifted grid of points against each chain of a pool.  The scalar torus points, the
-crescent angle and the mirror reflection are test oracles (tests/oracles.py).
+shifted grid of points against each chain of a pool.  The scalar torus
+points, the crescent angle and the mirror reflection are test oracles
+(tests/oracles.py).
 All crescent formulas work in normalized units:
 lengths are measured in multiples of the disk radius r, areas in multiples
 of r^2.  The danger zone

@@ -215,7 +215,7 @@ def variance(args) -> None:
     rng = np.random.default_rng(args.seed)
     P = dynamics.batch_insert(coupling.BATCH, N, RHO, rng)
     coupling._batch_sweep(P, coupling.EQUILIBRATION_SWEEPS * N, two_r2, rng)
-    w_disk0 = -metric.eval(args.ell) / (N * geometry.cells_per_side(r) ** 2)
+    w_disk0 = -metric.eval(args.ell) / (N * coupling._grid_side(r) ** 2)
     w_cres = (N - 1) / N * geometry.crescent_area(args.ell) * r * r
     disk0, cres = [], []  # per round, (repeats, chains)
     for _ in range(args.rounds):

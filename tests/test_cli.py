@@ -11,7 +11,6 @@ import pytest
 import harddisks
 from harddisks import contraction, coupling, dynamics
 from harddisks.cli import main
-from harddisks.geometry import cells_per_side
 from harddisks.metric import PiecewiseMetric, from_csv, to_csv
 from harddisks.contraction import max_density
 from oracles import assemble_as_written
@@ -383,7 +382,7 @@ class TestCouple:
         assert payload["mean_delta_exact"] <= payload["mean_delta_bound"] + 1e-12
         # m^2 disk-0 grid points and KC crescent proposals per configuration
         configs = -(-20000 // coupling.K0)
-        grid = cells_per_side(dynamics.radius_for_density(8, 0.1)) ** 2
+        grid = coupling._grid_side(dynamics.radius_for_density(8, 0.1)) ** 2
         assert sum(payload["outcome_counts"].values()) == (grid + coupling.KC) * configs
 
     def test_thread_count_does_not_change_output(self, tmp_path, metric_file):

@@ -37,7 +37,7 @@ def _pair(n=8, rho=0.02, ell_over_r=2.0, seed=0):
 
 def _grid_points(n, rho):
     """m^2, the disk-0 proposals of one configuration."""
-    return geometry.cells_per_side(radius_for_density(n, rho)) ** 2
+    return coupling._grid_side(radius_for_density(n, rho)) ** 2
 
 
 class TestMakePair:
@@ -556,6 +556,17 @@ class TestEstimateContraction:
             "far-move": 70518, "near-move": 59359,
         }
 
+    def test_disk0_grid_side_is_capped(self):
+        # cells_per_side(r) is 1,253 here; the grid keeps DISK0_GRID_MAX per side
+        r = radius_for_density(2, 1e-6)
+        assert geometry.cells_per_side(r) == 1253
+        assert coupling._grid_side(r) == coupling.DISK0_GRID_MAX
+        configs = 2 * coupling.BATCH
+        est = estimate_contraction(2, 1e-6, 1.0, hamming_metric(), configs * coupling.K0, seed=5)
+        grid = coupling.DISK0_GRID_MAX ** 2
+        assert sum(est.outcome_counts.values()) == (grid + coupling.KC) * configs
+        assert est.outcome_counts["coalesced"] > 0.99 * grid * configs  # a free torus, nearly
+
     def test_stratified_counts_partition_draws(self):
         # each configuration classifies m^2 disk-0 grid points and KC crescent
         # proposals; the mirror crescent is never drawn
@@ -670,7 +681,7 @@ class TestStratifiedTrials:
         n, rho, B = 8, 0.05, 80
         P, y1, r, state = _replay_pool(n, rho, B, ell, seed=41)
         centers = P.T
-        m = geometry.cells_per_side(r)
+        m = coupling._grid_side(r)
         assert m == 11
 
         shift, j, z = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
@@ -720,7 +731,7 @@ class TestStratifiedTrials:
         P, y1, r, state = _replay_pool(n, rho, B, ell, seed=43)
         shift, j, z = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
         free = coupling._classify_proposals(P, y1, TEST_METRIC, ell, r, shift, j, z)[0]
-        grid_points = B * geometry.cells_per_side(r) ** 2
+        grid_points = B * coupling._grid_side(r) ** 2
         pts = np.random.default_rng(44).random((100_000 // B, B, 2))
         uniform = geometry.clear_of(*P[:, 1:], [(p.T, None) for p in pts], (2.0 * r) ** 2)
         p = float(uniform.mean())
@@ -739,7 +750,7 @@ class TestStratifiedTrials:
         assert np.array_equal(shift, _rng_at(state).random((2, 300)))
         assert len(np.unique(shift, axis=1).T) == 300
         free = coupling._classify_proposals(P, y1, TEST_METRIC, 1.5, r, shift, j, z)[0]
-        m = geometry.cells_per_side(r)
+        m = coupling._grid_side(r)
         assert np.array_equal(free, free_grid_bruteforce(*P[:, 1:], shift, m, (2.0 * r) ** 2))
 
     def test_disk0_points_marginally_uniform(self):
@@ -750,7 +761,7 @@ class TestStratifiedTrials:
         P = np.tile(np.array([x1, [0.5, 0.0]]), (B, 1, 1)).T
         shift = coupling._draw_proposals(P, np.tile(x1 + [r, 0.0], (B, 1)), 1.0, r,
                                          np.random.default_rng(48))[0]
-        m = geometry.cells_per_side(r)
+        m = coupling._grid_side(r)
         grid = shifted_grid(shift, m)
         for k in (0, 1, m + 3, m * m - 1):
             cells = np.floor(8 * grid[k]).astype(int)
@@ -763,7 +774,7 @@ class TestStratifiedTrials:
         # points
         n, rho, B, ell = 32, 0.14, 64, 1.0
         P, y1, r, _ = _replay_pool(n, rho, B, ell, seed=45)
-        grid = geometry.cells_per_side(r) ** 2
+        grid = coupling._grid_side(r) ** 2
         rng = np.random.default_rng(46)
         means = []
         for _ in range(200):
