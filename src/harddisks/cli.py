@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--ell", type=float, required=True, help="displacement in units of r, in (0, 4]")
     p.add_argument("--trials", type=int, required=True,
-                   help=f"disk-0 proposals; runs ceil(trials / {coupling.K0}) configurations")
+                   help=f"buys ceil(trials / {coupling.K0}) configurations")
     p.add_argument("--metric", required=True, help="metric CSV path (lambda_right,d)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")

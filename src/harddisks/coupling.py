@@ -24,8 +24,8 @@ The tests replay it through a scalar coupled step, one proposal at a time
 chains and no threads; each chain yields several successive configurations,
 so the confidence interval is computed from per-chain sums.
 A pool of chains is one disk-major array P (2, n, chains) from batch_insert,
-and every pool step tests proposals through geometry.plane_d2, clear_of or
-free_grid_counts.
+and every pool step tests proposals through one of two kernels:
+geometry.clear_of, or free_grid_counts for the disk-0 grid.
 """
 
 from __future__ import annotations
@@ -38,13 +38,11 @@ import numpy as np
 
 from .dynamics import batch_insert, radius_for_density
 from .geometry import (
-    SWEEP_BLOCK_PAIRS,
     cells_per_side,
     clear_of,
     crescent_area,
     free_grid_counts,
     min_image_array,
-    plane_d2,
 )
 from .metric import PiecewiseMetric
 
@@ -86,38 +84,25 @@ class ContractionEstimate:
 def _batch_sweep(P: np.ndarray, steps: int, two_r2: float, rng) -> None:
     """Advance every chain of the pool P by `steps` single-disk moves, in place.
 
-    The rejection test is a minimum over the contiguous disk rows of the
-    planes P[0], P[1].  The chains are split into column blocks of
-    max(1, SWEEP_BLOCK_PAIRS // n) chains that stay in cache for a whole
-    chunk of 128 steps.  The draws are those of the (B, n, 2) kernel kept in
-    the tests: per chunk, disk indices of shape (chunk, B), then positions of
-    shape (chunk, B, 2); the arithmetic per chain is the same, so every chain
-    ends in the same state bit for bit.
+    Each step moves disk j[c] of chain c to the point z[c] if that lies 2r
+    clear of the chain's other disks (geometry.clear_of).  The draws are
+    those of the (B, n, 2) kernel kept in the tests: per chunk of 128 steps,
+    disk indices of shape (chunk, B), then positions of shape (chunk, B, 2);
+    the arithmetic per chain is the same, so every chain ends in the same
+    state bit for bit.
     """
     n, B = P.shape[1:]
-    width = max(1, SWEEP_BLOCK_PAIRS // n)
-    cols = np.arange(min(width, B))
-    # separate allocations: buffers a multiple of 4 KiB apart slow the ufuncs pairing them
-    dx = np.empty((n, len(cols)))
-    dy = np.empty_like(dx)
-    nearest = np.empty_like(dx)
+    X, Y = P
     done = 0
     while done < steps:
         chunk = min(128, steps - done)
         j_all = rng.integers(n, size=(chunk, B))
         z_all = rng.random((chunk, B, 2))
-        for lo in range(0, B, width):
-            X, Y = P[:, :, lo : lo + width]
-            w = X.shape[1]
-            c, ex, ey, near = cols[:w], dx[:, :w], dy[:, :w], nearest[:, :w]
-            for t in range(chunk):
-                j = j_all[t, lo : lo + w]
-                zx, zy = z_all[t, lo : lo + w].T
-                plane_d2(X, Y, zx, zy, ex, ey, near)
-                ex[j, c] = np.inf
-                ok = (np.minimum.reduce(ex, axis=0) >= two_r2).nonzero()[0]
-                X[j[ok], ok] = zx[ok]
-                Y[j[ok], ok] = zy[ok]
+        for j, z in zip(j_all, z_all):
+            zx, zy = z.T
+            ok = clear_of(X, Y, [((zx, zy), j)], two_r2)[0].nonzero()[0]
+            X[j[ok], ok] = zx[ok]
+            Y[j[ok], ok] = zy[ok]
         done += chunk
 
 

@@ -1,8 +1,8 @@
 """Minimal-image torus distances, the clearance kernel and the closed-form crescent areas.
 
 The package computes distances only in batches: min_image_array for points,
-plane_d2 and clear_of for disk-major chain pools, and free_grid_counts for a
-shifted grid of points against each chain of a pool.  The scalar torus
+clear_of for proposals against disk-major chain pools, and free_grid_counts
+for a shifted grid of points against each chain of a pool.  The scalar torus
 points, the crescent angle and the mirror reflection are test oracles
 (tests/oracles.py).
 All crescent formulas work in normalized units:
@@ -23,48 +23,36 @@ def min_image_array(d):
     return d - np.round(d)
 
 
-SWEEP_BLOCK_PAIRS = 1 << 15  # chain·disk pairs per block of the plane kernels
-
-
-def plane_d2(X, Y, px, py, d2, dy, nearest) -> None:
-    """Squared torus distances from (px[c], py[c]) to the disks of chain c.
-
-    X, Y are disk-major coordinate planes (disks, chains); the result goes to
-    d2, and dy and nearest are scratch buffers of the same shape.
-    """
-    np.subtract(X, px, out=d2)
-    np.rint(d2, out=nearest)
-    d2 -= nearest
-    np.subtract(Y, py, out=dy)
-    np.rint(dy, out=nearest)
-    dy -= nearest
-    d2 *= d2
-    dy *= dy
-    d2 += dy
+SWEEP_BLOCK_PAIRS = 1 << 15  # chain·disk pairs per block of free_grid_counts; blocks bound its RSS peak
 
 
 def clear_of(X, Y, proposals, two_r2: float) -> np.ndarray:
     """Per proposal (points, skip) and chain c: is the point (px[c], py[c]) at
-    squared distance >= two_r2 from every disk of chain c but disk skip[c]?
+    squared torus distance >= two_r2 from every disk of chain c but disk skip[c]?
 
     X, Y are disk-major planes (disks, chains), possibly with no disks; points
     is a pair (px, py) and skip an index array or None.  Returns booleans of
-    shape (len(proposals), chains), computed in cache-sized blocks of chains.
+    shape (len(proposals), chains).
     """
     rows, B = X.shape
-    width = max(1, SWEEP_BLOCK_PAIRS // max(1, rows))
     out = np.empty((len(proposals), B), dtype=bool)
-    d2 = np.empty((rows, min(width, B)))  # separate buffers, as in coupling._batch_sweep
+    # separate allocations: buffers a multiple of 4 KiB apart slow the ufuncs pairing them
+    d2 = np.empty((rows, B))
     dy, nearest = np.empty_like(d2), np.empty_like(d2)
-    for lo in range(0, B, width):
-        hi = lo + width
-        Xb, Yb = X[:, lo:hi], Y[:, lo:hi]
-        w = Xb.shape[1]
-        for k, ((px, py), skip) in enumerate(proposals):
-            plane_d2(Xb, Yb, px[lo:hi], py[lo:hi], d2[:, :w], dy[:, :w], nearest[:, :w])
-            if skip is not None:
-                d2[skip[lo:hi], np.arange(w)] = np.inf
-            out[k, lo:hi] = np.minimum.reduce(d2[:, :w], axis=0, initial=np.inf) >= two_r2
+    cols = np.arange(B)
+    for k, ((px, py), skip) in enumerate(proposals):
+        np.subtract(X, px, out=d2)
+        np.rint(d2, out=nearest)
+        d2 -= nearest
+        np.subtract(Y, py, out=dy)
+        np.rint(dy, out=nearest)
+        dy -= nearest
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        if skip is not None:
+            d2[skip, cols] = np.inf
+        out[k] = np.minimum.reduce(d2, axis=0, initial=np.inf) >= two_r2
     return out
 
 

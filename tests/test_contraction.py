@@ -46,6 +46,10 @@ MINIMAL_L8_RHO014 = (
 # past u = 2 as well, keyed by the labels the parametrized tests carry.
 ASSEMBLIES = {"clamped": assemble, "as_written": assemble_as_written}
 
+# The method's ceiling: Richardson extrapolation of the clamped and the
+# cell-covering bounds from L = 1024, 2048 and 4096 gives 0.1546468 +- 1e-7.
+RHO_CEILING = 0.1546468
+
 
 def quadrature_kernel(L, variant, order=16):
     """Gauss-Legendre oracle for the savings integrals I of exact_kernel.
@@ -388,6 +392,15 @@ class TestMaxDensity:
     def test_infeasible_just_above_the_bound(self):
         result = max_density(16)
         assert not feasible(result.rho_star + result.tol, 16)[0]
+
+    # The bound approaches the method's ceiling RHO_CEILING as c/L (README),
+    # with c = 0.0415 / 0.0421 / 0.0423 at these L.  Scaling g by 1.01 moves
+    # c to 0.09 / 0.25 / 0.86, far outside the band.
+    @pytest.mark.parametrize("L", [64, 256, 1024])
+    def test_ceiling_law(self, L):
+        rho = max_density(L).rho_star
+        assert rho < RHO_CEILING
+        assert 0.035 <= L * (RHO_CEILING - rho) <= 0.05, L * (RHO_CEILING - rho)
 
     def test_variant_agreement_at_moderate_grid(self, monkeypatch):
         a = max_density(64).rho_star

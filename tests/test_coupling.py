@@ -322,8 +322,7 @@ class TestBatchSweep:
     def test_matches_reference_layout(self, n, rho):
         r = radius_for_density(n, rho)
         two_r2 = (2.0 * r) ** 2
-        one_block = max(1, geometry.SWEEP_BLOCK_PAIRS // n)
-        for B in (1, 7, one_block + 1):  # the last block of one_block + 1 is partial
+        for B in (1, 7, coupling.BATCH):  # BATCH: the largest pool an estimate runs
             start = dynamics.batch_insert(B, n, rho, np.random.default_rng(B))
             for steps in (0, 1, 129):  # 129 crosses a 128-step chunk
                 want, P = start.T.copy(), start.copy()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from harddisks.dynamics import batch_insert, radius_for_density
 from harddisks.geometry import (
-    SWEEP_BLOCK_PAIRS,
     cells_per_side,
     clear_of,
     crescent_area,
@@ -265,9 +264,8 @@ def bruteforce_clear(P, c, xy, skip, two_r2):
 
 
 class TestClearOf:
-    # n = 65 gives blocks of SWEEP_BLOCK_PAIRS // 64 = 512 chains; B = 513
-    # leaves a partial second block
-    @pytest.mark.parametrize("B, n", [(1, 2), (9, 8), (SWEEP_BLOCK_PAIRS // 64 + 1, 65)])
+    # B = 513 is a pool larger than coupling.BATCH = 512 chains
+    @pytest.mark.parametrize("B, n", [(1, 2), (9, 8), (513, 65)])
     def test_matches_bruteforce_with_skip_rows(self, B, n):
         rho = 0.15
         rng = np.random.default_rng(n)
