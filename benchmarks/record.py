@@ -15,7 +15,9 @@ revision goes first, so that host drift between rounds shows up as spread
 within each revision rather than as a difference between them.  `layers`
 holds, per revision, every benchmark's min time in seconds over all rounds,
 each round's min and the `extra_info` of the fastest round, and null for a
-benchmark that only the other revision has.
+benchmark that only the other revision has; `layers["separated"]` says, per
+benchmark both revisions have, whether their ranges of round minima are
+disjoint, the least a layer change must show before it is claimed.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ def record_layers(checkouts: dict) -> dict:
     Round k runs base first when k is even and head first otherwise.  Per
     revision and benchmark: the min over the rounds, every round's min and the
     fastest round's extra_info; null where only the other revision has it.
+    Under "separated", per benchmark of both revisions: whether no round min
+    of one lies within the range of the other's.
     """
     rounds = {"base": [], "head": []}
     for k in range(LAYER_ROUNDS):
@@ -109,6 +113,11 @@ def record_layers(checkouts: dict) -> dict:
             best, info = min(timings, key=lambda t: t[0])
             layers[side][name] = {"min_s": best, "round_min_s": [t for t, _ in timings],
                                   "extra_info": info}
+    layers["separated"] = {}
+    for name in names:
+        if layers["base"][name] and layers["head"][name]:
+            base, head = (layers[side][name]["round_min_s"] for side in ("base", "head"))
+            layers["separated"][name] = max(base) < min(head) or max(head) < min(base)
     return layers
 
 

@@ -6,8 +6,9 @@
 The pool has coupling.BATCH chains, the largest pool the estimator runs,
 stored disk-major as one array of shape (2, n, chains).  One batched
 sweep step is reported as ns per chain·disk; one stratified coupled-trial
-step, the m^2 disk-0 grid points and KC crescent proposals per chain, as ns
-per configuration; the disk-0 grid count of the whole pool
+step, the m^2 disk-0 grid points and KC weighted crescent-lattice points per
+chain, as ns per configuration, and its draw and crescent map alone
+(coupling._draw_proposals) the same way; the disk-0 grid count of the whole pool
 (geometry.free_grid_counts) as ns per chain; one displacement of the whole
 pool as ns per chain, over DISPLACE_POOLS freshly seeded pools, because a
 few caged chains set its cost and differ from pool to pool; and the cold
@@ -87,6 +88,18 @@ def test_batch_trials(benchmark, pool):
         return (start, y1, METRIC, ELL, r, _rng(state), coupling._Tally(B)), {}
 
     benchmark.pedantic(coupling._batch_trials, setup=fresh, rounds=20, warmup_rounds=1)
+    _report(benchmark, "ns_per_configuration", B)
+
+
+def test_draw_proposals(benchmark, pool):
+    start, state = pool
+    r = dynamics.radius_for_density(N, RHO)
+    y1 = coupling._displace(start.copy(), ELL * r, (2.0 * r) ** 2, _rng(state))
+
+    def fresh():
+        return (start, y1, ELL, r, _rng(state)), {}
+
+    benchmark.pedantic(coupling._draw_proposals, setup=fresh, rounds=50, warmup_rounds=1)
     _report(benchmark, "ns_per_configuration", B)
 
 

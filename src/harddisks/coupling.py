@@ -14,7 +14,8 @@ configuration weights the mean outcome of each stratum by those
 probabilities.  A disk-0 proposal coalesces the pair exactly when it lies 2r
 clear of disks 1..n-1, so its stratum mean is the free-area fraction, counted
 on a randomly shifted m x m grid with cell side 1/m >= 2r
-(geometry.free_grid_counts); the crescent stratum draws KC proposals.
+(geometry.free_grid_counts); the crescent stratum maps a randomly shifted
+KC-point lattice onto the crescent and weights each point.
 Proposal noise within one configuration, not the spread between
 configurations, dominates the variance, so many cheap proposals share each
 expensive configuration (two-stage sampling: Cochran, Sampling Techniques,
@@ -60,8 +61,11 @@ class ContractionEstimate:
     ci99_bound: float
     ci99_exact: float
     outcome_counts: dict
-    # diagnostics, kept out of to_json: configurations = ceil(trials / K0)
-    # and the crescent proposals drawn (KC per configuration)
+    # diagnostics, kept out of to_json: configurations = ceil(trials / K0),
+    # the crescent points drawn (KC per configuration) and the savings
+    # d(ell) - d(s) of their accepted near moves, each weighted by
+    # weight / E[weight], so that the sum over crescent_hits is the mean per
+    # uniform crescent proposal
     configurations: int
     crescent_hits: int
     near_savings_sum: float
@@ -184,47 +188,44 @@ class _Tally:
         return half_width(self.chain_bound), half_width(self.chain_exact)
 
 
-CRESCENT_ROUNDS = 1000  # rejection rounds of _draw_proposals; each succeeds w.p. >= 1/pi
-
-
 def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
-    """The disk-0 grid shift and KC danger-crescent proposals per chain.
+    """The disk-0 grid shift and KC weighted danger-crescent proposals per chain.
 
-    Returns (shift, j, z) of shapes (2, chains), (KC, chains) and
-    (KC, chains, 2).  shift is uniform on the unit square: the chain's
-    disk-0 proposals are the m x m grid {(i/m, j/m) + shift mod 1} (Cranley &
-    Patterson, SIAM J. Numer. Anal. 13, 1976).  Every grid point is uniform
-    on the torus, so the mean of its indicators stays unbiased, but the
-    points cover the torus evenly.  j is uniform on 1..n-1 and z uniform on
-    the crescent Z(y1) \\ Z(x1).  z is drawn by rejection from the 2r disk
-    around y1, restricted to the annulus at distance >= 2r - ell from y1 (no
-    closer point lies outside Z(x1)), and redrawn while it lies in Z(x1).
-    At least 1/pi of that annulus is crescent at any ell.  Offsets from x1
-    are taken in the plane: while 8r < 1 no other image of x1 comes within 2r
-    of the disk around y1.
+    Returns (shift, j, z, weight) of shapes (2, chains), (KC, chains),
+    (KC, chains, 2) and (KC, chains).  shift is uniform on the unit square:
+    the chain's disk-0 proposals are the m x m grid {(i/m, j/m) + shift mod 1}
+    (Cranley & Patterson, SIAM J. Numer. Anal. 13, 1976).  Every grid point
+    is uniform on the torus, so the mean of its indicators stays unbiased,
+    but the points cover the torus evenly.  j is uniform on 1..n-1.  The
+    crescent points map the Fibonacci lattice {(k/KC, (KC_G k mod KC)/KC)},
+    shifted mod 1 by one more uniform point c per chain, onto the crescent
+    Z(y1) \\ Z(x1): in units of r, u = (u0, u1) goes to the radius
+    s = sqrt(lo^2 + (4 - lo^2) u0) about y1, lo = max(0, 2 - ell), and the
+    angle theta + 2 (pi - theta) u1 from the direction y1 -> x1, where
+    theta(s, ell) is the half-angle of the arc inside Z(x1).  z then has
+    density 1 / ((4 - lo^2)(pi - theta)) on the crescent, so with the weight
+    (pi - theta) / pi the mean of pi (4 - lo^2) weight f(z) over the points
+    is unbiased for the crescent integral of f.  Offsets from x1 are taken in
+    the plane: while 8r < 1 no other image of x1 comes within 2r of y1.
     """
     n, B = P.shape[1:]
-    two_r2 = (2.0 * r) ** 2
-    lo2 = max(0.0, (2.0 - ell_over_r) * r) ** 2
     shift = rng.random((2, B))
     j = rng.integers(1, n, size=(KC, B))
-    x1_to_y1 = np.tile(min_image_array(y1 - P[:, 0].T), (KC, 1))  # per (k, chain)
-    z = np.empty((KC * B, 2))
-    pending = np.arange(KC * B)
-    for _ in range(CRESCENT_ROUNDS):
-        u = rng.random((len(pending), 2))
-        s = np.sqrt(lo2 + (two_r2 - lo2) * u[:, 0])
-        phi = 2.0 * math.pi * u[:, 1]
-        bx, by = s * np.cos(phi), s * np.sin(phi)  # z - y1
-        ax, ay = bx + x1_to_y1[pending, 0], by + x1_to_y1[pending, 1]  # z - x1
-        ok = (ax * ax + ay * ay >= two_r2) & (bx * bx + by * by < two_r2)
-        z[pending[ok], 0] = bx[ok]
-        z[pending[ok], 1] = by[ok]
-        pending = pending[~ok]
-        if len(pending) == 0:
-            z = z.reshape(KC, B, 2) + y1
-            return shift, j, z - np.floor(z)  # mod 1
-    raise RuntimeError("no crescent proposal found within the rejection budget")
+    c = rng.random((2, B))
+    k = np.arange(KC)[:, None]
+    u = np.array((k / KC + c[0], (KC_G * k % KC) / KC + c[1]))
+    u -= np.floor(u)  # mod 1
+    lo2 = max(0.0, 2.0 - ell_over_r) ** 2
+    s = np.sqrt(lo2 + (4.0 - lo2) * u[0])
+    # 2 s ell is 0 only where u0 = 0 and ell >= 2; that point is y1 itself and gets theta = 0
+    den = 2.0 * ell_over_r * s
+    cos_theta = np.divide(s * s + ell_over_r**2 - 4.0, den, out=np.ones_like(s), where=den > 0)
+    theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
+    phi = theta + 2.0 * (math.pi - theta) * u[1]
+    ex, ey = min_image_array(P[:, 0] - y1.T) / ell_over_r  # r times the unit vector y1 -> x1
+    cos_phi, sin_phi = s * np.cos(phi), s * np.sin(phi)
+    z = np.stack((cos_phi * ex - sin_phi * ey, cos_phi * ey + sin_phi * ex), axis=-1) + y1
+    return shift, j, z - np.floor(z), 1.0 - theta / math.pi  # z mod 1
 
 
 def _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z):
@@ -288,21 +289,23 @@ def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
 
     Only two strata of proposals change the metric: disk 0 (probability 1/n)
     and the danger crescent (probability (n-1)/n * crescent_area(ell) r^2).
-    Each chain classifies the m^2 points of a shifted grid from the first (see
-    _draw_proposals) and KC proposals from the second, and its configuration
-    is charged (1/n) mean(c0) + ((n-1)/n) crescent_area(ell) r^2 mean(c_cres),
-    for the bound and the exact change alike; every other proposal
-    contributes exactly 0.  A coalescing disk-0 proposal changes the metric
-    by -d(ell) and any other by 0, so mean(c0) = -d(ell) free / m^2.
+    Each chain classifies the m^2 points of a shifted grid from the first and
+    KC weighted lattice points from the second (see _draw_proposals), and its
+    configuration is charged (1/n) mean(c0) + ((n-1)/n) pi (4 - lo^2) r^2
+    mean(weight c_cres), lo = max(0, 2 - ell), for the bound and the exact
+    change alike; every other proposal contributes exactly 0.  A coalescing
+    disk-0 proposal changes the metric by -d(ell) and any other by 0, so
+    mean(c0) = -d(ell) free / m^2.
     """
     n = P.shape[1]
-    shift, j, z = _draw_proposals(P, y1, ell_over_r, r, rng)
+    shift, j, z, weight = _draw_proposals(P, y1, ell_over_r, r, rng)
     free, kind, bound, exact = _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z)
     grid = _grid_side(r) ** 2
-    w_cres = (n - 1) / n * crescent_area(ell_over_r) * r * r
+    area = math.pi * (4.0 - max(0.0, 2.0 - ell_over_r) ** 2)  # the annulus z is mapped into
+    w_cres = (n - 1) / n * area * r * r
     base = (-metric.eval(ell_over_r) / n) * (free / grid)
-    value_bound = base + w_cres * bound.mean(axis=0)
-    value_exact = base + w_cres * exact.mean(axis=0)
+    value_bound = base + w_cres * (weight * bound).mean(axis=0)
+    value_exact = base + w_cres * (weight * exact).mean(axis=0)
 
     tally.add(value_bound, value_exact)
     counts = np.bincount(kind.ravel(), minlength=5)  # crescent proposals
@@ -312,7 +315,8 @@ def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
     for k, name in enumerate(OUTCOME_KINDS):
         tally.counts[name] += int(counts[k])
     tally.crescent_hits += kind.size
-    tally.near_savings_sum += float((1.0 - bound[kind == 4]).sum())  # d(ell) - d(s)
+    near_savings = ((1.0 - bound) * weight)[kind == 4]  # d(ell) - d(s); E[weight] = A / area
+    tally.near_savings_sum += float(near_savings.sum()) * area / crescent_area(ell_over_r)
     tally.max_gap = max(tally.max_gap, float((exact - bound).max()))
 
 
@@ -328,16 +332,17 @@ BATCH = 512
 EQUILIBRATION_SWEEPS = 5
 THIN_SWEEPS = 1  # between configurations
 # Trials per configuration: estimate_contraction runs ceil(trials / K0)
-# configurations, and each classifies the m^2 disk-0 grid points and KC
-# crescent proposals.  KC = 4 comes from a scan of KC in {1, 2, 3, 4} at the
-# ell_sweep settings (README, `couple`) with 32 disk-0 proposals per
-# configuration; K0 = 32 keeps that scan's one configuration per 32 trials.
+# configurations, and each classifies the m^2 disk-0 grid points and the KC
+# crescent points of the Fibonacci lattice (KC, KC_G).  K0 = 32 keeps the
+# configuration count of the independent-proposal scan that first set K0
+# and KC (README, `couple`); KC = 5 had the lowest ell_sweep ci99^2 x CPU
+# time of the lattices with KC in {5, 8, 13} (README, `couple`).
 K0 = 32
-KC = 4
+KC, KC_G = 5, 2
 # Largest side of the disk-0 grid.  The grid costs m^2 per configuration in
 # memory and counting, and m = cells_per_side(r) grows as 1/r (1,253 at n = 2,
-# rho = 1e-6); at m = 13 (n 32, rho 0.14) its noise is already a sixth of the
-# crescent noise (README, `couple`).
+# rho = 1e-6); at m = 13 (n 32, rho 0.14) its noise is already a quarter of
+# the crescent noise (README, `couple`).
 DISK0_GRID_MAX = 32
 
 
@@ -389,9 +394,10 @@ def estimate_contraction(
     charged the stratified one-step change: the exact-weight combination
     (1/n) mean(c0) + ((n-1)/n) crescent_area(ell) r^2 mean(c_cres) over the
     m^2 disk-0 proposals of a randomly shifted grid, m = _grid_side(r),
-    whose points are each uniform on the torus, and KC uniform
-    danger-crescent proposals (see _draw_proposals and _batch_trials), so
-    its mean is the expected change of a uniform coupled step.  The pool is
+    whose points are each uniform on the torus, and KC danger-crescent
+    points of a randomly shifted lattice, each weighted by the inverse of
+    its density (see _draw_proposals and _batch_trials), so its mean is the
+    expected change of a uniform coupled step.  The pool is
     equilibrated for EQUILIBRATION_SWEEPS * n steps and then runs rounds of
     thinning by THIN_SWEEPS * n steps, displacement and trials until N
     configurations are charged; the last round uses only the chains it

@@ -16,6 +16,9 @@ scalar or independent route to the same result:
   2 (pi - theta(u, lam)) u.  test_geometry checks that
   `geometry.outside_zone_area` is its antiderivative, and test_contraction
   checks `contraction.assemble` against quadratures of it.
+- `uniform_crescent_proposals`: the crescent stratum drawn i.i.d. uniform
+  by rejection, a drop-in for `coupling._draw_proposals`.  test_coupling
+  checks that the weighted lattice points of the package vary less than it.
 - `move_allowed_bruteforce`, `propose`, `step`, `replaced`: the O(n) scalar
   single-disk chain.  test_dynamics and criterion 8 audit
   `dynamics.CellGrid` against `move_allowed_bruteforce` step by step.
@@ -182,6 +185,44 @@ def crescent_angle_array(u, lam):
     th = np.where(u < 2.0 - lam, np.pi, th)
     th = np.where(u == 0.0, np.where(lam <= 2.0, np.pi, 0.0), th)
     return th
+
+
+def uniform_crescent_proposals(P, y1, ell_over_r: float, r: float, rng):
+    """coupling._draw_proposals with KC independent uniform crescent points per
+    chain, drawn by rejection; a drop-in with the same shapes and the same
+    first two draws (the disk-0 grid shift, then j).
+
+    z is drawn from the 2r disk around y1, restricted to the annulus at
+    distance >= 2r - ell from y1 (no closer point lies outside Z(x1)), and
+    redrawn while it lies in Z(x1); at least 1/pi of that annulus is crescent
+    at any ell.  Every point carries the same weight, the crescent's share
+    crescent_area(ell) / (pi (4 - lo^2)) of that annulus, so the weighted
+    crescent mean of _batch_trials is crescent_area(ell) times the plain mean.
+    """
+    n, B = P.shape[1:]
+    KC = coupling.KC
+    two_r2 = (2.0 * r) ** 2
+    lo = max(0.0, 2.0 - ell_over_r)
+    shift = rng.random((2, B))
+    j = rng.integers(1, n, size=(KC, B))
+    x1_to_y1 = np.tile(min_image_array(y1 - P[:, 0].T), (KC, 1))  # per (k, chain)
+    z = np.empty((KC * B, 2))
+    pending = np.arange(KC * B)
+    for _ in range(1000):
+        u = rng.random((len(pending), 2))
+        s = np.sqrt((lo * r) ** 2 + (two_r2 - (lo * r) ** 2) * u[:, 0])
+        phi = 2.0 * math.pi * u[:, 1]
+        bx, by = s * np.cos(phi), s * np.sin(phi)  # z - y1
+        ax, ay = bx + x1_to_y1[pending, 0], by + x1_to_y1[pending, 1]  # z - x1
+        ok = (ax * ax + ay * ay >= two_r2) & (bx * bx + by * by < two_r2)
+        z[pending[ok], 0] = bx[ok]
+        z[pending[ok], 1] = by[ok]
+        pending = pending[~ok]
+        if len(pending) == 0:
+            z = z.reshape(KC, B, 2) + y1
+            weight = np.full((KC, B), crescent_area(ell_over_r) / (math.pi * (4.0 - lo * lo)))
+            return shift, j, z - np.floor(z), weight
+    raise RuntimeError("no crescent proposal found within the rejection budget")
 
 
 # --- the scalar single-disk chain --------------------------------------------

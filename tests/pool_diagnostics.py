@@ -27,9 +27,10 @@ equilibration  The estimator's mean over the seeds and the 99% half-width of tha
                half-width.  Sweep count s runs the seeds 1000 s + seed, so the
                sets are independent.
 variance       The variance of one configuration value split three ways: the
-               disk-0 grid noise and the crescent noise within a configuration
-               (over --repeats proposal draws on each of --rounds * BATCH
-               configurations) and the spread between configurations.
+               disk-0 grid noise and the weighted crescent noise within a
+               configuration (over --repeats proposal draws on each of
+               --rounds * BATCH configurations) and the spread between
+               configurations.
 
 Settings: n = 32, rho = 0.14, 10^5 trials (--trials; ceil(trials / K0)
 configurations), the L = 256 witness metric.  Not collected by pytest; every
@@ -46,7 +47,7 @@ import sys
 
 import numpy as np
 
-from harddisks import coupling, dynamics, geometry
+from harddisks import coupling, dynamics
 from harddisks.contraction import max_density
 
 N, RHO, TRIALS = 32, 0.14, 100_000
@@ -216,15 +217,17 @@ def variance(args) -> None:
     P = dynamics.batch_insert(coupling.BATCH, N, RHO, rng)
     coupling._batch_sweep(P, coupling.EQUILIBRATION_SWEEPS * N, two_r2, rng)
     w_disk0 = -metric.eval(args.ell) / (N * coupling._grid_side(r) ** 2)
-    w_cres = (N - 1) / N * geometry.crescent_area(args.ell) * r * r
+    # a crescent point of weight omega stands for pi (4 - lo^2) omega of the crescent (units of r^2)
+    w_cres = (N - 1) / N * math.pi * (4.0 - max(0.0, 2.0 - args.ell) ** 2) * r * r
     disk0, cres = [], []  # per round, (repeats, chains)
     for _ in range(args.rounds):
         coupling._batch_sweep(P, coupling.THIN_SWEEPS * N, two_r2, rng)
         y1 = coupling._displace(P, args.ell * r, two_r2, rng)
         draws = [coupling._draw_proposals(P, y1, args.ell, r, rng) for _ in range(args.repeats)]
-        parts = [coupling._classify_proposals(P, y1, metric, args.ell, r, *d) for d in draws]
+        parts = [coupling._classify_proposals(P, y1, metric, args.ell, r, *d[:3]) for d in draws]
         disk0.append(np.array([w_disk0 * free for free, _, _, _ in parts]))
-        cres.append(np.array([w_cres * bound.mean(axis=0) for _, _, bound, _ in parts]))
+        cres.append(np.array([w_cres * (d[3] * bound).mean(axis=0)
+                              for d, (_, _, bound, _) in zip(draws, parts)]))
     D, C = np.concatenate(disk0, axis=1), np.concatenate(cres, axis=1)
     within = (D + C).var(axis=0, ddof=1).mean()
     # the spread of the per-configuration means, less their own proposal noise

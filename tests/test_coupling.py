@@ -18,6 +18,7 @@ from oracles import (
     TorusPoint,
     classify_step,
     coupled_step,
+    crescent_angle,
     crescent_angle_array,
     free_grid_bruteforce,
     hamming_metric,
@@ -26,6 +27,7 @@ from oracles import (
     replaced,
     shifted_grid,
     torus_dist,
+    uniform_crescent_proposals,
 )
 
 TEST_METRIC = PiecewiseMetric(values=tuple(np.minimum(1.0, np.linspace(0.05, 1.6, 32))))
@@ -545,14 +547,16 @@ class TestEstimateContraction:
     def test_stratified_outputs_pinned(self):
         # 33,000 * K0 trials are 33,000 configurations from one pool of
         # BATCH = 512 chains: 64 full rounds and a partial one of 232 chains
+        # (the i.i.d. crescent sampler read -0.052811222354250655 and
+        # -0.05592466794363729 with ci99_bound 2.03e-05 on the same pool)
         est = estimate_contraction(8, 0.05, 1.5, TEST_METRIC, 33_000 * coupling.K0, seed=77)
         assert est.configurations == 33_000
-        assert est.mean_delta_bound == -0.052811222354250655
-        assert est.mean_delta_exact == -0.05592466794363729
-        assert est.ci99_bound == 2.034405196430986e-05
+        assert est.mean_delta_bound == -0.052800912972501036
+        assert est.mean_delta_exact == -0.055912245515840245
+        assert est.ci99_bound == 2.056814526351188e-05
         assert est.outcome_counts == {
-            "coalesced": 3316951, "unchanged": 678172, "both-rejected": 0,
-            "far-move": 70518, "near-move": 59359,
+            "coalesced": 3316538, "unchanged": 678841, "both-rejected": 0,
+            "far-move": 75298, "near-move": 87323,
         }
 
     def test_disk0_grid_side_is_capped(self):
@@ -683,15 +687,18 @@ class TestStratifiedTrials:
         m = coupling._grid_side(r)
         assert m == 11
 
-        shift, j, z = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
+        shift, j, z, weight = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
         assert shift.shape == (2, B) and z.shape == (coupling.KC, B, 2)
+        assert weight.shape == (coupling.KC, B)
         free, kind, bound, exact = coupling._classify_proposals(
             P, y1, TEST_METRIC, ell, r, shift, j, z)
         tally = coupling._Tally(B)
         coupling._batch_trials(P, y1, TEST_METRIC, ell, r, _rng_at(state), tally)
 
         grid = shifted_grid(shift, m)
-        w_cres = (n - 1) / n * crescent_area(ell) * r * r
+        # each crescent point stands for pi (4 - lo^2) weight of the crescent's area
+        lo = max(0.0, 2.0 - ell)
+        w_cres = (n - 1) / n * math.pi * (4.0 - lo * lo) * r * r
         sum_b = sum_e = 0.0
         counts = dict.fromkeys(OUTCOME_KINDS, 0)
         for b in range(B):
@@ -708,12 +715,15 @@ class TestStratifiedTrials:
             assert coalesced == free[b], b
             for k in range(coupling.KC):
                 assert 1 <= j[k, b] < n
-                out = classify_step(pair, TEST_METRIC, int(j[k, b]), TorusPoint(*z[k, b]))
+                point = TorusPoint(*z[k, b])
+                s = torus_dist(point, TorusPoint(*y1[b])) / r
+                assert weight[k, b] == pytest.approx(1.0 - crescent_angle(s, ell) / math.pi, abs=1e-7)
+                out = classify_step(pair, TEST_METRIC, int(j[k, b]), point)
                 assert out.kind == OUTCOME_KINDS[kind[k, b]], (k, b)
                 assert out.delta_bound == pytest.approx(bound[k, b], abs=1e-12)
                 assert out.delta_exact == pytest.approx(exact[k, b], abs=1e-12)
-                cc_b += out.delta_bound
-                cc_e += out.delta_exact
+                cc_b += weight[k, b] * out.delta_bound
+                cc_e += weight[k, b] * out.delta_exact
                 counts[out.kind] += 1
             sum_b += c0_b / (n * m * m) + w_cres * cc_b / coupling.KC
             sum_e += c0_e / (n * m * m) + w_cres * cc_e / coupling.KC
@@ -728,7 +738,7 @@ class TestStratifiedTrials:
         # free-area fraction, which 10^5 uniform points measure through clear_of.
         n, rho, B, ell = 32, 0.14, 256, 1.0
         P, y1, r, state = _replay_pool(n, rho, B, ell, seed=43)
-        shift, j, z = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
+        shift, j, z, _ = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
         free = coupling._classify_proposals(P, y1, TEST_METRIC, ell, r, shift, j, z)[0]
         grid_points = B * coupling._grid_side(r) ** 2
         pts = np.random.default_rng(44).random((100_000 // B, B, 2))
@@ -745,7 +755,7 @@ class TestStratifiedTrials:
         # the shift is the round's first draw, one uniform point per chain,
         # and the free counts are those of clear_of on the grid it shifts
         P, y1, r, state = _replay_pool(8, 0.05, 300, 1.5, seed=47)
-        shift, j, z = coupling._draw_proposals(P, y1, 1.5, r, _rng_at(state))
+        shift, j, z, _ = coupling._draw_proposals(P, y1, 1.5, r, _rng_at(state))
         assert np.array_equal(shift, _rng_at(state).random((2, 300)))
         assert len(np.unique(shift, axis=1).T) == 300
         free = coupling._classify_proposals(P, y1, TEST_METRIC, 1.5, r, shift, j, z)[0]
@@ -777,7 +787,7 @@ class TestStratifiedTrials:
         rng = np.random.default_rng(46)
         means = []
         for _ in range(200):
-            shift, j, z = coupling._draw_proposals(P, y1, ell, r, rng)
+            shift, j, z, _ = coupling._draw_proposals(P, y1, ell, r, rng)
             free = coupling._classify_proposals(P, y1, TEST_METRIC, ell, r, shift, j, z)[0]
             means.append(free / grid)
         means = np.array(means)
@@ -787,29 +797,129 @@ class TestStratifiedTrials:
 
     @pytest.mark.parametrize("ell", [0.5, 1.5, 3.0, 4.0])
     def test_crescent_draws_uniform(self, ell):
-        # |z - y1| = s r has density 2 (pi - theta(s)) s / A(ell) on (0, 2),
-        # whose integrals are differences of outside_zone_area
+        # weighted by omega, |z - y1| = s r has density 2 (pi - theta(s)) s / A(ell)
+        # on (0, 2), whose integrals are differences of outside_zone_area
         r, B = 0.01, 100_000 // coupling.KC
-        x1 = np.array([0.995, 0.5])  # the crescent straddles the seam x = 0
-        y1 = (x1 + [ell * r, 0.0]) % 1.0
-        P = np.tile(np.array([x1, [0.5, 0.0]]), (B, 1, 1)).T
-        _, j, z = coupling._draw_proposals(
+        x1, y1, P = _seam_pool(ell, r, B)
+        _, j, z, weight = coupling._draw_proposals(
             P, np.tile(y1, (B, 1)), ell, r, np.random.default_rng(int(10 * ell)))
         assert np.all(j == 1)
-        z = z.reshape(-1, 2)  # KC * B = 10^5 crescent points
-        draws = len(z)
+        draws = z.shape[0] * z.shape[1]  # KC * B = 10^5 crescent points
         a = min_image_array(z - x1)
         b = min_image_array(z - y1)
-        assert np.all(np.hypot(a[:, 0], a[:, 1]) >= 2.0 * r)
-        s = np.hypot(b[:, 0], b[:, 1]) / r
+        assert np.all(np.hypot(a[..., 0], a[..., 1]) >= 2.0 * r)
+        assert np.all(np.hypot(b[..., 0], b[..., 1]) < 2.0 * r)
+        s = np.hypot(b[..., 0], b[..., 1]) / r
         edges = np.linspace(0.0, 2.0, 41)
         cdf = outside_zone_area(edges, ell) / crescent_area(ell)
         assert cdf[-1] == pytest.approx(1.0)
-        expected = draws * np.diff(cdf)
-        seen = np.histogram(s, bins=edges)[0]
-        keep = expected > 5  # bins below 2 - ell hold no crescent
-        assert seen[~keep].sum() <= 5
-        assert stats.chisquare(seen[keep], expected[keep] * seen[keep].sum() / expected[keep].sum()).pvalue > 1e-3
+        # per-chain weighted histograms: the chains are independent, the KC
+        # points of one chain are not, so the ratio's SE comes from chain sums
+        bins = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, 39)
+        hist = np.zeros((B, 40))
+        np.add.at(hist, (np.arange(B)[None, :], bins), weight)
+        total = weight.sum(axis=0)
+        share = hist.sum(axis=0) / total.sum()
+        resid = hist - share * total[:, None]
+        se = np.sqrt((resid * resid).sum(axis=0)) / total.sum()
+        expected = np.diff(cdf)
+        assert np.all(np.abs(share - expected) <= 4.0 * se + 1e-12)
+        assert share[expected == 0].sum() == 0.0  # bins below 2 - ell hold no crescent
         # mirror symmetry across the x1-y1 axis
-        above = int((b[:, 1] > 0).sum())
+        above = int((b[..., 1] > 0).sum())
         assert abs(above - draws / 2) < 4 * math.sqrt(draws / 4)
+
+    @pytest.mark.parametrize("ell", [0.5, 1.5, 3.0, 4.0])
+    def test_crescent_weight_mean_is_area_share(self, ell):
+        # E[omega] = A(ell) / (pi (4 - lo^2)), the crescent's share of the
+        # annulus the radius is drawn from; chains are independent
+        r, B = 0.01, 20_000
+        x1, y1, P = _seam_pool(ell, r, B)
+        weight = coupling._draw_proposals(
+            P, np.tile(y1, (B, 1)), ell, r, np.random.default_rng(int(10 * ell) + 1))[3]
+        lo = max(0.0, 2.0 - ell)
+        want = crescent_area(ell) / (math.pi * (4.0 - lo * lo))
+        per_chain = weight.mean(axis=0)
+        assert np.all((0.0 <= weight) & (weight <= 1.0))
+        # at ell = 4 no arc lies inside Z(x1): every weight is 1 and the SE 0
+        assert abs(per_chain.mean() - want) <= 4.0 * per_chain.std() / math.sqrt(B) + 1e-12
+
+    def test_crescent_points_are_a_shifted_lattice(self):
+        # after the disk-0 shift and j, each chain draws one uniform point c;
+        # its KC crescent points map the lattice {(k/KC, (KC_G k mod KC)/KC)}
+        # shifted by c mod 1, which the test recovers from s and the angle
+        n, B, ell = 8, 300, 1.5
+        P, y1, r, state = _replay_pool(n, 0.05, B, ell, seed=49)
+        rng = _rng_at(state)
+        shift, j, z, weight = coupling._draw_proposals(P, y1, ell, r, rng)
+        replay = _rng_at(state)
+        assert np.array_equal(shift, replay.random((2, B)))
+        assert np.array_equal(j, replay.integers(1, n, size=(coupling.KC, B)))
+        c = replay.random((2, B))
+        assert rng.random() == replay.random()  # nothing else was drawn
+        k = np.arange(coupling.KC)[:, None]
+        lattice = np.array((k / coupling.KC + c[0], (coupling.KC_G * k % coupling.KC) / coupling.KC + c[1]))
+        lattice -= np.floor(lattice)
+        e = min_image_array(P[:, 0].T - y1)  # y1 -> x1
+        b = min_image_array(z - y1)
+        s = np.hypot(b[..., 0], b[..., 1]) / r
+        phi = np.arctan2(e[:, 0] * b[..., 1] - e[:, 1] * b[..., 0], (e * b).sum(axis=-1)) % (2.0 * math.pi)
+        theta = crescent_angle_array(s, ell)
+        lo = 2.0 - ell
+        got = np.array(((s * s - lo * lo) / (4.0 - lo * lo), (phi - theta) / (2.0 * (math.pi - theta))))
+        gap = np.abs(got - lattice)
+        assert np.all(np.minimum(gap, 1.0 - gap) < 1e-9)
+        assert np.allclose(weight, 1.0 - theta / math.pi, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("ell", [2.0, 4.0])
+    def test_crescent_point_at_the_center(self, ell):
+        # with ell >= 2 the radius reaches 0 at u0 = 0, where 2 s ell is 0; the
+        # map puts the point on y1 with theta = 0, the whole circle outside Z(x1)
+        r, B = 0.01, 3
+        x1, y1, P = _seam_pool(ell, r, B)
+        shift = np.full((2, B), 0.25)
+        c = np.array([[0.0, 0.0, 0.5], [0.0, 0.3, 0.0]])
+
+        class Scripted:
+            draws = [shift, c]
+
+            def integers(self, lo, hi, size=None):
+                return np.ones(size, dtype=np.int64)
+
+            def random(self, shape=None):
+                return self.draws.pop(0)
+
+        _, _, z, weight = coupling._draw_proposals(P, np.tile(y1, (B, 1)), ell, r, Scripted())
+        assert np.all(np.isfinite(z)) and np.all(np.isfinite(weight))
+        assert np.array_equal(z[0, :2], np.tile(y1, (2, 1)))
+        assert np.all(weight[0, :2] == 1.0)
+        assert np.all((0.0 <= weight) & (weight <= 1.0))
+
+    @pytest.mark.parametrize("ell", [2.0, 4.0])
+    def test_crescent_mean_varies_less_than_uniform(self, ell):
+        # on a fixed pool, the weighted crescent mean of a chain's KC lattice
+        # points varies over 200 draws less than the mean of KC i.i.d. uniform
+        # crescent points (tests/oracles.py) does; at ell >= 2 the crescent
+        # carries most of a configuration's proposal noise
+        n, rho, B = 32, 0.14, 64
+        P, y1, r, _ = _replay_pool(n, rho, B, ell, seed=45)
+        lo = max(0.0, 2.0 - ell)
+        spread = []
+        for sampler in (coupling._draw_proposals, uniform_crescent_proposals):
+            rng = np.random.default_rng(46)
+            means = []
+            for _ in range(200):
+                shift, j, z, weight = sampler(P, y1, ell, r, rng)
+                bound = coupling._classify_proposals(P, y1, TEST_METRIC, ell, r, shift, j, z)[2]
+                means.append(math.pi * (4.0 - lo * lo) * (weight * bound).mean(axis=0))
+            spread.append(float(np.var(means, axis=0, ddof=1).mean()))
+        lattice, uniform = spread
+        assert lattice < 0.8 * uniform
+
+
+def _seam_pool(ell, r, B):
+    """x1, y1 = x1 + ell r e_x and an n = 2 pool of B copies of (x1, a spectator);
+    the crescent straddles the seam x = 0."""
+    x1 = np.array([0.995, 0.5])
+    y1 = (x1 + [ell * r, 0.0]) % 1.0
+    return x1, y1, np.tile(np.array([x1, [0.5, 0.0]]), (B, 1, 1)).T
