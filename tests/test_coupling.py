@@ -677,6 +677,14 @@ def _rng_at(state):
     return gen
 
 
+def _seam_pool(ell, r, B):
+    """x1, y1 = x1 + ell r e_x and an n = 2 pool of B copies of (x1, a spectator);
+    the crescent straddles the seam x = 0."""
+    x1 = np.array([0.995, 0.5])
+    y1 = (x1 + [ell * r, 0.0]) % 1.0
+    return x1, y1, np.tile(np.array([x1, [0.5, 0.0]]), (B, 1, 1)).T
+
+
 class TestStratifiedTrials:
     @pytest.mark.parametrize("ell", [0.5, 1.5, 3.0])
     def test_replays_through_classify_step(self, ell):
@@ -916,10 +924,3 @@ class TestStratifiedTrials:
         lattice, uniform = spread
         assert lattice < 0.8 * uniform
 
-
-def _seam_pool(ell, r, B):
-    """x1, y1 = x1 + ell r e_x and an n = 2 pool of B copies of (x1, a spectator);
-    the crescent straddles the seam x = 0."""
-    x1 = np.array([0.995, 0.5])
-    y1 = (x1 + [ell * r, 0.0]) % 1.0
-    return x1, y1, np.tile(np.array([x1, [0.5, 0.0]]), (B, 1, 1)).T
