@@ -231,15 +231,15 @@ def _draw_proposals(P, y1, ell_over_r: float, r: float, rng):
 def _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z):
     """The coupling rules of the module docstring applied to each chain's proposals.
 
-    Takes the draws of _draw_proposals and returns (free, kind, bound, exact):
-    of shape (chains,), how many of the m^2 disk-0 grid points coalesce the
-    pair (m = _grid_side(r)), and of shape (KC, chains), for disk j moving
-    to the crescent point z, its outcome (an index into OUTCOME_KINDS:
-    unchanged, far-move or near-move) and its two metric changes.
+    Takes the draws of _draw_proposals and returns (free, kind, bound, exact,
+    d_ell): of shape (chains,), how many of the m^2 disk-0 grid points
+    coalesce the pair (m = _grid_side(r)); of shape (KC, chains), for disk j
+    moving to the crescent point z, its outcome (an index into OUTCOME_KINDS:
+    unchanged, far-move or near-move) and its two metric changes; and d(ell),
+    read in the same single metric lookup.
     """
     two_r2 = (2.0 * r) ** 2
     ell_abs = ell_over_r * r
-    d_ell = metric.eval(ell_over_r)
 
     def dist(p, q):
         d = min_image_array(p - q)
@@ -266,21 +266,23 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z):
     oky &= clear_of(*y1.T[:, None], [(p.T, None) for p in zbar], two_r2)
     succ = okx | oky
 
-    s = dist(z, y1)
-    near = s < ell_abs
-    kind = np.where(succ, np.where(near, 4, 3), 1)
-    bound = np.where(near, 1.0 + metric.eval_array(s / r) - d_ell, 1.0)
-    bound[~succ] = 0.0
-
     # Exact change: the cheaper of keeping and swapping the labels of the two
     # disagreeing pairs (x1, y1) and (x_j', y_j').
     xj = np.moveaxis(P[:, j, np.arange(j.shape[1])], 0, -1)  # disk j of each chain
     xj_new = np.where(okx[..., None], z, xj)
     yj_new = np.where(oky[..., None], zbar, xj)
-    straight = d_ell + metric.eval_array(dist(xj_new, yj_new) / r)
-    crossed = metric.eval_array(dist(xj_new, y1) / r) + metric.eval_array(dist(x1, yj_new) / r)
-    exact = np.where(succ, np.minimum(straight, crossed) - d_ell, 0.0)
-    return free, kind, bound, exact
+    s = dist(z, y1)
+    lengths = np.stack((s, dist(xj_new, yj_new), dist(xj_new, y1), dist(x1, yj_new))) / r
+    # one metric lookup: d(ell) first, then the four lengths of every proposal
+    d = metric.eval_array(np.concatenate(([ell_over_r], lengths.ravel())))
+    d_ell, (d_s, d_straight, d_xy, d_yx) = d[0], d[1:].reshape(lengths.shape)
+
+    near = s < ell_abs
+    kind = np.where(succ, np.where(near, 4, 3), 1)
+    bound = np.where(near, 1.0 + d_s - d_ell, 1.0)
+    bound[~succ] = 0.0
+    exact = np.where(succ, np.minimum(d_ell + d_straight, d_xy + d_yx) - d_ell, 0.0)
+    return free, kind, bound, exact, d_ell
 
 
 def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
@@ -299,11 +301,11 @@ def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
     """
     n = P.shape[1]
     shift, j, z, weight = _draw_proposals(P, y1, ell_over_r, r, rng)
-    free, kind, bound, exact = _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z)
+    free, kind, bound, exact, d_ell = _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z)
     grid = _grid_side(r) ** 2
     area = math.pi * (4.0 - max(0.0, 2.0 - ell_over_r) ** 2)  # the annulus z is mapped into
     w_cres = (n - 1) / n * area * r * r
-    base = (-metric.eval(ell_over_r) / n) * (free / grid)
+    base = (-d_ell / n) * (free / grid)
     value_bound = base + w_cres * (weight * bound).mean(axis=0)
     value_exact = base + w_cres * (weight * exact).mean(axis=0)
 

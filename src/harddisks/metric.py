@@ -31,6 +31,9 @@ class PiecewiseMetric:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise ValueError("metric needs at least one subinterval")
+        table = np.array(self.values)  # eval_array's lookup table, built once
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
 
     @property
     def L(self) -> int:
@@ -51,7 +54,7 @@ class PiecewiseMetric:
         # beyond 4 the value is 1 anyway; clipping keeps inf out of the int cast
         idx = np.ceil(np.minimum(lam, 4.0) * self.L / 4.0 - 1e-12).astype(int)
         idx = np.clip(idx, 1, self.L)
-        out = np.asarray(self.values)[idx - 1]
+        out = self._table[idx - 1]
         out = np.where(lam == 0.0, 0.0, out)
         return np.where(lam > 4.0, 1.0, out)
 

@@ -225,9 +225,9 @@ def variance(args) -> None:
         y1 = coupling._displace(P, args.ell * r, two_r2, rng)
         draws = [coupling._draw_proposals(P, y1, args.ell, r, rng) for _ in range(args.repeats)]
         parts = [coupling._classify_proposals(P, y1, metric, args.ell, r, *d[:3]) for d in draws]
-        disk0.append(np.array([w_disk0 * free for free, _, _, _ in parts]))
+        disk0.append(np.array([w_disk0 * free for free, *_ in parts]))
         cres.append(np.array([w_cres * (d[3] * bound).mean(axis=0)
-                              for d, (_, _, bound, _) in zip(draws, parts)]))
+                              for d, (_, _, bound, *_) in zip(draws, parts)]))
     D, C = np.concatenate(disk0, axis=1), np.concatenate(cres, axis=1)
     within = (D + C).var(axis=0, ddof=1).mean()
     # the spread of the per-configuration means, less their own proposal noise

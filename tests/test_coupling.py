@@ -698,8 +698,9 @@ class TestStratifiedTrials:
         shift, j, z, weight = coupling._draw_proposals(P, y1, ell, r, _rng_at(state))
         assert shift.shape == (2, B) and z.shape == (coupling.KC, B, 2)
         assert weight.shape == (coupling.KC, B)
-        free, kind, bound, exact = coupling._classify_proposals(
+        free, kind, bound, exact, d_ell = coupling._classify_proposals(
             P, y1, TEST_METRIC, ell, r, shift, j, z)
+        assert d_ell == TEST_METRIC.eval(ell)
         tally = coupling._Tally(B)
         coupling._batch_trials(P, y1, TEST_METRIC, ell, r, _rng_at(state), tally)
 
