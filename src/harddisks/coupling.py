@@ -110,34 +110,62 @@ def _batch_sweep(P: np.ndarray, steps: int, two_r2: float, rng) -> None:
         done += chunk
 
 
+def _relabel(P: np.ndarray, rng) -> np.ndarray:
+    """Swap disk 0 of each chain with its disk k, k uniform on 0..n-1, in place.
+
+    The hard-disk measure is exchangeable and _batch_sweep treats every label
+    alike, so the pool stays stationary, while each configuration sees a
+    fresh neighbourhood of disk 0.  k = 0 leaves a chain as it is.  Returns k.
+    """
+    k = rng.integers(P.shape[1], size=P.shape[2])
+    c = np.arange(P.shape[2])
+    P[:, 0, c], P[:, k, c] = P[:, k, c], P[:, 0, c]
+    return k
+
+
 def _displace(P: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.ndarray:
     """A valid position at distance exactly ell_abs from disk 0, per chain.
 
-    A chain can rarely have disk 0 caged so that no direction works at all;
-    such chains are evolved further and retried, which leaves the sampled
-    configuration distribution stationary.  Each round tests the candidates
-    against disks 1..n-1 of the pending chains only, gathered into Q.
-    Returns (chains, 2).
+    The first round tests one uniform angle per chain; each later round tests
+    B // pending uniform angles per pending chain, at most B in all.  A chain
+    takes its first valid angle, which is uniform on its free directions.
+    Once the pending chains have failed CAGED_AFTER angles, disk 0 is caged in
+    them, and after each round they fail disk 0 makes one uniform
+    single-disk proposal, a move of the chain.  Candidates are tested against
+    disks 1..n-1 of the pending chains only, gathered into Q.  Returns
+    (chains, 2); a chain still pending after DISPLACE_ROUNDS rounds raises
+    RuntimeError.
     """
     n, B = P.shape[1:]
     y1 = np.empty((B, 2))
-    pending = np.arange(B)
+    pending = cols = np.arange(B)  # cols: the chain of each candidate
     Q = P[:, 1:]  # every chain is pending at first: no gather
-    for round_ in range(200):
-        phi = 2.0 * math.pi * rng.random(len(pending))
-        cand = P[:, 0, pending] + ell_abs * np.array((np.cos(phi), np.sin(phi)))
-        ok = clear_of(*Q, [(cand, None)], two_r2)[0]
-        y1[pending[ok]] = cand[:, ok].T
-        pending = pending[~ok]
+    tried = 0  # angles each pending chain has failed
+    for _ in range(DISPLACE_ROUNDS):
+        p = len(pending)
+        phi = 2.0 * math.pi * rng.random(len(cols))
+        cand = P[:, 0, cols] + ell_abs * np.array((np.cos(phi), np.sin(phi)))
+        ok = clear_of(*Q, [(cand, None)], two_r2)[0].reshape(-1, p)
+        first = ok.argmax(axis=0) * p + np.arange(p)  # candidate i of chain q is i p + q
+        found = ok.ravel()[first]
+        y1[pending[found]] = cand[:, first[found]].T
+        pending = pending[~found]
         if len(pending) == 0:
             y1 -= np.floor(y1)  # mod 1; numpy's % 1.0 is many times slower
             return y1
-        if round_ >= 20 and round_ % 10 == 0:
-            sub = P[:, :, pending]
-            _batch_sweep(sub, 2 * n, two_r2, rng)
-            P[:, :, pending] = sub
-        Q = P[:, 1:, pending]
-    raise RuntimeError("no valid displacement found within the retry budget")
+        tried += len(cols) // p
+        if tried >= CAGED_AFTER:
+            z = rng.random((2, len(pending)))
+            moved = clear_of(*P[:, 1:, pending], [(z, None)], two_r2)[0]
+            P[:, 0, pending[moved]] = z[:, moved]
+        cols = np.tile(pending, B // len(pending))
+        Q = P[:, 1:, cols]
+    r = 0.5 * math.sqrt(two_r2)
+    raise RuntimeError(
+        f"no valid displacement found within the retry budget: {len(pending)} of {B} chains "
+        f"caged after {DISPLACE_ROUNDS} rounds (n={n}, rho={math.pi * n * r * r:.6g}, "
+        f"ell={ell_abs / r:.6g} in units of r)"
+    )
 
 
 class _Tally:
@@ -332,7 +360,15 @@ BATCH = 512
 # within the joint ci99 of the 30-sweep mean at ell = 1 and 4; the largest
 # gap was 27e-6 against a joint half-width of 59e-6.
 EQUILIBRATION_SWEEPS = 5
-THIN_SWEEPS = 1  # between configurations
+# Sweeps between configurations, ceil(THIN_SWEEPS * n) steps, each followed by
+# _relabel.  Of 1, 1/2 and 1/4 on the ell_sweep settings (pool_diagnostics.py
+# thinning, README) 1/2 and 1/4 had the lowest ci99^2 x CPU time; 1/2 keeps the
+# lag-1 autocorrelation of a chain's configurations lower.
+THIN_SWEEPS = 0.5
+# _displace's retry budget in rounds, and the failed angles after which disk 0
+# counts as caged.
+DISPLACE_ROUNDS = 200
+CAGED_AFTER = 20
 # Trials per configuration: estimate_contraction runs ceil(trials / K0)
 # configurations, and each classifies the m^2 disk-0 grid points and the KC
 # crescent points of the Fibonacci lattice (KC, KC_G).  K0 = 32 keeps the
@@ -401,7 +437,8 @@ def estimate_contraction(
     its density (see _draw_proposals and _batch_trials), so its mean is the
     expected change of a uniform coupled step.  The pool is
     equilibrated for EQUILIBRATION_SWEEPS * n steps and then runs rounds of
-    thinning by THIN_SWEEPS * n steps, displacement and trials until N
+    thinning by ceil(THIN_SWEEPS * n) steps, relabelling (disk 0 swaps with a
+    uniform disk, _relabel), displacement (_displace) and trials until N
     configurations are charged; the last round uses only the chains it
     needs, so every chain yields floor(N / B) or ceil(N / B) successive
     configurations.  The 99% CI is 2.576 SE with SE^2 =
@@ -409,7 +446,8 @@ def estimate_contraction(
     configurations (see _Tally.ci99); it widens when a chain's configurations
     are correlated.  outcome_counts partitions the (m^2 + KC) N proposals;
     "both-rejected" stays 0, as the mirror crescent is never drawn.
-    Deterministic given the seed.  `threads` (>= 1) is accepted for the
+    Deterministic given the seed.  A disk 0 still caged after the
+    displacement's retry budget raises RuntimeError.  `threads` (>= 1) is accepted for the
     callers that pass a worker bound, but the pool is vectorized and starts
     no threads, so the result never depends on it.  Needs n >= 2,
     0 < rho < 1/4 and 8r < 1, where the crescent's planar area is its area
@@ -440,7 +478,8 @@ def estimate_contraction(
     while done < configs:
         # the last round thins only the chains it uses
         pool = P[:, :, : min(B, configs - done)]
-        _batch_sweep(pool, THIN_SWEEPS * n, two_r2, rng)
+        _batch_sweep(pool, math.ceil(THIN_SWEEPS * n), two_r2, rng)
+        _relabel(pool, rng)
         y1 = _displace(pool, ell_over_r * r, two_r2, rng)
         _batch_trials(pool, y1, metric, ell_over_r, r, rng, tally)
         done += pool.shape[2]

@@ -44,6 +44,7 @@ import json
 import math
 import statistics
 import sys
+import time
 
 import numpy as np
 
@@ -240,6 +241,29 @@ def variance(args) -> None:
     }))
 
 
+def thinning(args) -> None:
+    metric = witness()
+    default = coupling.THIN_SWEEPS
+    try:
+        for seed in args.seeds:  # the lengths interleave, so host drift hits each alike
+            for sweeps in args.sweeps:
+                coupling.THIN_SWEEPS = sweeps
+                coupling._POOL_CACHE.clear()
+                start = time.process_time()
+                runs = [recorded_estimate(metric, ell, seed, args.trials) for ell in args.ells]
+                cpu = time.process_time() - start
+                ci2 = statistics.fmean(est.ci99_bound ** 2 for est, _ in runs)
+                lag1 = [lag_autocorrelation(batches, 1) for _, batches in runs]
+                print(json.dumps({
+                    "thin_sweeps": sweeps, "seed": seed, "cpu_s": round(cpu, 4),
+                    "mean_ci99_sq": ci2, "ci99_sq_x_cpu_s": ci2 * cpu,
+                    "lag1_autocorrelation": None if None in lag1 else round(statistics.fmean(lag1), 5),
+                }), flush=True)
+    finally:
+        coupling.THIN_SWEEPS = default
+        coupling._POOL_CACHE.clear()
+
+
 def ints(text: str) -> list[int]:
     if "-" in text:
         lo, hi = map(int, text.split("-"))
@@ -280,6 +304,12 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=4)
     p.add_argument("--repeats", type=int, default=50)
     p.set_defaults(run=variance)
+    p = sub.add_parser("thinning")
+    p.add_argument("--seeds", type=ints, default=list(range(1, 11)))
+    p.add_argument("--ells", type=floats, default=[0.5, 1.0, 2.0, 3.0, 4.0])
+    p.add_argument("--sweeps", type=floats, default=[1.0, 0.5, 0.25])
+    p.add_argument("--trials", type=int, default=200_000)
+    p.set_defaults(run=thinning)
     args = parser.parse_args(argv)
     args.run(args)
     return 0

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -453,6 +454,17 @@ class TestCouple:
                         "--trials", "2000", "--metric", str(metric_file),
                         "--seed", "1"]) == 3
         assert "8r = 1.43" in capsys.readouterr().err
+
+    def test_caged_displacement_exits_three(self, metric_file, monkeypatch, capsys):
+        # a budget of one round leaves the chains whose first angle failed caged
+        monkeypatch.setattr(coupling, "DISPLACE_ROUNDS", 1)
+        assert run_cli(["couple", "--n", "32", "--rho", "0.2", "--ell", "4.0",
+                        "--trials", "20000", "--metric", str(metric_file),
+                        "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "no valid displacement found within the retry budget" in err
+        assert re.search(r": [1-9]\d* of 512 chains caged after 1 rounds", err)
+        assert "n=32, rho=0.2, ell=4 " in err
 
     def test_exact_change_above_bound_exits_three(self, metric_file, positive_gap, capsys):
         assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0",
