@@ -10,14 +10,16 @@ and revision, every run's end-to-end metrics and failure counts, the median
 and quartiles of each metric, and how many pairs the head revision won,
 together with nproc, the CPU model, the Python and numpy versions and both
 revisions.  Each checkout also runs its own layer benchmarks
-(`pytest benchmarks --benchmark-json`) LAYER_ROUNDS times, alternating which
-revision goes first, so that host drift between rounds shows up as spread
-within each revision rather than as a difference between them.  `layers`
-holds, per revision, every benchmark's min time in seconds over all rounds,
-each round's min and the `extra_info` of the fastest round, and null for a
-benchmark that only the other revision has; `layers["separated"]` says, per
-benchmark both revisions have, whether their ranges of round minima are
-disjoint, the least a layer change must show before it is claimed.
+(`pytest benchmarks --benchmark-json`) in LAYER_PROCESSES fresh processes per
+round, LAYER_ROUNDS rounds, the two revisions' processes interleaved and the
+round's first revision alternating, so that host drift and the placement of
+one process's buffers show up as spread within each revision rather than as
+a difference between them.  `layers` holds, per revision, every benchmark's
+min time in seconds over all processes, each process's min and the
+`extra_info` of the fastest process, and null for a benchmark that only the
+other revision has; `layers["separated"]` says, per benchmark both revisions
+have, whether their ranges of per-process minima are disjoint, the least a
+layer change must show before it is claimed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_build" / "record"
-LAYER_ROUNDS = 3  # layer suite runs per revision
+LAYER_ROUNDS = 3  # alternating rounds of the layer suite
+LAYER_PROCESSES = 4  # fresh layer-suite processes per revision and round
 
 
 def git(*args: str) -> str:
@@ -89,34 +92,37 @@ def run_layers(checkout: Path) -> dict:
 
 
 def record_layers(checkouts: dict) -> dict:
-    """LAYER_ROUNDS alternating rounds of both layer suites, merged per benchmark.
+    """LAYER_ROUNDS rounds of LAYER_PROCESSES processes of both layer suites,
+    merged per benchmark.
 
-    Round k runs base first when k is even and head first otherwise.  Per
-    revision and benchmark: the min over the rounds, every round's min and the
-    fastest round's extra_info; null where only the other revision has it.
-    Under "separated", per benchmark of both revisions: whether no round min
-    of one lies within the range of the other's.
+    Round k interleaves the two revisions' processes, base first when k is
+    even and head first otherwise.  Per revision and benchmark: the min over
+    the processes, every process's min and the fastest process's extra_info;
+    null where only the other revision has it.  Under "separated", per
+    benchmark of both revisions: whether no process min of one lies within
+    the range of the other's.
     """
-    rounds = {"base": [], "head": []}
+    runs = {"base": [], "head": []}
     for k in range(LAYER_ROUNDS):
-        for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
-            rounds[side].append(run_layers(checkouts[side]))
-    names = sorted({name for runs in rounds.values() for found in runs for name in found})
+        for _ in range(LAYER_PROCESSES):
+            for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
+                runs[side].append(run_layers(checkouts[side]))
+    names = sorted({name for found_all in runs.values() for found in found_all for name in found})
     layers = {}
-    for side, runs in rounds.items():
+    for side, found_all in runs.items():
         layers[side] = {}
         for name in names:
-            timings = [found[name] for found in runs if name in found]
+            timings = [found[name] for found in found_all if name in found]
             if not timings:
                 layers[side][name] = None
                 continue
             best, info = min(timings, key=lambda t: t[0])
-            layers[side][name] = {"min_s": best, "round_min_s": [t for t, _ in timings],
+            layers[side][name] = {"min_s": best, "process_min_s": [t for t, _ in timings],
                                   "extra_info": info}
     layers["separated"] = {}
     for name in names:
         if layers["base"][name] and layers["head"][name]:
-            base, head = (layers[side][name]["round_min_s"] for side in ("base", "head"))
+            base, head = (layers[side][name]["process_min_s"] for side in ("base", "head"))
             layers["separated"][name] = max(base) < min(head) or max(head) < min(base)
     return layers
 
@@ -180,6 +186,7 @@ def main(argv=None) -> int:
     }
     report["layers"] = record_layers(checkouts)
     report["layer_rounds"] = LAYER_ROUNDS
+    report["layer_processes"] = LAYER_PROCESSES
     envs = []
     for workload, count in args.pairs.items():
         runs = {"base": [], "head": []}

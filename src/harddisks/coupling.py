@@ -110,37 +110,27 @@ def _batch_sweep(P: np.ndarray, steps: int, two_r2: float, rng) -> None:
         done += chunk
 
 
-def _relabel(P: np.ndarray, rng) -> np.ndarray:
-    """Swap disk 0 of each chain with its disk k, k uniform on 0..n-1, in place.
-
-    The hard-disk measure is exchangeable and _batch_sweep treats every label
-    alike, so the pool stays stationary, while each configuration sees a
-    fresh neighbourhood of disk 0.  k = 0 leaves a chain as it is.  Returns k.
-    """
+def _relabel(P: np.ndarray, rng) -> None:
+    """Swap disk 0 of each chain with its disk k, uniform on 0..n-1, in place: the hard-disk
+    measure is exchangeable and _batch_sweep treats every label alike, so the pool stays stationary."""
     k = rng.integers(P.shape[1], size=P.shape[2])
     c = np.arange(P.shape[2])
     P[:, 0, c], P[:, k, c] = P[:, k, c], P[:, 0, c]
-    return k
 
 
 def _displace(P: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.ndarray:
     """A valid position at distance exactly ell_abs from disk 0, per chain.
 
-    The first round tests one uniform angle per chain; each later round tests
-    B // pending uniform angles per pending chain, at most B in all.  A chain
-    takes its first valid angle, which is uniform on its free directions.
-    Once the pending chains have failed CAGED_AFTER angles, disk 0 is caged in
-    them, and after each round they fail disk 0 makes one uniform
-    single-disk proposal, a move of the chain.  Candidates are tested against
-    disks 1..n-1 of the pending chains only, gathered into Q.  Returns
-    (chains, 2); a chain still pending after DISPLACE_ROUNDS rounds raises
-    RuntimeError.
+    Round one tests one uniform angle per chain, each later round B // pending
+    per pending chain (at most B in all, gathered into Q); a chain takes its
+    first valid angle, uniform on its free directions.  Once they have failed
+    CAGED_AFTER angles, pending chains end each failed round with one uniform
+    single-disk proposal of their caged disk 0, a move of the chain.
     """
     n, B = P.shape[1:]
     y1 = np.empty((B, 2))
     pending = cols = np.arange(B)  # cols: the chain of each candidate
-    Q = P[:, 1:]  # every chain is pending at first: no gather
-    tried = 0  # angles each pending chain has failed
+    Q, tried = P[:, 1:], 0  # every chain is pending at first: no gather
     for _ in range(DISPLACE_ROUNDS):
         p = len(pending)
         phi = 2.0 * math.pi * rng.random(len(cols))
@@ -149,11 +139,10 @@ def _displace(P: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.ndarray:
         first = ok.argmax(axis=0) * p + np.arange(p)  # candidate i of chain q is i p + q
         found = ok.ravel()[first]
         y1[pending[found]] = cand[:, first[found]].T
-        pending = pending[~found]
+        pending, tried = pending[~found], tried + len(ok)
         if len(pending) == 0:
             y1 -= np.floor(y1)  # mod 1; numpy's % 1.0 is many times slower
             return y1
-        tried += len(cols) // p
         if tried >= CAGED_AFTER:
             z = rng.random((2, len(pending)))
             moved = clear_of(*P[:, 1:, pending], [(z, None)], two_r2)[0]
@@ -161,11 +150,8 @@ def _displace(P: np.ndarray, ell_abs: float, two_r2: float, rng) -> np.ndarray:
         cols = np.tile(pending, B // len(pending))
         Q = P[:, 1:, cols]
     r = 0.5 * math.sqrt(two_r2)
-    raise RuntimeError(
-        f"no valid displacement found within the retry budget: {len(pending)} of {B} chains "
-        f"caged after {DISPLACE_ROUNDS} rounds (n={n}, rho={math.pi * n * r * r:.6g}, "
-        f"ell={ell_abs / r:.6g} in units of r)"
-    )
+    raise RuntimeError(f"no valid displacement found within the retry budget: {len(pending)} of "
+                       f"{B} chains caged (n={n}, rho={math.pi * n * r * r:.6g}, ell={ell_abs / r:.6g})")
 
 
 class _Tally:
@@ -260,11 +246,10 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z):
     """The coupling rules of the module docstring applied to each chain's proposals.
 
     Takes the draws of _draw_proposals and returns (free, kind, bound, exact,
-    d_ell): of shape (chains,), how many of the m^2 disk-0 grid points
-    coalesce the pair (m = _grid_side(r)); of shape (KC, chains), for disk j
-    moving to the crescent point z, its outcome (an index into OUTCOME_KINDS:
-    unchanged, far-move or near-move) and its two metric changes; and d(ell),
-    read in the same single metric lookup.
+    d_ell): of shape (chains,), how many of the m^2 disk-0 grid points coalesce
+    the pair (m = _grid_side(r)); of shape (KC, chains), for disk j moving to the
+    crescent point z, its outcome (an index into OUTCOME_KINDS: unchanged,
+    far-move or near-move) and its two metric changes; and d(ell), all from one lookup.
     """
     two_r2 = (2.0 * r) ** 2
     ell_abs = ell_over_r * r
@@ -301,7 +286,6 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z):
     yj_new = np.where(oky[..., None], zbar, xj)
     s = dist(z, y1)
     lengths = np.stack((s, dist(xj_new, yj_new), dist(xj_new, y1), dist(x1, yj_new))) / r
-    # one metric lookup: d(ell) first, then the four lengths of every proposal
     d = metric.eval_array(np.concatenate(([ell_over_r], lengths.ravel())))
     d_ell, (d_s, d_straight, d_xy, d_yx) = d[0], d[1:].reshape(lengths.shape)
 
@@ -360,15 +344,10 @@ BATCH = 512
 # within the joint ci99 of the 30-sweep mean at ell = 1 and 4; the largest
 # gap was 27e-6 against a joint half-width of 59e-6.
 EQUILIBRATION_SWEEPS = 5
-# Sweeps between configurations, ceil(THIN_SWEEPS * n) steps, each followed by
-# _relabel.  Of 1, 1/2 and 1/4 on the ell_sweep settings (pool_diagnostics.py
-# thinning, README) 1/2 and 1/4 had the lowest ci99^2 x CPU time; 1/2 keeps the
-# lag-1 autocorrelation of a chain's configurations lower.
+# Sweeps between configurations, each followed by _relabel: of 1, 1/2 and 1/4, 1/2 and 1/4 had
+# the lowest ell_sweep ci99^2 x CPU time, 1/2 the lower autocorrelation (README, `couple`).
 THIN_SWEEPS = 0.5
-# _displace's retry budget in rounds, and the failed angles after which disk 0
-# counts as caged.
-DISPLACE_ROUNDS = 200
-CAGED_AFTER = 20
+DISPLACE_ROUNDS, CAGED_AFTER = 200, 20  # _displace's retry budget; failed angles of a caged disk 0
 # Trials per configuration: estimate_contraction runs ceil(trials / K0)
 # configurations, and each classifies the m^2 disk-0 grid points and the KC
 # crescent points of the Fibonacci lattice (KC, KC_G).  K0 = 32 keeps the
@@ -437,22 +416,20 @@ def estimate_contraction(
     its density (see _draw_proposals and _batch_trials), so its mean is the
     expected change of a uniform coupled step.  The pool is
     equilibrated for EQUILIBRATION_SWEEPS * n steps and then runs rounds of
-    thinning by ceil(THIN_SWEEPS * n) steps, relabelling (disk 0 swaps with a
-    uniform disk, _relabel), displacement (_displace) and trials until N
-    configurations are charged; the last round uses only the chains it
+    thinning by ceil(THIN_SWEEPS * n) steps, relabelling (_relabel),
+    displacement and trials until N configurations are charged; the last round uses only the chains it
     needs, so every chain yields floor(N / B) or ceil(N / B) successive
     configurations.  The 99% CI is 2.576 SE with SE^2 =
     sum_c (S_c - m_c mean)^2 / N^2 over the per-chain sums S_c of m_c
     configurations (see _Tally.ci99); it widens when a chain's configurations
     are correlated.  outcome_counts partitions the (m^2 + KC) N proposals;
     "both-rejected" stays 0, as the mirror crescent is never drawn.
-    Deterministic given the seed.  A disk 0 still caged after the
-    displacement's retry budget raises RuntimeError.  `threads` (>= 1) is accepted for the
+    Deterministic given the seed.  `threads` (>= 1) is accepted for the
     callers that pass a worker bound, but the pool is vectorized and starts
     no threads, so the result never depends on it.  Needs n >= 2,
     0 < rho < 1/4 and 8r < 1, where the crescent's planar area is its area
     on the torus (ValueError otherwise).  An exact metric change above the
-    analysis bound raises RuntimeError.
+    analysis bound, or a disk 0 caged past DISPLACE_ROUNDS, raises RuntimeError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

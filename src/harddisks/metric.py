@@ -31,9 +31,8 @@ class PiecewiseMetric:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise ValueError("metric needs at least one subinterval")
-        table = np.array(self.values)  # eval_array's lookup table, built once
-        table.flags.writeable = False
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_table", np.array(self.values))  # eval_array's lookup table
+        self._table.flags.writeable = False
 
     @property
     def L(self) -> int:

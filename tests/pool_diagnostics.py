@@ -6,6 +6,7 @@
     PYTHONPATH=src python tests/pool_diagnostics.py calibration --seeds 1-20 --trials 2000000
     PYTHONPATH=src python tests/pool_diagnostics.py equilibration --seeds 1-20 --sweeps 1,3,5,30
     PYTHONPATH=src python tests/pool_diagnostics.py variance --ell 1
+    PYTHONPATH=src python tests/pool_diagnostics.py thinning --seeds 1-10
 
 burn-in        From the random-sequential-insertion start of dynamics.batch_insert,
                the acceptance rate of each sweep and the total-variation distance
@@ -14,7 +15,7 @@ burn-in        From the random-sequential-insertion start of dynamics.batch_inse
 correlation    At the `couple` settings, the ratio of the per-chain (cluster) SE
                that estimate_contraction reports to the i.i.d. SE of the same
                configuration values, and the lag autocorrelations of a chain's
-               successive configuration values at THIN_SWEEPS.  A chain yields
+               successive configuration values at THIN_SWEEPS (and relabelling).  A chain yields
                more than one configuration only past BATCH * K0 trials.
 calibration    The spread of the means over seeds divided by the mean reported
                SE, per displacement; a calibrated CI gives about 1 (null with a
@@ -26,11 +27,20 @@ equilibration  The estimator's mean over the seeds and the 99% half-width of tha
                mean at the largest count, the reference, by more than the joint
                half-width.  Sweep count s runs the seeds 1000 s + seed, so the
                sets are independent.
-variance       The variance of one configuration value split three ways: the
-               disk-0 grid noise and the weighted crescent noise within a
-               configuration (over --repeats proposal draws on each of
-               --rounds * BATCH configurations) and the spread between
-               configurations.
+variance       The variance of one configuration value split: the disk-0 grid
+               noise and the weighted crescent noise within a configuration
+               (over --repeats proposal draws per displacement), and the
+               spread between configurations, itself split into the
+               configuration part and the displacement-direction part (over
+               --directions displacements of each of --rounds * BATCH
+               configurations).
+thinning       Per seed and per thinning length in sweeps (--sweeps, default 1,
+               1/2 and 1/4, interleaved), with relabelling: the CPU time of
+               estimate_contraction at every --ells on one pool (the ell_sweep
+               settings, 2 * 10^5 trials each, cold pool included), the mean
+               ci99^2 over the displacements, their product and the mean lag-1
+               autocorrelation of a chain's successive configuration values.
+               It is the scan behind THIN_SWEEPS.
 
 Settings: n = 32, rho = 0.14, 10^5 trials (--trials; ceil(trials / K0)
 configurations), the L = 256 witness metric.  Not collected by pytest; every
@@ -220,24 +230,40 @@ def variance(args) -> None:
     w_disk0 = -metric.eval(args.ell) / (N * coupling._grid_side(r) ** 2)
     # a crescent point of weight omega stands for pi (4 - lo^2) omega of the crescent (units of r^2)
     w_cres = (N - 1) / N * math.pi * (4.0 - max(0.0, 2.0 - args.ell) ** 2) * r * r
-    disk0, cres = [], []  # per round, (repeats, chains)
+    disk0, cres = [], []  # per round, (directions, repeats, chains)
     for _ in range(args.rounds):
-        coupling._batch_sweep(P, coupling.THIN_SWEEPS * N, two_r2, rng)
-        y1 = coupling._displace(P, args.ell * r, two_r2, rng)
-        draws = [coupling._draw_proposals(P, y1, args.ell, r, rng) for _ in range(args.repeats)]
-        parts = [coupling._classify_proposals(P, y1, metric, args.ell, r, *d[:3]) for d in draws]
-        disk0.append(np.array([w_disk0 * free for free, *_ in parts]))
-        cres.append(np.array([w_cres * (d[3] * bound).mean(axis=0)
-                              for d, (_, _, bound, *_) in zip(draws, parts)]))
-    D, C = np.concatenate(disk0, axis=1), np.concatenate(cres, axis=1)
-    within = (D + C).var(axis=0, ddof=1).mean()
-    # the spread of the per-configuration means, less their own proposal noise
-    between = (D + C).mean(axis=0).var(ddof=1) - within / args.repeats
+        coupling._batch_sweep(P, math.ceil(coupling.THIN_SWEEPS * N), two_r2, rng)
+        coupling._relabel(P, rng)
+        D, C = [], []
+        for _ in range(args.directions):
+            Q = P.copy()  # _displace moves a caged disk 0; each direction starts from P
+            y1 = coupling._displace(Q, args.ell * r, two_r2, rng)
+            draws = [coupling._draw_proposals(Q, y1, args.ell, r, rng) for _ in range(args.repeats)]
+            parts = [coupling._classify_proposals(Q, y1, metric, args.ell, r, *d[:3]) for d in draws]
+            D.append([w_disk0 * free for free, *_ in parts])
+            C.append([w_cres * (d[3] * bound).mean(axis=0) for d, (_, _, bound, *_) in zip(draws, parts)])
+        disk0.append(np.array(D))
+        cres.append(np.array(C))
+    D, C = np.concatenate(disk0, axis=2), np.concatenate(cres, axis=2)
+    V = D + C
+    R, K = args.repeats, args.directions
+    within = V.var(axis=1, ddof=1).mean()
+    # nested components: the spread of the per-direction means of one
+    # configuration, and of the configuration means, each less the noise of
+    # the level below it
+    direction = V.mean(axis=1).var(axis=0, ddof=1).mean() - within / R if K > 1 else None
+    configuration = V.mean(axis=(0, 1)).var(ddof=1) - within / (K * R)
+    if K > 1:
+        configuration -= direction / K
+    between = configuration + (direction or 0.0)
     print(json.dumps({
-        "ell": args.ell, "configurations": D.shape[1], "repeats": args.repeats,
-        "disk0_noise": float(D.var(axis=0, ddof=1).mean()),
-        "crescent_noise": float(C.var(axis=0, ddof=1).mean()),
-        "between_configurations": float(between), "total": float(within + between),
+        "ell": args.ell, "configurations": V.shape[2], "directions": K, "repeats": R,
+        "disk0_noise": float(D.var(axis=1, ddof=1).mean()),
+        "crescent_noise": float(C.var(axis=1, ddof=1).mean()),
+        "between_configurations": float(between),
+        "configuration": float(configuration) if K > 1 else None,
+        "displacement_direction": None if direction is None else float(direction),
+        "total": float(within + between),
     }))
 
 
@@ -303,6 +329,7 @@ def main(argv=None) -> int:
     p.add_argument("--ell", type=float, default=1.0)
     p.add_argument("--rounds", type=int, default=4)
     p.add_argument("--repeats", type=int, default=50)
+    p.add_argument("--directions", type=int, default=4)
     p.set_defaults(run=variance)
     p = sub.add_parser("thinning")
     p.add_argument("--seeds", type=ints, default=list(range(1, 11)))

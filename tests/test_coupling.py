@@ -420,15 +420,25 @@ class TestDisplace:
 
 
 class TestRelabel:
+    @staticmethod
+    def _swapped(before, after):
+        """k per chain: the disk of `before` that _relabel moved into slot 0."""
+        hits = (before == after[:, :1]).all(axis=0)  # (n, chains)
+        assert np.all(hits.sum(axis=0) == 1)
+        return hits.argmax(axis=0)
+
     def test_keeps_each_chains_centers(self):
         n, B = 8, 400
         P = dynamics.batch_insert(B, n, 0.05, np.random.default_rng(3))
         before = P.copy()
         rng = np.random.default_rng(4)
-        k = coupling._relabel(P, rng)
+        coupling._relabel(P, rng)
+        k = self._swapped(before, P)
         assert np.array_equal(k, np.random.default_rng(4).integers(n, size=B))
+        replay = np.random.default_rng(4)
+        replay.integers(n, size=B)
+        assert rng.random() == replay.random()  # nothing else was drawn
         c = np.arange(B)
-        assert np.array_equal(P[:, 0, c], before[:, k, c])
         assert np.array_equal(P[:, k, c], before[:, 0, c])
         for b in range(B):
             assert sorted(map(tuple, P[:, :, b].T)) == sorted(map(tuple, before[:, :, b].T))
@@ -438,8 +448,12 @@ class TestRelabel:
         n, B = 8, 512
         P = dynamics.batch_insert(B, n, 0.05, np.random.default_rng(5))
         rng = np.random.default_rng(6)
-        k = np.concatenate([coupling._relabel(P, rng) for _ in range(20)])
-        assert stats.chisquare(np.bincount(k, minlength=n)).pvalue > 1e-3
+        ks = []
+        for _ in range(20):
+            before = P.copy()
+            coupling._relabel(P, rng)
+            ks.append(self._swapped(before, P))
+        assert stats.chisquare(np.bincount(np.concatenate(ks), minlength=n)).pvalue > 1e-3
 
 
 class TestBatchedMatchesScalar:
