@@ -102,17 +102,17 @@ def record_layers(checkouts: dict) -> dict:
     benchmark of both revisions: whether no process min of one lies within
     the range of the other's.
     """
-    runs = {"base": [], "head": []}
+    rounds = {"base": [], "head": []}
     for k in range(LAYER_ROUNDS):
         for _ in range(LAYER_PROCESSES):
             for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
-                runs[side].append(run_layers(checkouts[side]))
-    names = sorted({name for found_all in runs.values() for found in found_all for name in found})
+                rounds[side].append(run_layers(checkouts[side]))
+    names = sorted({name for runs in rounds.values() for found in runs for name in found})
     layers = {}
-    for side, found_all in runs.items():
+    for side, runs in rounds.items():
         layers[side] = {}
         for name in names:
-            timings = [found[name] for found in found_all if name in found]
+            timings = [found[name] for found in runs if name in found]
             if not timings:
                 layers[side][name] = None
                 continue

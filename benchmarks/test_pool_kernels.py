@@ -10,8 +10,9 @@ step, the m^2 disk-0 grid points and KC weighted crescent-lattice points per
 chain, as ns per configuration, and its draw and crescent map alone
 (coupling._draw_proposals) the same way; the disk-0 grid count of the whole pool
 (geometry.free_grid_counts) as ns per chain; one displacement of the whole
-pool as ns per chain, over DISPLACE_POOLS freshly seeded pools, because a
-few caged chains set its cost and differ from pool to pool; and the cold
+pool as ns per chain, over DISPLACE_POOLS freshly seeded pools, because the
+chains that need more than one pass, and the caged ones, set its cost and
+differ from pool to pool; and the cold
 start of a pool (insertion plus the equilibration sweeps) as ns per
 chain·step, each in `extra_info`.
 """

@@ -20,10 +20,10 @@ Proposal noise within one configuration, not the spread between
 configurations, dominates the variance, so many cheap proposals share each
 expensive configuration (two-stage sampling: Cochran, Sampling Techniques,
 3rd ed., 1977, ch. 10).
-The tests replay it through a scalar coupled step, one proposal at a time
-(tests/oracles.py).  One estimate runs one vectorized pool of at most BATCH
-chains and no threads; each chain yields several successive configurations,
-so the confidence interval is computed from per-chain sums.
+The tests replay it through a scalar coupled step (tests/oracles.py).  One
+estimate runs one vectorized pool of at most BATCH chains and no threads; each
+chain yields successive configurations, relabelled so that each has a fresh
+disk 0, and the confidence interval is computed from per-chain sums.
 A pool of chains is one disk-major array P (2, n, chains) from batch_insert,
 and every pool step tests proposals through one of two kernels:
 geometry.clear_of, or free_grid_counts for the disk-0 grid.
@@ -414,12 +414,12 @@ def estimate_contraction(
     whose points are each uniform on the torus, and KC danger-crescent
     points of a randomly shifted lattice, each weighted by the inverse of
     its density (see _draw_proposals and _batch_trials), so its mean is the
-    expected change of a uniform coupled step.  The pool is
-    equilibrated for EQUILIBRATION_SWEEPS * n steps and then runs rounds of
-    thinning by ceil(THIN_SWEEPS * n) steps, relabelling (_relabel),
-    displacement and trials until N configurations are charged; the last round uses only the chains it
-    needs, so every chain yields floor(N / B) or ceil(N / B) successive
-    configurations.  The 99% CI is 2.576 SE with SE^2 =
+    expected change of a uniform coupled step.  The pool is equilibrated
+    for EQUILIBRATION_SWEEPS * n steps and then runs rounds of thinning by
+    ceil(THIN_SWEEPS * n) steps, relabelling (_relabel), displacement and
+    trials until N configurations are charged; the last round uses only the
+    chains it needs, so every chain yields floor(N / B) or ceil(N / B)
+    successive configurations.  The 99% CI is 2.576 SE with SE^2 =
     sum_c (S_c - m_c mean)^2 / N^2 over the per-chain sums S_c of m_c
     configurations (see _Tally.ci99); it widens when a chain's configurations
     are correlated.  outcome_counts partitions the (m^2 + KC) N proposals;
