@@ -7,7 +7,8 @@ Each revision is exported with `git archive` into .bench_build/record/<sha>,
 and that checkout's own perfbench/run.py runs every workload, one run per
 seed, alternating which revision goes first.  The file holds, per workload
 and revision, every run's end-to-end metrics and failure counts, the median
-and quartiles of each metric, and how many pairs the head revision won,
+and quartiles of each metric, how many pairs the head revision won and the
+verdict on each metric (`gain_shown`, `beyond_bound`; see `summarize`),
 together with nproc, the CPU model, the Python and numpy versions and both
 revisions.  Each checkout also runs its own layer benchmarks
 (`pytest benchmarks --benchmark-json`) in LAYER_PROCESSES fresh processes per
@@ -132,22 +133,33 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(runs: dict, better: dict) -> dict:
-    """Medians, quartiles and pair wins of the head revision, per metric."""
+def summarize(runs: dict, better: dict, bound: dict) -> dict:
+    """Medians, quartiles, pair wins and verdicts of the head revision, per metric.
+
+    `gain_shown`: the head won at least 9 in 10 of the pairs, and its median
+    is better than the base median by more than the base IQR.  `beyond_bound`:
+    the head median is worse than the base median by more than `bound` (a
+    fraction of the base median, as in BENCHMARK.json).  "Better" and "worse"
+    follow each metric's direction in `better`.
+    """
     out = {}
     for side in ("base", "head"):
         out[side] = {m: quartiles([r["metrics"][m] for r in runs[side]]) for m in better}
         out[side]["failed_ops"] = sum(r["failed"] for r in runs[side])
         out[side]["attempted_ops"] = sum(r["attempted"] for r in runs[side])
-    wins = {}
-    for m, direction in better.items():
-        sign = 1.0 if direction == "lower" else -1.0
-        wins[m] = sum(sign * (b["metrics"][m] - h["metrics"][m]) > 0
-                      for b, h in zip(runs["base"], runs["head"]))
-    out["head_wins"] = wins
     out["pairs"] = len(runs["head"])
     out["ratio_of_medians"] = {m: out["head"][m]["median"] / out["base"][m]["median"]
                                for m in better if out["base"][m]["median"]}
+    out["head_wins"], out["gain_shown"], out["beyond_bound"] = {}, {}, {}
+    for m, direction in better.items():
+        sign = 1.0 if direction == "lower" else -1.0
+        wins = sum(sign * (b["metrics"][m] - h["metrics"][m]) > 0
+                   for b, h in zip(runs["base"], runs["head"]))
+        base = out["base"][m]
+        gain = sign * (base["median"] - out["head"][m]["median"])
+        out["head_wins"][m] = wins
+        out["gain_shown"][m] = 10 * wins >= 9 * out["pairs"] and gain > base["iqr"]
+        out["beyond_bound"][m] = -gain > bound[m] * abs(base["median"])
     return out
 
 
@@ -171,6 +183,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     unknown = set(args.pairs) - {w["name"] for w in spec["workloads"]}
     if unknown:
         raise SystemExit(f"unknown workloads: {sorted(unknown)}")
@@ -201,7 +214,7 @@ def main(argv=None) -> int:
                       + " ".join(f"{m}={v:.4g}" for m, v in run["metrics"].items()),
                       file=sys.stderr, flush=True)
         report["workloads"][workload] = {"first_seed": args.first_seed, "order": "alternating",
-                                         **summarize(runs, better), "runs": runs}
+                                         **summarize(runs, better, bound), "runs": runs}
     report["env"] = envs[0] if envs else {}
     report["env_varied"] = any(e != envs[0] for e in envs)
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

@@ -5,7 +5,8 @@
 
 `test_run` times `dynamics.run` for RUN_BLOCK steps at n = 64, ρ = 0.15 (the
 `simulate` settings of perfbench) from one fixed configuration and seed, and
-reports `ns_per_step`.  `test_batch_insert` times the random sequential
+reports `ns_per_step`; past the draws, every step runs inside
+`CellGrid.walk`, 16 calls of RUN_SLICE proposals.  `test_batch_insert` times the random sequential
 insertion of a pool of coupling.BATCH chains at n = 32, ρ = 0.14 (the
 estimator's pool) and reports `ns_per_chain_disk`.  Both go into
 `extra_info`.

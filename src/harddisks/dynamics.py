@@ -2,11 +2,11 @@
 
 One step proposes moving a uniformly random disk to a uniformly random torus
 position and accepts iff the new position is at distance >= 2r from every
-other center.  Neighbor queries go through a uniform cell grid, which the
-tests audit against a brute-force check (tests/oracles.py).  `run` draws its
-proposals in numpy blocks and walks them as Python floats, so the per-step
-grid arithmetic never touches numpy scalars.  `batch_insert` fills a pool of
-chains at once, disk-major, through geometry.clear_of.
+other center.  `run` draws its proposals in numpy blocks, and
+`CellGrid.walk` checks each slice of them on a uniform cell grid as Python
+floats; the tests audit it against brute force (tests/oracles.py).
+`batch_insert` fills a pool of chains at once, disk-major, through
+geometry.clear_of.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .geometry import cells_per_side, clear_of, min_image_array
 
 MAX_INSERTION_ATTEMPTS = 10_000  # per disk and chain
 RUN_BLOCK = 65_536  # proposals drawn per block in run()
-RUN_SLICE = 4_096  # proposals of a block converted to Python floats at once
+RUN_SLICE = 4_096  # proposals of a block per CellGrid.walk call
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class CellGrid:
 
     Any blocker of a proposal lies in the 3x3 cell block around it, so a
     membership query touches O(1) candidates at the densities we run.  The
-    nine cell lists of each block are gathered once into `neighbours`; `move`
+    nine cell lists of each block are gathered once into `neighbours`; `walk`
     edits those lists in place, so the table never goes stale.
     """
 
@@ -137,61 +137,66 @@ class CellGrid:
         ]
         self.xs = config.centers[:, 0].tolist()
         self.ys = config.centers[:, 1].tolist()
-        self.cell_of = [0] * config.n
-        for i, (x, y) in enumerate(zip(self.xs, self.ys)):
-            c = self._cell(x, y)
+        self.cell_of = self._cells(config.centers)
+        for i, c in enumerate(self.cell_of):
             self.cells[c].append(i)
-            self.cell_of[i] = c
 
-    def _cell(self, x: float, y: float) -> int:
-        return (int(x * self.m) % self.m) * self.m + (int(y * self.m) % self.m)
+    def _cells(self, pts) -> list[int]:
+        """Cell of each point, equal to int(x * m) % m per coordinate."""
+        m = self.m
+        c = (pts * m).astype(np.int64) % m
+        return (c[:, 0] * m + c[:, 1]).tolist()
 
-    def allowed(self, i: int, x: float, y: float) -> bool:
-        """Is center i allowed to move to (x, y)?
+    def walk(self, idx, pts) -> int:
+        """Move disk idx[k] to pts[k], k in order, where allowed; return the count.
 
         Every stored and proposed coordinate must lie in [0, 1] (a stored one
         can be exactly 1.0, the float64 value of -1e-20 % 1.0), so each
         coordinate difference lies in [-1, 1] and one conditional shift by 1
         is its minimal image, equal bit for bit to `e - round(e)`.
         """
-        m = self.m
         xs, ys, lim = self.xs, self.ys, self.lim
-        for cell in self.neighbours[(int(x * m) % m) * m + int(y * m) % m]:
-            for j in cell:
-                if j == i:
+        cells, cell_of, neighbours = self.cells, self.cell_of, self.neighbours
+        accepted = 0
+        for i, x, y, c in zip(idx.tolist(), pts[:, 0].tolist(), pts[:, 1].tolist(),
+                              self._cells(pts)):
+            for cell in neighbours[c]:
+                for j in cell:
+                    if j == i:
+                        continue
+                    ex = xs[j] - x
+                    if ex > 0.5:
+                        ex -= 1.0
+                    elif ex < -0.5:
+                        ex += 1.0
+                    ey = ys[j] - y
+                    if ey > 0.5:
+                        ey -= 1.0
+                    elif ey < -0.5:
+                        ey += 1.0
+                    if ex * ex + ey * ey < lim:
+                        break
+                else:
                     continue
-                ex = xs[j] - x
-                if ex > 0.5:
-                    ex -= 1.0
-                elif ex < -0.5:
-                    ex += 1.0
-                ey = ys[j] - y
-                if ey > 0.5:
-                    ey -= 1.0
-                elif ey < -0.5:
-                    ey += 1.0
-                if ex * ex + ey * ey < lim:
-                    return False
-        return True
-
-    def move(self, i: int, x: float, y: float) -> None:
-        c = self._cell(x, y)
-        old = self.cell_of[i]
-        if c != old:
-            self.cells[old].remove(i)
-            self.cells[c].append(i)
-            self.cell_of[i] = c
-        self.xs[i] = x
-        self.ys[i] = y
+                break
+            else:
+                old = cell_of[i]
+                if c != old:
+                    cells[old].remove(i)
+                    cells[c].append(i)
+                    cell_of[i] = c
+                xs[i] = x
+                ys[i] = y
+                accepted += 1
+        return accepted
 
 
 def run(config: Configuration, steps: int, seed):
     """Run the chain for a number of steps; deterministic given the seed.
 
     Proposals are drawn in blocks of RUN_BLOCK (all disk indices, then all
-    positions, uniform on [0, 1)) and checked through the cell grid.  Each
-    block is walked in slices of RUN_SLICE that are converted to Python ints
-    and floats first, so the per-step work is plain Python arithmetic.
+    positions, uniform on [0, 1)), and `CellGrid.walk` applies each slice of
+    RUN_SLICE of them in plain Python arithmetic.
     Returns (final configuration, stats).
     """
     if steps < 0:
@@ -200,21 +205,14 @@ def run(config: Configuration, steps: int, seed):
     if steps == 0:
         return config, ChainStats(steps=0, accepted=0)
     grid = CellGrid(config)
-    allowed, move = grid.allowed, grid.move
-    n = config.n
     accepted = 0
     done = 0
     while done < steps:
         todo = min(RUN_BLOCK, steps - done)
-        idx = rng.integers(n, size=todo)
+        idx = rng.integers(config.n, size=todo)
         pts = rng.random((todo, 2))
         for lo in range(0, todo, RUN_SLICE):
-            hi = lo + RUN_SLICE
-            for i, x, y in zip(idx[lo:hi].tolist(), pts[lo:hi, 0].tolist(),
-                               pts[lo:hi, 1].tolist()):
-                if allowed(i, x, y):
-                    move(i, x, y)
-                    accepted += 1
+            accepted += grid.walk(idx[lo:lo + RUN_SLICE], pts[lo:lo + RUN_SLICE])
         done += todo
     centers = np.column_stack([grid.xs, grid.ys])
     final = Configuration(centers, config.r, _validate=False)

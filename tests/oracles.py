@@ -21,7 +21,12 @@ scalar or independent route to the same result:
   checks that the weighted lattice points of the package vary less than it.
 - `move_allowed_bruteforce`, `propose`, `step`, `replaced`: the O(n) scalar
   single-disk chain.  test_dynamics and criterion 8 audit
-  `dynamics.CellGrid` against `move_allowed_bruteforce` step by step.
+  `dynamics.CellGrid.walk`, one proposal at a time, against
+  `move_allowed_bruteforce`.
+- `ScalarCellGrid`: the cell grid with one-proposal `allowed` and `move`,
+  each computing the proposal's cell in Python.  test_dynamics checks
+  `dynamics.run` against a step loop over its `move`, and the verdicts and
+  cells of `CellGrid.walk` at cell edges against it.
 - `hamming_metric`, `disagreements`, `pair_distance`: the unit metric d = 1
   and the metric distance between two configurations (test_metric).
 - `CoupledPair`, `make_pair`, `coupled_step`, `classify_step`: the scalar
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from harddisks import contraction, coupling
-from harddisks.dynamics import Configuration, radius_for_density, random_config
+from harddisks.dynamics import CellGrid, Configuration, radius_for_density, random_config
 from harddisks.geometry import clear_of, crescent_area, min_image_array, outside_zone_area
 from harddisks.metric import PiecewiseMetric, grid_edges
 
@@ -265,6 +270,56 @@ def step(config: Configuration, rng) -> tuple[Configuration, bool]:
     if move_allowed_bruteforce(config, i, (p.x, p.y)):
         return replaced(config, i, (p.x, p.y)), True
     return config, False
+
+
+class ScalarCellGrid(CellGrid):
+    """`dynamics.CellGrid` that checks and applies one proposal at a time.
+
+    `allowed` and `move` each compute the proposal's cell in Python;
+    `CellGrid.walk` inlines both over a slice of proposals and takes the
+    cells of the slice from numpy.
+    """
+
+    def _cell(self, x: float, y: float) -> int:
+        return (int(x * self.m) % self.m) * self.m + (int(y * self.m) % self.m)
+
+    def allowed(self, i: int, x: float, y: float) -> bool:
+        """Is center i allowed to move to (x, y)?
+
+        Every stored and proposed coordinate must lie in [0, 1] (a stored one
+        can be exactly 1.0, the float64 value of -1e-20 % 1.0), so each
+        coordinate difference lies in [-1, 1] and one conditional shift by 1
+        is its minimal image, equal bit for bit to `e - round(e)`.
+        """
+        m = self.m
+        xs, ys, lim = self.xs, self.ys, self.lim
+        for cell in self.neighbours[(int(x * m) % m) * m + int(y * m) % m]:
+            for j in cell:
+                if j == i:
+                    continue
+                ex = xs[j] - x
+                if ex > 0.5:
+                    ex -= 1.0
+                elif ex < -0.5:
+                    ex += 1.0
+                ey = ys[j] - y
+                if ey > 0.5:
+                    ey -= 1.0
+                elif ey < -0.5:
+                    ey += 1.0
+                if ex * ex + ey * ey < lim:
+                    return False
+        return True
+
+    def move(self, i: int, x: float, y: float) -> None:
+        c = self._cell(x, y)
+        old = self.cell_of[i]
+        if c != old:
+            self.cells[old].remove(i)
+            self.cells[c].append(i)
+            self.cell_of[i] = c
+        self.xs[i] = x
+        self.ys[i] = y
 
 
 # --- distances between configurations -----------------------------------------

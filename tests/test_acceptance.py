@@ -177,10 +177,9 @@ def test_criterion_08_dynamics_properties():
     for _ in range(10_000):
         i = int(rng.integers(n))
         x, y = rng.random(2)
-        fast = grid.allowed(i, x, y)
+        fast = grid.walk(np.array([i]), np.array([[x, y]])) == 1
         assert fast == move_allowed_bruteforce(config, i, (x, y))
         if fast:
-            grid.move(i, x, y)
             config = replaced(config, i, (x, y))
     assert config.is_valid()
     assert time.perf_counter() - t0 < 60.0

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 import re
@@ -315,6 +316,22 @@ class TestMetric:
         assert calls == {"assemble": 1, "slack_report": 2}
 
 
+# stdout and snapshot SHA-256 of `simulate --n 64 --rho 0.15 --steps 70000
+# --seed 1`, whose 70,000 steps cross a RUN_BLOCK and a RUN_SLICE boundary.  A
+# change to the draws, the cell grid or the snapshot format must update them.
+SIMULATE_PIN = """{
+  "n": 64,
+  "rho": 0.15,
+  "steps": 70000,
+  "accepted": 34050,
+  "rejected": 35950,
+  "acceptance_rate": 0.486428571429,
+  "seed": 1
+}
+"""
+SIMULATE_SNAPSHOT_SHA256 = "d411e8c6a853a9c8b9d593c15ffb27cc8e609492880e69d45f4ef42493c84627"
+
+
 class TestSimulate:
     def test_stats_and_snapshot(self, tmp_path, capsys):
         out = tmp_path / "sim.json"
@@ -330,6 +347,14 @@ class TestSimulate:
         assert snapshot[0] == "x,y" and len(snapshot) == 17
         sidecar = json.loads((tmp_path / "sim.json.snapshot.csv.json").read_text())
         assert sidecar["n"] == 16 and sidecar["seed"] == 7
+
+    def test_outputs_pinned(self, tmp_path, capsys):
+        out = tmp_path / "sim.json"
+        assert run_cli(["simulate", "--n", "64", "--rho", "0.15", "--steps", "70000",
+                        "--seed", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == SIMULATE_PIN
+        snapshot = (tmp_path / "sim.json.snapshot.csv").read_bytes()
+        assert hashlib.sha256(snapshot).hexdigest() == SIMULATE_SNAPSHOT_SHA256
 
     def test_deterministic_output(self, tmp_path):
         outs = []

@@ -20,7 +20,7 @@ from harddisks.dynamics import (
     save_snapshot,
 )
 from harddisks.geometry import min_image_array
-from oracles import move_allowed_bruteforce, propose, replaced, step
+from oracles import ScalarCellGrid, move_allowed_bruteforce, propose, replaced, step
 
 
 def reference_batch_insert(B, n, rho, rng):
@@ -52,7 +52,7 @@ def reference_batch_insert(B, n, rho, rng):
 
 
 def reference_allowed(grid, i, x, y):
-    """CellGrid.allowed on numpy scalars: block cells by %, wrap by round."""
+    """ScalarCellGrid.allowed on numpy scalars: block cells by %, wrap by round."""
     m = grid.m
     cx, cy = int(x * m) % m, int(y * m) % m
     lim = grid.lim
@@ -75,10 +75,11 @@ def reference_run(config, steps, seed):
     """The step loop of run() as it read before its Python-float rewrite.
 
     Same draws (per block: all indices, then all positions), but every step
-    reads numpy scalars out of the block arrays.
+    reads numpy scalars out of the block arrays and moves through the scalar
+    cell-grid oracle.
     """
     rng = np.random.default_rng(seed)
-    grid = CellGrid(config)
+    grid = ScalarCellGrid(config)
     accepted = 0
     done = 0
     while done < steps:
@@ -94,6 +95,25 @@ def reference_run(config, steps, seed):
         done += todo
     centers = np.column_stack([grid.xs, grid.ys])
     return centers, ChainStats(steps=steps, accepted=accepted)
+
+
+def assert_pair_distance_law(samples, r):
+    """Chi-square test of n = 2 pair distances against the stationary law.
+
+    The stationary pair distance t has density proportional to t (the circle
+    of radius t has perimeter 2 pi t) on (2r, 1/2).
+    """
+    samples = np.array(samples)
+    edges = np.linspace(2 * r, 0.5, 11)
+    counts, _ = np.histogram(samples[samples < 0.5], bins=edges)
+    expect = (edges[1:] ** 2 - edges[:-1] ** 2)
+    expect = expect / expect.sum() * counts.sum()
+    assert stats.chisquare(counts, expect).pvalue > 0.01
+
+
+def walk_one(grid, i, x, y):
+    """Offer CellGrid.walk the single proposal (i, (x, y)); was it accepted?"""
+    return grid.walk(np.array([i]), np.array([[x, y]])) == 1
 
 
 class FakeRng:
@@ -253,7 +273,10 @@ class TestCellGrid:
             for _ in range(2000):
                 i = int(rng.integers(48))
                 x, y = rng.random(2)
-                assert grid.allowed(i, x, y) == move_allowed_bruteforce(config, i, (x, y))
+                ok = move_allowed_bruteforce(config, i, (x, y))
+                assert walk_one(grid, i, x, y) == ok
+                if ok:
+                    config = replaced(config, i, (x, y))
 
     def test_wrap_edge_cases_match_bruteforce(self):
         r = 0.02
@@ -261,14 +284,15 @@ class TestCellGrid:
             [[-1e-20, 0.5], [0.0, 0.2], [0.75, 0.75], [0.5, -1e-20], [0.3, 0.0]], r=r
         )
         assert config.centers[0, 0] == 1.0 and config.centers[3, 1] == 1.0
-        grid = CellGrid(config)
         seam = [0.0, 1e-12, 0.01, 0.03, 0.99, 0.97, 1.0 - 1e-12]
         proposals = [(0.25, 0.75), (0.75, 0.25), (0.25, 0.25), (0.5, 0.0), (0.0, 0.5)]
         proposals += [(x, y) for x in seam for y in (0.2, 0.5)]
         proposals += [(x, y) for x in (0.3, 0.5) for y in seam]
         for xy in proposals:
             for i in range(config.n):
-                assert grid.allowed(i, *xy) == move_allowed_bruteforce(config, i, xy), (i, xy)
+                # a fresh grid per proposal keeps the stored 0.0 and 1.0 in place
+                grid = CellGrid(config)
+                assert walk_one(grid, i, *xy) == move_allowed_bruteforce(config, i, xy), (i, xy)
         blocked = [xy for xy in proposals if not move_allowed_bruteforce(config, 2, xy)]
         assert (0.99, 0.2) in blocked and (1.0 - 1e-12, 0.5) in blocked
 
@@ -280,13 +304,49 @@ class TestCellGrid:
         for _ in range(500):
             i = int(rng.integers(16))
             x, y = rng.random(2)
-            if grid.allowed(i, x, y):
-                grid.move(i, x, y)
+            ok = move_allowed_bruteforce(current, i, (x, y))
+            assert walk_one(grid, i, x, y) == ok
+            if ok:
                 current = replaced(current, i, (x, y))
         rebuilt = CellGrid(current)
         assert sorted(map(tuple, zip(grid.xs, grid.ys))) == sorted(
             map(tuple, zip(rebuilt.xs, rebuilt.ys))
         )
+
+    def test_slice_matches_one_at_a_time(self):
+        config = random_config(64, 0.15, seed=22)
+        rng = np.random.default_rng(22)
+        idx = rng.integers(64, size=dynamics.RUN_SLICE)
+        pts = rng.random((dynamics.RUN_SLICE, 2))
+        whole, single = CellGrid(config), CellGrid(config)
+        accepted = whole.walk(idx, pts)
+        assert accepted == sum(single.walk(idx[k:k + 1], pts[k:k + 1])
+                               for k in range(len(idx)))
+        assert 0 < accepted < len(idx)
+        for name in ("xs", "ys", "cell_of", "cells"):
+            assert getattr(whole, name) == getattr(single, name), name
+
+    def test_cell_edges_match_scalar_oracle(self):
+        config = random_config(48, 0.16, seed=23)
+        grid, oracle = CellGrid(config), ScalarCellGrid(config)
+        m = grid.m
+        edges = [1.0 - 2.0**-53]
+        for k in range(m):
+            edges += [k / m, np.nextafter(k / m, 1.0)] + ([np.nextafter(k / m, 0.0)] if k else [])
+        rng = np.random.default_rng(23)
+        verdicts = []
+        for x in edges:
+            for y in edges:
+                i = int(rng.integers(48))
+                assert grid._cells(np.array([[x, y]])) == [oracle._cell(x, y)], (x, y)
+                ok = oracle.allowed(i, x, y)
+                assert walk_one(grid, i, x, y) == ok, (i, x, y)
+                if ok:
+                    oracle.move(i, x, y)
+                verdicts.append(ok)
+                assert grid.cell_of == oracle.cell_of and grid.cells == oracle.cells
+        assert grid.xs == oracle.xs and grid.ys == oracle.ys
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestRun:
@@ -330,8 +390,6 @@ class TestRun:
         assert p >= 1 - 4 * 0.15 - 3 * sigma
 
     def test_pair_distance_stationary_distribution(self):
-        # For n = 2 the stationary pair distance t has density proportional
-        # to t (the circle of radius t has perimeter 2 pi t) on (2r, 1/2).
         rho = 0.002
         config = random_config(2, rho, seed=16)
         r = config.r
@@ -343,13 +401,22 @@ class TestRun:
             d = config.centers[0] - config.centers[1]
             d -= np.round(d)
             samples.append(np.hypot(*d))
-        samples = np.array(samples)
-        keep = samples < 0.5
-        edges = np.linspace(2 * r, 0.5, 11)
-        counts, _ = np.histogram(samples[keep], bins=edges)
-        expect = (edges[1:] ** 2 - edges[:-1] ** 2)
-        expect = expect / expect.sum() * counts.sum()
-        assert stats.chisquare(counts, expect).pvalue > 0.01
+        assert_pair_distance_law(samples, r)
+
+    def test_pair_distance_stationary_distribution_through_walk(self):
+        # The same law as above, on the package chain: CellGrid.walk.
+        rho = 0.002
+        config = random_config(2, rho, seed=16)
+        r = config.r
+        grid = CellGrid(config)
+        rng = np.random.default_rng(17)
+        samples = []
+        for _ in range(8000):
+            grid.walk(rng.integers(2, size=6), rng.random((6, 2)))
+            d = np.array([grid.xs[0] - grid.xs[1], grid.ys[0] - grid.ys[1]])
+            d -= np.round(d)
+            samples.append(np.hypot(*d))
+        assert_pair_distance_law(samples, r)
 
 
 class TestChainStats:
