@@ -136,8 +136,9 @@ def quartiles(values: list[float]) -> dict:
 def summarize(runs: dict, better: dict, bound: dict) -> dict:
     """Medians, quartiles, pair wins and verdicts of the head revision, per metric.
 
-    `gain_shown`: the head won at least 9 in 10 of the pairs, and its median
-    is better than the base median by more than the base IQR.  `beyond_bound`:
+    `gain_shown`: at least ten pairs ran, the head won at least 9 in 10 of
+    them, and its median is better than the base median by more than the
+    base IQR.  `beyond_bound`:
     the head median is worse than the base median by more than `bound` (a
     fraction of the base median, as in BENCHMARK.json).  "Better" and "worse"
     follow each metric's direction in `better`.
@@ -158,7 +159,8 @@ def summarize(runs: dict, better: dict, bound: dict) -> dict:
         base = out["base"][m]
         gain = sign * (base["median"] - out["head"][m]["median"])
         out["head_wins"][m] = wins
-        out["gain_shown"][m] = 10 * wins >= 9 * out["pairs"] and gain > base["iqr"]
+        out["gain_shown"][m] = (out["pairs"] >= 10 and 10 * wins >= 9 * out["pairs"]
+                                and gain > base["iqr"])
         out["beyond_bound"][m] = -gain > bound[m] * abs(base["median"])
     return out
 

@@ -36,6 +36,10 @@ def test_eight_wins_show_no_gain():
     assert verdict(BASE, head) == (8, False, False)
 
 
+def test_fewer_than_ten_pairs_show_no_gain():
+    assert verdict(BASE[:9], [0.8 * v for v in BASE[:9]]) == (9, False, False)
+
+
 def test_gap_within_the_base_iqr_shows_no_gain():
     head = [v - 0.02 for v in BASE]  # wins every pair, median 0.02 < IQR 0.035
     assert verdict(BASE, head) == (10, False, False)
