@@ -5,7 +5,8 @@ witness and the whole density search.
     PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable  # smoke run
 
 At L = 256 and 1024, `test_assemble` reports one unit-density assembly as
-`assemble_ms`, `test_search_probe` one feasibility decision at the bound, on
+`assemble_ms` with the storage of its savings weights as `w_mb`,
+`test_search_probe` one feasibility decision at the bound, on
 the shared system relabelled with that density, as `ms_per_probe`,
 `test_witness` the repaired witness and its verification at the bound as
 `ms`, and `test_max_density` the whole search (one assembly, the probes and the
@@ -29,9 +30,10 @@ def _report(benchmark, key, digits=3):
 
 @pytest.mark.parametrize("L", LS)
 def test_assemble(benchmark, L):
-    benchmark.pedantic(contraction.assemble, args=(contraction.SEARCH_LO, L),
-                       rounds=5, warmup_rounds=1)
+    system = benchmark.pedantic(contraction.assemble, args=(contraction.SEARCH_LO, L),
+                                rounds=5, warmup_rounds=1)
     _report(benchmark, "assemble_ms")
+    benchmark.extra_info["w_mb"] = system.w.nbytes / 2**20
 
 
 @pytest.mark.parametrize("L", LS)

@@ -21,6 +21,9 @@ shares the arrays.
 
 The savings kernel lives inside the danger zone, so its integral stops at
 u = 2 (the region u > 2 is geometrically empty): `assemble` clamps u there.
+The cells j >= k = ceil(L/2) start at u >= 2 and so carry w = 0 exactly;
+w stores only the k columns before them, and the sweep and `slack_report`
+read any missing columns as zeros.
 Savings therefore only ever reference d(u) for u below 2, so raising d on
 (2, 4] above the minimal solution costs nothing and turns every constraint
 there into pure slack.  Feasibility is decided on the saturated witness alone
@@ -64,7 +67,7 @@ class ConstraintSystem:
     L: int
     rho: float
     g: np.ndarray  # crescent-area terms at unit density, shape (L,)
-    w: np.ndarray  # lower-triangular savings weights at unit density, shape (L, L)
+    w: np.ndarray  # unit-density savings weights, lower-triangular, shape (L, k); columns >= k are 0
     W: np.ndarray  # row sums of w, shape (L,)
 
     @property
@@ -91,16 +94,18 @@ def assemble(rho: float, L: int) -> ConstraintSystem:
         raise ValueError("grid size must be at least 1")
     edges = grid_edges(L)
     lam, u = edges[1:], np.minimum(edges[:-1], 2.0)
-    w = np.zeros((L, L))
+    k = (L + 1) // 2  # cells j >= k start at u_j >= 2, where the clamp makes w exactly 0
+    w, W = np.empty((L, k)), np.empty(L)
     step = max(1, (1 << 16) // L)  # row blocks keep temporaries far below L x L
     for start in range(0, L, step):
         stop = min(start + step, L)
-        F = outside_zone_area(u[None, :stop], lam[start:stop, None])
+        F = outside_zone_area(u[None, : min(stop, k + 1)], lam[start:stop, None])
+        # Full-width rows, so that W keeps numpy's pairwise summation order.
+        rows = np.zeros((stop - start, L))
         # Row i keeps cells j <= i - 1, that is j - (i - start) <= start - 1.
-        w[start:stop, : stop - 1] = np.tril(np.diff(F, axis=1), start - 1)
-    w /= np.pi
-    return ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi, w=w,
-                            W=w.sum(axis=1))
+        rows[:, : F.shape[1] - 1] = np.tril(np.diff(F, axis=1), start - 1) / np.pi
+        w[start:stop], W[start:stop] = rows[:, :k], rows.sum(axis=1)
+    return ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi, w=w, W=W)
 
 
 def _sweep(system: ConstraintSystem, rows: int) -> np.ndarray:
@@ -118,8 +123,10 @@ def _sweep(system: ConstraintSystem, rows: int) -> np.ndarray:
     d = np.empty(rows)
     for start in range(0, rows, SOLVE_BLOCK):
         stop = min(start + SOLVE_BLOCK, rows)
-        rhs = system.g[start:stop] + w[start:stop, :start] @ d[:start]
-        block = np.diag(diag[start:stop]) - w[start:stop, start:stop]
+        before, inside = w[start:stop, :start], w[start:stop, start:stop]  # missing columns are 0
+        rhs = system.g[start:stop] + before @ d[: before.shape[1]]
+        block = np.diag(diag[start:stop])
+        block[:, : inside.shape[1]] -= inside
         d[start:stop] = np.linalg.solve(block, rhs)
     return d
 
@@ -180,7 +187,7 @@ def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
     if metric.L != system.L:
         raise ValueError("metric and system grid sizes differ")
     d = np.asarray(metric.values)
-    sav = system.w @ d  # lower-triangular: row i only sees j < i
+    sav = system.w @ d[: system.w.shape[1]]  # row i only sees j < i; missing columns are 0
     residuals = system.rho * ((system.mu + system.W) * d - system.g - sav)
     tight = system.grid[residuals < TIGHT_TOL]
     tight_lambda_max = float(tight.max()) if tight.size else 0.0

@@ -95,21 +95,20 @@ def check_axioms(metric: PiecewiseMetric) -> AxiomReport:
     and against the tail: d_i + d_j >= 1 whenever lam_i + lam_j > 4, so the
     extension with d = 1 beyond the grid stays a valid edge-length system.
     """
-    d = metric.values
-    L = metric.L
-    report = AxiomReport()
-    for i in range(L):
-        if not -AXIOM_TOL <= d[i] <= 1.0 + AXIOM_TOL:
-            report.range_violations.append((i + 1, d[i]))
-        if i + 1 < L and d[i] > d[i + 1] + AXIOM_TOL:
-            report.monotonicity_violations.append((i + 1, d[i], d[i + 1]))
-    for i in range(1, L + 1):
-        for j in range(i, L + 1):
-            if i + j <= L:
-                if d[i + j - 1] > d[i - 1] + d[j - 1] + AXIOM_TOL:
-                    report.subadditivity_violations.append((i, j, d[i + j - 1]))
-            elif d[i - 1] + d[j - 1] < 1.0 - AXIOM_TOL:
-                report.subadditivity_violations.append((i, j, 1.0))
+    d, t, L = metric.values, metric._table, metric.L
+    report = AxiomReport(
+        range_violations=[(int(i) + 1, d[i]) for i in np.flatnonzero(
+            ~((t >= -AXIOM_TOL) & (t <= 1.0 + AXIOM_TOL)))],
+        monotonicity_violations=[(int(i) + 1, d[i], d[i + 1])
+                                 for i in np.flatnonzero(t[:-1] > t[1:] + AXIOM_TOL)])
+    for i in range(1, L + 1):  # row i against every j >= i at once
+        pair = t[i - 1] + t[i - 1 :]
+        inner = np.arange(i, L + 1) <= L - i
+        joined = np.ones(L - i + 1)  # d_{i+j}, or 1 for the tail beyond the grid
+        joined[inner] = t[2 * i - 1 :]
+        bad = np.where(inner, joined > pair + AXIOM_TOL, pair < 1.0 - AXIOM_TOL)
+        report.subadditivity_violations += [(i, i + int(p), float(joined[p]))
+                                            for p in np.flatnonzero(bad)]
     return report
 
 

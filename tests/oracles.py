@@ -27,12 +27,20 @@ scalar or independent route to the same result:
   each computing the proposal's cell in Python.  test_dynamics checks
   `dynamics.run` against a step loop over its `move`, and the verdicts and
   cells of `CellGrid.walk` at cell edges against it.
+- `check_axioms_looped`: the metric axioms checked one pair (i, j) at a
+  time; test_metric checks the row-vectorized `metric.check_axioms` against
+  it, violation lists and their order included.
 - `hamming_metric`, `disagreements`, `pair_distance`: the unit metric d = 1
   and the metric distance between two configurations (test_metric).
 - `CoupledPair`, `make_pair`, `coupled_step`, `classify_step`: the scalar
   coupled step.  test_coupling replays the batched, stratified trial kernel
   of `coupling.estimate_contraction` through `classify_step`, proposal by
   proposal.
+- `assemble_dense`, `dense_w`: `contraction.assemble` storing all L x L
+  savings weights, and a system's weights zero-padded to that shape.
+  test_contraction checks that the package's live columns, g and W equal
+  the dense assembly bit for bit and give the same search; the LP oracle and
+  the kernel and sweep references index the padded weights.
 - `assemble_as_written`: `contraction.assemble` without the clamp at u = 2,
   so the savings integral runs on over the geometrically empty region
   u > 2.  test_contraction checks the kernel quadratures and the blocked
@@ -55,7 +63,7 @@ import numpy as np
 from harddisks import contraction, coupling
 from harddisks.dynamics import CellGrid, Configuration, radius_for_density, random_config
 from harddisks.geometry import clear_of, crescent_area, min_image_array, outside_zone_area
-from harddisks.metric import PiecewiseMetric, grid_edges
+from harddisks.metric import AXIOM_TOL, AxiomReport, PiecewiseMetric, grid_edges
 
 # --- torus geometry, in absolute units ---------------------------------------
 
@@ -322,6 +330,29 @@ class ScalarCellGrid(CellGrid):
         self.ys[i] = y
 
 
+# --- metric axioms --------------------------------------------------------------
+
+
+def check_axioms_looped(metric: PiecewiseMetric) -> AxiomReport:
+    """`metric.check_axioms` one comparison at a time, over every pair i <= j."""
+    d = metric.values
+    L = metric.L
+    report = AxiomReport()
+    for i in range(L):
+        if not -AXIOM_TOL <= d[i] <= 1.0 + AXIOM_TOL:
+            report.range_violations.append((i + 1, d[i]))
+        if i + 1 < L and d[i] > d[i + 1] + AXIOM_TOL:
+            report.monotonicity_violations.append((i + 1, d[i], d[i + 1]))
+    for i in range(1, L + 1):
+        for j in range(i, L + 1):
+            if i + j <= L:
+                if d[i + j - 1] > d[i - 1] + d[j - 1] + AXIOM_TOL:
+                    report.subadditivity_violations.append((i, j, d[i + j - 1]))
+            elif d[i - 1] + d[j - 1] < 1.0 - AXIOM_TOL:
+                report.subadditivity_violations.append((i, j, 1.0))
+    return report
+
+
 # --- distances between configurations -----------------------------------------
 
 
@@ -570,9 +601,41 @@ def lp_feasible(system: contraction.ConstraintSystem) -> bool:
     (times rho), not the unit-density form.
     """
     rho = system.rho
-    A = -rho * system.w
+    A = -rho * dense_w(system)
     np.fill_diagonal(A, rho * (system.mu + system.W))
     return feasible_box(A, rho * system.g, np.ones(system.L))
+
+
+def assemble_dense(rho: float, L: int) -> contraction.ConstraintSystem:
+    """`contraction.assemble` with w stored as the full L x L array.
+
+    The columns of cells that start at u >= 2 are exactly 0, and the package
+    stores only the others; g, W and the live columns must match this
+    bit for bit.
+    """
+    if not 0 < rho < 0.25:
+        raise ValueError(f"density must lie in (0, 1/4), got {rho}")
+    if L < 1:
+        raise ValueError("grid size must be at least 1")
+    edges = grid_edges(L)
+    lam, u = edges[1:], np.minimum(edges[:-1], 2.0)
+    w = np.zeros((L, L))
+    step = max(1, (1 << 16) // L)  # row blocks keep temporaries far below L x L
+    for start in range(0, L, step):
+        stop = min(start + step, L)
+        F = outside_zone_area(u[None, :stop], lam[start:stop, None])
+        # Row i keeps cells j <= i - 1, that is j - (i - start) <= start - 1.
+        w[start:stop, : stop - 1] = np.tril(np.diff(F, axis=1), start - 1)
+    w /= np.pi
+    return contraction.ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi, w=w,
+                                        W=w.sum(axis=1))
+
+
+def dense_w(system: contraction.ConstraintSystem) -> np.ndarray:
+    """The system's savings weights zero-padded to L x L (its missing columns are 0)."""
+    w = np.zeros((system.L, system.L))
+    w[:, : system.w.shape[1]] = system.w
+    return w
 
 
 def assemble_as_written(rho: float, L: int) -> contraction.ConstraintSystem:

@@ -21,8 +21,10 @@ from harddisks.geometry import crescent_area
 from harddisks.metric import PiecewiseMetric, analytic_small_ell, check_axioms
 from oracles import (
     assemble_as_written,
+    assemble_dense,
     crescent_angle,
     crescent_angle_array,
+    dense_w,
     feasible,
     feasible_box,
     lp_feasible,
@@ -85,7 +87,7 @@ def quadrature_kernel(L, variant, order=16):
 
 def exact_kernel(L, variant):
     """The savings integrals I of the assembled system, with the factor 1/pi removed."""
-    return ASSEMBLIES[variant](0.125, L).w * np.pi
+    return dense_w(ASSEMBLIES[variant](0.125, L)) * np.pi
 
 
 def adaptive_cell_integral(lam, a, b, variant):
@@ -167,6 +169,28 @@ class TestAssemble:
             assemble(0.14, 0)
 
 
+class TestLiveColumns:
+    """`assemble` stores only the k = ceil(L/2) columns whose cells start below u = 2."""
+
+    @pytest.mark.parametrize("L", [*range(1, 41), 64, 88, 100, 256, 333, 1024])
+    def test_matches_dense_assembly_bit_for_bit(self, L):
+        live, dense = assemble(0.14, L), assemble_dense(0.14, L)
+        k = (L + 1) // 2
+        assert live.w.shape == (L, k)
+        assert np.array_equal(live.g, dense.g)
+        assert np.array_equal(live.W, dense.W)
+        assert np.array_equal(live.w, dense.w[:, :k])
+        assert not np.any(dense.w[:, k:])
+
+    @pytest.mark.parametrize("L", [11, 12, 33, 88, 100, 256])
+    def test_search_matches_dense_assembly(self, monkeypatch, L):
+        live = max_density(L)
+        monkeypatch.setattr(contraction, "assemble", assemble_dense)
+        dense = max_density(L)
+        assert (live.rho_star, live.iterations) == (dense.rho_star, dense.iterations)
+        assert live.to_json() == dense.to_json()
+
+
 class TestMinimalMetric:
     def test_zero_savings_reduces_to_analytic_form(self, monkeypatch):
         monkeypatch.setattr(contraction, "EPSILON_HAT", 0.0)
@@ -245,7 +269,7 @@ def looped_minimal_metric(system):
     """Reference forward sweep, one constraint at a time, on the constraints as
     written: g, w and c at the system's density, rebuilt from the unit system."""
     rho = system.rho
-    g, w = rho * system.g, rho * system.w
+    g, w = rho * system.g, rho * dense_w(system)
     c = 1.0 - 4.0 * rho - contraction.EPSILON_HAT
     W = w.sum(axis=1)
     d = np.zeros(system.L)

@@ -11,7 +11,14 @@ from harddisks import metric as metric_mod
 from harddisks.dynamics import Configuration
 from harddisks.geometry import crescent_area
 from harddisks.metric import PiecewiseMetric, analytic_small_ell, check_axioms, from_csv, to_csv
-from oracles import DisagreementPair, disagreements, hamming_metric, pair_distance, replaced
+from oracles import (
+    DisagreementPair,
+    check_axioms_looped,
+    disagreements,
+    hamming_metric,
+    pair_distance,
+    replaced,
+)
 
 
 class TestEval:
@@ -99,6 +106,33 @@ class TestCheckAxioms:
         # d_i + d_j must reach 1 whenever lam_i + lam_j exceeds the grid end.
         report = check_axioms(PiecewiseMetric(values=(0.1, 0.2, 0.3, 0.4)))
         assert any(i + j > 4 for (i, j, _) in report.subadditivity_violations)
+
+    @pytest.mark.parametrize("mutation", ["none", "range", "monotonicity", "subadditivity",
+                                          "tail", "all"])
+    @pytest.mark.parametrize("L", [1, 2, 7, 40])
+    def test_matches_looped_reference(self, mutation, L):
+        # The concave sqrt(lam/4) passes; each mutation breaks one axiom at
+        # L = 40 (the tail rule through subadditivity_violations), "all" every one.
+        d = np.sqrt(np.arange(1, L + 1) / L)
+        if mutation in ("range", "all"):
+            d[-1], d[0] = 1.5, -0.1
+        if mutation in ("monotonicity", "all"):
+            d[L // 2] -= 0.3
+        if mutation in ("subadditivity", "all"):
+            d[L // 2 :] = np.minimum(1.0, d[L // 2 :] + 0.5)
+        if mutation in ("tail", "all"):
+            d *= 0.4
+        report = check_axioms(PiecewiseMetric(values=tuple(d)))
+        assert report == check_axioms_looped(PiecewiseMetric(values=tuple(d)))
+        if mutation == "none" or L == 40:
+            assert report.passed == (mutation == "none")
+        if L == 40 and mutation in ("range", "monotonicity"):
+            assert getattr(report, f"{mutation}_violations")
+        kinds = {"range": (int, float), "monotonicity": (int, float, float),
+                 "subadditivity": (int, int, float)}
+        for kind, types in kinds.items():
+            for violation in getattr(report, f"{kind}_violations"):
+                assert tuple(map(type, violation)) == types
 
 
 def _config(centers, r):
