@@ -5,7 +5,8 @@ witness and the whole density search.
     PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable  # smoke run
 
 At L = 256 and 1024, `test_assemble` reports one unit-density assembly as
-`assemble_ms` with the storage of its savings weights as `w_mb`,
+`assemble_ms` with the storage of its savings weights as `w_mb` and the
+working memory beyond them (tracemalloc peak minus `w_mb`) as `transient_mb`,
 `test_search_probe` one feasibility decision at the bound, on
 the shared system relabelled with that density, as `ms_per_probe`,
 `test_witness` the repaired witness and its verification at the bound as
@@ -14,6 +15,7 @@ witness) as `max_density_ms` with its probe count `probes` (the bracket
 check plus the bisection steps), each in `extra_info`.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -30,10 +32,17 @@ def _report(benchmark, key, digits=3):
 
 @pytest.mark.parametrize("L", LS)
 def test_assemble(benchmark, L):
-    system = benchmark.pedantic(contraction.assemble, args=(contraction.SEARCH_LO, L),
-                                rounds=5, warmup_rounds=1)
+    benchmark.pedantic(contraction.assemble, args=(contraction.SEARCH_LO, L),
+                       rounds=5, warmup_rounds=1)
     _report(benchmark, "assemble_ms")
+    tracemalloc.start()
+    try:
+        system = contraction.assemble(contraction.SEARCH_LO, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     benchmark.extra_info["w_mb"] = system.w.nbytes / 2**20
+    benchmark.extra_info["transient_mb"] = round((peak - system.w.nbytes) / 2**20, 3)
 
 
 @pytest.mark.parametrize("L", LS)

@@ -23,6 +23,8 @@ from . import metric as metric_mod
 
 EXIT_PRECONDITION = 3
 EXIT_IO = 4
+RIGOROUS_HELP = ("take each savings row at its cell's left end, so the bound holds for every "
+                 "displacement in a cell, not only at the grid points")
 
 
 def _write_manifest(out_path: str, command: str, params: dict, seed, wall_clock: float) -> None:
@@ -47,8 +49,9 @@ def _emit(text: str, out_path: str | None, command: str, params: dict, seed, t0:
 
 def cmd_bound(args) -> int:
     t0 = time.perf_counter()
-    result = contraction.max_density(L=args.L, tol=args.tol, hamming=args.hamming)
-    params = {"L": args.L, "tol": args.tol, "hamming": args.hamming}
+    result = contraction.max_density(L=args.L, tol=args.tol, hamming=args.hamming,
+                                     rigorous=args.rigorous)
+    params = {"L": args.L, "tol": args.tol, "hamming": args.hamming, "rigorous": args.rigorous}
     _emit(result.to_json(), args.out, "bound", params, None, t0)
     return 0
 
@@ -57,9 +60,9 @@ def cmd_table(args) -> int:
     t0 = time.perf_counter()
     lines = ["L,rho_star"]
     for L in args.Ls:
-        result = contraction.max_density(L=L, tol=args.tol)
+        result = contraction.max_density(L=L, tol=args.tol, rigorous=args.rigorous)
         lines.append(f"{L},{result.rho_star:.12g}")
-    params = {"Ls": args.Ls, "tol": args.tol}
+    params = {"Ls": args.Ls, "tol": args.tol, "rigorous": args.rigorous}
     _emit("\n".join(lines), args.out, "table", params, None, t0)
     return 0
 
@@ -155,12 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--hamming", action="store_true",
                    help="force the unit metric with savings disabled (1/8 baseline)")
+    p.add_argument("--rigorous", action="store_true", help=RIGOROUS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("table", help="bounds for a list of grid sizes, as CSV")
     p.add_argument("--Ls", type=lambda s: [int(x) for x in s.split(",")], required=True)
     p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--rigorous", action="store_true", help=RIGOROUS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_table)
 

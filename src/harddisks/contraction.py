@@ -23,7 +23,10 @@ The savings kernel lives inside the danger zone, so its integral stops at
 u = 2 (the region u > 2 is geometrically empty): `assemble` clamps u there.
 The cells j >= k = ceil(L/2) start at u >= 2 and so carry w = 0 exactly;
 w stores only the k columns before them, and the sweep and `slack_report`
-read any missing columns as zeros.
+read any missing columns as zeros.  `assemble` fills w in blocks of
+ROW_BUDGET // L rows (at least one), ROW_BUDGET = 2^14 doubles per
+full-width row buffer, so its working memory besides w stays near 0.7 MB at
+every L.
 Savings therefore only ever reference d(u) for u below 2, so raising d on
 (2, 4] above the minimal solution costs nothing and turns every constraint
 there into pure slack.  Feasibility is decided on the saturated witness alone
@@ -54,6 +57,7 @@ TIGHT_TOL = 1e-8  # a constraint with residual below this counts as tight
 SEARCH_LO = 0.12  # below the Hamming baseline (1 - eps_hat)/8, so feasible at every L
 SEARCH_HI = 0.25
 SOLVE_BLOCK = 32  # rows per diagonal block of the forward substitution
+ROW_BUDGET = 1 << 14  # doubles per row block of `assemble`: L = 1024 takes 16 rows at a time
 
 
 @dataclass(frozen=True)
@@ -80,13 +84,20 @@ class ConstraintSystem:
         return grid_edges(self.L)[1:]
 
 
-def assemble(rho: float, L: int) -> ConstraintSystem:
+def assemble(rho: float, L: int, rigorous: bool = False) -> ConstraintSystem:
     """Build the unit-density constraint system, labelled with density rho.
 
     w[i, j] = (F(lam_i, u_{j+1}) - F(lam_i, u_j))/pi over subinterval
     j = [u_j, u_{j+1}], j < i only (the partial cell j = i multiplies
     d_i - d_i = 0), with F = outside_zone_area.  The kernel is truncated at
     the danger-zone radius by clamping u at 2.
+
+    With rigorous=True row i of w (and W) takes the cell's left end lam_{i-1}
+    instead of lam_i, while g_i stays at lam_i.  The crescent area and the
+    savings kernel 2 (pi - theta(u, lam)) u both increase in lam, so for a
+    monotone d the constraint then holds at every lam in (lam_{i-1}, lam_i],
+    not only at the grid point.  This is computed in floats, not certified
+    with interval arithmetic.
     """
     if not 0 < rho < 0.25:
         raise ValueError(f"density must lie in (0, 1/4), got {rho}")
@@ -94,16 +105,23 @@ def assemble(rho: float, L: int) -> ConstraintSystem:
         raise ValueError("grid size must be at least 1")
     edges = grid_edges(L)
     lam, u = edges[1:], np.minimum(edges[:-1], 2.0)
+    rows_lam = edges[:-1] if rigorous else lam
     k = (L + 1) // 2  # cells j >= k start at u_j >= 2, where the clamp makes w exactly 0
     w, W = np.empty((L, k)), np.empty(L)
-    step = max(1, (1 << 16) // L)  # row blocks keep temporaries far below L x L
+    step = max(1, ROW_BUDGET // L)
+    # Full-width rows, so that W keeps numpy's pairwise summation order.  Each
+    # block fills at least the columns of the one before, so the zero padding
+    # past them is never written and needs no clearing.
+    buf = np.zeros((min(step, L), L))
     for start in range(0, L, step):
         stop = min(start + step, L)
-        F = outside_zone_area(u[None, : min(stop, k + 1)], lam[start:stop, None])
-        # Full-width rows, so that W keeps numpy's pairwise summation order.
-        rows = np.zeros((stop - start, L))
-        # Row i keeps cells j <= i - 1, that is j - (i - start) <= start - 1.
-        rows[:, : F.shape[1] - 1] = np.tril(np.diff(F, axis=1), start - 1) / np.pi
+        F = outside_zone_area(u[None, : min(stop, k + 1)], rows_lam[start:stop, None])
+        rows = buf[: stop - start]
+        cells = rows[:, : F.shape[1] - 1]
+        np.subtract(F[:, 1:], F[:, :-1], out=cells)
+        diag = cells[:, start:]  # row i keeps cells j < i, so only this corner holds j >= i
+        diag[np.arange(diag.shape[1]) >= np.arange(stop - start)[:, None]] = 0.0
+        cells /= np.pi
         w[start:stop], W[start:stop] = rows[:, :k], rows.sum(axis=1)
     return ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi, w=w, W=W)
 
@@ -224,13 +242,14 @@ class BoundResult:
     metric: PiecewiseMetric
     slack: np.ndarray | None
     tight_lambda_max: float
+    rigorous: bool = False  # savings rows taken at each cell's left end (see `assemble`)
 
     def to_json(self) -> str:
         payload = {
             "L": self.L,
             "rho_star": float(f"{self.rho_star:.12g}"),
             "tol": self.tol,
-            "variant": "clamped",  # the savings kernel the bound used
+            "variant": "rigorous" if self.rigorous else "clamped",  # the savings rows the bound used
             "epsilon_hat": self.epsilon_hat,
             "iterations": self.iterations,
             "metric": {"values": [float(f"{v:.12g}") for v in self.metric.values]},
@@ -239,10 +258,12 @@ class BoundResult:
         return json.dumps(payload, indent=2)
 
 
-def max_density(L: int, tol: float = 1e-6, hamming: bool = False) -> BoundResult:
+def max_density(L: int, tol: float = 1e-6, hamming: bool = False,
+                rigorous: bool = False) -> BoundResult:
     """Binary-search the largest density at which the coupling contracts.
 
-    The system is assembled once; each probe relabels it with its density.
+    The system is assembled once (with `rigorous` passed on to `assemble`);
+    each probe relabels it with its density.
     In hamming mode the metric is forced to d = 1 with savings disabled, so
     the condition reduces to c >= 4 rho, that is 1 - eps_hat >= 8 rho: the
     classical 1/8 baseline, returned in closed form as (1 - eps_hat)/8 with
@@ -256,9 +277,9 @@ def max_density(L: int, tol: float = 1e-6, hamming: bool = False) -> BoundResult
         rho = (1.0 - EPSILON_HAT) / 8.0
         return BoundResult(L=L, rho_star=rho, tol=tol, epsilon_hat=EPSILON_HAT, iterations=0,
                            metric=PiecewiseMetric(values=(1.0,) * L),
-                           slack=None, tight_lambda_max=4.0)
+                           slack=None, tight_lambda_max=4.0, rigorous=rigorous)
     lo, hi = SEARCH_LO, SEARCH_HI
-    base = assemble(lo, L)
+    base = assemble(lo, L, rigorous)
     if not decide(base):
         raise RuntimeError("search bracket lower end unexpectedly infeasible")
     iterations = 0
@@ -282,4 +303,5 @@ def max_density(L: int, tol: float = 1e-6, hamming: bool = False) -> BoundResult
         metric=metric,
         slack=slack,
         tight_lambda_max=tight_lambda_max,
+        rigorous=rigorous,
     )

@@ -39,7 +39,8 @@ scalar or independent route to the same result:
 - `assemble_dense`, `dense_w`: `contraction.assemble` storing all L x L
   savings weights, and a system's weights zero-padded to that shape.
   test_contraction checks that the package's live columns, g and W equal
-  the dense assembly bit for bit and give the same search; the LP oracle and
+  the dense assembly bit for bit, with the savings rows at either end of
+  each cell, and give the same search; the LP oracle and
   the kernel and sweep references index the padded weights.
 - `assemble_as_written`: `contraction.assemble` without the clamp at u = 2,
   so the savings integral runs on over the geometrically empty region
@@ -606,12 +607,13 @@ def lp_feasible(system: contraction.ConstraintSystem) -> bool:
     return feasible_box(A, rho * system.g, np.ones(system.L))
 
 
-def assemble_dense(rho: float, L: int) -> contraction.ConstraintSystem:
-    """`contraction.assemble` with w stored as the full L x L array.
+def assemble_dense(rho: float, L: int, rigorous: bool = False) -> contraction.ConstraintSystem:
+    """`contraction.assemble` with w stored as the full L x L array, built in
+    fixed blocks of 2^16 // L rows with fresh temporaries per block.
 
     The columns of cells that start at u >= 2 are exactly 0, and the package
     stores only the others; g, W and the live columns must match this
-    bit for bit.
+    bit for bit, in both row variants.
     """
     if not 0 < rho < 0.25:
         raise ValueError(f"density must lie in (0, 1/4), got {rho}")
@@ -619,11 +621,12 @@ def assemble_dense(rho: float, L: int) -> contraction.ConstraintSystem:
         raise ValueError("grid size must be at least 1")
     edges = grid_edges(L)
     lam, u = edges[1:], np.minimum(edges[:-1], 2.0)
+    rows_lam = edges[:-1] if rigorous else lam
     w = np.zeros((L, L))
     step = max(1, (1 << 16) // L)  # row blocks keep temporaries far below L x L
     for start in range(0, L, step):
         stop = min(start + step, L)
-        F = outside_zone_area(u[None, :stop], lam[start:stop, None])
+        F = outside_zone_area(u[None, :stop], rows_lam[start:stop, None])
         # Row i keeps cells j <= i - 1, that is j - (i - start) <= start - 1.
         w[start:stop, : stop - 1] = np.tril(np.diff(F, axis=1), start - 1)
     w /= np.pi
@@ -638,7 +641,7 @@ def dense_w(system: contraction.ConstraintSystem) -> np.ndarray:
     return w
 
 
-def assemble_as_written(rho: float, L: int) -> contraction.ConstraintSystem:
+def assemble_as_written(rho: float, L: int, rigorous: bool = False) -> contraction.ConstraintSystem:
     """A drop-in `contraction.assemble` whose savings integral is not clamped at u = 2.
 
     w[i, j] integrates the kernel over the whole cell j < i, so the rows with
@@ -646,7 +649,7 @@ def assemble_as_written(rho: float, L: int) -> contraction.ConstraintSystem:
     The saturated witness never reads those columns, so the bound is the same.
     """
     edges = grid_edges(L)
-    F = outside_zone_area(edges[None, :], edges[1:, None])
+    F = outside_zone_area(edges[None, :], (edges[:-1] if rigorous else edges[1:])[:, None])
     w = np.tril(np.diff(F, axis=1), -1) / np.pi
     return contraction.ConstraintSystem(L=L, rho=rho, g=crescent_area(edges[1:]) / np.pi,
                                         w=w, W=w.sum(axis=1))

@@ -215,6 +215,12 @@ class TestBound:
                 run_cli([*command, "--variant", "clamped"])
             assert exc.value.code == 2
 
+    def test_rigorous_variant_in_json(self, capsys):
+        assert run_cli(["bound", "--L", "16", "--rigorous"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["variant"] == "rigorous"
+        assert payload["rho_star"] < json.loads(BOUND16_PIN)["rho_star"]
+
     @pytest.mark.parametrize("flags, pin", [([], BOUND16_PIN), (["--hamming"], BOUND16_HAMMING_PIN)])
     def test_stdout_pinned(self, flags, pin, capsys):
         assert run_cli(["bound", "--L", "16", *flags]) == 0
@@ -250,6 +256,15 @@ class TestTable:
             monkeypatch.setattr(contraction, "assemble", assemble_as_written)
         assert run_cli(["table", "--Ls", "1,2,3,5,8,12,16,33,64,256"]) == 0
         assert capsys.readouterr().out == TABLE_PIN
+
+    def test_rigorous_reaches_the_papers_bound(self, tmp_path, capsys):
+        # the cell-covering assembly at L = 88 prints 0.154028149 (README)
+        out = tmp_path / "t.csv"
+        assert run_cli(["table", "--rigorous", "--Ls", "88", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "88,0.154028148651"
+        assert float(out.read_text().splitlines()[1].split(",")[1]) >= 0.154
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        assert manifest["params"]["rigorous"] is True
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_exits_three(self, tol, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ class TestAssemble:
 class TestLiveColumns:
     """`assemble` stores only the k = ceil(L/2) columns whose cells start below u = 2."""
 
-    @pytest.mark.parametrize("L", [*range(1, 41), 64, 88, 100, 256, 333, 1024])
+    @pytest.mark.parametrize("L", [*range(1, 41), 64, 88, 100, 256, 333, 1024, 1170])
     def test_matches_dense_assembly_bit_for_bit(self, L):
         live, dense = assemble(0.14, L), assemble_dense(0.14, L)
         k = (L + 1) // 2
@@ -181,6 +182,36 @@ class TestLiveColumns:
         assert np.array_equal(live.W, dense.W)
         assert np.array_equal(live.w, dense.w[:, :k])
         assert not np.any(dense.w[:, k:])
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 16, 64, 88, 333, 1024, 1170, 2048])
+    def test_rigorous_matches_dense_assembly_bit_for_bit(self, L):
+        live, dense = assemble(0.14, L, rigorous=True), assemble_dense(0.14, L, rigorous=True)
+        k = (L + 1) // 2
+        assert np.array_equal(live.g, assemble(0.14, L).g)
+        assert np.array_equal(live.g, dense.g)
+        assert np.array_equal(live.W, dense.W)
+        assert np.array_equal(live.w, dense.w[:, :k])
+
+    # ROW_BUDGET // L rows per block: one row, 3 rows with a partial last
+    # block, and a single block of all L rows.
+    @pytest.mark.parametrize("budget, L", [(1, 40), (100, 33), (10**6, 100)])
+    @pytest.mark.parametrize("rigorous", [False, True])
+    def test_any_row_budget_matches_dense_assembly(self, monkeypatch, budget, L, rigorous):
+        monkeypatch.setattr(contraction, "ROW_BUDGET", budget)
+        live, dense = assemble(0.14, L, rigorous), assemble_dense(0.14, L, rigorous)
+        assert np.array_equal(live.W, dense.W)
+        assert np.array_equal(live.w, dense.w[:, : (L + 1) // 2])
+
+    def test_working_memory_bounded_by_row_budget(self):
+        # Besides w itself, the row blocks hold about 0.7 MB at any L; blocks
+        # of 2^16 // L rows held 2.6 MB at L = 1024.
+        tracemalloc.start()
+        try:
+            system = assemble(0.15, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - system.w.nbytes <= 2**20, (peak - system.w.nbytes) / 2**20
 
     @pytest.mark.parametrize("L", [11, 12, 33, 88, 100, 256])
     def test_search_matches_dense_assembly(self, monkeypatch, L):
@@ -425,6 +456,14 @@ class TestMaxDensity:
         rho = max_density(L).rho_star
         assert rho < RHO_CEILING
         assert 0.035 <= L * (RHO_CEILING - rho) <= 0.05, L * (RHO_CEILING - rho)
+
+    # The cell-covering bound lies below the clamped one and approaches the
+    # same ceiling, with c = 0.0543 / 0.0545 / 0.0544 at these L.
+    @pytest.mark.parametrize("L", [64, 256, 1024])
+    def test_rigorous_ceiling_law(self, L):
+        rho = max_density(L, rigorous=True).rho_star
+        assert rho < max_density(L).rho_star < RHO_CEILING
+        assert 0.045 <= L * (RHO_CEILING - rho) <= 0.065, L * (RHO_CEILING - rho)
 
     def test_variant_agreement_at_moderate_grid(self, monkeypatch):
         a = max_density(64).rho_star
