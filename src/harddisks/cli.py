@@ -1,8 +1,9 @@
 """Command-line entry point for reproducible bound computations and experiments.
 
 Subcommands: bound, table, metric, simulate, couple.  All lengths are in
-units of the disk radius r; density is the only dimensionful knob.  Every
-command that writes an output file also writes a run manifest next to it.
+units of the disk radius r; density is the only dimensionful knob.  A
+command that succeeds with --out also gets a run manifest next to that file:
+its flags, seed, package version and wall-clock time.
 
 Exit codes: 0 success, 2 flag error, 3 infeasible or precondition violation,
 4 I/O error.
@@ -27,48 +28,45 @@ RIGOROUS_HELP = ("take each savings row at its cell's left end, so the bound hol
                  "displacement in a cell, not only at the grid points")
 
 
-def _write_manifest(out_path: str, command: str, params: dict, seed, wall_clock: float) -> None:
+def _write_manifest(args, wall_clock: float) -> None:
+    # The subcommand's own flags; seed has its own field, and results never depend on threads.
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("func", "command", "out", "seed", "threads")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "params": params,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "wall_clock_s": wall_clock,
     }
-    with open(out_path + ".manifest.json", "w") as fh:
+    with open(args.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 
 
-def _emit(text: str, out_path: str | None, command: str, params: dict, seed, t0: float) -> None:
+def _emit(text: str, out_path: str | None) -> None:
     print(text)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-        _write_manifest(out_path, command, params, seed, time.perf_counter() - t0)
 
 
 def cmd_bound(args) -> int:
-    t0 = time.perf_counter()
     result = contraction.max_density(L=args.L, tol=args.tol, hamming=args.hamming,
                                      rigorous=args.rigorous)
-    params = {"L": args.L, "tol": args.tol, "hamming": args.hamming, "rigorous": args.rigorous}
-    _emit(result.to_json(), args.out, "bound", params, None, t0)
+    _emit(result.to_json(), args.out)
     return 0
 
 
 def cmd_table(args) -> int:
-    t0 = time.perf_counter()
     lines = ["L,rho_star"]
     for L in args.Ls:
         result = contraction.max_density(L=L, tol=args.tol, rigorous=args.rigorous)
         lines.append(f"{L},{result.rho_star:.12g}")
-    params = {"Ls": args.Ls, "tol": args.tol, "rigorous": args.rigorous}
-    _emit("\n".join(lines), args.out, "table", params, None, t0)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
 def cmd_metric(args) -> int:
-    t0 = time.perf_counter()
     system = contraction.assemble(args.rho, args.L)
     if not contraction.decide(system):
         print(f"error: density {args.rho} is infeasible at L={args.L}", file=sys.stderr)
@@ -97,13 +95,10 @@ def cmd_metric(args) -> int:
     with open(args.out + ".report.json", "w") as fh:
         fh.write(report_text + "\n")
     print(report_text)
-    params = {"L": args.L, "rho": args.rho}
-    _write_manifest(args.out, "metric", params, None, time.perf_counter() - t0)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
     config = dynamics.random_config(args.n, args.rho, args.seed)
     final, stats = dynamics.run(config, args.steps, np.random.SeedSequence(args.seed).spawn(1)[0])
     payload = {
@@ -115,31 +110,18 @@ def cmd_simulate(args) -> int:
         "acceptance_rate": float(f"{stats.acceptance_rate:.12g}"),
         "seed": args.seed,
     }
-    text = json.dumps(payload, indent=2)
-    print(text)
+    _emit(json.dumps(payload, indent=2), args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
         dynamics.save_snapshot(final, args.out + ".snapshot.csv", seed=args.seed)
-        params = {"n": args.n, "rho": args.rho, "steps": args.steps}
-        _write_manifest(args.out, "simulate", params, args.seed, time.perf_counter() - t0)
     return 0
 
 
 def cmd_couple(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        metric = metric_mod.from_csv(args.metric)
-    except OSError as exc:
-        print(f"error: cannot read metric file: {exc}", file=sys.stderr)
-        return EXIT_IO
     estimate = coupling.estimate_contraction(
-        n=args.n, rho=args.rho, ell_over_r=args.ell, metric=metric,
+        n=args.n, rho=args.rho, ell_over_r=args.ell, metric=metric_mod.from_csv(args.metric),
         trials=args.trials, seed=args.seed, threads=args.threads,
     )
-    params = {"n": args.n, "rho": args.rho, "ell": args.ell,
-              "trials": args.trials, "metric": args.metric, "threads": args.threads}
-    _emit(estimate.to_json(), args.out, "couple", params, args.seed, t0)
+    _emit(estimate.to_json(), args.out)
     return 0
 
 
@@ -199,8 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
+        if code == 0 and args.out:
+            _write_manifest(args, time.perf_counter() - t0)
+        return code
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -24,8 +24,8 @@ u = 2 (the region u > 2 is geometrically empty): `assemble` clamps u there.
 The cells j >= k = ceil(L/2) start at u >= 2 and so carry w = 0 exactly;
 w stores only the k columns before them, and the sweep and `slack_report`
 read any missing columns as zeros.  `assemble` fills w in blocks of
-ROW_BUDGET // L rows (at least one), ROW_BUDGET = 2^14 doubles per
-full-width row buffer, so its working memory besides w stays near 0.7 MB at
+ROW_BUDGET // L rows (at least one), ROW_BUDGET = 2^14 doubles per block
+of full-width rows, so its working memory besides w stays below 1 MB at
 every L.
 Savings therefore only ever reference d(u) for u below 2, so raising d on
 (2, 4] above the minimal solution costs nothing and turns every constraint
@@ -109,19 +109,13 @@ def assemble(rho: float, L: int, rigorous: bool = False) -> ConstraintSystem:
     k = (L + 1) // 2  # cells j >= k start at u_j >= 2, where the clamp makes w exactly 0
     w, W = np.empty((L, k)), np.empty(L)
     step = max(1, ROW_BUDGET // L)
-    # Full-width rows, so that W keeps numpy's pairwise summation order.  Each
-    # block fills at least the columns of the one before, so the zero padding
-    # past them is never written and needs no clearing.
-    buf = np.zeros((min(step, L), L))
     for start in range(0, L, step):
         stop = min(start + step, L)
         F = outside_zone_area(u[None, : min(stop, k + 1)], rows_lam[start:stop, None])
-        rows = buf[: stop - start]
-        cells = rows[:, : F.shape[1] - 1]
-        np.subtract(F[:, 1:], F[:, :-1], out=cells)
-        diag = cells[:, start:]  # row i keeps cells j < i, so only this corner holds j >= i
-        diag[np.arange(diag.shape[1]) >= np.arange(stop - start)[:, None]] = 0.0
-        cells /= np.pi
+        # Full-width rows, so that W keeps numpy's pairwise summation order.
+        # Row i keeps cells j <= i - 1, that is j - (i - start) <= start - 1.
+        rows = np.zeros((stop - start, L))
+        rows[:, : F.shape[1] - 1] = np.tril(np.diff(F, axis=1), start - 1) / np.pi
         w[start:stop], W[start:stop] = rows[:, :k], rows.sum(axis=1)
     return ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi, w=w, W=W)
 

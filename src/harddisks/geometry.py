@@ -129,14 +129,20 @@ def outside_zone_area(s, lam):
     of a center lam away: pi s^2 minus the circle-circle lens.  It integrates
     the savings kernel 2 (pi - theta(u, lam)) u over [0, s], where theta is the
     half-angle at y1 of the part of the circle of radius u that lies inside
-    the zone; at s = 2 it is the crescent area.  s and lam are arrays that broadcast together.
+    the zone; at s = 2 it is the crescent area.  s and lam are scalars or
+    arrays that broadcast together.
+
+    Each branch is evaluated on its own entries only: disjoint circles share
+    no lens, nested ones the smaller disk, and only the crossing entries take
+    the arccos/sin lens formula.
     """
-    cross = (np.abs(s - 2.0) < lam) & (lam < s + 2.0)
-    # Placeholders s = lam = 1 keep the discarded crossing entries in domain.
-    sc, lc = np.where(cross, s, 1.0), np.where(cross, lam, 1.0)
+    s, lam = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(lam, dtype=float))
+    meet = lam < s + 2.0
+    m = np.minimum(s, 2.0)
+    lens = np.where(meet, np.pi * m * m, 0.0)
+    cross = meet & (np.abs(s - 2.0) < lam)
+    sc, lc = s[cross], lam[cross]
     alpha = np.arccos(np.clip((lc * lc + sc * sc - 4.0) / (2.0 * lc * sc), -1.0, 1.0))
     beta = np.arccos(np.clip((lc * lc + 4.0 - sc * sc) / (4.0 * lc), -1.0, 1.0))
-    m = np.minimum(s, 2.0)  # nested circles: the smaller disk; disjoint: nothing
-    lens = np.where(cross, sc * sc * alpha + 4.0 * beta - lc * sc * np.sin(alpha),
-                    np.where(lam < s + 2.0, np.pi * m * m, 0.0))
+    lens[cross] = sc * sc * alpha + 4.0 * beta - lc * sc * np.sin(alpha)
     return np.pi * s * s - lens

@@ -16,6 +16,12 @@ scalar or independent route to the same result:
   2 (pi - theta(u, lam)) u.  test_geometry checks that
   `geometry.outside_zone_area` is its antiderivative, and test_contraction
   checks `contraction.assemble` against quadratures of it.
+- `outside_zone_area_every_branch`: the savings antiderivative with the
+  arccos/sin lens evaluated on every entry and the branch picked after.
+  test_geometry checks that `geometry.outside_zone_area`, which evaluates
+  each branch on its own entries only, equals it bit for bit; the
+  `assemble_dense` oracle calls the package kernel and so cannot see a
+  change in it.
 - `uniform_crescent_proposals`: the crescent stratum drawn i.i.d. uniform
   by rejection, a drop-in for `coupling._draw_proposals`.  test_coupling
   checks that the weighted lattice points of the package vary less than it.
@@ -199,6 +205,23 @@ def crescent_angle_array(u, lam):
     th = np.where(u < 2.0 - lam, np.pi, th)
     th = np.where(u == 0.0, np.where(lam <= 2.0, np.pi, 0.0), th)
     return th
+
+
+def outside_zone_area_every_branch(s, lam):
+    """geometry.outside_zone_area with every branch evaluated on every entry.
+
+    Both arccos, the sin and the lens run on the whole broadcast shape, the
+    non-crossing entries on the in-domain placeholders s = lam = 1, and
+    nested np.where calls pick each entry's branch afterwards.
+    """
+    cross = (np.abs(s - 2.0) < lam) & (lam < s + 2.0)
+    sc, lc = np.where(cross, s, 1.0), np.where(cross, lam, 1.0)
+    alpha = np.arccos(np.clip((lc * lc + sc * sc - 4.0) / (2.0 * lc * sc), -1.0, 1.0))
+    beta = np.arccos(np.clip((lc * lc + 4.0 - sc * sc) / (4.0 * lc), -1.0, 1.0))
+    m = np.minimum(s, 2.0)  # nested circles: the smaller disk; disjoint: nothing
+    lens = np.where(cross, sc * sc * alpha + 4.0 * beta - lc * sc * np.sin(alpha),
+                    np.where(lam < s + 2.0, np.pi * m * m, 0.0))
+    return np.pi * s * s - lens
 
 
 def uniform_crescent_proposals(P, y1, ell_over_r: float, r: float, rng):

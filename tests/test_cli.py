@@ -403,6 +403,43 @@ class TestSimulate:
         assert "n=64" in err and "rho=0.2" in err
 
 
+class TestManifest:
+    """`main` writes one run record per successful command with --out."""
+
+    @pytest.mark.parametrize("argv, params, seed", [
+        (["bound", "--L", "8", "--tol", "1e-4", "--rigorous"],
+         {"L": 8, "tol": 1e-4, "hamming": False, "rigorous": True}, None),
+        (["table", "--Ls", "4,8"], {"Ls": [4, 8], "tol": 1e-6, "rigorous": False}, None),
+        (["metric", "--L", "8", "--rho", "0.14"], {"L": 8, "rho": 0.14}, None),
+        (["simulate", "--n", "16", "--rho", "0.1", "--steps", "100", "--seed", "4"],
+         {"n": 16, "rho": 0.1, "steps": 100}, 4),
+        (["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0", "--trials", "100",
+          "--metric", "METRIC", "--seed", "6"],
+         {"n": 8, "rho": 0.1, "ell": 1.0, "trials": 100, "metric": "METRIC"}, 6),
+    ])
+    def test_params_are_the_subcommand_flags(self, tmp_path, capsys, argv, params, seed):
+        metric = tmp_path / "metric.csv"
+        to_csv(max_density(8).metric, metric)
+        argv = [str(metric) if a == "METRIC" else a for a in argv]
+        params = {k: str(metric) if v == "METRIC" else v for k, v in params.items()}
+        out = tmp_path / "run.out"
+        assert run_cli(["--threads", "3", *argv, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
+        assert list(manifest) == ["command", "params", "seed", "version", "wall_clock_s"]
+        assert manifest["command"] == argv[0]
+        assert manifest["params"] == params and list(manifest["params"]) == list(params)
+        assert manifest["seed"] == seed
+        assert manifest["version"] == harddisks.__version__
+        assert manifest["wall_clock_s"] >= 0.0
+
+    def test_none_without_out_or_on_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["bound", "--L", "4"]) == 0
+        out = tmp_path / "m.csv"
+        assert run_cli(["metric", "--L", "8", "--rho", "0.2", "--out", str(out)]) == 3
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCouple:
     @pytest.fixture()
     def metric_file(self, tmp_path):

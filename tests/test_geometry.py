@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harddisks.dynamics import batch_insert, radius_for_density
+from harddisks.metric import grid_edges
 from harddisks.geometry import (
     cells_per_side,
     clear_of,
@@ -24,6 +25,7 @@ from oracles import (
     crescent_angle_array,
     free_grid_bruteforce,
     min_image,
+    outside_zone_area_every_branch,
     reflect_across_bisector,
     shifted_grid,
     torus_dist,
@@ -184,6 +186,49 @@ class TestOutsideZoneArea:
                 slope = rise / (2 * step)
                 kernel = 2.0 * (math.pi - crescent_angle(u, lam)) * u
                 assert slope == pytest.approx(kernel, abs=1e-6), (u, lam)
+
+
+class TestOutsideZoneAreaBranches:
+    """The branch-by-branch kernel equals the every-branch reference bit for bit."""
+
+    @staticmethod
+    def assert_same(s, lam):
+        got, ref = outside_zone_area(s, lam), outside_zone_area_every_branch(s, lam)
+        assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+        assert np.array_equal(got, ref), np.max(np.abs(np.subtract(got, ref)))
+
+    def test_grid_covers_every_branch_and_boundary(self):
+        s = np.concatenate([np.linspace(0.0, 5.0, 201), [2.0 - 1e-15, 2.0 + 1e-15, 3.9]])
+        lam = np.concatenate([np.linspace(0.0, 4.0, 161), [1e-300, 4.0 - 1e-15]])
+        S, LAM = np.meshgrid(s, lam, indexing="ij")
+        # the exact boundaries: internal tangency lam = |s - 2| and external lam = s + 2
+        edge_s = s[(s <= 4.0) & (s != 2.0)]
+        S = np.concatenate([S.ravel(), edge_s, s[s <= 2.0]])
+        LAM = np.concatenate([LAM.ravel(), np.abs(edge_s - 2.0), s[s <= 2.0] + 2.0])
+        cross = (np.abs(S - 2.0) < LAM) & (LAM < S + 2.0)
+        nested = ~cross & (LAM < S + 2.0)
+        assert cross.any() and nested.any() and (LAM >= S + 2.0).any()
+        assert {0.0, 2.0} <= set(S) and {0.0, 4.0} <= set(LAM)
+        self.assert_same(S, LAM)
+
+    @pytest.mark.parametrize("rigorous", [False, True])
+    def test_rows_and_edges_of_the_assembly(self, rigorous):
+        for L in [*range(1, 41), 64, 88, 100]:
+            edges = grid_edges(L)
+            u = np.minimum(edges[:-1], 2.0)
+            rows_lam = edges[:-1] if rigorous else edges[1:]
+            self.assert_same(u[None, :], rows_lam[:, None])
+
+    def test_scalar_and_broadcast_inputs(self):
+        for s, lam in [(0.5, 1.5), (0.5, 3.0), (3.5, 1.0), (1.0, 1.0), (2.0, 0.0), (0.0, 2.0),
+                       (1.0, 3.0), (1.0, 4.0)]:
+            self.assert_same(s, lam)
+            self.assert_same(np.float64(s), np.array(lam))
+        s = np.linspace(0.0, 4.0, 9)
+        self.assert_same(s, 1.5)
+        self.assert_same(2.0, s)
+        self.assert_same(s[:, None], s[None, :])
+        self.assert_same(s[None, :], np.array([[0.5], [2.0], [3.5]]))
 
 
 class TestLocalChart:
