@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lower bounds on the hard-disk critical density via an optimized coupling metric.",
     )
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker bound, accepted and validated (>= 1) but starts no "
-                             "workers; results never depend on it")
+                        help="worker bound, accepted by every command and validated (>= 1) "
+                             "only by couple; starts no workers, and results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="binary-search the largest contractive density")

@@ -150,7 +150,7 @@ def minimal_metric(system: ConstraintSystem) -> PiecewiseMetric:
     saturating the constraints in order gives it; any feasible metric
     dominates the result pointwise.
     """
-    return PiecewiseMetric(values=tuple(_sweep(system, system.L)))
+    return PiecewiseMetric(values=_sweep(system, system.L))
 
 
 def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
@@ -163,7 +163,7 @@ def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
     drops below the minimal values, so every constraint keeps nonnegative
     slack; the lam > 2 constraints become strictly slack.
     """
-    m = np.array(minimal_metric(system).values)
+    m = minimal_metric(system).values
     grid = system.grid
     cut = int(np.searchsorted(grid, 2.0, side="right"))
     d = np.maximum(m, grid / 4.0)
@@ -171,7 +171,7 @@ def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
         head = d[:i]  # pairs d_j + d_{i-1-j}; empty only for the single cell of L = 1
         best = np.min(head + head[::-1], initial=1.0)
         d[i] = max(best, m[i], d[i - 1])
-    return PiecewiseMetric(values=tuple(d))
+    return PiecewiseMetric(values=d)
 
 
 def saturated_metric(system: ConstraintSystem) -> PiecewiseMetric:
@@ -185,7 +185,7 @@ def saturated_metric(system: ConstraintSystem) -> PiecewiseMetric:
     cut = int(np.searchsorted(system.grid, 2.0, side="right"))  # first index with lam > 2
     d = np.ones(system.L)
     d[:cut] = _sweep(system, cut)  # the head never references the tail
-    return PiecewiseMetric(values=tuple(d))
+    return PiecewiseMetric(values=d)
 
 
 def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
@@ -198,7 +198,7 @@ def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
     """
     if metric.L != system.L:
         raise ValueError("metric and system grid sizes differ")
-    d = np.asarray(metric.values)
+    d = metric.values
     sav = system.w @ d[: system.w.shape[1]]  # row i only sees j < i; missing columns are 0
     residuals = system.rho * ((system.mu + system.W) * d - system.g - sav)
     tight = system.grid[residuals < TIGHT_TOL]
@@ -209,7 +209,7 @@ def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
 def decide(system: ConstraintSystem) -> bool:
     """The feasibility decision: the saturated witness lies in [0, 1] and verifies."""
     sat = saturated_metric(system)
-    if max(sat.values) > 1.0:  # the tail is exactly 1, so this tests the head
+    if sat.values.max() > 1.0:  # the tail is exactly 1, so this tests the head
         return False
     residuals, _ = slack_report(system, sat)
     return not np.any(residuals < -1e-12)
@@ -270,7 +270,7 @@ def max_density(L: int, tol: float = 1e-6, hamming: bool = False,
     if hamming:
         rho = (1.0 - EPSILON_HAT) / 8.0
         return BoundResult(L=L, rho_star=rho, tol=tol, epsilon_hat=EPSILON_HAT, iterations=0,
-                           metric=PiecewiseMetric(values=(1.0,) * L),
+                           metric=PiecewiseMetric(values=np.ones(L)),
                            slack=None, tight_lambda_max=4.0, rigorous=rigorous)
     lo, hi = SEARCH_LO, SEARCH_HI
     base = assemble(lo, L, rigorous)

@@ -41,8 +41,8 @@ class ChainStats:
 class Configuration:
     """An immutable snapshot of n non-overlapping disk centers.
 
-    Enforces the hard-core constraint (pairwise torus distance >= 2r) and the
-    small-radius regime 8r < 1/2 that the coupling geometry relies on.
+    Enforces a positive radius and the hard-core constraint (pairwise torus
+    distance >= 2r).
     """
 
     __slots__ = ("n", "r", "centers")
@@ -54,8 +54,6 @@ class Configuration:
         self.centers = centers
         self.centers.setflags(write=False)
         if _validate:
-            if self.n > 1 and not 8.0 * self.r < 0.5:
-                raise ValueError("radius too large: the coupling geometry needs 8r < 1/2")
             if self.r <= 0:
                 raise ValueError("radius must be positive")
             if not self.is_valid():

@@ -1,7 +1,8 @@
 """The piecewise-constant coupling metric d(l): evaluation, axioms and its CSV format.
 
-A metric is stored as L constant values on equal subintervals of [0, 4]
-(lengths in units of r), with d(0) = 0 and d identically 1 beyond 4.
+A metric is one read-only float64 array of L constant values on equal
+subintervals of [0, 4] (lengths in units of r), with d(0) = 0 and d
+identically 1 beyond 4.
 """
 
 from __future__ import annotations
@@ -23,16 +24,21 @@ def grid_edges(L: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PiecewiseMetric:
-    """d(lam) = values[i-1] for lam in ((i-1)*4/L, i*4/L]; 1 beyond 4; 0 at 0."""
+    """d(lam) = values[i-1] for lam in ((i-1)*4/L, i*4/L]; 1 beyond 4; 0 at 0.
 
-    values: tuple
+    `values` is a read-only float64 copy of the input, of shape (L,).
+    """
+
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"metric values must be one-dimensional, got shape {values.shape}")
+        if not values.size:
             raise ValueError("metric needs at least one subinterval")
-        object.__setattr__(self, "_table", np.array(self.values))  # eval_array's lookup table
-        self._table.flags.writeable = False
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def L(self) -> int:
@@ -53,7 +59,7 @@ class PiecewiseMetric:
         # beyond 4 the value is 1 anyway; clipping keeps inf out of the int cast
         idx = np.ceil(np.minimum(lam, 4.0) * self.L / 4.0 - 1e-12).astype(int)
         idx = np.clip(idx, 1, self.L)
-        out = self._table[idx - 1]
+        out = self.values[idx - 1]
         out = np.where(lam == 0.0, 0.0, out)
         return np.where(lam > 4.0, 1.0, out)
 
@@ -95,7 +101,8 @@ def check_axioms(metric: PiecewiseMetric) -> AxiomReport:
     and against the tail: d_i + d_j >= 1 whenever lam_i + lam_j > 4, so the
     extension with d = 1 beyond the grid stays a valid edge-length system.
     """
-    d, t, L = metric.values, metric._table, metric.L
+    t, L = metric.values, metric.L
+    d = t.tolist()  # the report holds plain floats
     report = AxiomReport(
         range_violations=[(int(i) + 1, d[i]) for i in np.flatnonzero(
             ~((t >= -AXIOM_TOL) & (t <= 1.0 + AXIOM_TOL)))],
@@ -143,7 +150,7 @@ def from_csv(path) -> PiecewiseMetric:
             except ValueError:
                 raise ValueError(f"metric CSV row {len(rows) + 1}: non-numeric field in "
                                  f"{line.strip()!r}") from None
-    metric = PiecewiseMetric(values=tuple(d for _, d in rows))
+    metric = PiecewiseMetric(values=[d for _, d in rows])
     L = metric.L
     for k, ((lam, d), edge) in enumerate(zip(rows, metric.grid), start=1):
         if abs(lam - edge) > 1e-9:

@@ -39,9 +39,9 @@ scalar or independent route to the same result:
 - `hamming_metric`, `disagreements`, `pair_distance`: the unit metric d = 1
   and the metric distance between two configurations (test_metric).
 - `CoupledPair`, `make_pair`, `coupled_step`, `classify_step`: the scalar
-  coupled step.  test_coupling replays the batched, stratified trial kernel
-  of `coupling.estimate_contraction` through `classify_step`, proposal by
-  proposal.
+  coupled step, which needs 8r < 1/2.  test_coupling replays the batched,
+  stratified trial kernel of `coupling.estimate_contraction` through
+  `classify_step`, proposal by proposal.
 - `assemble_dense`, `dense_w`: `contraction.assemble` storing all L x L
   savings weights, and a system's weights zero-padded to that shape.
   test_contraction checks that the package's live columns, g and W equal
@@ -436,7 +436,12 @@ def pair_distance(pair: DisagreementPair, metric: PiecewiseMetric) -> float:
 
 @dataclass(frozen=True)
 class CoupledPair:
-    """Two configurations sharing n and r, disagreeing only at disk 0."""
+    """Two configurations sharing n and r, disagreeing only at disk 0.
+
+    The scalar coupled step reflects proposals in a local chart, valid for
+    diameters below 1/2, so a pair of two or more disks needs the
+    small-radius regime 8r < 1/2; a single Configuration does not.
+    """
 
     X: Configuration
     Y: Configuration
@@ -444,6 +449,8 @@ class CoupledPair:
     def __post_init__(self):
         if self.X.n != self.Y.n or self.X.r != self.Y.r:
             raise ValueError("coupled configurations must share n and r")
+        if self.X.n > 1 and not 8.0 * self.X.r < 0.5:
+            raise ValueError("radius too large: the coupling geometry needs 8r < 1/2")
 
     @property
     def ell(self) -> float:

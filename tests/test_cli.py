@@ -380,6 +380,13 @@ class TestSimulate:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
+    def test_runs_outside_coupling_regime(self, capsys):
+        # 8r = 0.505: only `couple` needs the small-radius regime
+        assert run_cli(["simulate", "--n", "8", "--rho", "0.1", "--steps", "100",
+                        "--seed", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["accepted"] + payload["rejected"] == payload["steps"] == 100
+
     def test_bad_steps_exits_three(self):
         assert run_cli(["simulate", "--n", "4", "--rho", "0.02",
                         "--steps", "-5", "--seed", "1"]) == 3

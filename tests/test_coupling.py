@@ -319,7 +319,7 @@ def plain_trials(monkeypatch):
 
 
 class TestBatchSweep:
-    # densities keep 8r < 1/2, so every chain is a valid Configuration
+    # every swept chain must still pass Configuration's hard-core audit
     @pytest.mark.parametrize("n, rho", [(1, 0.14), (2, 0.02), (8, 0.09), (33, 0.14)])
     def test_matches_reference_layout(self, n, rho):
         r = radius_for_density(n, rho)

@@ -20,7 +20,7 @@ from harddisks.dynamics import (
     save_snapshot,
 )
 from harddisks.geometry import min_image_array
-from oracles import ScalarCellGrid, move_allowed_bruteforce, propose, replaced, step
+from oracles import CoupledPair, ScalarCellGrid, move_allowed_bruteforce, propose, replaced, step
 
 
 def reference_batch_insert(B, n, rho, rng):
@@ -141,9 +141,12 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             Configuration([[0.5, 0.5], [0.5 + 0.015, 0.5]], r=0.01)
 
-    def test_rejects_radius_too_large_for_coupling_regime(self):
-        with pytest.raises(ValueError):
-            Configuration([[0.1, 0.1], [0.5, 0.5]], r=0.07)
+    def test_accepts_radius_outside_coupling_regime(self):
+        # 8r = 0.56: a valid hard-disk system; only the coupled oracle needs 8r < 1/2
+        config = Configuration([[0.1, 0.1], [0.5, 0.5]], r=0.07)
+        assert config.n == 2 and config.is_valid()
+        with pytest.raises(ValueError, match="8r < 1/2"):
+            CoupledPair(config, config)
 
     def test_single_disk_exempt_from_radius_cap(self):
         Configuration([[0.5, 0.5]], r=0.2)  # no pairwise geometry involved
@@ -277,6 +280,23 @@ class TestCellGrid:
                 assert walk_one(grid, i, x, y) == ok
                 if ok:
                     config = replaced(config, i, (x, y))
+
+    @pytest.mark.parametrize("n, rho, m", [(2, 0.2, 2), (3, 0.2, 3), (8, 0.2, 5), (8, 0.1, 7)])
+    def test_small_grids_match_bruteforce(self, n, rho, m):
+        # m < 8 only occurs at 8r > 1/2; at m = 2 the 3 x 3 table lists each cell more than once
+        config = random_config(n, rho, seed=m)
+        grid = CellGrid(config)
+        assert grid.m == m
+        rng = np.random.default_rng(m)
+        for _ in range(20_000):
+            i = int(rng.integers(n))
+            x, y = rng.random(2)
+            ok = move_allowed_bruteforce(config, i, (x, y))
+            assert walk_one(grid, i, x, y) == ok
+            if ok:
+                config = replaced(config, i, (x, y))
+        assert np.array_equal(np.column_stack([grid.xs, grid.ys]), config.centers)
+        assert sorted(sum(grid.cells, [])) == list(range(n))
 
     def test_wrap_edge_cases_match_bruteforce(self):
         r = 0.02

@@ -65,6 +65,42 @@ class TestEval:
             PiecewiseMetric(values=())
 
 
+class TestStorage:
+    def test_values_are_one_read_only_array(self):
+        m = PiecewiseMetric(values=[0.25, 0.5, 1])
+        assert isinstance(m.values, np.ndarray)
+        assert m.values.dtype == np.float64 and m.values.shape == (3,)
+        assert not m.values.flags.writeable
+        with pytest.raises(ValueError):
+            m.values[0] = 0.0
+
+    def test_copies_the_callers_array(self):
+        source = np.linspace(0.1, 1.0, 8)
+        m = PiecewiseMetric(values=source)
+        source[:] = 2.0
+        assert m.values.tolist() == np.linspace(0.1, 1.0, 8).tolist()
+        assert source.flags.writeable
+
+    @pytest.mark.parametrize("values", [[], [[0.5, 1.0]], np.ones((2, 2)), 0.5])
+    def test_rejects_empty_or_not_one_dimensional(self, values):
+        with pytest.raises(ValueError):
+            PiecewiseMetric(values=values)
+
+    def test_axiom_report_holds_plain_numbers(self):
+        report = check_axioms(PiecewiseMetric(values=np.array([0.5, 1.2, 0.3])))
+        entries = (report.range_violations + report.monotonicity_violations
+                   + report.subadditivity_violations)
+        assert entries and all(type(e[0]) is int and type(e[-1]) is float for e in entries)
+        assert [type(x) for e in report.monotonicity_violations for x in e] == [int, float, float]
+
+    def test_csv_round_trip_is_byte_identical(self, tmp_path):
+        m = PiecewiseMetric(values=np.sqrt(np.linspace(1 / 3, 1.0, 37)))
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        to_csv(m, first)
+        to_csv(from_csv(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+
 class TestAnalyticSmallEll:
     def test_zero_at_origin(self):
         assert analytic_small_ell(0.0, 0.1) == 0.0
