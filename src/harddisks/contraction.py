@@ -22,18 +22,21 @@ shares the arrays.
 The savings kernel lives inside the danger zone, so its integral stops at
 u = 2 (the region u > 2 is geometrically empty): `assemble` clamps u there.
 The cells j >= k = ceil(L/2) start at u >= 2 and so carry w = 0 exactly;
-w stores only the k columns before them, and the sweep and `slack_report`
+w stores only the k columns before them, and the sweep and the row products
 read any missing columns as zeros.  `assemble` fills w in blocks of
 ROW_BUDGET // L rows (at least one), ROW_BUDGET = 2^14 doubles per block
 of full-width rows, so its working memory besides w stays below 1 MB at
 every L.
 Savings therefore only ever reference d(u) for u below 2, so raising d on
-(2, 4] above the minimal solution costs nothing and turns every constraint
-there into pure slack.  Feasibility is decided on the saturated witness alone
-(minimal values on (0, 2], tail pinned at 1, residuals re-verified), so the
-bound would not move if the integral ran on past u = 2.  The returned metric
-is the repaired witness, whose tail is the capped subadditive completion
-instead, so it also satisfies the metric axioms; one that fails verification
+(2, 4] to 1 costs nothing, and with that tail the last row, lam = 4, is the
+one that binds: mu >= g^_L - W^_L + sum_j w^_Lj d_j, where g^_L = W^_L = 4
+on the clamped rows, so (1 - 4 rho - eps_hat)/rho >= int_0^2 2u d(u) du.
+`decide` checks that the minimal head (lam <= 2) lies in [0, 1] and that this
+row holds with the columns past the head at d = 1, where they cancel against
+W, so the bound would not move if the integral ran on past u = 2.  The
+returned metric is the repaired witness, whose tail is the capped subadditive
+completion, at most 1, so it also satisfies the metric axioms; `witness`
+re-checks every row of it, and one that fails, such as a tail row that binds,
 is an error.
 
 The Hamming baseline needs no system: with d = 1 and savings disabled the
@@ -159,32 +162,17 @@ def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
     Head (lam <= 2): the minimal values, floored by the additive function
     lam/4 (the floor only binds at low densities and keeps the tail rule
     d_i + d_j >= 1 for lam_i + lam_j > 4 satisfiable).  Tail (lam > 2): the
-    capped subadditive completion min(1, min_j d_j + d_{i-j}), which never
-    drops below the minimal values, so every constraint keeps nonnegative
-    slack; the lam > 2 constraints become strictly slack.
+    capped subadditive completion max(d_{i-1}, min(1, min_j d_j + d_{i-j})),
+    so the whole metric lies in [0, 1].  The tail does not read the minimal
+    tail values; that it never drops below them, so that every constraint
+    keeps nonnegative slack, is what `witness` checks.
     """
-    m = minimal_metric(system).values
-    grid = system.grid
-    cut = int(np.searchsorted(grid, 2.0, side="right"))
-    d = np.maximum(m, grid / 4.0)
+    cut = system.L // 2  # lam_i = 4i/L <= 2 exactly for the first L // 2 cells
+    d = np.zeros(system.L)
+    d[:cut] = np.maximum(minimal_metric(system).values[:cut], system.grid[:cut] / 4.0)
     for i in range(cut, system.L):
         head = d[:i]  # pairs d_j + d_{i-1-j}; empty only for the single cell of L = 1
-        best = np.min(head + head[::-1], initial=1.0)
-        d[i] = max(best, m[i], d[i - 1])
-    return PiecewiseMetric(values=d)
-
-
-def saturated_metric(system: ConstraintSystem) -> PiecewiseMetric:
-    """Minimal sweep values on the grid up to lam = 2, then the tail pinned at 1.
-
-    The tail values never appear in any savings term (the crescent lies
-    within distance 2 of the displaced center), so raising them to d_max
-    preserves every constraint that the minimal solution satisfies and
-    leaves the lam > 2 constraints strictly slack.
-    """
-    cut = int(np.searchsorted(system.grid, 2.0, side="right"))  # first index with lam > 2
-    d = np.ones(system.L)
-    d[:cut] = _sweep(system, cut)  # the head never references the tail
+        d[i] = max(np.min(head + head[::-1], initial=1.0), d[i - 1])  # d[-1] = 0 at L = 1
     return PiecewiseMetric(values=d)
 
 
@@ -207,12 +195,16 @@ def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
 
 
 def decide(system: ConstraintSystem) -> bool:
-    """The feasibility decision: the saturated witness lies in [0, 1] and verifies."""
-    sat = saturated_metric(system)
-    if sat.values.max() > 1.0:  # the tail is exactly 1, so this tests the head
+    """The feasibility decision: the minimal head lies in [0, 1] and the last
+    row holds with the tail at 1; `witness` re-checks every row of its metric."""
+    cut = system.L // 2
+    head = _sweep(system, cut)  # the head never references the tail
+    if head.max(initial=0.0) > 1.0:  # the sweep values are positive
         return False
-    residuals, _ = slack_report(system, sat)
-    return not np.any(residuals < -1e-12)
+    d = np.ones(system.w.shape[1])
+    d[:cut] = head
+    last = (system.mu + system.W[-1]) - system.g[-1] - system.w[-1] @ d
+    return bool(system.rho * last >= -1e-12)
 
 
 def witness(system: ConstraintSystem):

@@ -41,16 +41,20 @@ class ChainStats:
 class Configuration:
     """An immutable snapshot of n non-overlapping disk centers.
 
-    Enforces a positive radius and the hard-core constraint (pairwise torus
-    distance >= 2r).
+    Enforces finite centers, a finite positive radius and the hard-core
+    constraint (pairwise torus distance >= 2r).
     """
 
     __slots__ = ("n", "r", "centers")
 
     def __init__(self, centers, r: float, _validate: bool = True):
-        centers = np.array(centers, dtype=float).reshape(-1, 2) % 1.0
-        self.n = len(centers)
+        centers = np.array(centers, dtype=float).reshape(-1, 2)
         self.r = float(r)
+        # before the wrap, which turns inf into NaN with a RuntimeWarning
+        if _validate and not (np.isfinite(centers).all() and math.isfinite(self.r)):
+            raise ValueError("disk centers and radius must be finite")
+        centers %= 1.0
+        self.n = len(centers)
         self.centers = centers
         self.centers.setflags(write=False)
         if _validate:

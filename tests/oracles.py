@@ -55,6 +55,12 @@ scalar or independent route to the same result:
   bounds as the package.
 - `feasible_box`, `lp_feasible`: a phase-1 simplex.  test_contraction and
   criterion 7 check the forward-sweep feasibility threshold against it.
+- `saturated_metric`, `saturated_decide`: the minimal head (lam <= 2) with
+  the tail pinned at 1, and feasibility decided on every row of it (head
+  <= 1 and no residual below -1e-12).  test_contraction checks that
+  `contraction.decide`, which checks the head and the lam = 4 row only,
+  agrees with it at every probe of the density search, and that the last
+  row is the only one it finds failing just past the bound.
 - `feasible`: one density decided from a fresh assembly through
   `contraction.decide` and `contraction.witness`, as the `metric` command
   does; test_contraction checks table anchors with it.
@@ -676,13 +682,36 @@ def assemble_as_written(rho: float, L: int, rigorous: bool = False) -> contracti
 
     w[i, j] integrates the kernel over the whole cell j < i, so the rows with
     cells past u = 2 carry savings from a region the crescent never reaches.
-    The saturated witness never reads those columns, so the bound is the same.
+    The feasibility decision reads those columns only in the last row, at
+    d = 1, where they cancel against W, so the bound is the same.
     """
     edges = grid_edges(L)
     F = outside_zone_area(edges[None, :], (edges[:-1] if rigorous else edges[1:])[:, None])
     w = np.tril(np.diff(F, axis=1), -1) / np.pi
     return contraction.ConstraintSystem(L=L, rho=rho, g=crescent_area(edges[1:]) / np.pi,
                                         w=w, W=w.sum(axis=1))
+
+
+def saturated_metric(system: contraction.ConstraintSystem) -> PiecewiseMetric:
+    """Minimal sweep values on the grid up to lam = 2, then the tail pinned at 1.
+
+    The tail values never appear in any savings term (the crescent lies
+    within distance 2 of the displaced center), so raising them to 1 keeps
+    every head constraint saturated.
+    """
+    cut = system.L // 2  # lam_i = 4i/L <= 2 exactly for the first L // 2 cells
+    d = np.ones(system.L)
+    d[:cut] = contraction._sweep(system, cut)
+    return PiecewiseMetric(values=d)
+
+
+def saturated_decide(system: contraction.ConstraintSystem) -> bool:
+    """Feasibility on the saturated witness: it lies in [0, 1] and every row verifies."""
+    sat = saturated_metric(system)
+    if sat.values.max() > 1.0:
+        return False
+    residuals, _ = contraction.slack_report(system, sat)
+    return not np.any(residuals < -1e-12)
 
 
 def feasible(rho: float, L: int):

@@ -38,6 +38,20 @@ TABLE_PIN = """L,rho_star
 256,0.154482526779
 """
 
+# stdout of `table --rigorous` on the same grid sizes, pinned like TABLE_PIN.
+RIGOROUS_TABLE_PIN = """L,rho_star
+1,0.124999771118
+2,0.136231403351
+3,0.137614374161
+5,0.143251390457
+8,0.148441839218
+12,0.150358657837
+16,0.151371679306
+33,0.152516117096
+64,0.153797922134
+256,0.154433803558
+"""
+
 # Bytes of `bound --L 16`, `bound --L 16 --hamming` and `metric --L 16 --rho
 # 0.15 --out m.csv` (its stdout, which is also m.csv.report.json, then m.csv
 # and m.csv.overlay.csv), pinned like TABLE_PIN.
@@ -257,6 +271,13 @@ class TestTable:
         assert run_cli(["table", "--Ls", "1,2,3,5,8,12,16,33,64,256"]) == 0
         assert capsys.readouterr().out == TABLE_PIN
 
+    @pytest.mark.parametrize("variant", ["clamped", "as_written"])
+    def test_rigorous_stdout_pinned(self, variant, monkeypatch, capsys):
+        if variant == "as_written":
+            monkeypatch.setattr(contraction, "assemble", assemble_as_written)
+        assert run_cli(["table", "--rigorous", "--Ls", "1,2,3,5,8,12,16,33,64,256"]) == 0
+        assert capsys.readouterr().out == RIGOROUS_TABLE_PIN
+
     def test_rigorous_reaches_the_papers_bound(self, tmp_path, capsys):
         # the cell-covering assembly at L = 88 prints 0.154028149 (README)
         out = tmp_path / "t.csv"
@@ -327,8 +348,8 @@ class TestMetric:
 
             monkeypatch.setattr(contraction, name, counted)
         assert run_cli(["metric", "--L", "16", "--rho", "0.15", "--out", str(tmp_path / "m.csv")]) == 0
-        # one system; one residual check for the decision, one for the witness
-        assert calls == {"assemble": 1, "slack_report": 2}
+        # one system; the decision builds no residuals, the witness checks every row
+        assert calls == {"assemble": 1, "slack_report": 1}
 
 
 # stdout and snapshot SHA-256 of `simulate --n 64 --rho 0.15 --steps 70000

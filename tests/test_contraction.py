@@ -15,7 +15,6 @@ from harddisks.contraction import (
     assemble,
     max_density,
     minimal_metric,
-    saturated_metric,
     slack_report,
 )
 from harddisks.geometry import crescent_area
@@ -29,6 +28,8 @@ from oracles import (
     feasible,
     feasible_box,
     lp_feasible,
+    saturated_decide,
+    saturated_metric,
 )
 
 # Frozen oracle: minimal solution for L = 8, rho = 0.14, computed with an
@@ -310,15 +311,17 @@ def looped_minimal_metric(system):
 
 
 def looped_repaired_metric(system):
-    """Reference tail completion, one pair at a time."""
+    """Reference tail completion, one pair at a time; the tail never reads the
+    minimal tail values."""
     m = np.array(minimal_metric(system).values)
     cut = int(np.searchsorted(system.grid, 2.0, side="right"))
-    d = np.maximum(m, system.grid / 4.0)
+    d = np.zeros(system.L)
+    d[:cut] = np.maximum(m, system.grid / 4.0)[:cut]
     for i in range(cut, system.L):
         best = 1.0
         for j in range(i):
             best = min(best, d[j] + d[i - 1 - j])
-        d[i] = max(best, m[i], d[i - 1])
+        d[i] = max(best, d[i - 1] if i else 0.0)
     return tuple(d)
 
 
@@ -356,6 +359,67 @@ class TestRepairedMetric:
         system = assemble(0.1544, 256)
         residuals, _ = slack_report(system, contraction.repaired_metric(system))
         assert np.all(residuals >= -1e-12)
+
+
+# No head (L = 1), a one-row tail (L = 2, 3), odd L and the paper's L = 88.
+DECISION_LS = [1, 2, 3, 7, 16, 64, 88, 256]
+
+
+def search_probes(monkeypatch, L, rigorous):
+    """The bound at L and every system that `max_density` decided on the way."""
+    decide, probes = contraction.decide, []
+
+    def recorded(system):
+        probes.append(system)
+        return decide(system)
+
+    monkeypatch.setattr(contraction, "decide", recorded)
+    result = max_density(L, rigorous=rigorous)
+    monkeypatch.setattr(contraction, "decide", decide)
+    return result, probes
+
+
+class TestDecide:
+    @pytest.mark.parametrize("rigorous", [False, True])
+    @pytest.mark.parametrize("L", DECISION_LS)
+    def test_matches_the_saturated_rule(self, monkeypatch, L, rigorous):
+        _, probes = search_probes(monkeypatch, L, rigorous)
+        rng = np.random.default_rng(L)
+        rhos = np.concatenate([np.linspace(0.005, 0.245, 49), rng.uniform(0.0, 0.25, 20)])
+        spread = [dataclasses.replace(probes[0], rho=float(rho)) for rho in rhos]
+        for system in probes + spread:
+            assert contraction.decide(system) == saturated_decide(system), system.rho
+
+    @pytest.mark.parametrize("rigorous", [False, True])
+    @pytest.mark.parametrize("L", DECISION_LS)
+    def test_last_row_binds(self, monkeypatch, L, rigorous):
+        result, probes = search_probes(monkeypatch, L, rigorous)
+        first_out = min((s for s in probes if not contraction.decide(s)), key=lambda s: s.rho)
+        sat = saturated_metric(first_out)
+        assert sat.values.max() <= 1.0
+        residuals, _ = slack_report(first_out, sat)
+        assert np.flatnonzero(residuals < -1e-12).tolist() == [L - 1]
+        if not rigorous:
+            # At the bound the last row reads mu = (g_L - W_L) + sum_j w_Lj d_j,
+            # to within the change of mu over the search's resolution.
+            system = dataclasses.replace(probes[0], rho=result.rho_star)
+            d = saturated_metric(system).values[: system.w.shape[1]]
+            gap = system.mu - (system.g[-1] - system.W[-1] + system.w[-1] @ d)
+            assert -1e-12 / system.rho <= gap <= result.tol / system.rho**2, gap
+
+    def test_binding_tail_row_is_an_error(self, monkeypatch):
+        # A tail row other than lam = 4 that binds escapes the decision; the
+        # repaired witness stays at most 1, so `witness` then fails that row.
+        def heavier(rho, L, rigorous=False):
+            system = assemble(rho, L, rigorous)
+            g = system.g.copy()
+            g[L - 2] *= 1.5  # the row lam = 4 - 4/L
+            return dataclasses.replace(system, g=g)
+
+        assert contraction.repaired_metric(heavier(0.154, 16)).values.max() <= 1.0
+        monkeypatch.setattr(contraction, "assemble", heavier)
+        with pytest.raises(RuntimeError, match="fails verification"):
+            max_density(16)
 
 
 class TestSlackReport:

@@ -1,5 +1,6 @@
 """Tests for hard-disk configurations and the single-particle chain."""
 
+import json
 import math
 
 import numpy as np
@@ -147,6 +148,13 @@ class TestConfiguration:
         assert config.n == 2 and config.is_valid()
         with pytest.raises(ValueError, match="8r < 1/2"):
             CoupledPair(config, config)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_centers_and_radius(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Configuration([[bad, 0.5], [0.1, 0.1]], r=0.01)
+        with pytest.raises(ValueError, match="finite"):
+            Configuration([[0.5, 0.5], [0.1, 0.1]], r=bad)
 
     def test_single_disk_exempt_from_radius_cap(self):
         Configuration([[0.5, 0.5]], r=0.2)  # no pairwise geometry involved
@@ -455,6 +463,20 @@ class TestSnapshots:
         assert back.n == 16
         assert np.allclose(back.centers, config.centers, atol=1e-11)
         assert back.r == pytest.approx(config.r, rel=1e-11)
+
+    def test_non_finite_file_contents_rejected(self, tmp_path):
+        config = random_config(3, 0.02, seed=20)
+        path = tmp_path / "snap.csv"
+        save_snapshot(config, path, seed=20)
+        good = path.read_text()
+        path.write_text(good + "nan,0.5\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_snapshot(path)
+        path.write_text(good)
+        sidecar = tmp_path / "snap.csv.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "r": math.nan}))
+        with pytest.raises(ValueError, match="finite"):
+            load_snapshot(path)
 
     def test_file_shapes(self, tmp_path):
         config = random_config(3, 0.02, seed=19)
