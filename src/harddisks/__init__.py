@@ -5,7 +5,6 @@ from .contraction import (
     ConstraintSystem,
     assemble,
     max_density,
-    minimal_metric,
     repaired_metric,
 )
 from .coupling import ContractionEstimate, estimate_contraction
@@ -17,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundResult", "ConstraintSystem", "assemble",
-    "max_density", "minimal_metric", "repaired_metric",
+    "max_density", "repaired_metric",
     "ContractionEstimate", "estimate_contraction", "ChainStats",
     "Configuration", "random_config", "run",
     "crescent_area",

@@ -21,12 +21,10 @@ shares the arrays.
 
 The savings kernel lives inside the danger zone, so its integral stops at
 u = 2 (the region u > 2 is geometrically empty): `assemble` clamps u there.
-The cells j >= k = ceil(L/2) start at u >= 2 and so carry w = 0 exactly;
-w stores only the k columns before them, and the sweep and the row products
-read any missing columns as zeros.  `assemble` fills w in blocks of
-ROW_BUDGET // L rows (at least one), ROW_BUDGET = 2^14 doubles per block
-of full-width rows, so its working memory besides w stays below 1 MB at
-every L.
+The cells j >= k = ceil(L/2) start at u >= 2 and so carry w = 0 exactly,
+so a row keeps only its first k entries; missing columns read as zeros.  The
+search reads only the head rows (lam <= 2) and the last row, so a system
+stores just those, about L^2/8 doubles, and `witness` streams the rest once.
 Savings therefore only ever reference d(u) for u below 2, so raising d on
 (2, 4] to 1 costs nothing, and with that tail the last row, lam = 4, is the
 one that binds: mu >= g^_L - W^_L + sum_j w^_Lj d_j, where g^_L = W^_L = 4
@@ -47,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,22 +59,26 @@ TIGHT_TOL = 1e-8  # a constraint with residual below this counts as tight
 SEARCH_LO = 0.12  # below the Hamming baseline (1 - eps_hat)/8, so feasible at every L
 SEARCH_HI = 0.25
 SOLVE_BLOCK = 32  # rows per diagonal block of the forward substitution
-ROW_BUDGET = 1 << 14  # doubles per row block of `assemble`: L = 1024 takes 16 rows at a time
+ROW_BUDGET = 1 << 14  # doubles per block of savings rows (< 1 MB): 16 rows at L = 1024
 
 
 @dataclass(frozen=True)
 class ConstraintSystem:
     """The unit-density constraint data for one grid size L, labelled with a density.
 
-    g, w and W do not depend on rho; rho enters only through mu, so changing
-    it with `dataclasses.replace` costs nothing.
+    Of the savings rows w it keeps the head rows [0, h) by solve block, block
+    b of rows [32b, 32b + 32) cut to the min(k, 32b + 32) columns `_sweep`
+    reads, and the last row; `rows` yields any of them.
     """
 
     L: int
     rho: float
     g: np.ndarray  # crescent-area terms at unit density, shape (L,)
-    w: np.ndarray  # unit-density savings weights, lower-triangular, shape (L, k); columns >= k are 0
-    W: np.ndarray  # row sums of w, shape (L,)
+    head: tuple[np.ndarray, ...]  # read-only
+    head_W: np.ndarray  # row sums of the head, shape (h,)
+    last: np.ndarray  # row L - 1, read-only
+    last_W: float
+    rows: Callable  # rows(a, b) yields blocks (first row, rows, row sums)
 
     @property
     def mu(self) -> float:
@@ -110,17 +113,31 @@ def assemble(rho: float, L: int, rigorous: bool = False) -> ConstraintSystem:
     lam, u = edges[1:], np.minimum(edges[:-1], 2.0)
     rows_lam = edges[:-1] if rigorous else lam
     k = (L + 1) // 2  # cells j >= k start at u_j >= 2, where the clamp makes w exactly 0
-    w, W = np.empty((L, k)), np.empty(L)
+    h = min(L, -(-(L // 2) // SOLVE_BLOCK) * SOLVE_BLOCK)  # whole solve blocks
     step = max(1, ROW_BUDGET // L)
-    for start in range(0, L, step):
-        stop = min(start + step, L)
-        F = outside_zone_area(u[None, : min(stop, k + 1)], rows_lam[start:stop, None])
-        # Full-width rows, so that W keeps numpy's pairwise summation order.
-        # Row i keeps cells j <= i - 1, that is j - (i - start) <= start - 1.
-        rows = np.zeros((stop - start, L))
-        rows[:, : F.shape[1] - 1] = np.tril(np.diff(F, axis=1), start - 1) / np.pi
-        w[start:stop], W[start:stop] = rows[:, :k], rows.sum(axis=1)
-    return ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi, w=w, W=W)
+
+    def rows(start, stop):
+        for a in range(start, stop, step):
+            b = min(a + step, stop)
+            F = outside_zone_area(u[None, : min(b, k + 1)], rows_lam[a:b, None])
+            # Full-width rows, so that W keeps numpy's pairwise summation order.
+            # Row i keeps cells j <= i - 1, that is j - (i - a) <= a - 1.
+            w = np.zeros((b - a, L))
+            w[:, : F.shape[1] - 1] = np.tril(np.diff(F, axis=1), a - 1) / np.pi
+            yield a, w[:, :k], w.sum(axis=1)
+
+    head, head_W = [], np.empty(h)
+    for start in range(0, h, SOLVE_BLOCK):
+        stop = min(start + SOLVE_BLOCK, h)
+        block = np.empty((stop - start, min(k, stop)))
+        for a, w, W in rows(start, stop):
+            block[a - start : a - start + len(w)], head_W[a : a + len(w)] = w[:, : block.shape[1]], W
+        block.flags.writeable = False
+        head.append(block)
+    _, (last,), (last_W,) = next(rows(L - 1, L))
+    last.flags.writeable = False
+    return ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi, head=tuple(head),
+                            head_W=head_W, last=last, last_W=last_W, rows=rows)
 
 
 def _sweep(system: ConstraintSystem, rows: int) -> np.ndarray:
@@ -134,26 +151,17 @@ def _sweep(system: ConstraintSystem, rows: int) -> np.ndarray:
     mu = system.mu
     if mu <= 0:
         raise ValueError("contraction margin c must be positive (rho too large)")
-    w, diag = system.w, mu + system.W
+    diag = mu + system.head_W
     d = np.empty(rows)
-    for start in range(0, rows, SOLVE_BLOCK):
+    for start, w in zip(range(0, rows, SOLVE_BLOCK), system.head):
         stop = min(start + SOLVE_BLOCK, rows)
-        before, inside = w[start:stop, :start], w[start:stop, start:stop]  # missing columns are 0
+        w = w[: stop - start]
+        before, inside = w[:, :start], w[:, start:stop]  # missing columns are 0
         rhs = system.g[start:stop] + before @ d[: before.shape[1]]
         block = np.diag(diag[start:stop])
         block[:, : inside.shape[1]] -= inside
         d[start:stop] = np.linalg.solve(block, rhs)
     return d
-
-
-def minimal_metric(system: ConstraintSystem) -> PiecewiseMetric:
-    """Pointwise-least nonnegative solution of the contraction constraints.
-
-    The savings term of constraint i only involves d_j with j < i, so
-    saturating the constraints in order gives it; any feasible metric
-    dominates the result pointwise.
-    """
-    return PiecewiseMetric(values=_sweep(system, system.L))
 
 
 def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
@@ -169,7 +177,8 @@ def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
     """
     cut = system.L // 2  # lam_i = 4i/L <= 2 exactly for the first L // 2 cells
     d = np.zeros(system.L)
-    d[:cut] = np.maximum(minimal_metric(system).values[:cut], system.grid[:cut] / 4.0)
+    # h rows end on a solve block: a full sweep's head, bit for bit
+    d[:cut] = np.maximum(_sweep(system, system.head_W.size)[:cut], system.grid[:cut] / 4.0)
     for i in range(cut, system.L):
         head = d[:i]  # pairs d_j + d_{i-1-j}; empty only for the single cell of L = 1
         d[i] = max(np.min(head + head[::-1], initial=1.0), d[i - 1])  # d[-1] = 0 at L = 1
@@ -186,9 +195,16 @@ def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
     """
     if metric.L != system.L:
         raise ValueError("metric and system grid sizes differ")
-    d = metric.values
-    sav = system.w @ d[: system.w.shape[1]]  # row i only sees j < i; missing columns are 0
-    residuals = system.rho * ((system.mu + system.W) * d - system.g - sav)
+    d, h, n = metric.values, system.head_W.size, system.last.size
+    sav, W = np.empty(system.L), np.empty(system.L)  # row i only sees j < i; missing columns are 0
+    for start, w in zip(range(0, h, SOLVE_BLOCK), system.head):
+        rows = np.zeros((len(w), n))  # full width, as a product's sum order depends on it
+        rows[:, : w.shape[1]] = w
+        sav[start : start + len(w)] = rows @ d[:n]
+    W[:h] = system.head_W
+    for start, w, row_sums in system.rows(h, system.L):
+        sav[start : start + len(w)], W[start : start + len(w)] = w @ d[:n], row_sums
+    residuals = system.rho * ((system.mu + W) * d - system.g - sav)
     tight = system.grid[residuals < TIGHT_TOL]
     tight_lambda_max = float(tight.max()) if tight.size else 0.0
     return residuals, tight_lambda_max
@@ -201,9 +217,9 @@ def decide(system: ConstraintSystem) -> bool:
     head = _sweep(system, cut)  # the head never references the tail
     if head.max(initial=0.0) > 1.0:  # the sweep values are positive
         return False
-    d = np.ones(system.w.shape[1])
+    d = np.ones(system.last.size)
     d[:cut] = head
-    last = (system.mu + system.W[-1]) - system.g[-1] - system.w[-1] @ d
+    last = (system.mu + system.last_W) - system.g[-1] - system.last @ d
     return bool(system.rho * last >= -1e-12)
 
 
@@ -249,11 +265,9 @@ def max_density(L: int, tol: float = 1e-6, hamming: bool = False,
     """Binary-search the largest density at which the coupling contracts.
 
     The system is assembled once (with `rigorous` passed on to `assemble`);
-    each probe relabels it with its density.
-    In hamming mode the metric is forced to d = 1 with savings disabled, so
-    the condition reduces to c >= 4 rho, that is 1 - eps_hat >= 8 rho: the
-    classical 1/8 baseline, returned in closed form as (1 - eps_hat)/8 with
-    the unit metric and no search iterations.
+    each probe relabels it with its density.  In hamming mode it returns the
+    closed-form baseline (1 - eps_hat)/8 of the module docstring with the unit
+    metric and no search iterations.
     """
     if not (math.isfinite(tol) and tol >= 1e-9):
         raise ValueError(f"tol must be finite and at least 1e-9, got {tol}")

@@ -42,12 +42,17 @@ scalar or independent route to the same result:
   coupled step, which needs 8r < 1/2.  test_coupling replays the batched,
   stratified trial kernel of `coupling.estimate_contraction` through
   `classify_step`, proposal by proposal.
-- `assemble_dense`, `dense_w`: `contraction.assemble` storing all L x L
-  savings weights, and a system's weights zero-padded to that shape.
-  test_contraction checks that the package's live columns, g and W equal
-  the dense assembly bit for bit, with the savings rows at either end of
-  each cell, and give the same search; the LP oracle and
-  the kernel and sweep references index the padded weights.
+- `assemble_dense`, `stored`, `dense_rows`: `contraction.assemble` built as
+  all L x L savings weights at once, a system in the package's layout whose
+  savings rows are the rows of a given array, and a system's weights and
+  row sums gathered back into one zero-padded L x L array.
+  test_contraction checks that the package's stored head blocks, last row,
+  streamed rows, g and W equal the dense assembly bit for bit, with the
+  savings rows at either end of each cell, and give the same search; the
+  LP oracle and the kernel and sweep references index the padded weights.
+- `minimal_metric`: the pointwise-least solution over all L rows, the
+  package's blocked sweep run on the gathered weights.  test_contraction
+  checks that the head the witness sweeps equals its head bit for bit.
 - `assemble_as_written`: `contraction.assemble` without the clamp at u = 2,
   so the savings integral runs on over the geometrically empty region
   u > 2.  test_contraction checks the kernel quadratures and the blocked
@@ -69,7 +74,7 @@ scalar or independent route to the same result:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -638,18 +643,19 @@ def lp_feasible(system: contraction.ConstraintSystem) -> bool:
     (times rho), not the unit-density form.
     """
     rho = system.rho
-    A = -rho * dense_w(system)
-    np.fill_diagonal(A, rho * (system.mu + system.W))
+    w, W = dense_rows(system)
+    A = -rho * w
+    np.fill_diagonal(A, rho * (system.mu + W))
     return feasible_box(A, rho * system.g, np.ones(system.L))
 
 
 def assemble_dense(rho: float, L: int, rigorous: bool = False) -> contraction.ConstraintSystem:
-    """`contraction.assemble` with w stored as the full L x L array, built in
-    fixed blocks of 2^16 // L rows with fresh temporaries per block.
+    """`contraction.assemble` with w built as the full L x L array, in fixed
+    blocks of 2^16 // L rows with fresh temporaries per block.
 
     The columns of cells that start at u >= 2 are exactly 0, and the package
     stores only the others; g, W and the live columns must match this
-    bit for bit, in both row variants.
+    bit for bit, in both row variants.  Its rows are all L wide.
     """
     if not 0 < rho < 0.25:
         raise ValueError(f"density must lie in (0, 1/4), got {rho}")
@@ -666,15 +672,59 @@ def assemble_dense(rho: float, L: int, rigorous: bool = False) -> contraction.Co
         # Row i keeps cells j <= i - 1, that is j - (i - start) <= start - 1.
         w[start:stop, : stop - 1] = np.tril(np.diff(F, axis=1), start - 1)
     w /= np.pi
-    return contraction.ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi, w=w,
-                                        W=w.sum(axis=1))
+    return stored(rho, crescent_area(lam) / np.pi, w, w.sum(axis=1))
 
 
-def dense_w(system: contraction.ConstraintSystem) -> np.ndarray:
-    """The system's savings weights zero-padded to L x L (its missing columns are 0)."""
-    w = np.zeros((system.L, system.L))
-    w[:, : system.w.shape[1]] = system.w
-    return w
+def solve_blocks(w: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
+    """Rows [0, rows) of w cut as `ConstraintSystem.head` holds them: block b is
+    rows [32b, min(32b + 32, rows)) and columns [0, min(n, 32b + 32))."""
+    B = contraction.SOLVE_BLOCK
+    return tuple(w[s : min(s + B, rows), : min(w.shape[1], s + B)] for s in range(0, rows, B))
+
+
+def stored(rho: float, g: np.ndarray, w: np.ndarray, W: np.ndarray) -> contraction.ConstraintSystem:
+    """A system in the package's layout whose savings rows are the rows of
+    w (L x n, the columns past n read as 0) with row sums W.
+
+    The head blocks and the last row are views of w, and the row source
+    yields the requested rows of w as one block.
+    """
+    B = contraction.SOLVE_BLOCK
+    h = min(len(w), -(-(len(w) // 2) // B) * B)  # the head in whole solve blocks
+
+    def rows(start, stop):
+        yield start, w[start:stop], W[start:stop]
+
+    return contraction.ConstraintSystem(L=len(w), rho=rho, g=g, head=solve_blocks(w, h),
+                                        head_W=W[:h], last=w[-1], last_W=W[-1], rows=rows)
+
+
+def dense_rows(system: contraction.ConstraintSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The system's savings weights zero-padded to L x L (its missing columns
+    are 0) and their row sums: the stored head and the streamed rows [h, L)."""
+    L, h = system.L, system.head_W.size
+    w, W = np.zeros((L, L)), np.empty(L)
+    for start, block in zip(range(0, h, contraction.SOLVE_BLOCK), system.head):
+        w[start : start + len(block), : block.shape[1]] = block
+    W[:h] = system.head_W
+    for start, rows, sums in system.rows(h, L):
+        w[start : start + len(rows), : rows.shape[1]] = rows
+        W[start : start + len(rows)] = sums
+    return w, W
+
+
+def minimal_metric(system: contraction.ConstraintSystem) -> PiecewiseMetric:
+    """Pointwise-least nonnegative solution of the contraction constraints.
+
+    The savings term of constraint i only involves d_j with j < i, so
+    saturating the constraints in order gives it; any feasible metric
+    dominates the result pointwise.  This is `contraction._sweep` over all L
+    rows, as wide as the system stores them, with the rows past the stored
+    head gathered from the row source.
+    """
+    w, W = dense_rows(system)
+    full = replace(system, head=solve_blocks(w[:, : system.last.size], system.L), head_W=W)
+    return PiecewiseMetric(values=contraction._sweep(full, system.L))
 
 
 def assemble_as_written(rho: float, L: int, rigorous: bool = False) -> contraction.ConstraintSystem:
@@ -688,8 +738,7 @@ def assemble_as_written(rho: float, L: int, rigorous: bool = False) -> contracti
     edges = grid_edges(L)
     F = outside_zone_area(edges[None, :], (edges[:-1] if rigorous else edges[1:])[:, None])
     w = np.tril(np.diff(F, axis=1), -1) / np.pi
-    return contraction.ConstraintSystem(L=L, rho=rho, g=crescent_area(edges[1:]) / np.pi,
-                                        w=w, W=w.sum(axis=1))
+    return stored(rho, crescent_area(edges[1:]) / np.pi, w, w.sum(axis=1))
 
 
 def saturated_metric(system: contraction.ConstraintSystem) -> PiecewiseMetric:

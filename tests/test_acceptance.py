@@ -16,7 +16,7 @@ import pytest
 
 from harddisks import contraction, coupling, dynamics, geometry
 from harddisks.cli import main as cli_main
-from harddisks.contraction import assemble, max_density, minimal_metric, slack_report
+from harddisks.contraction import assemble, max_density, slack_report
 from harddisks.geometry import crescent_area
 from harddisks.metric import analytic_small_ell
 from oracles import (
@@ -24,6 +24,7 @@ from oracles import (
     assemble_as_written,
     crescent_angle,
     lp_feasible,
+    minimal_metric,
     move_allowed_bruteforce,
     reflect_across_bisector,
     replaced,

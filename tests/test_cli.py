@@ -174,7 +174,7 @@ METRIC16_OVERLAY_PIN = """lambda_right,d,d_analytic
 
 PUBLIC_NAMES = [
     "BoundResult", "ConstraintSystem", "assemble",
-    "max_density", "minimal_metric", "repaired_metric",
+    "max_density", "repaired_metric",
     "ContractionEstimate", "estimate_contraction", "ChainStats",
     "Configuration", "random_config", "run",
     "crescent_area",

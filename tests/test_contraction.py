@@ -12,9 +12,9 @@ from scipy import integrate
 from harddisks import contraction
 from harddisks.contraction import (
     EPSILON_HAT,
+    SOLVE_BLOCK,
     assemble,
     max_density,
-    minimal_metric,
     slack_report,
 )
 from harddisks.geometry import crescent_area
@@ -24,12 +24,14 @@ from oracles import (
     assemble_dense,
     crescent_angle,
     crescent_angle_array,
-    dense_w,
+    dense_rows,
     feasible,
     feasible_box,
     lp_feasible,
+    minimal_metric,
     saturated_decide,
     saturated_metric,
+    stored,
 )
 
 # Frozen oracle: minimal solution for L = 8, rho = 0.14, computed with an
@@ -89,7 +91,7 @@ def quadrature_kernel(L, variant, order=16):
 
 def exact_kernel(L, variant):
     """The savings integrals I of the assembled system, with the factor 1/pi removed."""
-    return dense_w(ASSEMBLIES[variant](0.125, L)) * np.pi
+    return dense_rows(ASSEMBLIES[variant](0.125, L))[0] * np.pi
 
 
 def adaptive_cell_integral(lam, a, b, variant):
@@ -114,26 +116,28 @@ class TestAssemble:
         assert np.all(np.diff(system.g) > 0)
 
     def test_weights_nonnegative_and_lower_triangular(self):
-        system = assemble(0.14, 32)
-        assert np.all(system.w >= 0)
-        assert np.allclose(np.triu(system.w), 0.0)
+        w, _ = dense_rows(assemble(0.14, 32))
+        assert np.all(w >= 0)
+        assert np.allclose(np.triu(w), 0.0)
 
     def test_no_weight_inside_fully_blocked_radius(self):
         # Proposals closer than 2 - lam to the displaced center are blocked
         # in both chains, so those subintervals carry zero weight.
         L = 32
         system = assemble(0.14, L)
+        w, _ = dense_rows(system)
         h = 4.0 / L
         for i in range(L):
             lam = system.grid[i]
             for j in range(i):
                 if (j + 1) * h <= 2.0 - lam:
-                    assert system.w[i, j] == 0.0
+                    assert w[i, j] == 0.0
 
     def test_row_sums_bounded_by_kernel_cap(self):
         system = assemble(0.14, 64)
-        assert np.array_equal(system.W, system.w.sum(axis=1))
-        assert np.all(system.W <= system.grid**2)
+        w, W = dense_rows(system)
+        assert np.array_equal(W, w.sum(axis=1))
+        assert np.all(W <= system.grid**2)
         # Clamped rows whose cells reach u = 2 integrate the kernel over the
         # whole crescent: F(lam, 2) is its area.
         sums = exact_kernel(64, "clamped").sum(axis=1)
@@ -171,27 +175,44 @@ class TestAssemble:
             assemble(0.14, 0)
 
 
+def assert_stores_dense_rows(live, dense):
+    """live keeps the head blocks, the last row and the row sums of the dense
+    assembly bit for bit, and its row source yields the dense rows [h, L)."""
+    L, k, h = live.L, (live.L + 1) // 2, live.head_W.size
+    w, W = dense_rows(dense)
+    assert not np.any(w[:, k:])
+    assert np.array_equal(live.g, dense.g)
+    assert h == min(L, -(-(L // 2) // SOLVE_BLOCK) * SOLVE_BLOCK)
+    assert len(live.head) == -(-h // SOLVE_BLOCK)
+    for start, block in zip(range(0, h, SOLVE_BLOCK), live.head):
+        assert block.shape == (min(start + SOLVE_BLOCK, h) - start, min(k, start + SOLVE_BLOCK))
+        assert not block.flags.writeable
+        assert np.array_equal(block, w[start : start + len(block), : block.shape[1]])
+    assert np.array_equal(live.head_W, W[:h])
+    assert not live.last.flags.writeable
+    assert np.array_equal(live.last, w[-1, :k]) and live.last_W == W[-1]
+    streamed = list(live.rows(h, L))
+    starts = [start for start, _, _ in streamed]
+    assert starts == list(range(h, L, max(1, contraction.ROW_BUDGET // L)))
+    rows = np.concatenate([np.zeros((0, k))] + [rows for _, rows, _ in streamed])
+    sums = np.concatenate([np.zeros(0)] + [sums for _, _, sums in streamed])
+    assert np.array_equal(rows, w[h:, :k])
+    assert np.array_equal(sums, W[h:])
+
+
 class TestLiveColumns:
-    """`assemble` stores only the k = ceil(L/2) columns whose cells start below u = 2."""
+    """`assemble` stores the head rows and the last row, each cut to the
+    k = ceil(L/2) columns whose cells start below u = 2, and streams the rest."""
 
     @pytest.mark.parametrize("L", [*range(1, 41), 64, 88, 100, 256, 333, 1024, 1170])
     def test_matches_dense_assembly_bit_for_bit(self, L):
-        live, dense = assemble(0.14, L), assemble_dense(0.14, L)
-        k = (L + 1) // 2
-        assert live.w.shape == (L, k)
-        assert np.array_equal(live.g, dense.g)
-        assert np.array_equal(live.W, dense.W)
-        assert np.array_equal(live.w, dense.w[:, :k])
-        assert not np.any(dense.w[:, k:])
+        assert_stores_dense_rows(assemble(0.14, L), assemble_dense(0.14, L))
 
     @pytest.mark.parametrize("L", [1, 2, 3, 7, 16, 64, 88, 333, 1024, 1170, 2048])
     def test_rigorous_matches_dense_assembly_bit_for_bit(self, L):
-        live, dense = assemble(0.14, L, rigorous=True), assemble_dense(0.14, L, rigorous=True)
-        k = (L + 1) // 2
+        live = assemble(0.14, L, rigorous=True)
         assert np.array_equal(live.g, assemble(0.14, L).g)
-        assert np.array_equal(live.g, dense.g)
-        assert np.array_equal(live.W, dense.W)
-        assert np.array_equal(live.w, dense.w[:, :k])
+        assert_stores_dense_rows(live, assemble_dense(0.14, L, rigorous=True))
 
     # ROW_BUDGET // L rows per block: one row, 2 rows with a partial last
     # block of one, and a single block of all L rows.
@@ -199,20 +220,25 @@ class TestLiveColumns:
     @pytest.mark.parametrize("rigorous", [False, True])
     def test_any_row_budget_matches_dense_assembly(self, monkeypatch, budget, L, rigorous):
         monkeypatch.setattr(contraction, "ROW_BUDGET", budget)
-        live, dense = assemble(0.14, L, rigorous), assemble_dense(0.14, L, rigorous)
-        assert np.array_equal(live.W, dense.W)
-        assert np.array_equal(live.w, dense.w[:, : (L + 1) // 2])
+        assert_stores_dense_rows(assemble(0.14, L, rigorous), assemble_dense(0.14, L, rigorous))
 
-    def test_working_memory_bounded_by_row_budget(self):
-        # Besides w itself, the row blocks hold about 0.7 MB at any L; blocks
-        # of 2^16 // L rows held 2.6 MB at L = 1024.
+    def test_stored_savings_about_an_eighth_of_the_square(self):
+        # The head blocks and the last row: 1.07 MiB at L = 1024, where all
+        # L rows of the k live columns took 4.00 MiB.
+        system = assemble(0.15, 1024)
+        nbytes = sum(block.nbytes for block in system.head) + system.last.nbytes
+        assert nbytes <= 1.2 * 2**20, nbytes / 2**20
+
+    def test_search_peak_memory(self):
+        # 5.3 MiB at L = 2048; storing all L rows of the live columns peaked
+        # at 16.9 MiB.
         tracemalloc.start()
         try:
-            system = assemble(0.15, 1024)
+            max_density(2048)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - system.w.nbytes <= 2**20, (peak - system.w.nbytes) / 2**20
+        assert peak <= 6 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("L", [11, 12, 33, 88, 100, 256])
     def test_search_matches_dense_assembly(self, monkeypatch, L):
@@ -227,7 +253,7 @@ class TestMinimalMetric:
     def test_zero_savings_reduces_to_analytic_form(self, monkeypatch):
         monkeypatch.setattr(contraction, "EPSILON_HAT", 0.0)
         system = assemble(0.14, 16)
-        stripped = dataclasses.replace(system, w=np.zeros_like(system.w), W=np.zeros(16))
+        stripped = stored(system.rho, system.g, np.zeros((16, 8)), np.zeros(16))
         d = minimal_metric(stripped).values
         for lam, v in zip(stripped.grid, d):
             expect = 0.14 / (math.pi * (1 - 4 * 0.14)) * contraction.crescent_area(lam)
@@ -301,7 +327,7 @@ def looped_minimal_metric(system):
     """Reference forward sweep, one constraint at a time, on the constraints as
     written: g, w and c at the system's density, rebuilt from the unit system."""
     rho = system.rho
-    g, w = rho * system.g, rho * dense_w(system)
+    g, w = rho * system.g, rho * dense_rows(system)[0]
     c = 1.0 - 4.0 * rho - contraction.EPSILON_HAT
     W = w.sum(axis=1)
     d = np.zeros(system.L)
@@ -360,6 +386,28 @@ class TestRepairedMetric:
         residuals, _ = slack_report(system, contraction.repaired_metric(system))
         assert np.all(residuals >= -1e-12)
 
+    # The stored rows end on a solve-block boundary, or at L; L // 2 does not
+    # at these L, and a sweep ending there differs in the last bits.
+    @pytest.mark.parametrize("variant", ["clamped", "rigorous", "as_written"])
+    @pytest.mark.parametrize("L", [7, 88, 199, 333, 1170])
+    def test_head_is_the_full_sweeps_head(self, monkeypatch, L, variant):
+        build = {"rigorous": lambda rho, L: assemble(rho, L, rigorous=True), **ASSEMBLIES}[variant]
+        system = build(0.1544, L)
+        sweep, swept = contraction._sweep, []
+
+        def recorded(system, rows):
+            swept.append(sweep(system, rows))
+            return swept[-1]
+
+        monkeypatch.setattr(contraction, "_sweep", recorded)
+        repaired = contraction.repaired_metric(system).values
+        h, cut = system.head_W.size, L // 2
+        assert [len(d) for d in swept] == [h]
+        assert h == L or h % SOLVE_BLOCK == 0
+        full = minimal_metric(system).values[:cut]
+        assert np.array_equal(swept[0][:cut], full)
+        assert np.array_equal(repaired[:cut], np.maximum(full, system.grid[:cut] / 4.0))
+
 
 # No head (L = 1), a one-row tail (L = 2, 3), odd L and the paper's L = 88.
 DECISION_LS = [1, 2, 3, 7, 16, 64, 88, 256]
@@ -403,8 +451,8 @@ class TestDecide:
             # At the bound the last row reads mu = (g_L - W_L) + sum_j w_Lj d_j,
             # to within the change of mu over the search's resolution.
             system = dataclasses.replace(probes[0], rho=result.rho_star)
-            d = saturated_metric(system).values[: system.w.shape[1]]
-            gap = system.mu - (system.g[-1] - system.W[-1] + system.w[-1] @ d)
+            d = saturated_metric(system).values[: system.last.size]
+            gap = system.mu - (system.g[-1] - system.last_W + system.last @ d)
             assert -1e-12 / system.rho <= gap <= result.tol / system.rho**2, gap
 
     def test_binding_tail_row_is_an_error(self, monkeypatch):
@@ -431,6 +479,20 @@ class TestSlackReport:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             slack_report(assemble(0.12, 16), PiecewiseMetric(values=(1.0,) * 8))
+
+    # No stored head (L = 1), no streamed row (L = 2), and a head that ends
+    # past L // 2 with odd-width rows (L = 333), one row or all at a time.
+    @pytest.mark.parametrize("budget", [1, contraction.ROW_BUDGET, 10**6])
+    @pytest.mark.parametrize("L", [1, 2, 7, 333])
+    def test_matches_the_dense_product(self, monkeypatch, L, budget):
+        monkeypatch.setattr(contraction, "ROW_BUDGET", budget)
+        system = assemble(0.1544, L)
+        metric = contraction.repaired_metric(system)
+        w, W = dense_rows(system)
+        d = metric.values
+        dense = system.rho * ((system.mu + W) * d - system.g - w @ d)
+        residuals, _ = slack_report(system, metric)
+        assert np.allclose(residuals, dense, rtol=0.0, atol=1e-15)
 
 
 class TestLpFeasibleBox:
@@ -593,7 +655,8 @@ class TestMaxDensity:
         assert len(seen) == result.iterations + 2  # bracket check, probes, witness
         base = built[0]
         for system in seen:
-            assert system.w is base.w and system.g is base.g and system.W is base.W
+            assert system.head is base.head and system.head_W is base.head_W
+            assert system.last is base.last and system.rows is base.rows and system.g is base.g
         assert seen[-1].rho == result.rho_star
 
     def test_json_fields(self):
