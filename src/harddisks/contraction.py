@@ -140,8 +140,8 @@ def assemble(rho: float, L: int, rigorous: bool = False) -> ConstraintSystem:
                             head_W=head_W, last=last, last_W=last_W, rows=rows)
 
 
-def _sweep(system: ConstraintSystem, rows: int) -> np.ndarray:
-    """The first `rows` values of the pointwise-least solution.
+def _sweep(system: ConstraintSystem) -> np.ndarray:
+    """The pointwise-least solution on the stored head rows.
 
     Constraint i saturated reads (mu + W_i) d_i = g_i + sum_{j<i} w_ij d_j, a
     lower-triangular system solved in blocks of SOLVE_BLOCK rows: the earlier
@@ -152,10 +152,9 @@ def _sweep(system: ConstraintSystem, rows: int) -> np.ndarray:
     if mu <= 0:
         raise ValueError("contraction margin c must be positive (rho too large)")
     diag = mu + system.head_W
-    d = np.empty(rows)
-    for start, w in zip(range(0, rows, SOLVE_BLOCK), system.head):
-        stop = min(start + SOLVE_BLOCK, rows)
-        w = w[: stop - start]
+    d = np.empty(system.head_W.size)
+    for start, w in zip(range(0, d.size, SOLVE_BLOCK), system.head):
+        stop = start + len(w)
         before, inside = w[:, :start], w[:, start:stop]  # missing columns are 0
         rhs = system.g[start:stop] + before @ d[: before.shape[1]]
         block = np.diag(diag[start:stop])
@@ -177,8 +176,7 @@ def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
     """
     cut = system.L // 2  # lam_i = 4i/L <= 2 exactly for the first L // 2 cells
     d = np.zeros(system.L)
-    # h rows end on a solve block: a full sweep's head, bit for bit
-    d[:cut] = np.maximum(_sweep(system, system.head_W.size)[:cut], system.grid[:cut] / 4.0)
+    d[:cut] = np.maximum(_sweep(system)[:cut], system.grid[:cut] / 4.0)
     for i in range(cut, system.L):
         head = d[:i]  # pairs d_j + d_{i-1-j}; empty only for the single cell of L = 1
         d[i] = max(np.min(head + head[::-1], initial=1.0), d[i - 1])  # d[-1] = 0 at L = 1
@@ -214,7 +212,7 @@ def decide(system: ConstraintSystem) -> bool:
     """The feasibility decision: the minimal head lies in [0, 1] and the last
     row holds with the tail at 1; `witness` re-checks every row of its metric."""
     cut = system.L // 2
-    head = _sweep(system, cut)  # the head never references the tail
+    head = _sweep(system)[:cut]  # the head never references the tail
     if head.max(initial=0.0) > 1.0:  # the sweep values are positive
         return False
     d = np.ones(system.last.size)

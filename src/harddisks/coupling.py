@@ -31,6 +31,8 @@ geometry.clear_of, or free_grid_counts for the disk-0 grid.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -369,28 +371,15 @@ def _grid_side(r: float) -> int:
 
 
 # Equilibrating a pool of chains is the dominant cost and is independent of
-# the displacement under study, so finished pools are memoized per (problem,
-# seed, pool size).  The generator state is snapshotted with the pool, making
-# a cache hit bit-identical to recomputing from scratch.
-_POOL_CACHE: dict = {}
-_POOL_CACHE_MAX = 16
-
-
-def _equilibrated_pool(seed, B, n, rho, two_r2):
-    ss = np.random.SeedSequence(seed)
-    key = (n, rho, ss.entropy, B)
-    hit = _POOL_CACHE.get(key)
-    if hit is not None:
-        P, state = hit
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state
-        return P.copy(), rng
-    rng = np.random.default_rng(ss)
+# the displacement under study, so the last 16 pools are memoized.
+@functools.lru_cache(maxsize=16)
+def _cold_pool(n, rho, B, sweeps, entropy):
+    """A read-only pool of B chains equilibrated for sweeps * n steps from
+    SeedSequence(entropy), and the generator that ran after it."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
     P = batch_insert(B, n, rho, rng)
-    _batch_sweep(P, EQUILIBRATION_SWEEPS * n, two_r2, rng)
-    if len(_POOL_CACHE) >= _POOL_CACHE_MAX:
-        _POOL_CACHE.pop(next(iter(_POOL_CACHE)))
-    _POOL_CACHE[key] = (P.copy(), rng.bit_generator.state)
+    _batch_sweep(P, sweeps * n, (2.0 * radius_for_density(n, rho)) ** 2, rng)
+    P.flags.writeable = False
     return P, rng
 
 
@@ -424,7 +413,12 @@ def estimate_contraction(
     configurations (see _Tally.ci99); it widens when a chain's configurations
     are correlated.  outcome_counts partitions the (m^2 + KC) N proposals;
     "both-rejected" stays 0, as the mirror crescent is never drawn.
-    Deterministic given the seed.  `threads` (>= 1) is accepted for the
+    Deterministic given the seed.  The last 16 equilibrated pools are
+    memoized (_cold_pool) on n, rho, B, EQUILIBRATION_SWEEPS and the seed's
+    SeedSequence entropy, so calls that differ only in ell or the metric, as
+    in the ell_sweep workload, build one pool; each call runs on copies of
+    the pool and of its generator, so a hit is bit-identical to a cold build,
+    and _cold_pool.cache_clear() forces one.  `threads` (>= 1) is accepted for the
     callers that pass a worker bound, but the pool is vectorized and starts
     no threads, so the result never depends on it.  Needs n >= 2,
     0 < rho < 1/4 and 8r < 1, where the crescent's planar area is its area
@@ -449,7 +443,11 @@ def estimate_contraction(
     two_r2 = (2.0 * r) ** 2
     configs = -(-trials // K0)
     B = min(BATCH, configs)
-    P, rng = _equilibrated_pool(seed, B, n, rho, two_r2)
+    entropy = np.random.SeedSequence(seed).entropy  # hashable key: an int, or a tuple of ints
+    if not isinstance(entropy, int):
+        entropy = tuple(int(x) for x in np.ravel(entropy))
+    P, rng = _cold_pool(n, rho, B, EQUILIBRATION_SWEEPS, entropy)
+    P, rng = P.copy(), copy.deepcopy(rng)
     tally = _Tally(B)
     done = 0
     while done < configs:

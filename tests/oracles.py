@@ -724,7 +724,7 @@ def minimal_metric(system: contraction.ConstraintSystem) -> PiecewiseMetric:
     """
     w, W = dense_rows(system)
     full = replace(system, head=solve_blocks(w[:, : system.last.size], system.L), head_W=W)
-    return PiecewiseMetric(values=contraction._sweep(full, system.L))
+    return PiecewiseMetric(values=contraction._sweep(full))
 
 
 def assemble_as_written(rho: float, L: int, rigorous: bool = False) -> contraction.ConstraintSystem:
@@ -750,7 +750,7 @@ def saturated_metric(system: contraction.ConstraintSystem) -> PiecewiseMetric:
     """
     cut = system.L // 2  # lam_i = 4i/L <= 2 exactly for the first L // 2 cells
     d = np.ones(system.L)
-    d[:cut] = contraction._sweep(system, cut)
+    d[:cut] = contraction._sweep(system)[:cut]
     return PiecewiseMetric(values=d)
 
 

@@ -150,7 +150,6 @@ def lag_autocorrelation(batches, lag: int):
 def correlation(args) -> None:
     metric = witness()
     for seed in args.seeds:
-        coupling._POOL_CACHE.clear()
         est, batches = recorded_estimate(metric, args.ell, seed, args.trials)
         v = np.concatenate(batches)
         iid = 2.576 * v.std() / math.sqrt(v.size)
@@ -168,7 +167,6 @@ def calibration(args) -> None:
     metric = witness()
     rows = {ell: [] for ell in args.ells}
     for seed in args.seeds:
-        coupling._POOL_CACHE.clear()
         for ell in args.ells:
             est = coupling.estimate_contraction(N, RHO, ell, metric, args.trials, seed=seed)
             rows[ell].append(est)
@@ -194,14 +192,12 @@ def equilibration(args) -> None:
     try:
         for sweeps in args.sweeps:
             coupling.EQUILIBRATION_SWEEPS = sweeps
-            coupling._POOL_CACHE.clear()
             for seed in args.seeds:
                 for ell in args.ells:
                     runs.setdefault((sweeps, ell), []).append(coupling.estimate_contraction(
                         N, RHO, ell, metric, TRIALS, seed=1000 * sweeps + seed))
     finally:
         coupling.EQUILIBRATION_SWEEPS = default
-        coupling._POOL_CACHE.clear()
 
     def pooled(ests, kind):
         # the seeds are independent, so the half-widths add in quadrature
@@ -274,7 +270,7 @@ def thinning(args) -> None:
         for seed in args.seeds:  # the lengths interleave, so host drift hits each alike
             for sweeps in args.sweeps:
                 coupling.THIN_SWEEPS = sweeps
-                coupling._POOL_CACHE.clear()
+                coupling._cold_pool.cache_clear()  # the CPU time includes a cold pool
                 start = time.process_time()
                 runs = [recorded_estimate(metric, ell, seed, args.trials) for ell in args.ells]
                 cpu = time.process_time() - start
@@ -287,7 +283,6 @@ def thinning(args) -> None:
                 }), flush=True)
     finally:
         coupling.THIN_SWEEPS = default
-        coupling._POOL_CACHE.clear()
 
 
 def ints(text: str) -> list[int]:

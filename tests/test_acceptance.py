@@ -217,7 +217,7 @@ def test_criterion_10_determinism(tmp_path, optimum_256, capsys):
     for name, argv in commands.items():
         outputs = []
         for threads in (1, THREADS):
-            coupling._POOL_CACHE.clear()
+            coupling._cold_pool.cache_clear()
             assert cli_main(["--threads", str(threads)] + argv) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1], name

@@ -494,7 +494,7 @@ class TestCouple:
     def test_thread_count_does_not_change_output(self, tmp_path, metric_file):
         outs = []
         for threads, name in (("1", "t1.json"), ("3", "t3.json")):
-            coupling._POOL_CACHE.clear()
+            coupling._cold_pool.cache_clear()
             out = tmp_path / name
             run_cli(["--threads", threads, "couple", "--n", "8", "--rho", "0.1",
                      "--ell", "1.0", "--trials", "8000",

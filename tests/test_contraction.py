@@ -395,14 +395,15 @@ class TestRepairedMetric:
         system = build(0.1544, L)
         sweep, swept = contraction._sweep, []
 
-        def recorded(system, rows):
-            swept.append(sweep(system, rows))
+        def recorded(system):
+            swept.append(sweep(system))
             return swept[-1]
 
         monkeypatch.setattr(contraction, "_sweep", recorded)
         repaired = contraction.repaired_metric(system).values
+        contraction.decide(system)  # the decision sweeps the same head
         h, cut = system.head_W.size, L // 2
-        assert [len(d) for d in swept] == [h]
+        assert [len(d) for d in swept] == [h, h] and np.array_equal(swept[1], swept[0])
         assert h == L or h % SOLVE_BLOCK == 0
         full = minimal_metric(system).values[:cut]
         assert np.array_equal(swept[0][:cut], full)

@@ -501,7 +501,7 @@ class TestEstimateContraction:
         m = hamming_metric()
         runs = []
         for threads in (1, 2, 4):
-            coupling._POOL_CACHE.clear()
+            coupling._cold_pool.cache_clear()
             runs.append(estimate_contraction(8, 0.05, 2.0, m, 4000, seed=77, threads=threads))
         assert runs[0] == runs[1] == runs[2]
 
@@ -510,7 +510,7 @@ class TestEstimateContraction:
             raise AssertionError("estimate_contraction started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        coupling._POOL_CACHE.clear()
+        coupling._cold_pool.cache_clear()
         est = estimate_contraction(8, 0.05, 2.0, hamming_metric(), 4000 * coupling.K0,
                                    seed=77, threads=4)
         assert est.configurations == 4000
@@ -553,11 +553,42 @@ class TestEstimateContraction:
 
     def test_pool_cache_hit_is_bit_identical(self):
         m = hamming_metric()
-        coupling._POOL_CACHE.clear()
+        coupling._cold_pool.cache_clear()
         a = estimate_contraction(8, 0.05, 1.0, m, 3000, seed=5)
-        assert coupling._POOL_CACHE
         b = estimate_contraction(8, 0.05, 1.0, m, 3000, seed=5)
-        assert a.mean_delta_bound == b.mean_delta_bound
+        assert coupling._cold_pool.cache_info().hits == 1
+        assert a == b
+
+    def test_sequence_seeds_share_one_pool(self):
+        # a sequence seed keys the pool by its entropy as a tuple of ints
+        m = hamming_metric()
+        coupling._cold_pool.cache_clear()
+        cold = estimate_contraction(8, 0.05, 1.0, m, 3000, seed=[3, 4])
+        for seed in ([3, 4], (3, 4), np.array([3, 4]), np.array([3, 4], dtype=np.uint32)):
+            assert estimate_contraction(8, 0.05, 1.0, m, 3000, seed=seed) == cold
+        info = coupling._cold_pool.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+        # and the tuple key seeds the same stream as the seed itself
+        assert estimate_contraction(8, 0.05, 1.0, m, 3000, seed=[5]) == \
+            estimate_contraction(8, 0.05, 1.0, m, 3000, seed=np.int64(5)) == \
+            estimate_contraction(8, 0.05, 1.0, m, 3000, seed=5)
+
+    def test_pool_follows_equilibration_sweeps(self, monkeypatch):
+        m = hamming_metric()
+        default = estimate_contraction(8, 0.05, 1.0, m, 3000, seed=6)
+        monkeypatch.setattr(coupling, "EQUILIBRATION_SWEEPS", 2)
+        warm = estimate_contraction(8, 0.05, 1.0, m, 3000, seed=6)
+        coupling._cold_pool.cache_clear()
+        assert warm == estimate_contraction(8, 0.05, 1.0, m, 3000, seed=6) != default
+
+    def test_one_pool_serves_every_displacement(self):
+        # what the ell_sweep workload relies on: one cold build, then hits
+        m = hamming_metric()
+        coupling._cold_pool.cache_clear()
+        for ell in (0.5, 1.0, 2.0, 3.0, 4.0):
+            estimate_contraction(8, 0.05, ell, m, 3000, seed=7)
+        info = coupling._cold_pool.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
 
     def test_hamming_metric_contracts_below_baseline(self):
         est = estimate_contraction(16, 0.10, 4.0, hamming_metric(), 60_000, seed=9)
