@@ -113,7 +113,7 @@ def test_free_grid_counts(benchmark, pool):
     _report(benchmark, "ns_per_chain", B)
 
 
-def test_equilibrated_pool(benchmark):
+def test_cold_pool(benchmark):
     sweeps = coupling.EQUILIBRATION_SWEEPS
     cold = coupling._cold_pool.__wrapped__  # the estimator's pool build, unmemoized
     benchmark.pedantic(cold, args=(N, RHO, B, sweeps, SEED), rounds=3, warmup_rounds=1)
