@@ -17,10 +17,7 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import __version__, contraction, coupling, dynamics
-from . import metric as metric_mod
+from . import __version__  # each command imports the modules it runs, and numpy with them
 
 EXIT_PRECONDITION = 3
 EXIT_IO = 4
@@ -51,6 +48,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_bound(args) -> int:
+    from . import contraction
+
     result = contraction.max_density(L=args.L, tol=args.tol, hamming=args.hamming,
                                      rigorous=args.rigorous)
     _emit(result.to_json(), args.out)
@@ -58,6 +57,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from . import contraction
+
     lines = ["L,rho_star"]
     for L in args.Ls:
         result = contraction.max_density(L=L, tol=args.tol, rigorous=args.rigorous)
@@ -67,7 +68,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    system = contraction.assemble(args.rho, args.L)
+    from . import contraction
+    from . import metric as metric_mod
+
+    rigorous = getattr(args, "rigorous", False)
+    system = contraction.assemble(args.rho, args.L, rigorous)
     if not contraction.decide(system):
         print(f"error: density {args.rho} is infeasible at L={args.L}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -85,7 +90,7 @@ def cmd_metric(args) -> int:
     report = {
         "L": args.L,
         "rho": args.rho,
-        "variant": "clamped",  # the savings kernel of the constraints
+        "variant": "rigorous" if rigorous else "clamped",  # the savings rows of the constraints
         "axioms_pass": axioms.passed,
         "tight_lambda_max": tight_lambda_max,
         "min_residual": float(f"{residuals.min():.12g}"),
@@ -99,6 +104,10 @@ def cmd_metric(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from . import dynamics
+
     config = dynamics.random_config(args.n, args.rho, args.seed)
     final, stats = dynamics.run(config, args.steps, np.random.SeedSequence(args.seed).spawn(1)[0])
     payload = {
@@ -117,6 +126,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_couple(args) -> int:
+    from . import coupling
+    from . import metric as metric_mod
+
     estimate = coupling.estimate_contraction(
         n=args.n, rho=args.rho, ell_over_r=args.ell, metric=metric_mod.from_csv(args.metric),
         trials=args.trials, seed=args.seed, threads=args.threads,
@@ -154,6 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metric", help="export the optimized metric with slack and axiom reports")
     p.add_argument("--L", type=int, default=256)
     p.add_argument("--rho", type=float, required=True)
+    # Absent unless given, so that a default run's manifest lists only L and rho.
+    p.add_argument("--rigorous", action="store_true", default=argparse.SUPPRESS,
+                   help=RIGOROUS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_metric)
 
@@ -170,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--ell", type=float, required=True, help="displacement in units of r, in (0, 4]")
     p.add_argument("--trials", type=int, required=True,
-                   help=f"buys ceil(trials / {coupling.K0}) configurations")
+                   help="buys ceil(trials / 32) configurations")  # 32 = coupling.K0
     p.add_argument("--metric", required=True, help="metric CSV path (lambda_right,d)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")

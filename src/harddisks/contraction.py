@@ -126,14 +126,18 @@ def assemble(rho: float, L: int, rigorous: bool = False) -> ConstraintSystem:
             w[:, : F.shape[1] - 1] = np.tril(np.diff(F, axis=1), a - 1) / np.pi
             yield a, w[:, :k], w.sum(axis=1)
 
-    head, head_W = [], np.empty(h)
-    for start in range(0, h, SOLVE_BLOCK):
-        stop = min(start + SOLVE_BLOCK, h)
-        block = np.empty((stop - start, min(k, stop)))
-        for a, w, W in rows(start, stop):
-            block[a - start : a - start + len(w)], head_W[a : a + len(w)] = w[:, : block.shape[1]], W
+    head = [np.empty((min(SOLVE_BLOCK, h - start), min(k, start + SOLVE_BLOCK, h)))
+            for start in range(0, h, SOLVE_BLOCK)]
+    head_W = np.empty(h)
+    for a, w, W in rows(0, h):  # a row block may span several solve blocks
+        b = a + len(w)
+        head_W[a:b] = W
+        for start in range(a - a % SOLVE_BLOCK, b, SOLVE_BLOCK):
+            block = head[start // SOLVE_BLOCK]
+            lo, hi = max(a, start), min(b, start + len(block))
+            block[lo - start : hi - start] = w[lo - a : hi - a, : block.shape[1]]
+    for block in head:
         block.flags.writeable = False
-        head.append(block)
     _, (last,), (last_W,) = next(rows(L - 1, L))
     last.flags.writeable = False
     return ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi, head=tuple(head),

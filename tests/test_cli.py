@@ -189,15 +189,60 @@ class TestPublicSurface:
         for name in PUBLIC_NAMES:
             assert getattr(harddisks, name) is not None, name
 
-    def test_cli_import_loads_no_test_code(self, tmp_path):
+    @staticmethod
+    def loaded_modules(tmp_path, argv=None):
+        """The modules a fresh interpreter holds after `import harddisks.cli`,
+        and after `main(argv)` when argv is given (its stdout discarded)."""
         # the oracles module is importable here, so an import of it would show
         paths = [Path(harddisks.__file__).resolve().parents[1], Path(__file__).resolve().parent]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
-        code = ("import sys, harddisks.cli; "
-                "print([m for m in ('scipy', 'pytest', 'oracles') if m in sys.modules])")
+        code = ("import contextlib, io, json, sys, harddisks.cli\n"
+                f"argv = {argv!r}\n"
+                "if argv is not None:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        try:\n"
+                "            code = harddisks.cli.main(argv)\n"
+                "        except SystemExit as exc:\n"
+                "            code = exc.code\n"
+                "    assert code == 0, code\n"
+                "print(json.dumps(sorted(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                              capture_output=True, text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "[]"
+        return set(json.loads(out.stdout))
+
+    @pytest.mark.parametrize("argv", [None, ["--help"]])
+    def test_cli_import_loads_no_test_code(self, tmp_path, argv):
+        modules = self.loaded_modules(tmp_path, argv)
+        assert not modules & {"scipy", "pytest", "oracles"}
+        # nor numpy, nor any compute module: each command imports what it runs
+        assert "numpy" not in modules
+        assert {m for m in modules if m.startswith("harddisks")} == {"harddisks", "harddisks.cli"}
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["table", "--Ls", "8"], {"coupling", "dynamics"}),
+        (["simulate", "--n", "4", "--rho", "0.05", "--steps", "10", "--seed", "1"],
+         {"contraction", "coupling", "metric"}),
+        (["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0", "--trials", "100",
+          "--metric", "METRIC", "--seed", "1"], {"contraction"}),
+    ])
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv, absent):
+        metric = tmp_path / "metric.csv"
+        to_csv(max_density(8).metric, metric)
+        argv = [str(metric) if a == "METRIC" else a for a in argv]
+        modules = self.loaded_modules(tmp_path, argv)
+        assert "numpy" in modules
+        assert not modules & {f"harddisks.{m}" for m in absent}
+
+    def test_dir_lists_the_public_names(self):
+        assert set(harddisks.__all__) <= set(dir(harddisks))
+        assert harddisks.max_density is contraction.max_density
+
+    def test_trials_help_names_the_configuration_size(self, capsys):
+        # the parser states K0 as a literal, so that building it imports no coupling
+        with pytest.raises(SystemExit):
+            run_cli(["couple", "--help"])
+        assert f"buys ceil(trials / {coupling.K0}) configurations" in " ".join(
+            capsys.readouterr().out.split())
 
 
 class TestBound:
@@ -350,6 +395,25 @@ class TestMetric:
         assert run_cli(["metric", "--L", "16", "--rho", "0.15", "--out", str(tmp_path / "m.csv")]) == 0
         # one system; the decision builds no residuals, the witness checks every row
         assert calls == {"assemble": 1, "slack_report": 1}
+
+    def test_rigorous_witness(self, tmp_path, capsys):
+        # rho*_rig(88) = 0.154028148651 (README), so 0.154 is feasible
+        out = tmp_path / "m.csv"
+        assert run_cli(["metric", "--rigorous", "--L", "88", "--rho", "0.154",
+                        "--out", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["variant"] == "rigorous" and report["axioms_pass"] is True
+        assert len(report["residuals"]) == 88 and min(report["residuals"]) >= -1e-12
+        manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+        assert manifest["params"] == {"L": 88, "rho": 0.154, "rigorous": True}
+
+    def test_rigorous_above_its_bound_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert run_cli(["metric", "--rigorous", "--L", "88", "--rho", "0.15403",
+                        "--out", str(out)]) == 3
+        assert "infeasible" in capsys.readouterr().err
+        # the clamped system is feasible there: rho*(88) exceeds rho*_rig(88)
+        assert run_cli(["metric", "--L", "88", "--rho", "0.15403", "--out", str(out)]) == 0
 
 
 # stdout and snapshot SHA-256 of `simulate --n 64 --rho 0.15 --steps 70000

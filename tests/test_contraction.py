@@ -222,6 +222,16 @@ class TestLiveColumns:
         monkeypatch.setattr(contraction, "ROW_BUDGET", budget)
         assert_stores_dense_rows(assemble(0.14, L, rigorous), assemble_dense(0.14, L, rigorous))
 
+    @pytest.mark.parametrize("L", [1, 16, 100, 256, 333, 1024])
+    def test_one_kernel_call_per_row_block(self, monkeypatch, L):
+        # row blocks of ROW_BUDGET // L rows span the 32-row solve blocks
+        calls = []
+        kernel = contraction.outside_zone_area
+        monkeypatch.setattr(contraction, "outside_zone_area",
+                            lambda *args: calls.append(args) or kernel(*args))
+        h = assemble(0.14, L).head_W.size
+        assert len(calls) == -(-h // (contraction.ROW_BUDGET // L)) + 1  # and the last row
+
     def test_stored_savings_about_an_eighth_of_the_square(self):
         # The head blocks and the last row: 1.07 MiB at L = 1024, where all
         # L rows of the k live columns took 4.00 MiB.
