@@ -210,13 +210,13 @@ class TestPublicSurface:
                              capture_output=True, text=True, check=True, timeout=60)
         return set(json.loads(out.stdout))
 
-    @pytest.mark.parametrize("argv", [None, ["--help"]])
-    def test_cli_import_loads_no_test_code(self, tmp_path, argv):
-        modules = self.loaded_modules(tmp_path, argv)
-        assert not modules & {"scipy", "pytest", "oracles"}
-        # nor numpy, nor any compute module: each command imports what it runs
-        assert "numpy" not in modules
-        assert {m for m in modules if m.startswith("harddisks")} == {"harddisks", "harddisks.cli"}
+    def test_cli_import_loads_no_test_code(self, tmp_path):
+        for argv in (None, ["--help"]):
+            modules = self.loaded_modules(tmp_path, argv)
+            assert not modules & {"scipy", "pytest", "oracles"}
+            # nor numpy, nor any compute module: each command imports what it runs
+            assert "numpy" not in modules
+            assert {m for m in modules if m.startswith("harddisks")} == {"harddisks", "harddisks.cli"}
 
     @pytest.mark.parametrize("argv, absent", [
         (["table", "--Ls", "8"], {"coupling", "dynamics"}),
