@@ -12,9 +12,10 @@ peak minus `savings_mb`) as `transient_mb`,
 the shared system relabelled with that density, as `ms_per_probe`,
 `test_witness` the repaired witness and its verification at the bound, which
 streams the rows past the stored head, as `ms` with its tracemalloc peak as
-`peak_mb`, and `test_max_density` the whole search (one assembly, the probes and the
-witness) as `max_density_ms` with its probe count `probes` (the bracket
-check plus the bisection steps), each in `extra_info`.
+`peak_mb`, and `test_max_density` the whole search (one assembly, the sweeps that
+find the last row's root and confirm the walked bisection path, and the
+witness) as `max_density_ms` with its head sweep count `sweeps`, counted in
+one more, untimed call, each in `extra_info`.
 """
 
 import tracemalloc
@@ -72,7 +73,10 @@ def test_witness(benchmark, L):
 
 
 @pytest.mark.parametrize("L", LS)
-def test_max_density(benchmark, L):
-    result = benchmark.pedantic(contraction.max_density, args=(L,), rounds=5, warmup_rounds=1)
-    benchmark.extra_info["probes"] = result.iterations + 1
+def test_max_density(benchmark, monkeypatch, L):
+    benchmark.pedantic(contraction.max_density, args=(L,), rounds=5, warmup_rounds=1)
     _report(benchmark, "max_density_ms")
+    sweep, swept = contraction._sweep, []
+    monkeypatch.setattr(contraction, "_sweep", lambda system: swept.append(system) or sweep(system))
+    contraction.max_density(L)
+    benchmark.extra_info["sweeps"] = len(swept)

@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "only by couple; starts no workers, and results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", help="binary-search the largest contractive density")
+    p = sub.add_parser("bound", help="the largest contractive density: the last row's root, "
+                                     "snapped onto the bisection path")
     p.add_argument("--L", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--hamming", action="store_true",

@@ -33,9 +33,23 @@ on the clamped rows, so (1 - 4 rho - eps_hat)/rho >= int_0^2 2u d(u) du.
 row holds with the columns past the head at d = 1, where they cancel against
 W, so the bound would not move if the integral ran on past u = 2.  The
 returned metric is the repaired witness, whose tail is the capped subadditive
-completion, at most 1, so it also satisfies the metric axioms; `witness`
-re-checks every row of it, and one that fails, such as a tail row that binds,
-is an error.
+completion, at most 1, so it also satisfies the metric axioms (checked in
+floats to metric.AXIOM_TOL = 1e-12, not certified: subadditivity can fail
+by rounding); `witness` re-checks every row of it, and one that fails, such
+as a tail row that binds, is an error.
+
+The search.  The last row's residual r = mu + W^_L - g^_L - sum_j w^_Lj d_j,
+read on the head sweep at rho, is smooth and falls as rho rises (mu falls,
+the head rises).  `max_density` finds its root by safeguarded secant steps,
+about six sweeps, then walks the bisection of [SEARCH_LO, SEARCH_HI]
+against it: a midpoint within SNAP of the root is decided with `decide`,
+any other is feasible iff it lies below the root.  Both ends of the walk are
+then confirmed with `decide`, the lower one feasible and the upper one
+infeasible.  `decide` is monotone in rho, as any bisection assumes, so of
+the intervals that the last halving can leave only one has ends like that:
+the confirmed walk ends where the bisection ends, bit for bit.  If an end
+fails, the walk is repeated with `decide` at every midpoint, which is the
+bisection itself.  The root is returned too; rho* lies at most tol/8 below.
 
 The Hamming baseline needs no system: with d = 1 and savings disabled the
 condition is c >= 4 rho, so its bound is (1 - eps_hat)/8 in closed form.
@@ -58,6 +72,8 @@ EPSILON_HAT = 1e-6  # contraction slack n * epsilon, from epsilon = 1e-6 / n
 TIGHT_TOL = 1e-8  # a constraint with residual below this counts as tight
 SEARCH_LO = 0.12  # below the Hamming baseline (1 - eps_hat)/8, so feasible at every L
 SEARCH_HI = 0.25
+ROOT_TOL = 1e-13  # the root-finder stops at a step shorter than this
+SNAP = 1e-9  # bisection midpoints this close to the root are decided, not inferred
 SOLVE_BLOCK = 32  # rows per diagonal block of the forward substitution
 ROW_BUDGET = 1 << 14  # doubles per block of savings rows (< 1 MB): 16 rows at L = 1024
 
@@ -212,17 +228,50 @@ def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
     return residuals, tight_lambda_max
 
 
+def _last_row(system: ConstraintSystem):
+    """The minimal head (lam <= 2) and the last row's unit-density residual
+    r = mu + W_L - g_L - sum_j w_Lj d_j, with the columns past the head at d = 1."""
+    cut = system.L // 2
+    head = _sweep(system)[:cut]  # the head never references the tail
+    d = np.ones(system.last.size)
+    d[:cut] = head
+    return head, (system.mu + system.last_W) - system.g[-1] - system.last @ d
+
+
 def decide(system: ConstraintSystem) -> bool:
     """The feasibility decision: the minimal head lies in [0, 1] and the last
     row holds with the tail at 1; `witness` re-checks every row of its metric."""
-    cut = system.L // 2
-    head = _sweep(system)[:cut]  # the head never references the tail
-    if head.max(initial=0.0) > 1.0:  # the sweep values are positive
-        return False
-    d = np.ones(system.last.size)
-    d[:cut] = head
-    last = (system.mu + system.last_W) - system.g[-1] - system.last @ d
-    return bool(system.rho * last >= -1e-12)
+    head, r = _last_row(system)
+    return bool(head.max(initial=0.0) <= 1.0 and system.rho * r >= -1e-12)
+
+
+def _root(base: ConstraintSystem) -> float:
+    """The density at which the last row's residual r, which falls as rho
+    rises, crosses zero.
+
+    Secant steps from rho = 0.15 and 0.155, each kept inside the bracket that
+    the evaluations so far leave (a step outside it bisects the bracket
+    instead), until a step is shorter than ROOT_TOL.
+    """
+    lo, hi = SEARCH_LO, SEARCH_HI
+    x, prev = 0.15, None
+    for _ in range(64):  # bisection alone reaches ROOT_TOL in 41 steps
+        r = float(_last_row(replace(base, rho=x))[1])
+        if r == 0.0:
+            break
+        lo, hi = (x, hi) if r > 0.0 else (lo, x)
+        if prev is None:
+            step = 0.005
+        elif r != prev[1]:
+            step = r * (prev[0] - x) / (r - prev[1])
+        else:
+            step = math.inf  # bisect
+        prev, x = (x, r), x + step
+        if abs(step) < ROOT_TOL:  # it may leave the bracket by r's rounding
+            break
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return x
 
 
 def witness(system: ConstraintSystem):
@@ -236,7 +285,7 @@ def witness(system: ConstraintSystem):
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Outcome of the density binary search."""
+    """Outcome of the density search."""
 
     L: int
     rho_star: float
@@ -247,6 +296,7 @@ class BoundResult:
     slack: np.ndarray | None
     tight_lambda_max: float
     rigorous: bool = False  # savings rows taken at each cell's left end (see `assemble`)
+    root: float = math.nan  # where the last row's residual crosses zero; not in to_json
 
     def to_json(self) -> str:
         payload = {
@@ -264,12 +314,20 @@ class BoundResult:
 
 def max_density(L: int, tol: float = 1e-6, hamming: bool = False,
                 rigorous: bool = False) -> BoundResult:
-    """Binary-search the largest density at which the coupling contracts.
+    """The largest density at which the coupling contracts, from the root of
+    the last row, snapped onto the bisection path.
 
     The system is assembled once (with `rigorous` passed on to `assemble`);
-    each probe relabels it with its density.  In hamming mode it returns the
-    closed-form baseline (1 - eps_hat)/8 of the module docstring with the unit
-    metric and no search iterations.
+    each sweep relabels it with its density.  `_root` finds where the last
+    row's residual crosses zero; the bisection of [SEARCH_LO, SEARCH_HI] is
+    then walked against it, calling `decide` only at midpoints within SNAP of
+    the root and taking the others as feasible iff they lie below it.  Both
+    ends of the walk are confirmed with `decide`, the lower one feasible and
+    the upper one infeasible; as `decide` is monotone in rho, that proves the
+    walk is the bisection's path, bit for bit (module docstring).  If an end
+    fails, the walk is repeated with `decide` at every midpoint.  In hamming
+    mode it returns the closed-form baseline (1 - eps_hat)/8 of the module
+    docstring with the unit metric and no search iterations.
     """
     if not (math.isfinite(tol) and tol >= 1e-9):
         raise ValueError(f"tol must be finite and at least 1e-9, got {tol}")
@@ -279,22 +337,28 @@ def max_density(L: int, tol: float = 1e-6, hamming: bool = False,
         rho = (1.0 - EPSILON_HAT) / 8.0
         return BoundResult(L=L, rho_star=rho, tol=tol, epsilon_hat=EPSILON_HAT, iterations=0,
                            metric=PiecewiseMetric(values=np.ones(L)),
-                           slack=None, tight_lambda_max=4.0, rigorous=rigorous)
-    lo, hi = SEARCH_LO, SEARCH_HI
-    base = assemble(lo, L, rigorous)
-    if not decide(base):
-        raise RuntimeError("search bracket lower end unexpectedly infeasible")
-    iterations = 0
+                           slack=None, tight_lambda_max=4.0, rigorous=rigorous, root=rho)
+    base = assemble(SEARCH_LO, L, rigorous)
+    root = _root(base)
     # Bisect somewhat past the requested resolution so the returned feasible
     # endpoint sits within tol/8 of the true boundary, not just within tol.
     tol_eff = tol / 8.0
-    while hi - lo >= tol_eff:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if decide(replace(base, rho=mid)):
-            lo = mid
-        else:
-            hi = mid
+    for snap in (SNAP, math.inf):  # the snapped walk, then every midpoint decided
+        lo, hi, iterations, decided = SEARCH_LO, SEARCH_HI, 0, {SEARCH_HI}  # mu < 0 at SEARCH_HI
+        while hi - lo >= tol_eff:
+            mid = 0.5 * (lo + hi)
+            iterations += 1
+            if abs(mid - root) <= snap:
+                decided.add(mid)
+                below = decide(replace(base, rho=mid))
+            else:
+                below = mid < root
+            lo, hi = (mid, hi) if below else (lo, mid)
+        if ((lo in decided or decide(replace(base, rho=lo)))
+                and (hi in decided or not decide(replace(base, rho=hi)))):
+            break
+    else:  # with every midpoint decided only an undecided lower end can fail
+        raise RuntimeError("search bracket lower end unexpectedly infeasible")
     metric, slack, tight_lambda_max = witness(replace(base, rho=lo))
     return BoundResult(
         L=L,
@@ -306,4 +370,5 @@ def max_density(L: int, tol: float = 1e-6, hamming: bool = False,
         slack=slack,
         tight_lambda_max=tight_lambda_max,
         rigorous=rigorous,
+        root=root,
     )

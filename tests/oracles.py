@@ -69,6 +69,10 @@ scalar or independent route to the same result:
 - `feasible`: one density decided from a fresh assembly through
   `contraction.decide` and `contraction.witness`, as the `metric` command
   does; test_contraction checks table anchors with it.
+- `bisect_density`: the bound by plain bisection, `contraction.decide` at
+  every midpoint.  test_contraction checks that `contraction.max_density`,
+  which decides only near the last row's root, returns the same bound,
+  iterations, metric and slack bit for bit, also when that root is wrong.
 """
 
 from __future__ import annotations
@@ -772,3 +776,27 @@ def feasible(rho: float, L: int):
     if not contraction.decide(system):
         return False, None
     return True, contraction.witness(system)[0]
+
+
+def bisect_density(L: int, tol: float = 1e-6, rigorous: bool = False) -> contraction.BoundResult:
+    """The bound by bisection of [SEARCH_LO, SEARCH_HI], with `decide` at the
+    lower end and at every midpoint, and the witness at the last feasible one.
+
+    It assembles through `contraction.assemble` as found at call time, so a
+    test that swaps the assembly swaps it here too.  Its `root` is nan.
+    """
+    base = contraction.assemble(contraction.SEARCH_LO, L, rigorous)
+    if not contraction.decide(base):
+        raise RuntimeError("search bracket lower end unexpectedly infeasible")
+    lo, hi, iterations = contraction.SEARCH_LO, contraction.SEARCH_HI, 0
+    while hi - lo >= tol / 8.0:
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+        if contraction.decide(replace(base, rho=mid)):
+            lo = mid
+        else:
+            hi = mid
+    metric, slack, tight_lambda_max = contraction.witness(replace(base, rho=lo))
+    return contraction.BoundResult(L=L, rho_star=lo, tol=tol, epsilon_hat=contraction.EPSILON_HAT,
+                                   iterations=iterations, metric=metric, slack=slack,
+                                   tight_lambda_max=tight_lambda_max, rigorous=rigorous)

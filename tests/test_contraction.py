@@ -19,9 +19,11 @@ from harddisks.contraction import (
 )
 from harddisks.geometry import crescent_area
 from harddisks.metric import PiecewiseMetric, analytic_small_ell, check_axioms
+from ceiling import extrapolate
 from oracles import (
     assemble_as_written,
     assemble_dense,
+    bisect_density,
     crescent_angle,
     crescent_angle_array,
     dense_rows,
@@ -52,9 +54,13 @@ MINIMAL_L8_RHO014 = (
 # past u = 2 as well, keyed by the labels the parametrized tests carry.
 ASSEMBLIES = {"clamped": assemble, "as_written": assemble_as_written}
 
-# The method's ceiling: Richardson extrapolation of the clamped and the
-# cell-covering bounds from L = 1024, 2048 and 4096 gives 0.1546468 +- 1e-7.
-RHO_CEILING = 0.1546468
+# The method's ceiling: second-order Richardson extrapolation of the clamped
+# roots (`BoundResult.root`) from L = 512/1024/2048 and 1024/2048/4096 gives
+# 0.15464674705 and 0.15464674711 (tests/ceiling.py).
+RHO_CEILING = 0.1546467471
+
+# The grid sizes of README's table.
+TABLE_LS = [8, 16, 32, 64, 128, 256, 512, 1024]
 
 
 def quadrature_kernel(L, variant, order=16):
@@ -481,6 +487,69 @@ class TestDecide:
             max_density(16)
 
 
+def assert_same_bound(result, expected):
+    """Two bounds agree bit for bit: rho*, iterations, metric, slack and JSON."""
+    assert (result.rho_star, result.iterations) == (expected.rho_star, expected.iterations)
+    assert np.array_equal(result.metric.values, expected.metric.values)
+    assert np.array_equal(result.slack, expected.slack)
+    assert result.tight_lambda_max == expected.tight_lambda_max
+    assert result.to_json() == expected.to_json()
+
+
+def recorded_calls(monkeypatch, name):
+    """Replace contraction.<name> by a wrapper that records each system it gets."""
+    fn, seen = getattr(contraction, name), []
+    monkeypatch.setattr(contraction, name, lambda system: seen.append(system) or fn(system))
+    return seen
+
+
+# Roots off by more than the last interval, on either side, and far off.
+WRONG_ROOTS = {"above": lambda rho: rho + 1e-6, "below": lambda rho: rho - 1e-6,
+               "far": lambda rho: 0.2, "bracket_end": lambda rho: contraction.SEARCH_LO}
+
+
+class TestRootWalk:
+    """`max_density` walks the bisection path against the last row's root,
+    deciding only near it and confirming both ends, and must return what
+    bisection with `decide` at every midpoint returns."""
+
+    @pytest.mark.parametrize("variant", ["clamped", "rigorous", "as_written"])
+    @pytest.mark.parametrize("L", sorted(set(DECISION_LS) | set(TABLE_LS)))
+    def test_matches_the_bisection_bit_for_bit(self, monkeypatch, L, variant):
+        monkeypatch.setattr(contraction, "assemble", ASSEMBLIES.get(variant, assemble))
+        rigorous = variant == "rigorous"
+        result = max_density(L, rigorous=rigorous)
+        assert_same_bound(result, bisect_density(L, rigorous=rigorous))
+        assert result.rho_star <= result.root <= result.rho_star + result.tol / 8
+
+    @pytest.mark.parametrize("rigorous", [False, True])
+    @pytest.mark.parametrize("wrong", WRONG_ROOTS)
+    def test_a_wrong_root_is_walked_again(self, monkeypatch, wrong, rigorous):
+        expected = bisect_density(64, rigorous=rigorous)
+        root = WRONG_ROOTS[wrong](expected.rho_star)
+        monkeypatch.setattr(contraction, "_root", lambda base: root)
+        decided = recorded_calls(monkeypatch, "decide")
+        result = max_density(64, rigorous=rigorous)
+        assert_same_bound(result, expected)
+        assert result.root == root
+        assert len(decided) > result.iterations  # an end failed, then every midpoint
+
+    def test_infeasible_lower_end_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(contraction, "decide", lambda system: False)
+        with pytest.raises(RuntimeError, match="lower end unexpectedly infeasible"):
+            max_density(16)
+
+    # About six sweeps find the root, two confirm the ends and one builds the
+    # witness; bisection took 22.
+    @pytest.mark.parametrize("rigorous", [False, True])
+    @pytest.mark.parametrize("L", TABLE_LS)
+    def test_sweeps_per_search(self, monkeypatch, L, rigorous):
+        swept = recorded_calls(monkeypatch, "_sweep")
+        result = max_density(L, rigorous=rigorous)
+        assert result.iterations == 20
+        assert len(swept) <= 10, len(swept)
+
+
 class TestSlackReport:
     def test_unit_metric_below_baseline_is_strictly_slack(self):
         system = assemble(0.12, 16)
@@ -585,8 +654,12 @@ class TestMaxDensity:
         result = max_density(16)
         assert not feasible(result.rho_star + result.tol, 16)[0]
 
+    def test_ceiling_from_roots(self):
+        # tests/ceiling.py; the rigorous roots extrapolate less steadily (README).
+        assert abs(extrapolate((512, 1024, 2048)) - 0.15464674705) <= 1e-10
+
     # The bound approaches the method's ceiling RHO_CEILING as c/L (README),
-    # with c = 0.0415 / 0.0421 / 0.0423 at these L.  Scaling g by 1.01 moves
+    # with c = 0.0415 / 0.0420 / 0.0422 at these L.  Scaling g by 1.01 moves
     # c to 0.09 / 0.25 / 0.86, far outside the band.
     @pytest.mark.parametrize("L", [64, 256, 1024])
     def test_ceiling_law(self, L):
@@ -646,29 +719,23 @@ class TestMaxDensity:
 
     @pytest.mark.parametrize("variant", ASSEMBLIES)
     def test_assembles_once_and_probes_share_the_arrays(self, monkeypatch, variant):
-        built, seen = [], []
+        built = []
 
         def counted(*args, _fn=ASSEMBLIES[variant]):
             built.append(_fn(*args))
             return built[-1]
 
-        def recorded(fn):
-            def wrapper(system):
-                seen.append(system)
-                return fn(system)
-            return wrapper
-
         monkeypatch.setattr(contraction, "assemble", counted)
-        for name in ("decide", "witness"):
-            monkeypatch.setattr(contraction, name, recorded(getattr(contraction, name)))
+        swept, decided, witnessed = (recorded_calls(monkeypatch, name)
+                                     for name in ("_sweep", "decide", "witness"))
         result = max_density(64)
         assert len(built) == 1
-        assert len(seen) == result.iterations + 2  # bracket check, probes, witness
+        assert len(swept) <= 10  # the root, the confirmed ends and the witness
         base = built[0]
-        for system in seen:
+        for system in swept + decided + witnessed:
             assert system.head is base.head and system.head_W is base.head_W
             assert system.last is base.last and system.rows is base.rows and system.g is base.g
-        assert seen[-1].rho == result.rho_star
+        assert [system.rho for system in witnessed] == [result.rho_star]
 
     def test_json_fields(self):
         payload = json.loads(max_density(8).to_json())
