@@ -14,8 +14,7 @@ the shared system relabelled with that density, as `ms_per_probe`,
 streams the rows past the stored head, as `ms` with its tracemalloc peak as
 `peak_mb`, and `test_max_density` the whole search (one assembly, the sweeps that
 find the last row's root and confirm the walked bisection path, and the
-witness) as `max_density_ms` with its head sweep count `sweeps`, counted in
-one more, untimed call, each in `extra_info`.
+witness) as `max_density_ms`, each in `extra_info`.
 """
 
 import tracemalloc
@@ -73,10 +72,6 @@ def test_witness(benchmark, L):
 
 
 @pytest.mark.parametrize("L", LS)
-def test_max_density(benchmark, monkeypatch, L):
+def test_max_density(benchmark, L):
     benchmark.pedantic(contraction.max_density, args=(L,), rounds=5, warmup_rounds=1)
     _report(benchmark, "max_density_ms")
-    sweep, swept = contraction._sweep, []
-    monkeypatch.setattr(contraction, "_sweep", lambda system: swept.append(system) or sweep(system))
-    contraction.max_density(L)
-    benchmark.extra_info["sweeps"] = len(swept)

@@ -431,7 +431,9 @@ DECISION_LS = [1, 2, 3, 7, 16, 64, 88, 256]
 
 
 def search_probes(monkeypatch, L, rigorous):
-    """The bound at L and every system that `max_density` decided on the way."""
+    """The bound at L by plain bisection and every system it decided: the
+    bracket's lower end and all 20 midpoints.  `max_density` decides only
+    near the root, so its own calls would leave most of the path unchecked."""
     decide, probes = contraction.decide, []
 
     def recorded(system):
@@ -439,8 +441,9 @@ def search_probes(monkeypatch, L, rigorous):
         return decide(system)
 
     monkeypatch.setattr(contraction, "decide", recorded)
-    result = max_density(L, rigorous=rigorous)
+    result = bisect_density(L, rigorous=rigorous)
     monkeypatch.setattr(contraction, "decide", decide)
+    assert len(probes) == result.iterations + 1
     return result, probes
 
 
