@@ -61,6 +61,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -84,7 +85,8 @@ class ConstraintSystem:
 
     Of the savings rows w it keeps the head rows [0, h) by solve block, block
     b of rows [32b, 32b + 32) cut to the min(k, 32b + 32) columns `_sweep`
-    reads, and the last row; `rows` yields any of them.
+    reads, and the last row; `rows` yields any of them.  `swept`, its `_sweep`,
+    is kept once computed (`replace` makes a system without it).
     """
 
     L: int
@@ -104,6 +106,10 @@ class ConstraintSystem:
     @property
     def grid(self) -> np.ndarray:
         return grid_edges(self.L)[1:]
+
+    @cached_property
+    def swept(self) -> np.ndarray:
+        return _sweep(self)
 
 
 def assemble(rho: float, L: int, rigorous: bool = False) -> ConstraintSystem:
@@ -196,7 +202,7 @@ def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
     """
     cut = system.L // 2  # lam_i = 4i/L <= 2 exactly for the first L // 2 cells
     d = np.zeros(system.L)
-    d[:cut] = np.maximum(_sweep(system)[:cut], system.grid[:cut] / 4.0)
+    d[:cut] = np.maximum(system.swept[:cut], system.grid[:cut] / 4.0)
     for i in range(cut, system.L):
         head = d[:i]  # pairs d_j + d_{i-1-j}; empty only for the single cell of L = 1
         d[i] = max(np.min(head + head[::-1], initial=1.0), d[i - 1])  # d[-1] = 0 at L = 1
@@ -232,7 +238,7 @@ def _last_row(system: ConstraintSystem):
     """The minimal head (lam <= 2) and the last row's unit-density residual
     r = mu + W_L - g_L - sum_j w_Lj d_j, with the columns past the head at d = 1."""
     cut = system.L // 2
-    head = _sweep(system)[:cut]  # the head never references the tail
+    head = system.swept[:cut]  # the head never references the tail
     d = np.ones(system.last.size)
     d[:cut] = head
     return head, (system.mu + system.last_W) - system.g[-1] - system.last @ d
@@ -343,6 +349,7 @@ def max_density(L: int, tol: float = 1e-6, hamming: bool = False,
     # Bisect somewhat past the requested resolution so the returned feasible
     # endpoint sits within tol/8 of the true boundary, not just within tol.
     tol_eff = tol / 8.0
+    at = cache(lambda rho: replace(base, rho=rho))  # one system, so one sweep, per density
     for snap in (SNAP, math.inf):  # the snapped walk, then every midpoint decided
         lo, hi, iterations, decided = SEARCH_LO, SEARCH_HI, 0, {SEARCH_HI}  # mu < 0 at SEARCH_HI
         while hi - lo >= tol_eff:
@@ -350,16 +357,15 @@ def max_density(L: int, tol: float = 1e-6, hamming: bool = False,
             iterations += 1
             if abs(mid - root) <= snap:
                 decided.add(mid)
-                below = decide(replace(base, rho=mid))
+                below = decide(at(mid))
             else:
                 below = mid < root
             lo, hi = (mid, hi) if below else (lo, mid)
-        if ((lo in decided or decide(replace(base, rho=lo)))
-                and (hi in decided or not decide(replace(base, rho=hi)))):
+        if (lo in decided or decide(at(lo))) and (hi in decided or not decide(at(hi))):
             break
     else:  # with every midpoint decided only an undecided lower end can fail
         raise RuntimeError("search bracket lower end unexpectedly infeasible")
-    metric, slack, tight_lambda_max = witness(replace(base, rho=lo))
+    metric, slack, tight_lambda_max = witness(at(lo))
     return BoundResult(
         L=L,
         rho_star=lo,

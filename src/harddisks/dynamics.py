@@ -3,8 +3,9 @@
 One step proposes moving a uniformly random disk to a uniformly random torus
 position and accepts iff the new position is at distance >= 2r from every
 other center.  `run` draws its proposals in numpy blocks, and
-`CellGrid.walk` checks each slice of them on a uniform cell grid as Python
-floats; the tests audit it against brute force (tests/oracles.py).
+`CellGrid.walk` checks each slice of them in Python floats against three
+column strips of a uniform cell grid, the proposal's own strip first; the
+tests audit it against brute force (tests/oracles.py).
 `batch_insert` fills a pool of chains at once, disk-major, through
 geometry.clear_of.
 """
@@ -122,26 +123,27 @@ def random_config(n: int, rho: float, seed) -> Configuration:
 class CellGrid:
     """Uniform spatial hash over the torus with cell side >= 2r.
 
-    Any blocker of a proposal lies in the 3x3 cell block around it, so a
-    membership query touches O(1) candidates at the densities we run.  The
-    nine cell lists of each block are gathered once into `neighbours`; `walk`
-    edits those lists in place, so the table never goes stale.
+    Any blocker of a proposal lies in the 3x3 cell block around it.  Strip
+    (cx, cy) lists the disks of cells (cx, cy - 1), (cx, cy) and (cx, cy + 1),
+    so `neighbours[c]` is the block as three strips, its own first, and
+    `holders[c]` the three strips that list cell c (a strip lists a cell twice
+    or thrice at m <= 2); `walk` edits the strips in place, so none goes stale.
     """
 
     def __init__(self, config: Configuration):
         m = self.m = cells_per_side(config.r)
         self.lim = 4.0 * config.r * config.r
-        self.cells: list[list[int]] = [[] for _ in range(m * m)]
-        self.neighbours = [
-            tuple(self.cells[((cx + dx) % m) * m + (cy + dy) % m]
-                  for dx in (-1, 0, 1) for dy in (-1, 0, 1))
-            for cx in range(m) for cy in range(m)
-        ]
+        strips: list[list[int]] = [[] for _ in range(m * m)]
+        self.neighbours = [tuple(strips[((cx + dx) % m) * m + cy] for dx in (0, -1, 1))
+                           for cx in range(m) for cy in range(m)]
+        self.holders = [tuple(strips[cx * m + (cy + dy) % m] for dy in (-1, 0, 1))
+                        for cx in range(m) for cy in range(m)]
         self.xs = config.centers[:, 0].tolist()
         self.ys = config.centers[:, 1].tolist()
         self.cell_of = self._cells(config.centers)
         for i, c in enumerate(self.cell_of):
-            self.cells[c].append(i)
+            for strip in self.holders[c]:
+                strip.append(i)
 
     def _cells(self, pts) -> list[int]:
         """Cell of each point, equal to int(x * m) % m per coordinate."""
@@ -158,12 +160,12 @@ class CellGrid:
         is its minimal image, equal bit for bit to `e - round(e)`.
         """
         xs, ys, lim = self.xs, self.ys, self.lim
-        cells, cell_of, neighbours = self.cells, self.cell_of, self.neighbours
+        cell_of, neighbours, holders = self.cell_of, self.neighbours, self.holders
         accepted = 0
         for i, x, y, c in zip(idx.tolist(), pts[:, 0].tolist(), pts[:, 1].tolist(),
                               self._cells(pts)):
-            for cell in neighbours[c]:
-                for j in cell:
+            for strip in neighbours[c]:
+                for j in strip:
                     if j == i:
                         continue
                     ex = xs[j] - x
@@ -184,8 +186,10 @@ class CellGrid:
             else:
                 old = cell_of[i]
                 if c != old:
-                    cells[old].remove(i)
-                    cells[c].append(i)
+                    for strip in holders[old]:
+                        strip.remove(i)
+                    for strip in holders[c]:
+                        strip.append(i)
                     cell_of[i] = c
                 xs[i] = x
                 ys[i] = y

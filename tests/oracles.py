@@ -29,10 +29,12 @@ scalar or independent route to the same result:
   single-disk chain.  test_dynamics and criterion 8 audit
   `dynamics.CellGrid.walk`, one proposal at a time, against
   `move_allowed_bruteforce`.
-- `ScalarCellGrid`: the cell grid with one-proposal `allowed` and `move`,
-  each computing the proposal's cell in Python.  test_dynamics checks
-  `dynamics.run` against a step loop over its `move`, and the verdicts and
-  cells of `CellGrid.walk` at cell edges against it.
+- `ScalarCellGrid`: the 3x3 cell-list grid that `dynamics.CellGrid`
+  replaced with column strips, with one-proposal `allowed` and `move`, each
+  computing the proposal's cell in Python.  test_dynamics checks
+  `dynamics.run` against a brute-force step loop over its `move`, and the
+  verdicts, cells and coordinates of `CellGrid.walk` at cell edges against
+  it.
 - `check_axioms_looped`: the metric axioms checked one pair (i, j) at a
   time; test_metric checks the row-vectorized `metric.check_axioms` against
   it, violation lists and their order included.
@@ -83,8 +85,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from harddisks import contraction, coupling
-from harddisks.dynamics import CellGrid, Configuration, radius_for_density, random_config
-from harddisks.geometry import clear_of, crescent_area, min_image_array, outside_zone_area
+from harddisks.dynamics import Configuration, radius_for_density, random_config
+from harddisks.geometry import cells_per_side, clear_of, crescent_area, min_image_array, outside_zone_area
 from harddisks.metric import AXIOM_TOL, AxiomReport, PiecewiseMetric, grid_edges
 
 # --- torus geometry, in absolute units ---------------------------------------
@@ -319,13 +321,31 @@ def step(config: Configuration, rng) -> tuple[Configuration, bool]:
     return config, False
 
 
-class ScalarCellGrid(CellGrid):
-    """`dynamics.CellGrid` that checks and applies one proposal at a time.
+class ScalarCellGrid:
+    """The cell grid as `dynamics.CellGrid` kept it before its column strips,
+    checking and applying one proposal at a time.
 
-    `allowed` and `move` each compute the proposal's cell in Python;
-    `CellGrid.walk` inlines both over a slice of proposals and takes the
-    cells of the slice from numpy.
+    A list per cell, and the nine cell lists of the 3x3 block around each
+    cell gathered into `neighbours`; `allowed` and `move` each compute the
+    proposal's cell in Python.  `CellGrid.walk` reads three column strips
+    instead, inlines both over a slice of proposals and takes the cells of
+    the slice from numpy.
     """
+
+    def __init__(self, config: Configuration):
+        m = self.m = cells_per_side(config.r)
+        self.lim = 4.0 * config.r * config.r
+        self.cells: list[list[int]] = [[] for _ in range(m * m)]
+        self.neighbours = [
+            tuple(self.cells[((cx + dx) % m) * m + (cy + dy) % m]
+                  for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+            for cx in range(m) for cy in range(m)
+        ]
+        self.xs = config.centers[:, 0].tolist()
+        self.ys = config.centers[:, 1].tolist()
+        self.cell_of = [self._cell(x, y) for x, y in zip(self.xs, self.ys)]
+        for i, c in enumerate(self.cell_of):
+            self.cells[c].append(i)
 
     def _cell(self, x: float, y: float) -> int:
         return (int(x * self.m) % self.m) * self.m + (int(y * self.m) % self.m)

@@ -417,7 +417,7 @@ class TestRepairedMetric:
 
         monkeypatch.setattr(contraction, "_sweep", recorded)
         repaired = contraction.repaired_metric(system).values
-        contraction.decide(system)  # the decision sweeps the same head
+        contraction.decide(dataclasses.replace(system))  # a fresh copy, which sweeps the same head
         h, cut = system.head_W.size, L // 2
         assert [len(d) for d in swept] == [h, h] and np.array_equal(swept[1], swept[0])
         assert h == L or h % SOLVE_BLOCK == 0
@@ -532,25 +532,30 @@ class TestRootWalk:
         root = WRONG_ROOTS[wrong](expected.rho_star)
         monkeypatch.setattr(contraction, "_root", lambda base: root)
         decided = recorded_calls(monkeypatch, "decide")
+        swept = recorded_calls(monkeypatch, "_sweep")
         result = max_density(64, rigorous=rigorous)
         assert_same_bound(result, expected)
         assert result.root == root
         assert len(decided) > result.iterations  # an end failed, then every midpoint
+        rhos = [system.rho for system in swept]  # the witness reuses the walk's sweep of rho*
+        assert len(set(rhos)) == len(rhos) and result.rho_star in rhos
 
     def test_infeasible_lower_end_is_an_error(self, monkeypatch):
         monkeypatch.setattr(contraction, "decide", lambda system: False)
         with pytest.raises(RuntimeError, match="lower end unexpectedly infeasible"):
             max_density(16)
 
-    # About six sweeps find the root, two confirm the ends and one builds the
-    # witness; bisection took 22.
+    # About six sweeps find the root and two confirm the ends; the witness
+    # reuses the lower end's sweep.  Bisection took 22.
     @pytest.mark.parametrize("rigorous", [False, True])
     @pytest.mark.parametrize("L", TABLE_LS)
     def test_sweeps_per_search(self, monkeypatch, L, rigorous):
         swept = recorded_calls(monkeypatch, "_sweep")
         result = max_density(L, rigorous=rigorous)
         assert result.iterations == 20
-        assert len(swept) <= 10, len(swept)
+        assert len(swept) <= 9, len(swept)
+        rhos = [system.rho for system in swept]
+        assert len(set(rhos)) == len(rhos), rhos  # no density is swept twice
 
 
 class TestSlackReport:
@@ -733,7 +738,7 @@ class TestMaxDensity:
                                      for name in ("_sweep", "decide", "witness"))
         result = max_density(64)
         assert len(built) == 1
-        assert len(swept) <= 10  # the root, the confirmed ends and the witness
+        assert len(swept) <= 9  # the root and the confirmed ends; the witness reuses one
         base = built[0]
         for system in swept + decided + witnessed:
             assert system.head is base.head and system.head_W is base.head_W

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,35 +53,26 @@ def reference_batch_insert(B, n, rho, rng):
     return centers
 
 
-def reference_allowed(grid, i, x, y):
-    """ScalarCellGrid.allowed on numpy scalars: block cells by %, wrap by round."""
-    m = grid.m
-    cx, cy = int(x * m) % m, int(y * m) % m
-    lim = grid.lim
-    for dx in (-1, 0, 1):
-        gx = ((cx + dx) % m) * m
-        for dy in (-1, 0, 1):
-            for j in grid.cells[gx + (cy + dy) % m]:
-                if j == i:
-                    continue
-                ex = grid.xs[j] - x
-                ex -= round(ex)
-                ey = grid.ys[j] - y
-                ey -= round(ey)
-                if ex * ex + ey * ey < lim:
-                    return False
-    return True
+def reference_allowed(P, lim, i, x, y):
+    """Is center i allowed to move to (x, y)?  Brute force over every other
+    center of P, shape (2, n), each coordinate difference wrapped by round."""
+    e = P - [[x], [y]]
+    e -= np.round(e)
+    dist2 = e[0] * e[0] + e[1] * e[1]
+    dist2[i] = np.inf  # the moved disk's own old position never blocks
+    return bool((dist2 >= lim).all())
 
 
 def reference_run(config, steps, seed):
     """The step loop of run() as it read before its Python-float rewrite.
 
     Same draws (per block: all indices, then all positions), but every step
-    reads numpy scalars out of the block arrays and moves through the scalar
-    cell-grid oracle.
+    reads numpy scalars out of the block arrays, is decided by brute force
+    and moves through the 3x3 cell-list oracle.
     """
     rng = np.random.default_rng(seed)
     grid = ScalarCellGrid(config)
+    P = config.centers.T.copy()
     accepted = 0
     done = 0
     while done < steps:
@@ -90,8 +82,9 @@ def reference_run(config, steps, seed):
         for k in range(todo):
             i = int(idx[k])
             x, y = pts[k]
-            if reference_allowed(grid, i, x, y):
+            if reference_allowed(P, grid.lim, i, x, y):
                 grid.move(i, x, y)
+                P[:, i] = x, y
                 accepted += 1
         done += todo
     centers = np.column_stack([grid.xs, grid.ys])
@@ -110,6 +103,29 @@ def assert_pair_distance_law(samples, r):
     expect = (edges[1:] ** 2 - edges[:-1] ** 2)
     expect = expect / expect.sum() * counts.sum()
     assert stats.chisquare(counts, expect).pvalue > 0.01
+
+
+def assert_strips_hold_their_cells(grid):
+    """Each disk lies in exactly the three strips of its cell, with multiplicity.
+
+    Strip (cx, cy), the first of neighbours[cx * m + cy], must list each disk
+    once per cell of (cx, cy - 1), (cx, cy), (cx, cy + 1) that holds it; the
+    block of a cell is its own strip, then those at cx - 1 and cx + 1, and
+    the strips that hold it are those at cy - 1, cy and cy + 1.
+    """
+    m = grid.m
+    assert grid.cell_of == [(int(x * m) % m) * m + int(y * m) % m
+                            for x, y in zip(grid.xs, grid.ys)]
+    strips = [block[0] for block in grid.neighbours]
+    for cx in range(m):
+        for cy in range(m):
+            c = cx * m + cy
+            column = [cx * m + (cy + dy) % m for dy in (-1, 0, 1)]
+            block = [((cx + dx) % m) * m + cy for dx in (0, -1, 1)]
+            want = Counter(j for k in column for j, cj in enumerate(grid.cell_of) if cj == k)
+            assert Counter(strips[c]) == want, (cx, cy)
+            assert [id(s) for s in grid.neighbours[c]] == [id(strips[k]) for k in block]
+            assert [id(s) for s in grid.holders[c]] == [id(strips[k]) for k in column]
 
 
 def walk_one(grid, i, x, y):
@@ -289,9 +305,11 @@ class TestCellGrid:
                 if ok:
                     config = replaced(config, i, (x, y))
 
-    @pytest.mark.parametrize("n, rho, m", [(2, 0.2, 2), (3, 0.2, 3), (8, 0.2, 5), (8, 0.1, 7)])
+    @pytest.mark.parametrize("n, rho, m",
+                             [(1, 0.2, 1), (2, 0.2, 2), (3, 0.2, 3), (8, 0.2, 5), (8, 0.1, 7)])
     def test_small_grids_match_bruteforce(self, n, rho, m):
-        # m < 8 only occurs at 8r > 1/2; at m = 2 the 3 x 3 table lists each cell more than once
+        # m < 8 only occurs at 8r > 1/2; at m <= 2 a strip lists a cell more
+        # than once, and at m = 1 the block is one strip listed three times
         config = random_config(n, rho, seed=m)
         grid = CellGrid(config)
         assert grid.m == m
@@ -304,7 +322,8 @@ class TestCellGrid:
             if ok:
                 config = replaced(config, i, (x, y))
         assert np.array_equal(np.column_stack([grid.xs, grid.ys]), config.centers)
-        assert sorted(sum(grid.cells, [])) == list(range(n))
+        assert grid.cell_of == ScalarCellGrid(config).cell_of
+        assert_strips_hold_their_cells(grid)
 
     def test_wrap_edge_cases_match_bruteforce(self):
         r = 0.02
@@ -351,7 +370,7 @@ class TestCellGrid:
         assert accepted == sum(single.walk(idx[k:k + 1], pts[k:k + 1])
                                for k in range(len(idx)))
         assert 0 < accepted < len(idx)
-        for name in ("xs", "ys", "cell_of", "cells"):
+        for name in ("xs", "ys", "cell_of", "neighbours"):
             assert getattr(whole, name) == getattr(single, name), name
 
     def test_cell_edges_match_scalar_oracle(self):
@@ -372,9 +391,20 @@ class TestCellGrid:
                 if ok:
                     oracle.move(i, x, y)
                 verdicts.append(ok)
-                assert grid.cell_of == oracle.cell_of and grid.cells == oracle.cells
-        assert grid.xs == oracle.xs and grid.ys == oracle.ys
+                assert grid.cell_of == oracle.cell_of
+                assert grid.xs == oracle.xs and grid.ys == oracle.ys
+        assert_strips_hold_their_cells(grid)
         assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("n, rho", [(1, 0.2), (2, 0.2), (3, 0.2), (64, 0.15)])
+    def test_strips_hold_their_cells_after_walks(self, n, rho):
+        config = random_config(n, rho, seed=24 + n)
+        grid = CellGrid(config)
+        assert_strips_hold_their_cells(grid)
+        rng = np.random.default_rng(24 + n)
+        for _ in range(20):
+            assert grid.walk(rng.integers(n, size=500), rng.random((500, 2))) > 0
+            assert_strips_hold_their_cells(grid)
 
 
 class TestRun:
