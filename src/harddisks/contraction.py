@@ -85,8 +85,7 @@ class ConstraintSystem:
 
     Of the savings rows w it keeps the head rows [0, h) by solve block, block
     b of rows [32b, 32b + 32) cut to the min(k, 32b + 32) columns `_sweep`
-    reads, and the last row; `rows` yields any of them.  `swept`, its `_sweep`,
-    is kept once computed (`replace` makes a system without it).
+    reads, and the last row; `rows` yields any of them, and `swept` its sweep.
     """
 
     L: int
@@ -108,7 +107,7 @@ class ConstraintSystem:
         return grid_edges(self.L)[1:]
 
     @cached_property
-    def swept(self) -> np.ndarray:
+    def swept(self) -> np.ndarray:  # kept once computed; `replace` starts afresh
         return _sweep(self)
 
 
@@ -351,19 +350,15 @@ def max_density(L: int, tol: float = 1e-6, hamming: bool = False,
     tol_eff = tol / 8.0
     at = cache(lambda rho: replace(base, rho=rho))  # one system, so one sweep, per density
     for snap in (SNAP, math.inf):  # the snapped walk, then every midpoint decided
-        lo, hi, iterations, decided = SEARCH_LO, SEARCH_HI, 0, {SEARCH_HI}  # mu < 0 at SEARCH_HI
+        lo, hi, iterations = SEARCH_LO, SEARCH_HI, 0
         while hi - lo >= tol_eff:
             mid = 0.5 * (lo + hi)
             iterations += 1
-            if abs(mid - root) <= snap:
-                decided.add(mid)
-                below = decide(at(mid))
-            else:
-                below = mid < root
+            below = decide(at(mid)) if abs(mid - root) <= snap else mid < root
             lo, hi = (mid, hi) if below else (lo, mid)
-        if (lo in decided or decide(at(lo))) and (hi in decided or not decide(at(hi))):
+        if decide(at(lo)) and (hi == SEARCH_HI or not decide(at(hi))):  # mu < 0 at SEARCH_HI
             break
-    else:  # with every midpoint decided only an undecided lower end can fail
+    else:  # with every midpoint decided only the lower end SEARCH_LO can fail
         raise RuntimeError("search bracket lower end unexpectedly infeasible")
     metric, slack, tight_lambda_max = witness(at(lo))
     return BoundResult(

@@ -2,10 +2,9 @@
 
 One step proposes moving a uniformly random disk to a uniformly random torus
 position and accepts iff the new position is at distance >= 2r from every
-other center.  `run` draws its proposals in numpy blocks, and
-`CellGrid.walk` checks each slice of them in Python floats against three
-column strips of a uniform cell grid, the proposal's own strip first; the
-tests audit it against brute force (tests/oracles.py).
+other center.  `run` draws its proposals in numpy blocks, and `CellGrid.walk`
+checks each slice in Python floats against three column strips of a cell
+grid, centre first; the tests audit it against brute force (tests/oracles.py).
 `batch_insert` fills a pool of chains at once, disk-major, through
 geometry.clear_of.
 """
@@ -125,9 +124,8 @@ class CellGrid:
 
     Any blocker of a proposal lies in the 3x3 cell block around it.  Strip
     (cx, cy) lists the disks of cells (cx, cy - 1), (cx, cy) and (cx, cy + 1),
-    so `neighbours[c]` is the block as three strips, its own first, and
-    `holders[c]` the three strips that list cell c (a strip lists a cell twice
-    or thrice at m <= 2); `walk` edits the strips in place, so none goes stale.
+    a cell twice or thrice at m <= 2; `neighbours[c]` is the block as three
+    strips, c's own first, and `walk` edits the three in `holders[c]`.
     """
 
     def __init__(self, config: Configuration):
@@ -186,10 +184,14 @@ class CellGrid:
             else:
                 old = cell_of[i]
                 if c != old:
-                    for strip in holders[old]:
-                        strip.remove(i)
-                    for strip in holders[c]:
-                        strip.append(i)
+                    a, b, d = holders[old]
+                    a.remove(i)
+                    b.remove(i)
+                    d.remove(i)
+                    a, b, d = holders[c]
+                    a.append(i)
+                    b.append(i)
+                    d.append(i)
                     cell_of[i] = c
                 xs[i] = x
                 ys[i] = y
