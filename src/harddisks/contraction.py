@@ -185,6 +185,7 @@ def _sweep(system: ConstraintSystem) -> np.ndarray:
         block = np.diag(diag[start:stop])
         block[:, : inside.shape[1]] -= inside
         d[start:stop] = np.linalg.solve(block, rhs)
+    d.flags.writeable = False  # a system keeps it as `swept`
     return d
 
 
