@@ -6,9 +6,9 @@
 `test_run` times `dynamics.run` for RUN_BLOCK steps at n = 64, ρ = 0.15 (the
 `simulate` settings of perfbench) from one fixed configuration and seed, and
 reports `ns_per_step`; past the draws, every step runs inside
-`CellGrid.walk`, 16 calls of RUN_SLICE proposals.  It read {NS_HEAD} ns per step
-with three column strips per proposal against {NS_BASE} ns with nine cell
-lists (2-vCPU Xeon, BENCH_32.json).  `test_batch_insert` times the random sequential
+`CellGrid.walk`, 16 calls of RUN_SLICE proposals.  It read 496 ns per step
+with three column strips per proposal against 582 ns with nine cell lists
+(2-vCPU Xeon, BENCH_32.json).  `test_batch_insert` times the random sequential
 insertion of a pool of coupling.BATCH chains at n = 32, ρ = 0.14 (the
 estimator's pool) and reports `ns_per_chain_disk`.  Both go into
 `extra_info`.

@@ -184,14 +184,14 @@ class CellGrid:
             else:
                 old = cell_of[i]
                 if c != old:
-                    a, b, d = holders[old]
-                    a.remove(i)
-                    b.remove(i)
-                    d.remove(i)
-                    a, b, d = holders[c]
-                    a.append(i)
-                    b.append(i)
-                    d.append(i)
+                    s0, s1, s2 = holders[old]
+                    s0.remove(i)
+                    s1.remove(i)
+                    s2.remove(i)
+                    s0, s1, s2 = holders[c]
+                    s0.append(i)
+                    s1.append(i)
+                    s2.append(i)
                     cell_of[i] = c
                 xs[i] = x
                 ys[i] = y

@@ -86,7 +86,13 @@ import numpy as np
 
 from harddisks import contraction, coupling
 from harddisks.dynamics import Configuration, radius_for_density, random_config
-from harddisks.geometry import cells_per_side, clear_of, crescent_area, min_image_array, outside_zone_area
+from harddisks.geometry import (
+    cells_per_side,
+    clear_of,
+    crescent_area,
+    min_image_array,
+    outside_zone_area,
+)
 from harddisks.metric import AXIOM_TOL, AxiomReport, PiecewiseMetric, grid_edges
 
 # --- torus geometry, in absolute units ---------------------------------------

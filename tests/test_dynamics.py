@@ -128,6 +128,13 @@ def assert_strips_hold_their_cells(grid):
             assert [id(s) for s in grid.holders[c]] == [id(strips[k]) for k in column]
 
 
+def strips_of(oracle):
+    """The sorted strips that CellGrid keeps, built from the 3x3 oracle's cell lists."""
+    m, cells = oracle.m, oracle.cells
+    return [sorted(cells[cx * m + (cy - 1) % m] + cells[cx * m + cy] + cells[cx * m + (cy + 1) % m])
+            for cx in range(m) for cy in range(m)]
+
+
 def walk_one(grid, i, x, y):
     """Offer CellGrid.walk the single proposal (i, (x, y)); was it accepted?"""
     return grid.walk(np.array([i]), np.array([[x, y]])) == 1
@@ -393,6 +400,7 @@ class TestCellGrid:
                 verdicts.append(ok)
                 assert grid.cell_of == oracle.cell_of
                 assert grid.xs == oracle.xs and grid.ys == oracle.ys
+                assert [sorted(block[0]) for block in grid.neighbours] == strips_of(oracle)
         assert_strips_hold_their_cells(grid)
         assert any(verdicts) and not all(verdicts)
 
