@@ -126,23 +126,22 @@ def crescent_area(lam):
 
 def outside_zone_area(s, lam):
     """Area of the disk of radius s about y1 outside the danger zone (radius 2)
-    of a center lam away: pi s^2 minus the circle-circle lens.  It integrates
-    the savings kernel 2 (pi - theta(u, lam)) u over [0, s], where theta is the
-    half-angle at y1 of the part of the circle of radius u that lies inside
-    the zone; at s = 2 it is the crescent area.  s and lam are scalars or
-    arrays that broadcast together.
+    of a center lam away, for s, lam >= 0: pi s^2 minus the circle-circle lens.
+    It integrates the savings kernel 2 (pi - theta(u, lam)) u over [0, s],
+    where theta is the half-angle at y1 of the part of the circle of radius u
+    that lies inside the zone; at s = 2 it is the crescent area.  s and lam are
+    scalars or arrays that broadcast together.
 
-    Each branch is evaluated on its own entries only: disjoint circles share
-    no lens, nested ones the smaller disk, and only the crossing entries take
-    the arccos/sin lens formula.
+    One closed form holds on every branch:
+    s^2 atan2(q, 4 - lam^2 - s^2) - 4 atan2(q, lam^2 + 4 - s^2) + q/2, where
+    q = sqrt((s + 2 - lam)(lam + s - 2)(lam - s + 2)(lam + s + 2)) is four
+    times the area of the triangle (s, lam, 2), taken as 0 where the circles
+    do not cross.  With q = 0 the atan2 terms are 0 or pi by the signs of
+    their second arguments, which gives pi s^2 for disjoint circles, 0 inside
+    the zone and pi (s^2 - 4) around it; tangent circles lose no digits.
     """
-    s, lam = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(lam, dtype=float))
-    meet = lam < s + 2.0
-    m = np.minimum(s, 2.0)
-    lens = np.where(meet, np.pi * m * m, 0.0)
-    cross = meet & (np.abs(s - 2.0) < lam)
-    sc, lc = s[cross], lam[cross]
-    alpha = np.arccos(np.clip((lc * lc + sc * sc - 4.0) / (2.0 * lc * sc), -1.0, 1.0))
-    beta = np.arccos(np.clip((lc * lc + 4.0 - sc * sc) / (4.0 * lc), -1.0, 1.0))
-    lens[cross] = sc * sc * alpha + 4.0 * beta - lc * sc * np.sin(alpha)
-    return np.pi * s * s - lens
+    s = np.asarray(s, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    s2, l2 = s * s, lam * lam
+    q = np.sqrt(np.maximum(0.0, (s + 2.0 - lam) * (lam + s - 2.0) * (lam - s + 2.0) * (lam + s + 2.0)))
+    return s2 * np.arctan2(q, 4.0 - l2 - s2) - 4.0 * np.arctan2(q, l2 + 4.0 - s2) + 0.5 * q

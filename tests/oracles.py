@@ -16,12 +16,16 @@ scalar or independent route to the same result:
   2 (pi - theta(u, lam)) u.  test_geometry checks that
   `geometry.outside_zone_area` is its antiderivative, and test_contraction
   checks `contraction.assemble` against quadratures of it.
-- `outside_zone_area_every_branch`: the savings antiderivative with the
-  arccos/sin lens evaluated on every entry and the branch picked after.
-  test_geometry checks that `geometry.outside_zone_area`, which evaluates
-  each branch on its own entries only, equals it bit for bit; the
-  `assemble_dense` oracle calls the package kernel and so cannot see a
-  change in it.
+- `outside_zone_area_every_branch`, `outside_zone_area_mp`: the savings
+  antiderivative in its branchwise arccos/sin form, evaluated on every entry
+  with the branch picked after, and at one point in 40-digit mpmath with the
+  branch picked exactly.  test_geometry checks that `geometry.outside_zone_area`,
+  one atan2 closed form on every branch, is within 3e-14 of the mpmath
+  reference at every tangent entry of the assembly grids and on a grid of
+  every branch, and within 1e-12 of the arccos form elsewhere on the
+  assembly grids (at tangency the arccos form itself is off by up to
+  7.1e-7); the `assemble_dense` oracle calls the package kernel and so
+  cannot see a change in it.
 - `uniform_crescent_proposals`: the crescent stratum drawn i.i.d. uniform
   by rejection, a drop-in for `coupling._draw_proposals`.  test_coupling
   checks that the weighted lattice points of the package vary less than it.
@@ -82,6 +86,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import mpmath
 import numpy as np
 
 from harddisks import contraction, coupling
@@ -245,6 +250,28 @@ def outside_zone_area_every_branch(s, lam):
     lens = np.where(cross, sc * sc * alpha + 4.0 * beta - lc * sc * np.sin(alpha),
                     np.where(lam < s + 2.0, np.pi * m * m, 0.0))
     return np.pi * s * s - lens
+
+
+def outside_zone_area_mp(s: float, lam: float) -> float:
+    """geometry.outside_zone_area at one point (s, lam >= 0) in 40-digit
+    mpmath, rounded to a float.
+
+    The branch is picked from exact comparisons of the float inputs, and a
+    crossing lens takes the arccos/sin formula, whose cosines are clamped to
+    [-1, 1] only where the 40-digit arithmetic rounds past them.  About 50 us
+    per call.
+    """
+    with mpmath.workdps(40):
+        s, lam = mpmath.mpf(s), mpmath.mpf(lam)
+        if lam >= s + 2:
+            lens = mpmath.mpf(0)
+        elif lam <= abs(s - 2):
+            lens = mpmath.pi * min(s, mpmath.mpf(2)) ** 2
+        else:
+            alpha = mpmath.acos(max(-1, min(1, (lam * lam + s * s - 4) / (2 * lam * s))))
+            beta = mpmath.acos(max(-1, min(1, (lam * lam + 4 - s * s) / (4 * lam))))
+            lens = s * s * alpha + 4 * beta - lam * s * mpmath.sin(alpha)
+        return float(mpmath.pi * s * s - lens)
 
 
 def uniform_crescent_proposals(P, y1, ell_over_r: float, r: float, rng):

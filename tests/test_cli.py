@@ -130,8 +130,8 @@ METRIC16_REPORT_PIN = """{
     0.0,
     0.0,
     3.12250225676e-18,
-    -3.33066907388e-17,
-    -1.66533453694e-17,
+    3.33066907388e-17,
+    6.66133814775e-17,
     -6.66133814775e-17,
     0.0680426123635,
     0.130422860012,
@@ -170,6 +170,10 @@ METRIC16_OVERLAY_PIN = """lambda_right,d,d_analytic
 0.75,0.35599007156,0.355989181585
 1,0.4724447174,0.472443536289
 """
+
+# SHA-256 of the CSV that `metric --L 256 --rho 0.1544` writes: the input
+# metric that perfbench's couple_cold and ell_sweep workloads set up.
+METRIC256_CSV_SHA256 = "a2781a6f8a74104e3e113d00a789dc44c601a5e7a1c62a3b18e6b9df19387841"
 
 
 PUBLIC_NAMES = [
@@ -213,7 +217,7 @@ class TestPublicSurface:
     def test_cli_import_loads_no_test_code(self, tmp_path):
         for argv in (None, ["--help"]):
             modules = self.loaded_modules(tmp_path, argv)
-            assert not modules & {"scipy", "pytest", "oracles"}
+            assert not modules & {"scipy", "pytest", "oracles", "mpmath"}
             # nor numpy, nor any compute module: each command imports what it runs
             assert "numpy" not in modules
             assert {m for m in modules if m.startswith("harddisks")} == {"harddisks", "harddisks.cli"}
@@ -232,6 +236,7 @@ class TestPublicSurface:
         modules = self.loaded_modules(tmp_path, argv)
         assert "numpy" in modules
         assert not modules & {f"harddisks.{m}" for m in absent}
+        assert "mpmath" not in modules  # the 40-digit references are test code
 
     def test_dir_lists_the_public_names(self):
         assert set(harddisks.__all__) <= set(dir(harddisks))
@@ -366,6 +371,11 @@ class TestMetric:
         assert (tmp_path / "m.csv.report.json").read_text() == METRIC16_REPORT_PIN
         assert out.read_text() == METRIC16_CSV_PIN
         assert (tmp_path / "m.csv.overlay.csv").read_text() == METRIC16_OVERLAY_PIN
+
+    def test_benchmark_input_pinned(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert run_cli(["metric", "--L", "256", "--rho", "0.1544", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == METRIC256_CSV_SHA256
 
     def test_small_instance(self, tmp_path):
         out = tmp_path / "m.csv"

@@ -26,6 +26,7 @@ from oracles import (
     free_grid_bruteforce,
     min_image,
     outside_zone_area_every_branch,
+    outside_zone_area_mp,
     reflect_across_bisector,
     shifted_grid,
     torus_dist,
@@ -188,47 +189,93 @@ class TestOutsideZoneArea:
                 assert slope == pytest.approx(kernel, abs=1e-6), (u, lam)
 
 
-class TestOutsideZoneAreaBranches:
-    """The branch-by-branch kernel equals the every-branch reference bit for bit."""
+def tangent_entries(L, rigorous):
+    """Where the assembly grid of L (u = 4p/L, rows lam = 4q/L) meets a
+    tangency in exact arithmetic: lam = 2 - u (internal) or lam = u + 2
+    (external).  Returns the grid's (s, lam) and the mask of those entries."""
+    edges = grid_edges(L)
+    p = np.arange(L)[None, :]
+    q = (np.arange(L) if rigorous else np.arange(1, L + 1))[:, None]
+    tangent = ((2 * (p + q) == L) & (2 * p < L)) | (2 * q == 2 * p + L)
+    s, lam = np.broadcast_arrays(np.minimum(edges[:-1], 2.0)[None, :],
+                                 (edges[:-1] if rigorous else edges[1:])[:, None])
+    return s, lam, tangent
 
-    @staticmethod
-    def assert_same(s, lam):
-        got, ref = outside_zone_area(s, lam), outside_zone_area_every_branch(s, lam)
-        assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
-        assert np.array_equal(got, ref), np.max(np.abs(np.subtract(got, ref)))
+
+def branch_grid():
+    """Every branch and its boundaries: a body grid of (s, lam), then the
+    exact boundaries lam = |s - 2| (internal tangency) and lam = s + 2
+    (external).  Returns (body s, body lam), (boundary s, boundary lam)."""
+    s = np.concatenate([np.linspace(0.0, 5.0, 201), [2.0 - 1e-15, 2.0 + 1e-15, 3.9]])
+    lam = np.concatenate([np.linspace(0.0, 4.0, 161), [1e-300, 4.0 - 1e-15]])
+    S, LAM = np.meshgrid(s, lam, indexing="ij")
+    edge_s = s[(s <= 4.0) & (s != 2.0)]
+    boundary = (np.concatenate([edge_s, s[s <= 2.0]]),
+                np.concatenate([np.abs(edge_s - 2.0), s[s <= 2.0] + 2.0]))
+    return (S.ravel(), LAM.ravel()), boundary
+
+
+class TestOutsideZoneAreaBranches:
+    """The closed form against a 40-digit reference at tangency and on every
+    branch, against the arccos oracle away from tangency, and exactly at the
+    degenerate points."""
+
+    TOL = 3e-14
+
+    def assert_near_reference(self, s, lam):
+        got = outside_zone_area(s, lam)
+        ref = np.array([outside_zone_area_mp(a, b) for a, b in zip(s, lam)])
+        assert np.max(np.abs(got - ref), initial=0.0) <= self.TOL, np.max(np.abs(got - ref))
+
+    @pytest.mark.parametrize("rigorous", [False, True])
+    def test_tangent_entries_of_the_assembly(self, rigorous):
+        count = 0
+        for L in [*range(1, 101), 256, 1024, 1170]:
+            s, lam, tangent = tangent_entries(L, rigorous)
+            self.assert_near_reference(s[tangent], lam[tangent])
+            count += np.count_nonzero(tangent)
+        assert count == (4947 if rigorous else 5000)
 
     def test_grid_covers_every_branch_and_boundary(self):
-        s = np.concatenate([np.linspace(0.0, 5.0, 201), [2.0 - 1e-15, 2.0 + 1e-15, 3.9]])
-        lam = np.concatenate([np.linspace(0.0, 4.0, 161), [1e-300, 4.0 - 1e-15]])
-        S, LAM = np.meshgrid(s, lam, indexing="ij")
-        # the exact boundaries: internal tangency lam = |s - 2| and external lam = s + 2
-        edge_s = s[(s <= 4.0) & (s != 2.0)]
-        S = np.concatenate([S.ravel(), edge_s, s[s <= 2.0]])
-        LAM = np.concatenate([LAM.ravel(), np.abs(edge_s - 2.0), s[s <= 2.0] + 2.0])
+        (S, LAM), (edge_s, edge_lam) = branch_grid()
         cross = (np.abs(S - 2.0) < LAM) & (LAM < S + 2.0)
         nested = ~cross & (LAM < S + 2.0)
         assert cross.any() and nested.any() and (LAM >= S + 2.0).any()
-        assert {0.0, 2.0} <= set(S) and {0.0, 4.0} <= set(LAM)
-        self.assert_same(S, LAM)
+        assert {0.0, 2.0} <= set(S) and {0.0, 1e-300, 4.0} <= set(LAM)
+        self.assert_near_reference(edge_s, edge_lam)
+        # the body's linspace values meet tangencies only up to rounding,
+        # where the arccos oracle loses digits; the reference does not
+        self.assert_near_reference(S[::11], LAM[::11])
 
     @pytest.mark.parametrize("rigorous", [False, True])
-    def test_rows_and_edges_of_the_assembly(self, rigorous):
-        for L in [*range(1, 41), 64, 88, 100]:
-            edges = grid_edges(L)
-            u = np.minimum(edges[:-1], 2.0)
-            rows_lam = edges[:-1] if rigorous else edges[1:]
-            self.assert_same(u[None, :], rows_lam[:, None])
+    def test_arccos_oracle_away_from_tangency(self, rigorous):
+        for L in [*range(1, 101), 256, 1024, 1170]:
+            s, lam, tangent = tangent_entries(L, rigorous)
+            got, ref = outside_zone_area(s, lam), outside_zone_area_every_branch(s, lam)
+            assert np.max(np.abs(got - ref)[~tangent], initial=0.0) <= 1e-12, L
+
+    @pytest.mark.parametrize("s, lam, area", [
+        (2.0, 0.0, 0.0), (2.0, 1e-300, 0.0), (0.0, 0.0, 0.0), (0.0, 2.0, 0.0), (1.0, 1.0, 0.0),
+        (3.0, 0.0, 5.0 * math.pi), (2.0, 4.0, 4.0 * math.pi),
+    ])
+    def test_exact_at_degenerate_points(self, s, lam, area):
+        assert outside_zone_area(s, lam) == area
 
     def test_scalar_and_broadcast_inputs(self):
+        def assert_same_form(s, lam):
+            got, ref = outside_zone_area(s, lam), outside_zone_area_every_branch(s, lam)
+            assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+
         for s, lam in [(0.5, 1.5), (0.5, 3.0), (3.5, 1.0), (1.0, 1.0), (2.0, 0.0), (0.0, 2.0),
                        (1.0, 3.0), (1.0, 4.0)]:
-            self.assert_same(s, lam)
-            self.assert_same(np.float64(s), np.array(lam))
+            assert_same_form(s, lam)
+            assert_same_form(np.float64(s), np.array(lam))
         s = np.linspace(0.0, 4.0, 9)
-        self.assert_same(s, 1.5)
-        self.assert_same(2.0, s)
-        self.assert_same(s[:, None], s[None, :])
-        self.assert_same(s[None, :], np.array([[0.5], [2.0], [3.5]]))
+        assert_same_form(s, 1.5)
+        assert_same_form(2.0, s)
+        assert_same_form(s[:, None], s[None, :])
+        assert_same_form(s[None, :], np.array([[0.5], [2.0], [3.5]]))
 
 
 class TestLocalChart:

@@ -55,3 +55,24 @@ def test_higher_is_better_reverses_the_direction():
 def test_beyond_bound_is_relative_to_the_base_median(factor, beyond):
     head = [factor * v for v in BASE]
     assert verdict(BASE, head, bound=0.24)[2] is beyond
+
+
+# per-process minima of test_run in BENCH_32.json (s): 11 of 12 head minima
+# beat every base minimum, one slow head process does not
+LAYER_BASE = [0.0393, 0.0388, 0.0385, 0.0399, 0.0382, 0.0381,
+              0.0496, 0.0431, 0.0396, 0.0388, 0.0398, 0.0384]
+LAYER_HEAD = [0.0331, 0.0325, 0.0390, 0.0333, 0.0355, 0.0338,
+              0.0329, 0.0332, 0.0340, 0.0336, 0.0338, 0.0331]
+
+
+def test_one_slow_process_breaks_separation_but_not_the_share():
+    assert sum(h < min(LAYER_BASE) for h in LAYER_HEAD) == 11
+    separated, share = record.compare_layer(LAYER_BASE, LAYER_HEAD)
+    assert separated is False and share >= 0.9
+    assert record.compare_layer(LAYER_HEAD, LAYER_BASE) == (False, pytest.approx(1.0 - share))
+
+
+def test_disjoint_minima_are_separated_either_way():
+    fast = [0.5 * v for v in LAYER_BASE]
+    assert record.compare_layer(LAYER_BASE, fast) == (True, 1.0)
+    assert record.compare_layer(fast, LAYER_BASE) == (True, 0.0)
