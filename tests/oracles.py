@@ -256,10 +256,10 @@ def outside_zone_area_mp(s: float, lam: float) -> float:
     """geometry.outside_zone_area at one point (s, lam >= 0) in 40-digit
     mpmath, rounded to a float.
 
-    The branch is picked from exact comparisons of the float inputs, and a
-    crossing lens takes the arccos/sin formula, whose cosines are clamped to
-    [-1, 1] only where the 40-digit arithmetic rounds past them.  About 50 us
-    per call.
+    The branch is picked by comparisons at 40 digits, exact for the grids the
+    tests use, and a crossing lens takes the arccos/sin formula, whose
+    cosines are clamped to [-1, 1] only where the 40-digit arithmetic rounds
+    past them.  About 15 us per call off the crossing branch and 120 us on it.
     """
     with mpmath.workdps(40):
         s, lam = mpmath.mpf(s), mpmath.mpf(lam)

@@ -189,30 +189,21 @@ class TestOutsideZoneArea:
                 assert slope == pytest.approx(kernel, abs=1e-6), (u, lam)
 
 
-def tangent_entries(L, rigorous):
-    """Where the assembly grid of L (u = 4p/L, rows lam = 4q/L) meets a
-    tangency in exact arithmetic: lam = 2 - u (internal) or lam = u + 2
-    (external).  Returns the grid's (s, lam) and the mask of those entries."""
+def assembly_grid(L, rows):
+    """The (s, lam) entries that the assembly of L evaluates on the rows
+    lam = 4q/L, q in rows, at u = 4p/L clamped at 2 (the columns past
+    p = (L + 1) // 2 repeat u = 2), and the mask of the entries that are
+    tangent in exact arithmetic: lam = 2 - u (internal) or lam = u + 2
+    (external)."""
     edges = grid_edges(L)
-    p = np.arange(L)[None, :]
-    q = (np.arange(L) if rigorous else np.arange(1, L + 1))[:, None]
+    p = np.arange(min(L, (L + 1) // 2 + 1))[None, :]
+    q = np.asarray(rows)[:, None]
     tangent = ((2 * (p + q) == L) & (2 * p < L)) | (2 * q == 2 * p + L)
-    s, lam = np.broadcast_arrays(np.minimum(edges[:-1], 2.0)[None, :],
-                                 (edges[:-1] if rigorous else edges[1:])[:, None])
+    s, lam = np.broadcast_arrays(np.minimum(edges[p], 2.0), edges[q])
     return s, lam, tangent
 
 
-def branch_grid():
-    """Every branch and its boundaries: a body grid of (s, lam), then the
-    exact boundaries lam = |s - 2| (internal tangency) and lam = s + 2
-    (external).  Returns (body s, body lam), (boundary s, boundary lam)."""
-    s = np.concatenate([np.linspace(0.0, 5.0, 201), [2.0 - 1e-15, 2.0 + 1e-15, 3.9]])
-    lam = np.concatenate([np.linspace(0.0, 4.0, 161), [1e-300, 4.0 - 1e-15]])
-    S, LAM = np.meshgrid(s, lam, indexing="ij")
-    edge_s = s[(s <= 4.0) & (s != 2.0)]
-    boundary = (np.concatenate([edge_s, s[s <= 2.0]]),
-                np.concatenate([np.abs(edge_s - 2.0), s[s <= 2.0] + 2.0]))
-    return (S.ravel(), LAM.ravel()), boundary
+ASSEMBLY_LS = [*range(1, 101), 256, 1024, 1170]
 
 
 class TestOutsideZoneAreaBranches:
@@ -230,27 +221,33 @@ class TestOutsideZoneAreaBranches:
     @pytest.mark.parametrize("rigorous", [False, True])
     def test_tangent_entries_of_the_assembly(self, rigorous):
         count = 0
-        for L in [*range(1, 101), 256, 1024, 1170]:
-            s, lam, tangent = tangent_entries(L, rigorous)
+        for L in ASSEMBLY_LS:
+            s, lam, tangent = assembly_grid(L, range(L) if rigorous else range(1, L + 1))
             self.assert_near_reference(s[tangent], lam[tangent])
             count += np.count_nonzero(tangent)
         assert count == (4947 if rigorous else 5000)
 
     def test_grid_covers_every_branch_and_boundary(self):
-        (S, LAM), (edge_s, edge_lam) = branch_grid()
+        s = np.concatenate([np.linspace(0.0, 5.0, 201), [2.0 - 1e-15, 2.0 + 1e-15, 3.9]])
+        lam = np.concatenate([np.linspace(0.0, 4.0, 161), [1e-300, 4.0 - 1e-15]])
+        S, LAM = (a.ravel() for a in np.meshgrid(s, lam, indexing="ij"))
         cross = (np.abs(S - 2.0) < LAM) & (LAM < S + 2.0)
         nested = ~cross & (LAM < S + 2.0)
         assert cross.any() and nested.any() and (LAM >= S + 2.0).any()
         assert {0.0, 2.0} <= set(S) and {0.0, 1e-300, 4.0} <= set(LAM)
-        self.assert_near_reference(edge_s, edge_lam)
+        # the exact boundaries: internal tangency lam = |s - 2| and external lam = s + 2
+        edge_s = s[(s <= 4.0) & (s != 2.0)]
+        self.assert_near_reference(np.concatenate([edge_s, s[s <= 2.0]]),
+                                   np.concatenate([np.abs(edge_s - 2.0), s[s <= 2.0] + 2.0]))
         # the body's linspace values meet tangencies only up to rounding,
         # where the arccos oracle loses digits; the reference does not
         self.assert_near_reference(S[::11], LAM[::11])
 
     @pytest.mark.parametrize("rigorous", [False, True])
-    def test_arccos_oracle_away_from_tangency(self, rigorous):
-        for L in [*range(1, 101), 256, 1024, 1170]:
-            s, lam, tangent = tangent_entries(L, rigorous)
+    def test_rows_and_edges_of_the_assembly(self, rigorous):
+        # the arccos oracle away from tangency
+        for L in ASSEMBLY_LS:
+            s, lam, tangent = assembly_grid(L, range(L) if rigorous else range(1, L + 1))
             got, ref = outside_zone_area(s, lam), outside_zone_area_every_branch(s, lam)
             assert np.max(np.abs(got - ref)[~tangent], initial=0.0) <= 1e-12, L
 
