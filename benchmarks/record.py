@@ -3,25 +3,26 @@
     python3 benchmarks/record.py --base eb245b6 --out BENCH_6.json \\
         --pairs couple_cold=10,ell_sweep=5,bound_table=3,simulate=3
 
-Each revision is exported with `git archive` into .bench_build/record/<sha>,
-and that checkout's own perfbench/run.py runs every workload, one run per
-seed, alternating which revision goes first.  The file holds, per workload
-and revision, every run's end-to-end metrics and failure counts, the median
-and quartiles of each metric, how many pairs the head revision won and the
-verdict on each metric (`gain_shown`, `beyond_bound`; see `summarize`),
-together with nproc, the CPU model, the Python and numpy versions and both
-revisions.  Each checkout also runs its own layer benchmarks
-(`pytest benchmarks --benchmark-json`) in LAYER_PROCESSES fresh processes per
-round, LAYER_ROUNDS rounds, the two revisions' processes interleaved and the
-round's first revision alternating, so that host drift and the placement of
-one process's buffers show up as spread within each revision rather than as
-a difference between them.  `layers` holds, per revision, every benchmark's
-min time in seconds over all processes, each process's min and the
-`extra_info` of the fastest process, and null for a benchmark that only the
-other revision has.  Per benchmark both revisions have,
-`layers["separated"]` says whether their ranges of per-process minima are
-disjoint, and `layers["head_share"]` gives the share of (base process, head
-process) pairs of minima that the head wins (see `compare_layer`).
+Each revision is exported with `git archive` into a temporary directory,
+removed once the record is written, and that checkout's own perfbench/run.py
+runs every workload, one run per seed, alternating which revision goes
+first.  The file holds, per workload and revision, every run's end-to-end
+metrics and failure counts, the median and quartiles of each metric, how
+many pairs the head revision won and the verdict on each metric
+(`gain_shown`, `beyond_bound`; see `summarize`), together with nproc, the
+CPU model, the Python and numpy versions and both revisions.  Each checkout
+also runs its own layer benchmarks (`pytest benchmarks --benchmark-json`) in
+LAYER_PROCESSES fresh processes per round, LAYER_ROUNDS rounds, the two
+revisions' processes interleaved and the round's first revision alternating,
+so that host drift and the placement of one process's buffers show up as
+spread within each revision rather than as a difference between them.
+`layers` holds, per revision, every benchmark's min time in seconds over all
+processes, each process's min and the `extra_info` of the fastest process,
+and null for a benchmark that only the other revision has.  Per benchmark
+both revisions have, `layers["separated"]` says whether their ranges of
+per-process minima are disjoint, and `layers["head_share"]` gives the share
+of (base process, head process) pairs of minima that the head wins (see
+`compare_layer`).
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 import time
+from contextlib import contextmanager
 from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORK = ROOT / ".bench_build" / "record"
 LAYER_ROUNDS = 3  # alternating rounds of the layer suite
 LAYER_PROCESSES = 4  # fresh layer-suite processes per revision and round
 
@@ -48,17 +50,18 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def export(rev: str) -> Path:
-    """A fresh checkout of rev's committed files."""
+@contextmanager
+def export(rev: str):
+    """A fresh checkout of rev's committed files, named by its commit and
+    removed with its temporary directory on exit."""
     sha = git("rev-parse", f"{rev}^{{commit}}")
-    dest = WORK / sha
-    if not (dest / "perfbench" / "run.py").is_file():
-        archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        dest.mkdir(parents=True, exist_ok=True)
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tempfile.TemporaryDirectory(prefix="record-") as tmp:
+        dest = Path(tmp) / sha
         with tarfile.open(fileobj=BytesIO(archive)) as tar:
             tar.extractall(dest, filter="data")
-    return dest
+        yield dest
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -185,23 +188,11 @@ def parse_pairs(text: str) -> dict:
     return pairs
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, help="parent revision")
-    parser.add_argument("--head", default="HEAD", help="revision under test")
-    parser.add_argument("--pairs", type=parse_pairs, required=True,
-                        help="workload=pairs,...; pair k runs seed first_seed + k")
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, required=True)
-    args = parser.parse_args(argv)
-
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+def record(checkouts: dict, pairs: dict, first_seed: int, spec: dict) -> dict:
+    """The report on the base and head checkouts: layer suites, then `pairs`
+    alternating runs per workload from seed first_seed on."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    unknown = set(args.pairs) - {w["name"] for w in spec["workloads"]}
-    if unknown:
-        raise SystemExit(f"unknown workloads: {sorted(unknown)}")
-    checkouts = {"base": export(args.base), "head": export(args.head)}
     bench_trees = {side: git("rev-parse", f"{path.name}:perfbench")
                    for side, path in checkouts.items()}
     report = {
@@ -215,10 +206,10 @@ def main(argv=None) -> int:
     report["layer_rounds"] = LAYER_ROUNDS
     report["layer_processes"] = LAYER_PROCESSES
     envs = []
-    for workload, count in args.pairs.items():
+    for workload, count in pairs.items():
         runs = {"base": [], "head": []}
         for k in range(count):
-            seed = args.first_seed + k
+            seed = first_seed + k
             order = ("base", "head") if k % 2 == 0 else ("head", "base")
             for side in order:
                 run = run_once(checkouts[side], workload, seed, spec["run_seconds"])
@@ -227,12 +218,31 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: "
                       + " ".join(f"{m}={v:.4g}" for m, v in run["metrics"].items()),
                       file=sys.stderr, flush=True)
-        report["workloads"][workload] = {"first_seed": args.first_seed, "order": "alternating",
+        report["workloads"][workload] = {"first_seed": first_seed, "order": "alternating",
                                          **summarize(runs, better, bound), "runs": runs}
     report["env"] = envs[0] if envs else {}
     report["env_varied"] = any(e != envs[0] for e in envs)
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="parent revision")
+    parser.add_argument("--head", default="HEAD", help="revision under test")
+    parser.add_argument("--pairs", type=parse_pairs, required=True,
+                        help="workload=pairs,...; pair k runs seed first_seed + k")
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    unknown = set(args.pairs) - {w["name"] for w in spec["workloads"]}
+    if unknown:
+        raise SystemExit(f"unknown workloads: {sorted(unknown)}")
+    with export(args.base) as base, export(args.head) as head:
+        report = record({"base": base, "head": head}, args.pairs, args.first_seed, spec)
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 

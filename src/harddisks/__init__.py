@@ -8,16 +8,6 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundResult", "ConstraintSystem", "assemble",
-    "max_density", "repaired_metric",
-    "ContractionEstimate", "estimate_contraction", "ChainStats",
-    "Configuration", "random_config", "run",
-    "crescent_area",
-    "PiecewiseMetric", "analytic_small_ell", "check_axioms",
-    "__version__",
-]
-
 _SUBMODULES = ("cli", "contraction", "coupling", "dynamics", "geometry", "metric")
 _HOME = {  # each public name -> the submodule that defines it
     **dict.fromkeys(["BoundResult", "ConstraintSystem", "assemble", "max_density",
@@ -27,6 +17,7 @@ _HOME = {  # each public name -> the submodule that defines it
     "crescent_area": "geometry",
     **dict.fromkeys(["PiecewiseMetric", "analytic_small_ell", "check_axioms"], "metric"),
 }
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name):

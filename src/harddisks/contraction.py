@@ -71,6 +71,7 @@ from .metric import PiecewiseMetric, grid_edges
 EPSILON_HAT = 1e-6  # contraction slack n * epsilon, from epsilon = 1e-6 / n
 
 TIGHT_TOL = 1e-8  # a constraint with residual below this counts as tight
+RESIDUAL_TOL = 1e-12  # a residual at or above -RESIDUAL_TOL holds (decide and witness)
 SEARCH_LO = 0.12  # below the Hamming baseline (1 - eps_hat)/8, so feasible at every L
 SEARCH_HI = 0.25
 ROOT_TOL = 1e-13  # the root-finder stops at a step shorter than this
@@ -248,7 +249,7 @@ def decide(system: ConstraintSystem) -> bool:
     """The feasibility decision: the minimal head lies in [0, 1] and the last
     row holds with the tail at 1; `witness` re-checks every row of its metric."""
     head, r = _last_row(system)
-    return bool(head.max(initial=0.0) <= 1.0 and system.rho * r >= -1e-12)
+    return bool(head.max(initial=0.0) <= 1.0 and system.rho * r >= -RESIDUAL_TOL)
 
 
 def _root(base: ConstraintSystem) -> float:
@@ -284,7 +285,7 @@ def witness(system: ConstraintSystem):
     """The repaired witness of a feasible system, with its residuals and tight_lambda_max."""
     metric = repaired_metric(system)
     residuals, tight_lambda_max = slack_report(system, metric)
-    if np.any(residuals < -1e-12):
+    if np.any(residuals < -RESIDUAL_TOL):
         raise RuntimeError(f"repaired witness fails verification at rho={system.rho}, L={system.L}")
     return metric, residuals, tight_lambda_max
 

@@ -43,7 +43,6 @@ from .dynamics import batch_insert, radius_for_density
 from .geometry import (
     cells_per_side,
     clear_of,
-    crescent_area,
     free_grid_counts,
     min_image_array,
 )
@@ -54,6 +53,8 @@ OUTCOME_KINDS = ("coalesced", "unchanged", "both-rejected", "far-move", "near-mo
 
 @dataclass(frozen=True)
 class ContractionEstimate:
+    """What `couple` reports (to_json), and the configurations = ceil(trials / K0) behind it."""
+
     n: int
     rho: float
     ell_over_r: float
@@ -63,14 +64,7 @@ class ContractionEstimate:
     ci99_bound: float
     ci99_exact: float
     outcome_counts: dict
-    # diagnostics, kept out of to_json: configurations = ceil(trials / K0),
-    # the crescent points drawn (KC per configuration) and the savings
-    # d(ell) - d(s) of their accepted near moves, each weighted by
-    # weight / E[weight], so that the sum over crescent_hits is the mean per
-    # uniform crescent proposal
     configurations: int
-    crescent_hits: int
-    near_savings_sum: float
 
     def to_json(self) -> str:
         payload = {
@@ -168,8 +162,6 @@ class _Tally:
         self.chain_exact = np.zeros(chains)
         self.chain_count = np.zeros(chains, dtype=np.int64)
         self.counts = dict.fromkeys(OUTCOME_KINDS, 0)
-        self.crescent_hits = 0
-        self.near_savings_sum = 0.0
         self.max_gap = -math.inf  # largest delta_exact - delta_bound seen
 
     def add(self, value_bound: np.ndarray, value_exact: np.ndarray) -> None:
@@ -178,14 +170,6 @@ class _Tally:
         self.chain_bound[:k] += value_bound
         self.chain_exact[:k] += value_exact
         self.chain_count[:k] += 1
-
-    @property
-    def sum_bound(self) -> float:
-        return float(self.chain_bound.sum())
-
-    @property
-    def sum_exact(self) -> float:
-        return float(self.chain_exact.sum())
 
     def ci99(self) -> tuple[float, float]:
         """99% half-widths of the mean bound and exact changes.
@@ -300,8 +284,9 @@ def _classify_proposals(P, y1, metric, ell_over_r, r, shift, j, z):
 
 
 def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
-    """The stratified one-step change of each chain's configuration; accumulate
-    it and the outcomes of its proposals.
+    """The stratified one-step change of each chain's configuration; charge it
+    to the tally with the outcome counts of its proposals and the largest
+    excess of an exact change over its bound.
 
     Only two strata of proposals change the metric: disk 0 (probability 1/n)
     and the danger crescent (probability (n-1)/n * crescent_area(ell) r^2).
@@ -330,9 +315,6 @@ def _batch_trials(P, y1, metric, ell_over_r, r, rng, tally: _Tally) -> None:
     counts[1] += grid * len(free) - coalesced
     for k, name in enumerate(OUTCOME_KINDS):
         tally.counts[name] += int(counts[k])
-    tally.crescent_hits += kind.size
-    near_savings = ((1.0 - bound) * weight)[kind == 4]  # d(ell) - d(s); E[weight] = A / area
-    tally.near_savings_sum += float(near_savings.sum()) * area / crescent_area(ell_over_r)
     tally.max_gap = max(tally.max_gap, float((exact - bound).max()))
 
 
@@ -470,12 +452,10 @@ def estimate_contraction(
         rho=rho,
         ell_over_r=ell_over_r,
         trials=trials,
-        mean_delta_bound=tally.sum_bound / configs,
-        mean_delta_exact=tally.sum_exact / configs,
+        mean_delta_bound=float(tally.chain_bound.sum()) / configs,
+        mean_delta_exact=float(tally.chain_exact.sum()) / configs,
         ci99_bound=ci_b,
         ci99_exact=ci_e,
         outcome_counts=tally.counts,
         configurations=configs,
-        crescent_hits=tally.crescent_hits,
-        near_savings_sum=tally.near_savings_sum,
     )

@@ -153,7 +153,7 @@ def from_csv(path) -> PiecewiseMetric:
     metric = PiecewiseMetric(values=[d for _, d in rows])
     L = metric.L
     for k, ((lam, d), edge) in enumerate(zip(rows, metric.grid), start=1):
-        if abs(lam - edge) > 1e-9:
+        if not abs(lam - edge) <= 1e-9:  # also a NaN lambda_right
             raise ValueError(f"metric CSV row {k}: lambda_right {lam:.12g}, expected 4*{k}/{L}")
         if not -AXIOM_TOL <= d <= 1.0 + AXIOM_TOL:
             raise ValueError(f"metric CSV row {k}: d {d:.12g} outside [0, 1]")

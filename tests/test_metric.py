@@ -254,9 +254,11 @@ class TestSerialization:
         swapped = [header, rows[0], rows[2], rows[1], rows[3]]
         extra = [header, rows[0], rows[1], rows[2], rows[3] + ",2"]  # "4,1,2"
         text = [header, rows[0], rows[1], rows[2], "4,x"]
+        not_a_number = [header, "nan,0.5", "4,1"]  # would load as L = 2
         for lines, bad_row in ((dropped, "row 1"), (swapped, "row 2"),
                                (extra, "row 4: 3 fields, expected 2"),
-                               (text, "row 4: non-numeric field in '4,x'")):
+                               (text, "row 4: non-numeric field in '4,x'"),
+                               (not_a_number, "row 1: lambda_right nan, expected 4\\*1/2")):
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(ValueError, match=bad_row):
                 from_csv(path)

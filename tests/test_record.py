@@ -1,4 +1,4 @@
-"""Tests for the verdicts of benchmarks/record.py on synthetic runs."""
+"""Tests for the verdicts of benchmarks/record.py on synthetic runs, and its checkouts."""
 
 import importlib.util
 from pathlib import Path
@@ -76,3 +76,10 @@ def test_disjoint_minima_are_separated_either_way():
     fast = [0.5 * v for v in LAYER_BASE]
     assert record.compare_layer(LAYER_BASE, fast) == (True, 1.0)
     assert record.compare_layer(fast, LAYER_BASE) == (True, 0.0)
+
+
+def test_export_leaves_nothing_behind():
+    with record.export("HEAD") as checkout:
+        assert checkout.name == record.git("rev-parse", "HEAD")
+        assert (checkout / "perfbench" / "run.py").is_file()
+    assert not checkout.parent.exists()
