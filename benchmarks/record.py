@@ -19,10 +19,9 @@ spread within each revision rather than as a difference between them.
 `layers` holds, per revision, every benchmark's min time in seconds over all
 processes, each process's min and the `extra_info` of the fastest process,
 and null for a benchmark that only the other revision has.  Per benchmark
-both revisions have, `layers["separated"]` says whether their ranges of
-per-process minima are disjoint, and `layers["head_share"]` gives the share
-of (base process, head process) pairs of minima that the head wins (see
-`compare_layer`).
+both revisions have, `layers["head_share"]` gives the share of (base
+process, head process) pairs of minima that the head wins (see
+`compare_layer`); it is 1 or 0 when their ranges of minima are disjoint.
 """
 
 from __future__ import annotations
@@ -103,9 +102,8 @@ def record_layers(checkouts: dict) -> dict:
     Round k interleaves the two revisions' processes, base first when k is
     even and head first otherwise.  Per revision and benchmark: the min over
     the processes, every process's min and the fastest process's extra_info;
-    null where only the other revision has it.  Under "separated" and
-    "head_share", per benchmark of both revisions: `compare_layer` of their
-    process minima.
+    null where only the other revision has it.  Under "head_share", per
+    benchmark of both revisions: `compare_layer` of their process minima.
     """
     rounds = {"base": [], "head": []}
     for k in range(LAYER_ROUNDS):
@@ -124,23 +122,21 @@ def record_layers(checkouts: dict) -> dict:
             best, info = min(timings, key=lambda t: t[0])
             layers[side][name] = {"min_s": best, "process_min_s": [t for t, _ in timings],
                                   "extra_info": info}
-    layers["separated"], layers["head_share"] = {}, {}
+    layers["head_share"] = {}
     for name in names:
         if layers["base"][name] and layers["head"][name]:
             base, head = (layers[side][name]["process_min_s"] for side in ("base", "head"))
-            layers["separated"][name], layers["head_share"][name] = compare_layer(base, head)
+            layers["head_share"][name] = compare_layer(base, head)
     return layers
 
 
-def compare_layer(base: list[float], head: list[float]) -> tuple[bool, float]:
-    """Whether the ranges of two revisions' per-process minima are disjoint,
-    and the share of the (base, head) pairs of minima in which the head's is
-    lower.  One slow process breaks the first but moves the second by only
-    one row of pairs, so a clear gain reads near 1 even when not separated.
+def compare_layer(base: list[float], head: list[float]) -> float:
+    """The share of the (base, head) pairs of per-process minima in which the
+    head's is lower.  One slow process moves it by only one row of pairs, so
+    a clear gain reads near 1 even when the two ranges of minima overlap.
     """
-    separated = max(base) < min(head) or max(head) < min(base)
     wins = sum(h < b for b in base for h in head)
-    return separated, wins / (len(base) * len(head))
+    return wins / (len(base) * len(head))
 
 
 def quartiles(values: list[float]) -> dict:

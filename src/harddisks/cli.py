@@ -50,8 +50,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_bound(args) -> int:
     from . import contraction
 
-    result = contraction.max_density(L=args.L, tol=args.tol, hamming=args.hamming,
-                                     rigorous=args.rigorous)
+    result = contraction.max_density(L=args.L, hamming=args.hamming, rigorous=args.rigorous)
     _emit(result.to_json(), args.out)
     return 0
 
@@ -61,7 +60,7 @@ def cmd_table(args) -> int:
 
     lines = ["L,rho_star"]
     for L in args.Ls:
-        result = contraction.max_density(L=L, tol=args.tol, rigorous=args.rigorous)
+        result = contraction.max_density(L=L, rigorous=args.rigorous)
         lines.append(f"{L},{result.rho_star:.12g}")
     _emit("\n".join(lines), args.out)
     return 0
@@ -71,8 +70,7 @@ def cmd_metric(args) -> int:
     from . import contraction
     from . import metric as metric_mod
 
-    rigorous = getattr(args, "rigorous", False)
-    system = contraction.assemble(args.rho, args.L, rigorous)
+    system = contraction.assemble(args.rho, args.L, args.rigorous)
     if not contraction.decide(system):
         print(f"error: density {args.rho} is infeasible at L={args.L}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -90,7 +88,7 @@ def cmd_metric(args) -> int:
     report = {
         "L": args.L,
         "rho": args.rho,
-        "variant": "rigorous" if rigorous else "clamped",  # the savings rows of the constraints
+        "variant": "rigorous" if args.rigorous else "clamped",  # the savings rows of the constraints
         "axioms_pass": axioms.passed,
         "tight_lambda_max": tight_lambda_max,
         "min_residual": float(f"{residuals.min():.12g}"),
@@ -150,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="the largest contractive density: the last row's root, "
                                      "snapped onto the bisection path")
     p.add_argument("--L", type=int, default=256)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--hamming", action="store_true",
                    help="force the unit metric with savings disabled (1/8 baseline)")
     p.add_argument("--rigorous", action="store_true", help=RIGOROUS_HELP)
@@ -159,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="bounds for a list of grid sizes, as CSV")
     p.add_argument("--Ls", type=lambda s: [int(x) for x in s.split(",")], required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--rigorous", action="store_true", help=RIGOROUS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_table)
@@ -167,9 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metric", help="export the optimized metric with slack and axiom reports")
     p.add_argument("--L", type=int, default=256)
     p.add_argument("--rho", type=float, required=True)
-    # Absent unless given, so that a default run's manifest lists only L and rho.
-    p.add_argument("--rigorous", action="store_true", default=argparse.SUPPRESS,
-                   help=RIGOROUS_HELP)
+    p.add_argument("--rigorous", action="store_true", help=RIGOROUS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_metric)
 

@@ -49,7 +49,8 @@ infeasible.  `decide` is monotone in rho, as any bisection assumes, so of
 the intervals that the last halving can leave only one has ends like that:
 the confirmed walk ends where the bisection ends, bit for bit.  If an end
 fails, the walk is repeated with `decide` at every midpoint, which is the
-bisection itself.  The root is returned too; rho* lies at most tol/8 below.
+bisection itself.  The root is returned too; rho* lies at most SEARCH_TOL/8
+below.
 
 The Hamming baseline needs no system: with d = 1 and savings disabled the
 condition is c >= 4 rho, so its bound is (1 - eps_hat)/8 in closed form.
@@ -74,6 +75,7 @@ TIGHT_TOL = 1e-8  # a constraint with residual below this counts as tight
 RESIDUAL_TOL = 1e-12  # a residual at or above -RESIDUAL_TOL holds (decide and witness)
 SEARCH_LO = 0.12  # below the Hamming baseline (1 - eps_hat)/8, so feasible at every L
 SEARCH_HI = 0.25
+SEARCH_TOL = 1e-6  # the walk halves until the bracket is below SEARCH_TOL/8
 ROOT_TOL = 1e-13  # the root-finder stops at a step shorter than this
 SNAP = 1e-9  # bisection midpoints this close to the root are decided, not inferred
 SOLVE_BLOCK = 32  # rows per diagonal block of the forward substitution
@@ -223,9 +225,7 @@ def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
     d, h, n = metric.values, system.head_W.size, system.last.size
     sav, W = np.empty(system.L), np.empty(system.L)  # row i only sees j < i; missing columns are 0
     for start, w in zip(range(0, h, SOLVE_BLOCK), system.head):
-        rows = np.zeros((len(w), n))  # full width, as a product's sum order depends on it
-        rows[:, : w.shape[1]] = w
-        sav[start : start + len(w)] = rows @ d[:n]
+        sav[start : start + len(w)] = w @ d[: w.shape[1]]
     W[:h] = system.head_W
     for start, w, row_sums in system.rows(h, system.L):
         sav[start : start + len(w)], W[start : start + len(w)] = w @ d[:n], row_sums
@@ -296,7 +296,6 @@ class BoundResult:
 
     L: int
     rho_star: float
-    tol: float
     epsilon_hat: float
     iterations: int
     metric: PiecewiseMetric
@@ -309,7 +308,7 @@ class BoundResult:
         payload = {
             "L": self.L,
             "rho_star": float(f"{self.rho_star:.12g}"),
-            "tol": self.tol,
+            "tol": SEARCH_TOL,
             "variant": "rigorous" if self.rigorous else "clamped",  # the savings rows the bound used
             "epsilon_hat": self.epsilon_hat,
             "iterations": self.iterations,
@@ -319,8 +318,7 @@ class BoundResult:
         return json.dumps(payload, indent=2)
 
 
-def max_density(L: int, tol: float = 1e-6, hamming: bool = False,
-                rigorous: bool = False) -> BoundResult:
+def max_density(L: int, hamming: bool = False, rigorous: bool = False) -> BoundResult:
     """The largest density at which the coupling contracts, from the root of
     the last row, snapped onto the bisection path.
 
@@ -336,24 +334,19 @@ def max_density(L: int, tol: float = 1e-6, hamming: bool = False,
     mode it returns the closed-form baseline (1 - eps_hat)/8 of the module
     docstring with the unit metric and no search iterations.
     """
-    if not (math.isfinite(tol) and tol >= 1e-9):
-        raise ValueError(f"tol must be finite and at least 1e-9, got {tol}")
     if L < 1:
         raise ValueError("grid size must be at least 1")
     if hamming:
         rho = (1.0 - EPSILON_HAT) / 8.0
-        return BoundResult(L=L, rho_star=rho, tol=tol, epsilon_hat=EPSILON_HAT, iterations=0,
+        return BoundResult(L=L, rho_star=rho, epsilon_hat=EPSILON_HAT, iterations=0,
                            metric=PiecewiseMetric(values=np.ones(L)),
                            slack=None, tight_lambda_max=4.0, rigorous=rigorous, root=rho)
     base = assemble(SEARCH_LO, L, rigorous)
     root = _root(base)
-    # Bisect somewhat past the requested resolution so the returned feasible
-    # endpoint sits within tol/8 of the true boundary, not just within tol.
-    tol_eff = tol / 8.0
     at = cache(lambda rho: replace(base, rho=rho))  # one system, so one sweep, per density
     for snap in (SNAP, math.inf):  # the snapped walk, then every midpoint decided
         lo, hi, iterations = SEARCH_LO, SEARCH_HI, 0
-        while hi - lo >= tol_eff:
+        while hi - lo >= SEARCH_TOL / 8.0:
             mid = 0.5 * (lo + hi)
             iterations += 1
             below = decide(at(mid)) if abs(mid - root) <= snap else mid < root
@@ -366,7 +359,6 @@ def max_density(L: int, tol: float = 1e-6, hamming: bool = False,
     return BoundResult(
         L=L,
         rho_star=lo,
-        tol=tol,
         epsilon_hat=EPSILON_HAT,
         iterations=iterations,
         metric=metric,

@@ -26,7 +26,7 @@ def grid_edges(L: int) -> np.ndarray:
 class PiecewiseMetric:
     """d(lam) = values[i-1] for lam in ((i-1)*4/L, i*4/L]; 1 beyond 4; 0 at 0.
 
-    `values` is a read-only float64 copy of the input, of shape (L,).
+    `values` is a read-only float64 copy of the input, of shape (L,), and finite.
     """
 
     values: np.ndarray
@@ -37,6 +37,8 @@ class PiecewiseMetric:
             raise ValueError(f"metric values must be one-dimensional, got shape {values.shape}")
         if not values.size:
             raise ValueError("metric needs at least one subinterval")
+        if not np.isfinite(values).all():
+            raise ValueError("metric values must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -150,13 +152,12 @@ def from_csv(path) -> PiecewiseMetric:
             except ValueError:
                 raise ValueError(f"metric CSV row {len(rows) + 1}: non-numeric field in "
                                  f"{line.strip()!r}") from None
-    metric = PiecewiseMetric(values=[d for _, d in rows])
-    L = metric.L
-    for k, ((lam, d), edge) in enumerate(zip(rows, metric.grid), start=1):
-        if not abs(lam - edge) <= 1e-9:  # also a NaN lambda_right
+    L = len(rows)
+    for k, (lam, d) in enumerate(rows, start=1):
+        if not abs(lam - 4.0 * k / L) <= 1e-9:  # also a NaN lambda_right
             raise ValueError(f"metric CSV row {k}: lambda_right {lam:.12g}, expected 4*{k}/{L}")
         if not -AXIOM_TOL <= d <= 1.0 + AXIOM_TOL:
             raise ValueError(f"metric CSV row {k}: d {d:.12g} outside [0, 1]")
         if k < L and d > rows[k][1] + AXIOM_TOL:
             raise ValueError(f"metric CSV row {k}: d {d:.12g} exceeds row {k + 1}'s {rows[k][1]:.12g}")
-    return metric
+    return PiecewiseMetric(values=[d for _, d in rows])

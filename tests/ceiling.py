@@ -11,8 +11,8 @@ Richardson extrapolation from L, 2L and 4L removes the first two terms:
 
 Prints R from L = 512/1024/2048 and from 1024/2048/4096, for the clamped
 and the rigorous (cell-covering) rows; the spread between the two triples
-says how far the expansion holds.  The bisected rho* sits up to tol/8 below
-its root, too coarse for this.
+says how far the expansion holds.  The bisected rho* sits up to
+contraction.SEARCH_TOL/8 = 1.25e-7 below its root, too coarse for this.
 """
 
 from harddisks.contraction import max_density

@@ -831,7 +831,7 @@ def feasible(rho: float, L: int):
     return True, contraction.witness(system)[0]
 
 
-def bisect_density(L: int, tol: float = 1e-6, rigorous: bool = False) -> contraction.BoundResult:
+def bisect_density(L: int, rigorous: bool = False) -> contraction.BoundResult:
     """The bound by bisection of [SEARCH_LO, SEARCH_HI], with `decide` at the
     lower end and at every midpoint, and the witness at the last feasible one.
 
@@ -842,7 +842,7 @@ def bisect_density(L: int, tol: float = 1e-6, rigorous: bool = False) -> contrac
     if not contraction.decide(base):
         raise RuntimeError("search bracket lower end unexpectedly infeasible")
     lo, hi, iterations = contraction.SEARCH_LO, contraction.SEARCH_HI, 0
-    while hi - lo >= tol / 8.0:
+    while hi - lo >= contraction.SEARCH_TOL / 8.0:
         mid = 0.5 * (lo + hi)
         iterations += 1
         if contraction.decide(replace(base, rho=mid)):
@@ -850,6 +850,6 @@ def bisect_density(L: int, tol: float = 1e-6, rigorous: bool = False) -> contrac
         else:
             hi = mid
     metric, slack, tight_lambda_max = contraction.witness(replace(base, rho=lo))
-    return contraction.BoundResult(L=L, rho_star=lo, tol=tol, epsilon_hat=contraction.EPSILON_HAT,
+    return contraction.BoundResult(L=L, rho_star=lo, epsilon_hat=contraction.EPSILON_HAT,
                                    iterations=iterations, metric=metric, slack=slack,
                                    tight_lambda_max=tight_lambda_max, rigorous=rigorous)

@@ -279,6 +279,13 @@ class TestBound:
                 run_cli([*command, "--variant", "clamped"])
             assert exc.value.code == 2
 
+    def test_tol_flag_removed_exits_two(self):
+        # the search resolution is the constant contraction.SEARCH_TOL
+        for command in (["bound"], ["table", "--Ls", "8"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli([*command, "--tol", "1e-4"])
+            assert exc.value.code == 2
+
     def test_rigorous_variant_in_json(self, capsys):
         assert run_cli(["bound", "--L", "16", "--rigorous"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -296,13 +303,6 @@ class TestBound:
             assert run_cli(["bound", "--L", L, *flags]) == 3
             captured = capsys.readouterr()
             assert captured.out == "" and "grid size must be at least 1" in captured.err
-
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_tolerance_exits_three(self, tol, capsys):
-        for flags in ([], ["--hamming"]):
-            assert run_cli(["bound", "--L", "16", "--tol", tol, *flags]) == 3
-            captured = capsys.readouterr()
-            assert captured.out == "" and "tol" in captured.err
 
 
 class TestTable:
@@ -336,12 +336,6 @@ class TestTable:
         assert float(out.read_text().splitlines()[1].split(",")[1]) >= 0.154
         manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
         assert manifest["params"]["rigorous"] is True
-
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_tolerance_exits_three(self, tol, capsys):
-        assert run_cli(["table", "--Ls", "8,16", "--tol", tol]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and "tol" in captured.err
 
     def test_rows_nondecreasing(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -509,10 +503,9 @@ class TestManifest:
     """`main` writes one run record per successful command with --out."""
 
     @pytest.mark.parametrize("argv, params, seed", [
-        (["bound", "--L", "8", "--tol", "1e-4", "--rigorous"],
-         {"L": 8, "tol": 1e-4, "hamming": False, "rigorous": True}, None),
-        (["table", "--Ls", "4,8"], {"Ls": [4, 8], "tol": 1e-6, "rigorous": False}, None),
-        (["metric", "--L", "8", "--rho", "0.14"], {"L": 8, "rho": 0.14}, None),
+        (["bound", "--L", "8", "--rigorous"], {"L": 8, "hamming": False, "rigorous": True}, None),
+        (["table", "--Ls", "4,8"], {"Ls": [4, 8], "rigorous": False}, None),
+        (["metric", "--L", "8", "--rho", "0.14"], {"L": 8, "rho": 0.14, "rigorous": False}, None),
         (["simulate", "--n", "16", "--rho", "0.1", "--steps", "100", "--seed", "4"],
          {"n": 16, "rho": 0.1, "steps": 100}, 4),
         (["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0", "--trials", "100",

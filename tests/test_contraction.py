@@ -473,7 +473,7 @@ class TestDecide:
             system = dataclasses.replace(probes[0], rho=result.rho_star)
             d = saturated_metric(system).values[: system.last.size]
             gap = system.mu - (system.g[-1] - system.last_W + system.last @ d)
-            assert -1e-12 / system.rho <= gap <= result.tol / system.rho**2, gap
+            assert -1e-12 / system.rho <= gap <= contraction.SEARCH_TOL / system.rho**2, gap
 
     def test_binding_tail_row_is_an_error(self, monkeypatch):
         # A tail row other than lam = 4 that binds escapes the decision; the
@@ -523,7 +523,7 @@ class TestRootWalk:
         rigorous = variant == "rigorous"
         result = max_density(L, rigorous=rigorous)
         assert_same_bound(result, bisect_density(L, rigorous=rigorous))
-        assert result.rho_star <= result.root <= result.rho_star + result.tol / 8
+        assert result.rho_star <= result.root <= result.rho_star + contraction.SEARCH_TOL / 8
 
     @pytest.mark.parametrize("rigorous", [False, True])
     @pytest.mark.parametrize("wrong", WRONG_ROOTS)
@@ -660,7 +660,7 @@ class TestMaxDensity:
 
     def test_infeasible_just_above_the_bound(self):
         result = max_density(16)
-        assert not feasible(result.rho_star + result.tol, 16)[0]
+        assert not feasible(result.rho_star + contraction.SEARCH_TOL, 16)[0]
 
     def test_ceiling_from_roots(self):
         # tests/ceiling.py; the rigorous roots extrapolate less steadily (README).
@@ -714,16 +714,6 @@ class TestMaxDensity:
         # the bound collapses to the unit-metric baseline.
         result = max_density(1)
         assert abs(result.rho_star - 0.125) < 1e-5
-
-    def test_rejects_too_fine_tolerance(self):
-        with pytest.raises(ValueError):
-            max_density(8, tol=1e-12)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    def test_rejects_non_finite_tolerance(self, tol):
-        for hamming in (False, True):
-            with pytest.raises(ValueError):
-                max_density(8, tol=tol, hamming=hamming)
 
     @pytest.mark.parametrize("variant", ASSEMBLIES)
     def test_assembles_once_and_probes_share_the_arrays(self, monkeypatch, variant):

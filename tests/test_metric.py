@@ -86,6 +86,12 @@ class TestStorage:
         with pytest.raises(ValueError):
             PiecewiseMetric(values=values)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # NaN slips past every comparison, so estimate_contraction would return NaN
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseMetric(values=[0.1, bad, 0.5, 1.0])
+
     def test_axiom_report_holds_plain_numbers(self):
         report = check_axioms(PiecewiseMetric(values=np.array([0.5, 1.2, 0.3])))
         entries = (report.range_violations + report.monotonicity_violations
@@ -274,5 +280,8 @@ class TestSerialization:
             to_csv(PiecewiseMetric(values=values), path)
             with pytest.raises(ValueError, match=bad_row):
                 from_csv(path)
+        path.write_text("lambda_right,d\n1,0.25\n2,0.5\n3,0.75\n4,nan\n")
+        with pytest.raises(ValueError, match="row 4: d nan outside"):
+            from_csv(path)
         path.write_text("lambda_right,d\n1,0.5\n2,0.4999999999995\n3,1.0000000000005\n4,1\n")
         assert from_csv(path).L == 4  # dips within AXIOM_TOL are accepted
