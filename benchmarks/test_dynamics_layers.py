@@ -5,14 +5,18 @@
 
 `test_run` times `dynamics.run` for RUN_BLOCK steps at n = 64, ρ = 0.15 (the
 `simulate` settings of perfbench) from one fixed configuration and seed, and
-reports `ns_per_step`; past the draws, every step runs inside
-`CellGrid.walk`, 16 calls of RUN_SLICE proposals.  It read 496 ns per step
-with three column strips per proposal against 582 ns with nine cell lists
-(2-vCPU Xeon, BENCH_32.json).  `test_batch_insert` times the random sequential
-insertion of a pool of coupling.BATCH chains at n = 32, ρ = 0.14 (the
-estimator's pool) and reports `ns_per_chain_disk`.  Both go into
-`extra_info`.
+reports `ns_per_step` and the tracemalloc peak of one run, `peak_mb`; past
+the draws, every step runs inside `CellGrid.walk`, 16 calls of RUN_SLICE
+proposals.  It read 496 ns per step with three column strips per proposal
+against 582 ns with nine cell lists (2-vCPU Xeon, BENCH_32.json), and its
+peak 0.82 MiB with each slice's positions drawn just before its walk against
+2.0 MiB with the whole block's drawn up front.  `test_batch_insert` times the
+random sequential insertion of a pool of coupling.BATCH chains at n = 32,
+ρ = 0.14 (the estimator's pool) and reports `ns_per_chain_disk`.  All go
+into `extra_info`.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -33,6 +37,13 @@ def test_run(benchmark):
                                   rounds=5, warmup_rounds=1)
     assert stats.steps == steps
     _report(benchmark, "ns_per_step", steps)
+    tracemalloc.start()
+    try:
+        dynamics.run(config, steps, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["peak_mb"] = round(peak / 2**20, 3)
 
 
 def test_batch_insert(benchmark):

@@ -87,19 +87,18 @@ def _batch_sweep(P: np.ndarray, steps: int, two_r2: float, rng) -> None:
     Each step moves disk j[c] of chain c to the point z[c] if that lies 2r
     clear of the chain's other disks (geometry.clear_of).  The draws are
     those of the (B, n, 2) kernel kept in the tests: per chunk of 128 steps,
-    disk indices of shape (chunk, B), then positions of shape (chunk, B, 2);
-    the arithmetic per chain is the same, so every chain ends in the same
-    state bit for bit.
+    disk indices of shape (chunk, B), then positions, here one (B, 2) draw
+    per step, which concatenate to that kernel's one (chunk, B, 2) draw; the
+    arithmetic per chain is the same, so every chain ends in the same state
+    bit for bit.
     """
     n, B = P.shape[1:]
     X, Y = P
     done = 0
     while done < steps:
         chunk = min(128, steps - done)
-        j_all = rng.integers(n, size=(chunk, B))
-        z_all = rng.random((chunk, B, 2))
-        for j, z in zip(j_all, z_all):
-            zx, zy = z.T
+        for j in rng.integers(n, size=(chunk, B)):
+            zx, zy = rng.random((B, 2)).T
             ok = clear_of(X, Y, [((zx, zy), j)], two_r2)[0].nonzero()[0]
             X[j[ok], ok] = zx[ok]
             Y[j[ok], ok] = zy[ok]

@@ -202,9 +202,12 @@ class CellGrid:
 def run(config: Configuration, steps: int, seed):
     """Run the chain for a number of steps; deterministic given the seed.
 
-    Proposals are drawn in blocks of RUN_BLOCK (all disk indices, then all
-    positions, uniform on [0, 1)), and `CellGrid.walk` applies each slice of
-    RUN_SLICE of them in plain Python arithmetic.
+    Each block of RUN_BLOCK proposals draws all its disk indices first (as
+    int32, the same values and generator state as the default int64 draw),
+    then the positions, uniform on [0, 1), one slice of RUN_SLICE at a time
+    just before `CellGrid.walk` applies that slice in plain Python
+    arithmetic.  The slices' draws concatenate to the block's one (todo, 2)
+    draw, so no block of positions is held.
     Returns (final configuration, stats).
     """
     if steps < 0:
@@ -217,10 +220,10 @@ def run(config: Configuration, steps: int, seed):
     done = 0
     while done < steps:
         todo = min(RUN_BLOCK, steps - done)
-        idx = rng.integers(config.n, size=todo)
-        pts = rng.random((todo, 2))
+        idx = rng.integers(config.n, size=todo, dtype=np.int32)
         for lo in range(0, todo, RUN_SLICE):
-            accepted += grid.walk(idx[lo:lo + RUN_SLICE], pts[lo:lo + RUN_SLICE])
+            sl = idx[lo:lo + RUN_SLICE]
+            accepted += grid.walk(sl, rng.random((len(sl), 2)))
         done += todo
     centers = np.column_stack([grid.xs, grid.ys])
     final = Configuration(centers, config.r, _validate=False)

@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,20 @@ class TestBatchSweep:
                 got = P.T
                 assert np.array_equal(got, want), (B, steps)
                 assert all(Configuration(c, r).is_valid() for c in got)
+
+    def test_peak_memory(self):
+        # 0.96 MiB with one (B, 2) position draw per step; one (chunk, B, 2)
+        # draw per 128-step chunk peaked at 1.95 MiB.
+        n, B = 32, 512
+        two_r2 = (2.0 * radius_for_density(n, 0.14)) ** 2
+        P = dynamics.batch_insert(B, n, 0.14, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            coupling._batch_sweep(P, 160, two_r2, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * 2**20, peak / 2**20
 
 
 class TestDisplace:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy import stats
 from harddisks import dynamics
 from harddisks.dynamics import (
     RUN_BLOCK,
+    RUN_SLICE,
     CellGrid,
     ChainStats,
     Configuration,
@@ -447,6 +449,35 @@ class TestRun:
         centers, expect = reference_run(config, steps, seed=21 + n)
         assert np.array_equal(final.centers, centers)
         assert stat == expect
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 1000])
+    def test_int32_indices_match_default_draw(self, n):
+        # run() draws its disk indices as int32: numpy gives the values of the
+        # default int64 draw and leaves the generator in the same state.
+        k = RUN_BLOCK + 1
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        assert np.array_equal(a.integers(n, size=k, dtype=np.int32), b.integers(n, size=k))
+        assert a.random() == b.random()
+
+    def test_slice_draws_concatenate_to_block_draw(self):
+        # run() draws each slice's positions just before its walk; together
+        # they are the one (k, 2) draw of the whole block.
+        k = RUN_BLOCK + 1
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        slices = [a.random((min(RUN_SLICE, k - lo), 2)) for lo in range(0, k, RUN_SLICE)]
+        assert np.array_equal(np.concatenate(slices), b.random((k, 2)))
+
+    def test_run_peak_memory(self):
+        # 0.82 MiB with one slice of positions drawn at a time; drawing the
+        # block's positions and int64 indices up front peaked at 2.0 MiB.
+        config = random_config(64, 0.15, seed=2014)
+        tracemalloc.start()
+        try:
+            run(config, RUN_BLOCK, seed=2014)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2**20, peak / 2**20
 
     def test_acceptance_rate_at_least_union_bound(self):
         config = random_config(64, 0.15, seed=14)
