@@ -3,17 +3,17 @@
     PYTHONPATH=src python -m pytest benchmarks/test_dynamics_layers.py
     PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable  # smoke run
 
-`test_run` times `dynamics.run` for RUN_BLOCK steps at n = 64, ρ = 0.15 (the
+`test_run` times `dynamics.run` for 65,536 steps at n = 64, ρ = 0.15 (the
 `simulate` settings of perfbench) from one fixed configuration and seed, and
 reports `ns_per_step` and the tracemalloc peak of one run, `peak_mb`; past
 the draws, every step runs inside `CellGrid.walk`, 16 calls of RUN_SLICE
 proposals.  It read 496 ns per step with three column strips per proposal
 against 582 ns with nine cell lists (2-vCPU Xeon, BENCH_32.json), and its
-peak 0.82 MiB with each slice's positions drawn just before its walk against
-2.0 MiB with the whole block's drawn up front.  `test_batch_insert` times the
-random sequential insertion of a pool of coupling.BATCH chains at n = 32,
-ρ = 0.14 (the estimator's pool) and reports `ns_per_chain_disk`.  All go
-into `extra_info`.
+peak 0.60 MiB with each slice drawing its own indices and positions against
+0.82 MiB with a 65,536-step block of indices drawn up front.
+`test_batch_insert` times the random sequential insertion of a pool of
+coupling.BATCH chains at n = 32, ρ = 0.14 (the estimator's pool) and reports
+`ns_per_chain_disk`.  All go into `extra_info`.
 """
 
 import tracemalloc
@@ -31,7 +31,7 @@ def _report(benchmark, key, count):
 
 
 def test_run(benchmark):
-    steps = dynamics.RUN_BLOCK
+    steps = 16 * dynamics.RUN_SLICE
     config = dynamics.random_config(64, 0.15, seed=SEED)
     _, stats = benchmark.pedantic(dynamics.run, args=(config, steps, SEED),
                                   rounds=5, warmup_rounds=1)

@@ -25,6 +25,18 @@ RIGOROUS_HELP = ("take each savings row at its cell's left end, so the bound hol
                  "displacement in a cell, not only at the grid points")
 
 
+# argparse names a flag type in its error when the type raises ValueError,
+# as in "argument --Ls: invalid grid_sizes value: '8,,16'".
+def grid_sizes(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return int(text)
+
+
 def _write_manifest(args, wall_clock: float) -> None:
     # The subcommand's own flags; seed has its own field, and results never depend on threads.
     params = {k: v for k, v in vars(args).items()
@@ -78,11 +90,9 @@ def cmd_metric(args) -> int:
     axioms = metric_mod.check_axioms(metric)
 
     metric_mod.to_csv(metric, args.out)
-    grid = metric.grid
-    overlay_path = args.out + ".overlay.csv"
-    with open(overlay_path, "w") as fh:
+    with open(args.out + ".overlay.csv", "w") as fh:
         fh.write("lambda_right,d,d_analytic\n")
-        for lam, v in zip(grid, metric.values):
+        for lam, v in zip(metric.grid, metric.values):
             if lam <= 1.0:
                 fh.write(f"{lam:.12g},{v:.12g},{metric_mod.analytic_small_ell(lam, args.rho):.12g}\n")
     report = {
@@ -94,10 +104,7 @@ def cmd_metric(args) -> int:
         "min_residual": float(f"{residuals.min():.12g}"),
         "residuals": [float(f"{x:.12g}") for x in residuals],
     }
-    report_text = json.dumps(report, indent=2)
-    with open(args.out + ".report.json", "w") as fh:
-        fh.write(report_text + "\n")
-    print(report_text)
+    _emit(json.dumps(report, indent=2), args.out + ".report.json")
     return 0
 
 
@@ -127,10 +134,16 @@ def cmd_couple(args) -> int:
     from . import coupling
     from . import metric as metric_mod
 
+    metric = metric_mod.from_csv(args.metric)  # which checks the range and monotonicity
+    broken = metric_mod.check_axioms(metric).subadditivity_violations
+    if broken:
+        i, j, _ = broken[0]
+        rule = (f"subadditivity d_{i + j} <= d_{i} + d_{j}" if i + j <= metric.L
+                else f"the tail rule d_{i} + d_{j} >= 1")
+        raise ValueError(f"metric CSV rows {i} and {j} break {rule}")
     estimate = coupling.estimate_contraction(
-        n=args.n, rho=args.rho, ell_over_r=args.ell, metric=metric_mod.from_csv(args.metric),
-        trials=args.trials, seed=args.seed, threads=args.threads,
-    )
+        n=args.n, rho=args.rho, ell_over_r=args.ell, metric=metric,
+        trials=args.trials, seed=args.seed, threads=args.threads)
     _emit(estimate.to_json(), args.out)
     return 0
 
@@ -155,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("table", help="bounds for a list of grid sizes, as CSV")
-    p.add_argument("--Ls", type=lambda s: [int(x) for x in s.split(",")], required=True)
+    p.add_argument("--Ls", type=grid_sizes, required=True)
     p.add_argument("--rigorous", action="store_true", help=RIGOROUS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_table)
@@ -171,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=seed, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
@@ -182,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True,
                    help="buys ceil(trials / 32) configurations")  # 32 = coupling.K0
     p.add_argument("--metric", required=True, help="metric CSV path (lambda_right,d)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=seed, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_couple)
 

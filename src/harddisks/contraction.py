@@ -296,7 +296,6 @@ class BoundResult:
 
     L: int
     rho_star: float
-    epsilon_hat: float
     iterations: int
     metric: PiecewiseMetric
     slack: np.ndarray | None
@@ -310,7 +309,7 @@ class BoundResult:
             "rho_star": float(f"{self.rho_star:.12g}"),
             "tol": SEARCH_TOL,
             "variant": "rigorous" if self.rigorous else "clamped",  # the savings rows the bound used
-            "epsilon_hat": self.epsilon_hat,
+            "epsilon_hat": EPSILON_HAT,
             "iterations": self.iterations,
             "metric": {"values": [float(f"{v:.12g}") for v in self.metric.values]},
             "tight_lambda_max": self.tight_lambda_max,
@@ -338,8 +337,7 @@ def max_density(L: int, hamming: bool = False, rigorous: bool = False) -> BoundR
         raise ValueError("grid size must be at least 1")
     if hamming:
         rho = (1.0 - EPSILON_HAT) / 8.0
-        return BoundResult(L=L, rho_star=rho, epsilon_hat=EPSILON_HAT, iterations=0,
-                           metric=PiecewiseMetric(values=np.ones(L)),
+        return BoundResult(L=L, rho_star=rho, iterations=0, metric=PiecewiseMetric(values=np.ones(L)),
                            slack=None, tight_lambda_max=4.0, rigorous=rigorous, root=rho)
     base = assemble(SEARCH_LO, L, rigorous)
     root = _root(base)
@@ -359,7 +357,6 @@ def max_density(L: int, hamming: bool = False, rigorous: bool = False) -> BoundR
     return BoundResult(
         L=L,
         rho_star=lo,
-        epsilon_hat=EPSILON_HAT,
         iterations=iterations,
         metric=metric,
         slack=slack,

@@ -2,7 +2,7 @@
 
 One step proposes moving a uniformly random disk to a uniformly random torus
 position and accepts iff the new position is at distance >= 2r from every
-other center.  `run` draws its proposals in numpy blocks, and `CellGrid.walk`
+other center.  `run` draws its proposals in numpy slices, and `CellGrid.walk`
 checks each slice in Python floats against three column strips of a cell
 grid, centre first; the tests audit it against brute force (tests/oracles.py).
 `batch_insert` fills a pool of chains at once, disk-major, through
@@ -20,8 +20,7 @@ import numpy as np
 from .geometry import cells_per_side, clear_of, min_image_array
 
 MAX_INSERTION_ATTEMPTS = 10_000  # per disk and chain
-RUN_BLOCK = 65_536  # proposals drawn per block in run()
-RUN_SLICE = 4_096  # proposals of a block per CellGrid.walk call
+RUN_SLICE = 4_096  # proposals drawn per CellGrid.walk call in run()
 
 
 @dataclass(frozen=True)
@@ -202,13 +201,9 @@ class CellGrid:
 def run(config: Configuration, steps: int, seed):
     """Run the chain for a number of steps; deterministic given the seed.
 
-    Each block of RUN_BLOCK proposals draws all its disk indices first (as
-    int32, the same values and generator state as the default int64 draw),
-    then the positions, uniform on [0, 1), one slice of RUN_SLICE at a time
-    just before `CellGrid.walk` applies that slice in plain Python
-    arithmetic.  The slices' draws concatenate to the block's one (todo, 2)
-    draw, so no block of positions is held.
-    Returns (final configuration, stats).
+    Each slice of RUN_SLICE proposals draws its disk indices, then its
+    positions, uniform on [0, 1), and `CellGrid.walk` applies it in plain
+    Python arithmetic.  Returns (final configuration, stats).
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -217,16 +212,10 @@ def run(config: Configuration, steps: int, seed):
         return config, ChainStats(steps=0, accepted=0)
     grid = CellGrid(config)
     accepted = 0
-    done = 0
-    while done < steps:
-        todo = min(RUN_BLOCK, steps - done)
-        idx = rng.integers(config.n, size=todo, dtype=np.int32)
-        for lo in range(0, todo, RUN_SLICE):
-            sl = idx[lo:lo + RUN_SLICE]
-            accepted += grid.walk(sl, rng.random((len(sl), 2)))
-        done += todo
-    centers = np.column_stack([grid.xs, grid.ys])
-    final = Configuration(centers, config.r, _validate=False)
+    for lo in range(0, steps, RUN_SLICE):
+        k = min(RUN_SLICE, steps - lo)
+        accepted += grid.walk(rng.integers(config.n, size=k), rng.random((k, 2)))
+    final = Configuration(np.column_stack([grid.xs, grid.ys]), config.r, _validate=False)
     return final, ChainStats(steps=steps, accepted=accepted)
 
 

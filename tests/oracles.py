@@ -850,6 +850,5 @@ def bisect_density(L: int, rigorous: bool = False) -> contraction.BoundResult:
         else:
             hi = mid
     metric, slack, tight_lambda_max = contraction.witness(replace(base, rho=lo))
-    return contraction.BoundResult(L=L, rho_star=lo, epsilon_hat=contraction.EPSILON_HAT,
-                                   iterations=iterations, metric=metric, slack=slack,
+    return contraction.BoundResult(L=L, rho_star=lo, iterations=iterations, metric=metric, slack=slack,
                                    tight_lambda_max=tight_lambda_max, rigorous=rigorous)

@@ -337,6 +337,12 @@ class TestTable:
         manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
         assert manifest["params"]["rigorous"] is True
 
+    def test_malformed_sizes_name_what_was_expected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["table", "--Ls", "8,,16"])
+        assert info.value.code == 2
+        assert "argument --Ls: invalid grid_sizes value: '8,,16'" in capsys.readouterr().err
+
     def test_rows_nondecreasing(self, tmp_path):
         out = tmp_path / "t.csv"
         assert run_cli(["table", "--Ls", "8,16,32", "--out", str(out)]) == 0
@@ -421,19 +427,19 @@ class TestMetric:
 
 
 # stdout and snapshot SHA-256 of `simulate --n 64 --rho 0.15 --steps 70000
-# --seed 1`, whose 70,000 steps cross a RUN_BLOCK and a RUN_SLICE boundary.  A
+# --seed 1`, whose 70,000 steps end in a partial RUN_SLICE of 368.  A
 # change to the draws, the cell grid or the snapshot format must update them.
 SIMULATE_PIN = """{
   "n": 64,
   "rho": 0.15,
   "steps": 70000,
-  "accepted": 34050,
-  "rejected": 35950,
-  "acceptance_rate": 0.486428571429,
+  "accepted": 33967,
+  "rejected": 36033,
+  "acceptance_rate": 0.485242857143,
   "seed": 1
 }
 """
-SIMULATE_SNAPSHOT_SHA256 = "d411e8c6a853a9c8b9d593c15ffb27cc8e609492880e69d45f4ef42493c84627"
+SIMULATE_SNAPSHOT_SHA256 = "035fe8b064321ca8e5f9dbeebdd843951bd2be7dc0e8ad6650ee1756b19b6a70"
 
 
 class TestSimulate:
@@ -479,6 +485,12 @@ class TestSimulate:
     def test_bad_steps_exits_three(self):
         assert run_cli(["simulate", "--n", "4", "--rho", "0.02",
                         "--steps", "-5", "--seed", "1"]) == 3
+
+    def test_negative_seed_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["simulate", "--n", "4", "--rho", "0.02", "--steps", "10", "--seed", "-1"])
+        assert info.value.code == 2
+        assert "argument --seed: must be a nonnegative integer, got -1" in capsys.readouterr().err
 
     def test_no_disks_exits_three(self, capsys):
         assert run_cli(["simulate", "--n", "0", "--rho", "0.15",
@@ -595,6 +607,32 @@ class TestCouple:
         assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0",
                         "--trials", "10", "--metric", str(bad), "--seed", "1"]) == 3
         assert "metric CSV row 4: non-numeric field in '0.5,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, err", [
+        # lambda_1 + lambda_2 > 4, so d_1 + d_2 must reach the tail's 1
+        ("2,0.2\n4,0.3", "rows 1 and 2 break the tail rule d_1 + d_2 >= 1"),
+        ("1,0.1\n2,0.5\n3,0.6\n4,1", "rows 1 and 1 break subadditivity d_2 <= d_1 + d_1"),
+    ])
+    def test_metric_file_breaking_the_axioms_exits_three(self, tmp_path, rows, err, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"lambda_right,d\n{rows}\n")
+        assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1",
+                        "--trials", "100", "--metric", str(bad), "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: metric CSV {err}" in captured.err
+
+    def test_benchmark_witness_passes_the_axiom_check(self, tmp_path, capsys):
+        witness = tmp_path / "m.csv"
+        assert run_cli(["metric", "--L", "256", "--rho", "0.1544", "--out", str(witness)]) == 0
+        assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1",
+                        "--trials", "100", "--metric", str(witness), "--seed", "1"]) == 0
+
+    def test_negative_seed_exits_two(self, metric_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0", "--trials", "10",
+                     "--metric", str(metric_file), "--seed", "-1"])
+        assert info.value.code == 2
+        assert "argument --seed: must be a nonnegative integer, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_nonpositive_thread_count_exits_three(self, metric_file, threads, capsys):

@@ -11,7 +11,6 @@ from scipy import stats
 
 from harddisks import dynamics
 from harddisks.dynamics import (
-    RUN_BLOCK,
     RUN_SLICE,
     CellGrid,
     ChainStats,
@@ -68,17 +67,16 @@ def reference_allowed(P, lim, i, x, y):
 def reference_run(config, steps, seed):
     """The step loop of run() as it read before its Python-float rewrite.
 
-    Same draws (per block: all indices, then all positions), but every step
-    reads numpy scalars out of the block arrays, is decided by brute force
+    Same draws (per slice: its indices, then its positions), but every step
+    reads numpy scalars out of the slice arrays, is decided by brute force
     and moves through the 3x3 cell-list oracle.
     """
     rng = np.random.default_rng(seed)
     grid = ScalarCellGrid(config)
     P = config.centers.T.copy()
     accepted = 0
-    done = 0
-    while done < steps:
-        todo = min(RUN_BLOCK, steps - done)
+    for lo in range(0, steps, RUN_SLICE):
+        todo = min(RUN_SLICE, steps - lo)
         idx = rng.integers(config.n, size=todo)
         pts = rng.random((todo, 2))
         for k in range(todo):
@@ -88,7 +86,6 @@ def reference_run(config, steps, seed):
                 grid.move(i, x, y)
                 P[:, i] = x, y
                 accepted += 1
-        done += todo
     centers = np.column_stack([grid.xs, grid.ys])
     return centers, ChainStats(steps=steps, accepted=accepted)
 
@@ -441,7 +438,7 @@ class TestRun:
         assert final.is_valid()
         assert stat.accepted + stat.rejected == stat.steps == 100_000
 
-    @pytest.mark.parametrize("steps", [1, 4_097, RUN_BLOCK + 1])
+    @pytest.mark.parametrize("steps", [1, 4_097, 65_537])
     @pytest.mark.parametrize("n,rho", [(1, 0.1), (2, 0.002), (16, 0.1), (48, 0.16), (64, 0.15)])
     def test_run_matches_reference(self, n, rho, steps):
         config = random_config(n, rho, seed=20 + n)
@@ -450,34 +447,17 @@ class TestRun:
         assert np.array_equal(final.centers, centers)
         assert stat == expect
 
-    @pytest.mark.parametrize("n", [1, 2, 64, 1000])
-    def test_int32_indices_match_default_draw(self, n):
-        # run() draws its disk indices as int32: numpy gives the values of the
-        # default int64 draw and leaves the generator in the same state.
-        k = RUN_BLOCK + 1
-        a, b = np.random.default_rng(n), np.random.default_rng(n)
-        assert np.array_equal(a.integers(n, size=k, dtype=np.int32), b.integers(n, size=k))
-        assert a.random() == b.random()
-
-    def test_slice_draws_concatenate_to_block_draw(self):
-        # run() draws each slice's positions just before its walk; together
-        # they are the one (k, 2) draw of the whole block.
-        k = RUN_BLOCK + 1
-        a, b = np.random.default_rng(5), np.random.default_rng(5)
-        slices = [a.random((min(RUN_SLICE, k - lo), 2)) for lo in range(0, k, RUN_SLICE)]
-        assert np.array_equal(np.concatenate(slices), b.random((k, 2)))
-
     def test_run_peak_memory(self):
-        # 0.82 MiB with one slice of positions drawn at a time; drawing the
-        # block's positions and int64 indices up front peaked at 2.0 MiB.
+        # 0.60 MiB with each slice drawing its own indices and positions;
+        # drawing a 65,536-step block of int32 indices up front peaked at 0.82 MiB.
         config = random_config(64, 0.15, seed=2014)
         tracemalloc.start()
         try:
-            run(config, RUN_BLOCK, seed=2014)
+            run(config, 16 * RUN_SLICE, seed=2014)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 2**20, peak / 2**20
+        assert peak <= 0.75 * 2**20, peak / 2**20
 
     def test_acceptance_rate_at_least_union_bound(self):
         config = random_config(64, 0.15, seed=14)
