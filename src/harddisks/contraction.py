@@ -32,11 +32,9 @@ on the clamped rows, so (1 - 4 rho - eps_hat)/rho >= int_0^2 2u d(u) du.
 `decide` checks that the minimal head (lam <= 2) lies in [0, 1] and that this
 row holds with the columns past the head at d = 1, where they cancel against
 W, so the bound would not move if the integral ran on past u = 2.  The
-returned metric is the repaired witness, whose tail is the capped subadditive
-completion, at most 1, so it also satisfies the metric axioms (checked in
-floats to metric.AXIOM_TOL = 1e-12, not certified: subadditivity can fail
-by rounding); `witness` re-checks every row of it, and one that fails, such
-as a tail row that binds, is an error.
+returned metric is the repaired witness, which `repaired_metric` builds to
+satisfy the metric axioms exactly; `witness` re-checks every row of it, and
+one that fails, such as a tail row that binds, is an error.
 
 The search.  The last row's residual r = mu + W^_L - g^_L - sum_j w^_Lj d_j,
 read on the head sweep at rho, is smooth and falls as rho rises (mu falls,
@@ -67,7 +65,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .geometry import crescent_area, outside_zone_area
-from .metric import PiecewiseMetric, grid_edges
+from .metric import PiecewiseMetric, grid_edges, sum_down
 
 EPSILON_HAT = 1e-6  # contraction slack n * epsilon, from epsilon = 1e-6 / n
 
@@ -193,22 +191,22 @@ def _sweep(system: ConstraintSystem) -> np.ndarray:
 
 
 def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
-    """Monotone, subadditive feasibility witness built on the minimal sweep.
+    """Monotone, exactly subadditive feasibility witness built on the minimal sweep.
 
-    Head (lam <= 2): the minimal values, floored by the additive function
-    lam/4 (the floor only binds at low densities and keeps the tail rule
-    d_i + d_j >= 1 for lam_i + lam_j > 4 satisfiable).  Tail (lam > 2): the
-    capped subadditive completion max(d_{i-1}, min(1, min_j d_j + d_{i-j})),
-    so the whole metric lies in [0, 1].  The tail does not read the minimal
-    tail values; that it never drops below them, so that every constraint
-    keeps nonnegative slack, is what `witness` checks.
+    d_i = max(d_{i-1}, min(base_i, min_{0<j<i} sum_down(d_j, d_{i-j}))), d_0 = 0,
+    so d_{i+j} <= d_i + d_j holds exactly.  base is 1 on the tail (lam > 2)
+    and on the head the minimal values floored by the additive function lam/4
+    (the floor only binds at low densities and keeps the tail rule
+    d_i + d_j >= 1 for lam_i + lam_j > 4 satisfiable).  That d never drops
+    below the minimal values, so that every constraint keeps nonnegative
+    slack, is what `witness` checks.
     """
     cut = system.L // 2  # lam_i = 4i/L <= 2 exactly for the first L // 2 cells
+    base = np.ones(system.L)
+    base[:cut] = np.maximum(system.swept[:cut], system.grid[:cut] / 4.0)
     d = np.zeros(system.L)
-    d[:cut] = np.maximum(system.swept[:cut], system.grid[:cut] / 4.0)
-    for i in range(cut, system.L):
-        head = d[:i]  # pairs d_j + d_{i-1-j}; empty only for the single cell of L = 1
-        d[i] = max(np.min(head + head[::-1], initial=1.0), d[i - 1])  # d[-1] = 0 at L = 1
+    for i in range(system.L):  # 0-based pairs (j, i-1-j), each once; d[i - 1] is still 0 at i = 0
+        d[i] = max(d[i - 1], sum_down(d[: (i + 1) // 2], d[i // 2 : i][::-1]).min(initial=base[i]))
     return PiecewiseMetric(values=d)
 
 

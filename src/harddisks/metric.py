@@ -2,7 +2,7 @@
 
 A metric is one read-only float64 array of L constant values on equal
 subintervals of [0, 4] (lengths in units of r), with d(0) = 0 and d
-identically 1 beyond 4.
+identically 1 beyond 4.  Its axioms are decided exactly, with no tolerance.
 """
 
 from __future__ import annotations
@@ -14,7 +14,13 @@ import numpy as np
 
 from .geometry import crescent_area
 
-AXIOM_TOL = 1e-12  # slack allowed in each axiom comparison
+
+def sum_down(a, b) -> np.ndarray:
+    """The exact a + b rounded down to a float: a float x <= a + b exactly iff x <= sum_down(a, b)."""
+    s = np.asarray(np.add(a, b))  # an array even for scalar a and b, so `out=` can write to it
+    b_part = s - a
+    err = (a - (s - b_part)) + (b - b_part)  # s + err = a + b exactly (TwoSum, Knuth TAOCP 4.2.2)
+    return np.nextafter(s, -np.inf, out=s, where=err < 0.0)
 
 
 def grid_edges(L: int) -> np.ndarray:
@@ -89,53 +95,44 @@ class AxiomReport:
 
     @property
     def passed(self) -> bool:
-        return not (
-            self.monotonicity_violations
-            or self.subadditivity_violations
-            or self.range_violations
-        )
+        return not (self.monotonicity_violations or self.subadditivity_violations
+                    or self.range_violations)
 
 
-def check_axioms(metric: PiecewiseMetric) -> AxiomReport:
-    """Check monotonicity, grid subadditivity, and the [0, 1] range.
+def check_axioms(metric) -> AxiomReport:
+    """Check the [0, 1] range, monotonicity and grid subadditivity exactly.
 
     Subadditivity is checked on the grid (d_{i+j} <= d_i + d_j for i+j <= L)
     and against the tail: d_i + d_j >= 1 whenever lam_i + lam_j > 4, so the
     extension with d = 1 beyond the grid stays a valid edge-length system.
+    `metric` may also be a bare sequence of values, whose NaN is a range violation.
     """
-    t, L = metric.values, metric.L
-    d = t.tolist()  # the report holds plain floats
+    t = metric.values if isinstance(metric, PiecewiseMetric) else np.asarray(metric, dtype=float)
+    L, d = t.size, t.tolist()  # the report holds plain floats
     report = AxiomReport(
-        range_violations=[(int(i) + 1, d[i]) for i in np.flatnonzero(
-            ~((t >= -AXIOM_TOL) & (t <= 1.0 + AXIOM_TOL)))],
-        monotonicity_violations=[(int(i) + 1, d[i], d[i + 1])
-                                 for i in np.flatnonzero(t[:-1] > t[1:] + AXIOM_TOL)])
+        range_violations=[(int(i) + 1, d[i]) for i in np.flatnonzero(~((t >= 0.0) & (t <= 1.0)))],
+        monotonicity_violations=[(int(i) + 1, d[i], d[i + 1]) for i in np.flatnonzero(t[:-1] > t[1:])])
+    padded = np.concatenate([t, np.ones(L)])  # d_k, and 1 for the tail beyond the grid
     for i in range(1, L + 1):  # row i against every j >= i at once
-        pair = t[i - 1] + t[i - 1 :]
-        inner = np.arange(i, L + 1) <= L - i
-        joined = np.ones(L - i + 1)  # d_{i+j}, or 1 for the tail beyond the grid
-        joined[inner] = t[2 * i - 1 :]
-        bad = np.where(inner, joined > pair + AXIOM_TOL, pair < 1.0 - AXIOM_TOL)
-        report.subadditivity_violations += [(i, i + int(p), float(joined[p]))
-                                            for p in np.flatnonzero(bad)]
+        joined = padded[2 * i - 1 : L + i]  # d_{i+j}
+        bad = np.flatnonzero(joined > sum_down(t[i - 1], t[i - 1 :]))
+        report.subadditivity_violations += [(i, i + int(p), float(joined[p])) for p in bad]
     return report
 
 
 def to_csv(metric: PiecewiseMetric, path) -> None:
-    """Write `lambda_right,d` rows at lam_i = 4i/L; the d = 1 tail is implicit."""
+    """Write `lambda_right,d` rows at lam_i = 4i/L, each d as its shortest round-trip repr."""
     with open(path, "w") as fh:
         fh.write("lambda_right,d\n")
-        for lam, v in zip(metric.grid, metric.values):
-            fh.write(f"{lam:.12g},{v:.12g}\n")
+        for lam, v in zip(metric.grid, metric.values.tolist()):
+            fh.write(f"{lam:.12g},{v!r}\n")
 
 
 def from_csv(path) -> PiecewiseMetric:
-    """Read a `lambda_right,d` CSV.
-
-    A row without exactly two fields, a field that is not a number, a row off
-    the grid lam_k = 4k/L, a value d_k outside [0, 1] or a value above the
-    next row's (each within AXIOM_TOL) is an error naming the row.
-    """
+    """Read a `lambda_right,d` CSV.  A row without exactly two fields, a field
+    that is not a number, a row off the grid lam_k = 4k/L or the first
+    `check_axioms` violation (range, then monotonicity, then subadditivity)
+    is an error naming the row."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "lambda_right,d":
@@ -153,11 +150,16 @@ def from_csv(path) -> PiecewiseMetric:
                 raise ValueError(f"metric CSV row {len(rows) + 1}: non-numeric field in "
                                  f"{line.strip()!r}") from None
     L = len(rows)
-    for k, (lam, d) in enumerate(rows, start=1):
+    for k, (lam, _) in enumerate(rows, start=1):
         if not abs(lam - 4.0 * k / L) <= 1e-9:  # also a NaN lambda_right
             raise ValueError(f"metric CSV row {k}: lambda_right {lam:.12g}, expected 4*{k}/{L}")
-        if not -AXIOM_TOL <= d <= 1.0 + AXIOM_TOL:
-            raise ValueError(f"metric CSV row {k}: d {d:.12g} outside [0, 1]")
-        if k < L and d > rows[k][1] + AXIOM_TOL:
-            raise ValueError(f"metric CSV row {k}: d {d:.12g} exceeds row {k + 1}'s {rows[k][1]:.12g}")
-    return PiecewiseMetric(values=[d for _, d in rows])
+    report = check_axioms(values := [d for _, d in rows])
+    for k, d in report.range_violations:  # each loop raises on its first violation, if any
+        raise ValueError(f"metric CSV row {k}: d {d:.17g} outside [0, 1]")
+    for k, d, after in report.monotonicity_violations:
+        raise ValueError(f"metric CSV row {k}: d {d:.17g} exceeds row {k + 1}'s {after:.17g}")
+    for i, j, _ in report.subadditivity_violations:
+        rule = (f"subadditivity d_{i + j} <= d_{i} + d_{j}" if i + j <= L
+                else f"the tail rule d_{i} + d_{j} >= 1")
+        raise ValueError(f"metric CSV rows {i} and {j} break {rule}")
+    return PiecewiseMetric(values=values)

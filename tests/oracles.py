@@ -39,9 +39,13 @@ scalar or independent route to the same result:
   `dynamics.run` against a brute-force step loop over its `move`, and the
   verdicts, cells and coordinates of `CellGrid.walk` at cell edges against
   it.
+- `round_down`: a rational rounded down to a float; test_metric checks
+  `metric.sum_down` against it, and test_contraction builds its reference
+  witness with it.
 - `check_axioms_looped`: the metric axioms checked one pair (i, j) at a
-  time; test_metric checks the row-vectorized `metric.check_axioms` against
-  it, violation lists and their order included.
+  time in `fractions.Fraction`, so it shares no rounding with
+  `metric.sum_down`; test_metric checks the row-vectorized, exact
+  `metric.check_axioms` against it, violation lists and their order included.
 - `hamming_metric`, `disagreements`, `pair_distance`: the unit metric d = 1
   and the metric distance between two configurations (test_metric).
 - `CoupledPair`, `make_pair`, `coupled_step`, `classify_step`: the scalar
@@ -85,6 +89,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -98,7 +103,7 @@ from harddisks.geometry import (
     min_image_array,
     outside_zone_area,
 )
-from harddisks.metric import AXIOM_TOL, AxiomReport, PiecewiseMetric, grid_edges
+from harddisks.metric import AxiomReport, PiecewiseMetric, grid_edges
 
 # --- torus geometry, in absolute units ---------------------------------------
 
@@ -425,22 +430,31 @@ class ScalarCellGrid:
 # --- metric axioms --------------------------------------------------------------
 
 
+def round_down(q: Fraction) -> float:
+    """The largest float at or below the rational q, from Python's correctly
+    rounded Fraction-to-float conversion, not from TwoSum."""
+    x = float(q)
+    return math.nextafter(x, -math.inf) if Fraction(x) > q else x
+
+
 def check_axioms_looped(metric: PiecewiseMetric) -> AxiomReport:
-    """`metric.check_axioms` one comparison at a time, over every pair i <= j."""
-    d = metric.values
+    """`metric.check_axioms` one comparison at a time, over every pair i <= j,
+    in exact rationals: each float is read as the Fraction it equals."""
+    d = metric.values.tolist()
+    q = [Fraction(x) for x in d]
     L = metric.L
     report = AxiomReport()
     for i in range(L):
-        if not -AXIOM_TOL <= d[i] <= 1.0 + AXIOM_TOL:
+        if not 0 <= q[i] <= 1:
             report.range_violations.append((i + 1, d[i]))
-        if i + 1 < L and d[i] > d[i + 1] + AXIOM_TOL:
+        if i + 1 < L and q[i] > q[i + 1]:
             report.monotonicity_violations.append((i + 1, d[i], d[i + 1]))
     for i in range(1, L + 1):
         for j in range(i, L + 1):
             if i + j <= L:
-                if d[i + j - 1] > d[i - 1] + d[j - 1] + AXIOM_TOL:
+                if q[i + j - 1] > q[i - 1] + q[j - 1]:
                     report.subadditivity_violations.append((i, j, d[i + j - 1]))
-            elif d[i - 1] + d[j - 1] < 1.0 - AXIOM_TOL:
+            elif q[i - 1] + q[j - 1] < 1:
                 report.subadditivity_violations.append((i, j, 1.0))
     return report
 

@@ -146,22 +146,22 @@ METRIC16_REPORT_PIN = """{
 """
 
 METRIC16_CSV_PIN = """lambda_right,d
-0.25,0.119288747568
-0.5,0.238109845615
-0.75,0.35599007156
-1,0.4724447174
-1.25,0.583073822265
-1.5,0.669871708338
-1.75,0.7330680464
-2,0.778913280345
-2.25,0.898202027913
-2.5,1
-2.75,1
-3,1
-3.25,1
-3.5,1
-3.75,1
-4,1
+0.25,0.11928874756799362
+0.5,0.23810984561548534
+0.75,0.3559900715604981
+1,0.47244471740035465
+1.25,0.5830738222650184
+1.5,0.6698717083380861
+1.75,0.7330680463996199
+2,0.7789132803454096
+2.25,0.8982020279134032
+2.5,1.0
+2.75,1.0
+3,1.0
+3.25,1.0
+3.5,1.0
+3.75,1.0
+4,1.0
 """
 
 METRIC16_OVERLAY_PIN = """lambda_right,d,d_analytic
@@ -173,7 +173,7 @@ METRIC16_OVERLAY_PIN = """lambda_right,d,d_analytic
 
 # SHA-256 of the CSV that `metric --L 256 --rho 0.1544` writes: the input
 # metric that perfbench's couple_cold and ell_sweep workloads set up.
-METRIC256_CSV_SHA256 = "a2781a6f8a74104e3e113d00a789dc44c601a5e7a1c62a3b18e6b9df19387841"
+METRIC256_CSV_SHA256 = "15edebe88cb2f78e59660fb4f7aae48c7a59406e012ef248561250102f135999"
 
 
 PUBLIC_NAMES = [
@@ -298,11 +298,14 @@ class TestBound:
         assert capsys.readouterr().out == pin
 
     @pytest.mark.parametrize("L", ["0", "-3"])
-    def test_empty_grid_exits_three(self, L, capsys):
+    def test_empty_grid_exits_two(self, L, capsys):
         for flags in ([], ["--hamming"]):
-            assert run_cli(["bound", "--L", L, *flags]) == 3
+            with pytest.raises(SystemExit) as info:
+                run_cli(["bound", "--L", L, *flags])
+            assert info.value.code == 2
             captured = capsys.readouterr()
-            assert captured.out == "" and "grid size must be at least 1" in captured.err
+            assert captured.out == ""
+            assert f"argument --L: must be a positive integer, got {L}" in captured.err
 
 
 class TestTable:
@@ -482,9 +485,11 @@ class TestSimulate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["accepted"] + payload["rejected"] == payload["steps"] == 100
 
-    def test_bad_steps_exits_three(self):
-        assert run_cli(["simulate", "--n", "4", "--rho", "0.02",
-                        "--steps", "-5", "--seed", "1"]) == 3
+    def test_bad_steps_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["simulate", "--n", "4", "--rho", "0.02", "--steps", "-5", "--seed", "1"])
+        assert info.value.code == 2
+        assert "argument --steps: must be a nonnegative integer, got -5" in capsys.readouterr().err
 
     def test_negative_seed_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -492,10 +497,11 @@ class TestSimulate:
         assert info.value.code == 2
         assert "argument --seed: must be a nonnegative integer, got -1" in capsys.readouterr().err
 
-    def test_no_disks_exits_three(self, capsys):
-        assert run_cli(["simulate", "--n", "0", "--rho", "0.15",
-                        "--steps", "10", "--seed", "1"]) == 3
-        assert "n=0" in capsys.readouterr().err
+    def test_no_disks_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["simulate", "--n", "0", "--rho", "0.15", "--steps", "10", "--seed", "1"])
+        assert info.value.code == 2
+        assert "argument --n: must be a positive integer, got 0" in capsys.readouterr().err
 
     def test_out_of_range_density_exits_three(self, capsys):
         assert run_cli(["simulate", "--n", "8", "--rho", "0.3",
@@ -633,6 +639,14 @@ class TestCouple:
                      "--metric", str(metric_file), "--seed", "-1"])
         assert info.value.code == 2
         assert "argument --seed: must be a nonnegative integer, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--n", "--trials"])
+    def test_zero_count_exits_two(self, metric_file, flag, capsys):
+        with pytest.raises(SystemExit) as info:  # the repeated flag's last value wins
+            run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0", "--trials", "10",
+                     "--metric", str(metric_file), "--seed", "1", flag, "0"])
+        assert info.value.code == 2
+        assert f"argument {flag}: must be a positive integer, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_nonpositive_thread_count_exits_three(self, metric_file, threads, capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from harddisks.contraction import (
     slack_report,
 )
 from harddisks.geometry import crescent_area
-from harddisks.metric import PiecewiseMetric, analytic_small_ell, check_axioms
+from harddisks.metric import PiecewiseMetric, analytic_small_ell, check_axioms, from_csv, to_csv
 from ceiling import extrapolate
 from oracles import (
     assemble_as_written,
     assemble_dense,
     bisect_density,
+    check_axioms_looped,
     crescent_angle,
     crescent_angle_array,
     dense_rows,
@@ -31,6 +33,7 @@ from oracles import (
     feasible_box,
     lp_feasible,
     minimal_metric,
+    round_down,
     saturated_decide,
     saturated_metric,
     stored,
@@ -353,17 +356,19 @@ def looped_minimal_metric(system):
 
 
 def looped_repaired_metric(system):
-    """Reference tail completion, one pair at a time; the tail never reads the
-    minimal tail values."""
+    """Reference witness, one cell and one pair at a time: each pair sum
+    d_j + d_{i-1-j} is taken exactly in Fractions and rounded down to a float.
+    The tail never reads the minimal tail values."""
     m = np.array(minimal_metric(system).values)
     cut = int(np.searchsorted(system.grid, 2.0, side="right"))
-    d = np.zeros(system.L)
-    d[:cut] = np.maximum(m, system.grid / 4.0)[:cut]
-    for i in range(cut, system.L):
-        best = 1.0
+    base = np.ones(system.L)
+    base[:cut] = np.maximum(m, system.grid / 4.0)[:cut]
+    d = []
+    for i in range(system.L):
+        best = float(base[i])
         for j in range(i):
-            best = min(best, d[j] + d[i - 1 - j])
-        d[i] = max(best, d[i - 1] if i else 0.0)
+            best = min(best, round_down(Fraction(d[j]) + Fraction(d[i - 1 - j])))
+        d.append(max(best, d[i - 1] if i else 0.0))
     return tuple(d)
 
 
@@ -374,9 +379,23 @@ class TestRepairedMetric:
             assert contraction.repaired_metric(system).values.tolist() == list(looped_repaired_metric(system))
 
     def test_passes_axioms_across_densities(self):
-        for rho in (0.03, 0.10, 0.112, 0.13, 0.153):
-            m = contraction.repaired_metric(assemble(rho, 32))
-            assert check_axioms(m).passed, rho
+        # At L = 88 the lam/4 floor, i/L in floats, is not exactly additive.
+        for L in (32, 88):
+            for rho in (0.03, 0.10, 0.112, 0.13, 0.153):
+                m = contraction.repaired_metric(assemble(rho, L))
+                assert check_axioms(m).passed, (L, rho)
+                assert check_axioms_looped(m).passed, (L, rho)
+
+    @pytest.mark.parametrize("rigorous", [False, True])
+    @pytest.mark.parametrize("L", [88, 256, 1024])
+    def test_witness_and_its_csv_pass_the_exact_check(self, tmp_path, L, rigorous):
+        metric = max_density(L, rigorous=rigorous).metric
+        to_csv(metric, tmp_path / "m.csv")
+        back = from_csv(tmp_path / "m.csv")  # which raises on any violation
+        assert back.values.tobytes() == metric.values.tobytes()
+        assert check_axioms(metric).passed and check_axioms(back).passed
+        if L == 88:  # the Fraction oracle takes seconds at L = 1024
+            assert check_axioms_looped(metric).passed
 
     def test_never_below_minimal_solution(self):
         system = assemble(0.14, 64)

@@ -1,6 +1,7 @@
 """Tests for the piecewise-constant metric and configuration distances."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 from harddisks import metric as metric_mod
 from harddisks.dynamics import Configuration
 from harddisks.geometry import crescent_area
-from harddisks.metric import PiecewiseMetric, analytic_small_ell, check_axioms, from_csv, to_csv
+from harddisks.metric import (
+    PiecewiseMetric,
+    analytic_small_ell,
+    check_axioms,
+    from_csv,
+    sum_down,
+    to_csv,
+)
 from oracles import (
     DisagreementPair,
     check_axioms_looped,
@@ -18,6 +26,7 @@ from oracles import (
     hamming_metric,
     pair_distance,
     replaced,
+    round_down,
 )
 
 
@@ -127,6 +136,20 @@ class TestAnalyticSmallEll:
             analytic_small_ell(0.5, 0.25)
 
 
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
+
+
+class TestSumDown:
+    @given(finite_floats, finite_floats)
+    def test_is_the_exact_sum_rounded_down(self, a, b):
+        assert sum_down(a, b) == round_down(Fraction(a) + Fraction(b))
+
+    def test_rounds_down_where_the_nearest_float_is_above(self):
+        # 0.1 + 0.2 rounds up to 0.30000000000000004; the exact sum lies below it
+        assert sum_down(0.1, 0.2) == 0.3 < 0.1 + 0.2
+        assert sum_down([0.5, 0.25], 0.25).tolist() == [0.75, 0.5]  # exact sums stay
+
+
 class TestCheckAxioms:
     def test_hamming_metric_passes(self):
         assert check_axioms(hamming_metric(16)).passed
@@ -143,6 +166,14 @@ class TestCheckAxioms:
     def test_range_violation_reported(self):
         report = check_axioms(PiecewiseMetric(values=(0.5, 1.2)))
         assert report.range_violations
+
+    def test_a_float_sum_that_rounds_up_is_a_violation(self):
+        # fl(0.3 + 0.55) = 0.8500000000000001 lies above the exact sum; 0.85, the float below, passes
+        rounded_up = PiecewiseMetric(values=(0.3, 0.55, 0.3 + 0.55))
+        report = check_axioms(rounded_up)
+        assert report.subadditivity_violations == [(1, 2, 0.8500000000000001)]
+        assert report == check_axioms_looped(rounded_up)
+        assert check_axioms(PiecewiseMetric(values=(0.3, 0.55, 0.85))).passed
 
     def test_tail_subadditivity_enforced(self):
         # d_i + d_j must reach 1 whenever lam_i + lam_j exceeds the grid end.
@@ -236,7 +267,7 @@ class TestSerialization:
         to_csv(m, path)
         back = from_csv(path)
         assert back.L == m.L
-        assert all(abs(a - b) < 1e-12 for a, b in zip(back.values, m.values))
+        assert back.values.tobytes() == m.values.tobytes()
 
     def test_csv_header_and_grid(self, tmp_path):
         m = PiecewiseMetric(values=(0.25, 0.5, 0.75, 1.0))
@@ -283,5 +314,20 @@ class TestSerialization:
         path.write_text("lambda_right,d\n1,0.25\n2,0.5\n3,0.75\n4,nan\n")
         with pytest.raises(ValueError, match="row 4: d nan outside"):
             from_csv(path)
+        # The check is exact: a dip or an overshoot of 5e-13 is an error.
         path.write_text("lambda_right,d\n1,0.5\n2,0.4999999999995\n3,1.0000000000005\n4,1\n")
-        assert from_csv(path).L == 4  # dips within AXIOM_TOL are accepted
+        with pytest.raises(ValueError, match="row 3: d 1.0000000000005 outside"):
+            from_csv(path)
+        path.write_text("lambda_right,d\n1,0.5\n2,0.4999999999995\n3,1\n4,1\n")
+        with pytest.raises(ValueError, match="row 1: d 0.5 exceeds row 2's 0.49999999999950001"):
+            from_csv(path)
+
+    @pytest.mark.parametrize("rows, err", [
+        ("2,0.2\n4,0.3", "rows 1 and 2 break the tail rule d_1 \\+ d_2 >= 1"),
+        ("1,0.1\n2,0.5\n3,0.6\n4,1", "rows 1 and 1 break subadditivity d_2 <= d_1 \\+ d_1"),
+    ])
+    def test_csv_rejects_subadditivity_and_tail_violations(self, tmp_path, rows, err):
+        path = tmp_path / "m.csv"
+        path.write_text(f"lambda_right,d\n{rows}\n")
+        with pytest.raises(ValueError, match=f"metric CSV {err}"):
+            from_csv(path)
