@@ -152,9 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="harddisks",
         description="Lower bounds on the hard-disk critical density via an optimized coupling metric.",
     )
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker bound, accepted by every command and validated (>= 1) "
-                             "only by couple; starts no workers, and results never depend on it")
+    parser.add_argument("--threads", type=positive, default=os.cpu_count() or 1,
+                        help="worker bound (>= 1), accepted by every command; "
+                             "starts no workers, and results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="the largest contractive density: the last row's root, "

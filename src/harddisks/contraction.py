@@ -9,7 +9,8 @@ One coupled step contracts the metric in expectation when, for every i,
 where g_i = (rho/pi) * crescent_area(lam_i) is the pessimistic cost of new
 disagreements and w_ij = (rho/pi) * (integral of the relabeling-savings
 kernel 2 (pi - theta(u, lam_i)) u over subinterval j), built exactly as
-differences of its antiderivative geometry.outside_zone_area.  g and w are
+differences of its antiderivative F = geometry.outside_zone_area, so the row
+sum W_i telescopes to F(lam_i, u_i)/pi, a closed form like g_i.  g and w are
 proportional to rho, so the system is stored at unit density, g^ = g/rho and
 w^ = w/rho, and constraint i divided by rho reads
 
@@ -56,6 +57,7 @@ condition is c >= 4 rho, so its bound is (1 - eps_hat)/8 in closed form.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Callable
@@ -84,19 +86,19 @@ ROW_BUDGET = 1 << 14  # doubles per block of savings rows (< 1 MB): 16 rows at L
 class ConstraintSystem:
     """The unit-density constraint data for one grid size L, labelled with a density.
 
-    Of the savings rows w it keeps the head rows [0, h) by solve block, block
-    b of rows [32b, 32b + 32) cut to the min(k, 32b + 32) columns `_sweep`
-    reads, and the last row; `rows` yields any of them, and `swept` its sweep.
+    It keeps g and the row sums W whole, both in closed form, and of the
+    savings rows w the head rows [0, h) by solve block, block b of rows
+    [32b, 32b + 32) cut to the min(k, 32b + 32) columns `_sweep` reads, and
+    the last row; `rows` yields any of them, and `swept` its sweep.
     """
 
     L: int
     rho: float
     g: np.ndarray  # crescent-area terms at unit density, shape (L,)
+    W: np.ndarray  # savings row sums at unit density, shape (L,)
     head: tuple[np.ndarray, ...]  # read-only
-    head_W: np.ndarray  # row sums of the head, shape (h,)
     last: np.ndarray  # row L - 1, read-only
-    last_W: float
-    rows: Callable  # rows(a, b) yields blocks (first row, rows, row sums)
+    rows: Callable  # rows(a, b) yields blocks (first row, rows), each row k wide
 
     @property
     def mu(self) -> float:
@@ -118,7 +120,8 @@ def assemble(rho: float, L: int, rigorous: bool = False) -> ConstraintSystem:
     w[i, j] = (F(lam_i, u_{j+1}) - F(lam_i, u_j))/pi over subinterval
     j = [u_j, u_{j+1}], j < i only (the partial cell j = i multiplies
     d_i - d_i = 0), with F = outside_zone_area.  The kernel is truncated at
-    the danger-zone radius by clamping u at 2.
+    the danger-zone radius by clamping u at 2, so row i sums to its closed
+    form W_i = F(lam_i, u_i)/pi: F(lam, 0) = 0, and u_j = 2 for every j >= k.
 
     With rigorous=True row i of w (and W) takes the cell's left end lam_{i-1}
     instead of lam_i, while g_i stays at lam_i.  The crescent area and the
@@ -142,28 +145,25 @@ def assemble(rho: float, L: int, rigorous: bool = False) -> ConstraintSystem:
         for a in range(start, stop, step):
             b = min(a + step, stop)
             F = outside_zone_area(u[None, : min(b, k + 1)], rows_lam[a:b, None])
-            # Full-width rows, so that W keeps numpy's pairwise summation order.
             # Row i keeps cells j <= i - 1, that is j - (i - a) <= a - 1.
-            w = np.zeros((b - a, L))
+            w = np.zeros((b - a, k))
             w[:, : F.shape[1] - 1] = np.tril(np.diff(F, axis=1), a - 1) / np.pi
-            yield a, w[:, :k], w.sum(axis=1)
+            yield a, w
 
     head = [np.empty((min(SOLVE_BLOCK, h - start), min(k, start + SOLVE_BLOCK, h)))
             for start in range(0, h, SOLVE_BLOCK)]
-    head_W = np.empty(h)
-    for a, w, W in rows(0, h):  # a row block may span several solve blocks
+    for a, w in rows(0, h):  # a row block may span several solve blocks
         b = a + len(w)
-        head_W[a:b] = W
         for start in range(a - a % SOLVE_BLOCK, b, SOLVE_BLOCK):
             block = head[start // SOLVE_BLOCK]
             lo, hi = max(a, start), min(b, start + len(block))
             block[lo - start : hi - start] = w[lo - a : hi - a, : block.shape[1]]
-    for block in head:
+    _, (last,) = next(rows(L - 1, L))
+    for block in (*head, last):
         block.flags.writeable = False
-    _, (last,), (last_W,) = next(rows(L - 1, L))
-    last.flags.writeable = False
-    return ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi, head=tuple(head),
-                            head_W=head_W, last=last, last_W=last_W, rows=rows)
+    return ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi,
+                            W=outside_zone_area(u, rows_lam) / np.pi, head=tuple(head),
+                            last=last, rows=rows)
 
 
 def _sweep(system: ConstraintSystem) -> np.ndarray:
@@ -177,8 +177,8 @@ def _sweep(system: ConstraintSystem) -> np.ndarray:
     mu = system.mu
     if mu <= 0:
         raise ValueError("contraction margin c must be positive (rho too large)")
-    diag = mu + system.head_W
-    d = np.empty(system.head_W.size)
+    diag = mu + system.W
+    d = np.empty(sum(map(len, system.head)))
     for start, w in zip(range(0, d.size, SOLVE_BLOCK), system.head):
         stop = start + len(w)
         before, inside = w[:, :start], w[:, start:stop]  # missing columns are 0
@@ -220,14 +220,12 @@ def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
     """
     if metric.L != system.L:
         raise ValueError("metric and system grid sizes differ")
-    d, h, n = metric.values, system.head_W.size, system.last.size
-    sav, W = np.empty(system.L), np.empty(system.L)  # row i only sees j < i; missing columns are 0
-    for start, w in zip(range(0, h, SOLVE_BLOCK), system.head):
+    d, h = metric.values, sum(map(len, system.head))
+    sav = np.empty(system.L)  # row i only sees j < i; missing columns are 0
+    head = zip(range(0, h, SOLVE_BLOCK), system.head)
+    for start, w in itertools.chain(head, system.rows(h, system.L)):
         sav[start : start + len(w)] = w @ d[: w.shape[1]]
-    W[:h] = system.head_W
-    for start, w, row_sums in system.rows(h, system.L):
-        sav[start : start + len(w)], W[start : start + len(w)] = w @ d[:n], row_sums
-    residuals = system.rho * ((system.mu + W) * d - system.g - sav)
+    residuals = system.rho * ((system.mu + system.W) * d - system.g - sav)
     tight = system.grid[residuals < TIGHT_TOL]
     tight_lambda_max = float(tight.max()) if tight.size else 0.0
     return residuals, tight_lambda_max
@@ -240,7 +238,7 @@ def _last_row(system: ConstraintSystem):
     head = system.swept[:cut]  # the head never references the tail
     d = np.ones(system.last.size)
     d[:cut] = head
-    return head, (system.mu + system.last_W) - system.g[-1] - system.last @ d
+    return head, (system.mu + system.W[-1]) - system.g[-1] - system.last @ d
 
 
 def decide(system: ConstraintSystem) -> bool:

@@ -46,21 +46,20 @@ class Configuration:
 
     __slots__ = ("n", "r", "centers")
 
-    def __init__(self, centers, r: float, _validate: bool = True):
+    def __init__(self, centers, r: float):
         centers = np.array(centers, dtype=float).reshape(-1, 2)
         self.r = float(r)
         # before the wrap, which turns inf into NaN with a RuntimeWarning
-        if _validate and not (np.isfinite(centers).all() and math.isfinite(self.r)):
+        if not (np.isfinite(centers).all() and math.isfinite(self.r)):
             raise ValueError("disk centers and radius must be finite")
         centers %= 1.0
         self.n = len(centers)
         self.centers = centers
         self.centers.setflags(write=False)
-        if _validate:
-            if self.r <= 0:
-                raise ValueError("radius must be positive")
-            if not self.is_valid():
-                raise ValueError("overlapping disks: pairwise distance < 2r")
+        if self.r <= 0:
+            raise ValueError("radius must be positive")
+        if not self.is_valid():
+            raise ValueError("overlapping disks: pairwise distance < 2r")
 
     @property
     def rho(self) -> float:
@@ -215,18 +214,18 @@ def run(config: Configuration, steps: int, seed):
     for lo in range(0, steps, RUN_SLICE):
         k = min(RUN_SLICE, steps - lo)
         accepted += grid.walk(rng.integers(config.n, size=k), rng.random((k, 2)))
-    final = Configuration(np.column_stack([grid.xs, grid.ys]), config.r, _validate=False)
+    final = Configuration(np.column_stack([grid.xs, grid.ys]), config.r)  # one O(n^2) audit
     return final, ChainStats(steps=steps, accepted=accepted)
 
 
 def save_snapshot(config: Configuration, path, seed=None) -> None:
-    """CSV of centers plus a JSON sidecar with n, r, rho, seed."""
+    """CSV of centers plus a JSON sidecar with n, r, rho, seed, every float as
+    its shortest round-trip repr, so `load_snapshot` rebuilds it bit for bit."""
     with open(path, "w") as fh:
         fh.write("x,y\n")
-        for x, y in config.centers:
-            fh.write(f"{x:.12g},{y:.12g}\n")
-    sidecar = {"n": config.n, "r": float(f"{config.r:.12g}"),
-               "rho": float(f"{config.rho:.12g}"), "seed": seed}
+        for x, y in config.centers.tolist():
+            fh.write(f"{x!r},{y!r}\n")
+    sidecar = {"n": config.n, "r": config.r, "rho": config.rho, "seed": seed}
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh)
 

@@ -54,12 +54,14 @@ scalar or independent route to the same result:
   `classify_step`, proposal by proposal.
 - `assemble_dense`, `stored`, `dense_rows`: `contraction.assemble` built as
   all L x L savings weights at once, a system in the package's layout whose
-  savings rows are the rows of a given array, and a system's weights and
-  row sums gathered back into one zero-padded L x L array.
+  savings rows are the rows of a given array, and a system's weights
+  gathered back into one zero-padded L x L array.  Both assemblies take the
+  row sums W from the same closed form, F(lam_i, u_i)/pi.
   test_contraction checks that the package's stored head blocks, last row,
   streamed rows, g and W equal the dense assembly bit for bit, with the
-  savings rows at either end of each cell, and give the same search; the
-  LP oracle and the kernel and sweep references index the padded weights.
+  savings rows at either end of each cell, that W lies within 2 ulp of the
+  dense row sums, and that both give the same search; the LP oracle and the
+  kernel and sweep references index the padded weights.
 - `minimal_metric`: the pointwise-least solution over all L rows, the
   package's blocked sweep run on the gathered weights.  test_contraction
   checks that the head the witness sweeps equals its head bit for bit.
@@ -714,9 +716,8 @@ def lp_feasible(system: contraction.ConstraintSystem) -> bool:
     (times rho), not the unit-density form.
     """
     rho = system.rho
-    w, W = dense_rows(system)
-    A = -rho * w
-    np.fill_diagonal(A, rho * (system.mu + W))
+    A = -rho * dense_rows(system)
+    np.fill_diagonal(A, rho * (system.mu + system.W))
     return feasible_box(A, rho * system.g, np.ones(system.L))
 
 
@@ -726,7 +727,8 @@ def assemble_dense(rho: float, L: int, rigorous: bool = False) -> contraction.Co
 
     The columns of cells that start at u >= 2 are exactly 0, and the package
     stores only the others; g, W and the live columns must match this
-    bit for bit, in both row variants.  Its rows are all L wide.
+    bit for bit, in both row variants.  Its rows are all L wide, and its row
+    sums W_i = F(lam_i, u_i)/pi are the package's closed form.
     """
     if not 0 < rho < 0.25:
         raise ValueError(f"density must lie in (0, 1/4), got {rho}")
@@ -743,7 +745,7 @@ def assemble_dense(rho: float, L: int, rigorous: bool = False) -> contraction.Co
         # Row i keeps cells j <= i - 1, that is j - (i - start) <= start - 1.
         w[start:stop, : stop - 1] = np.tril(np.diff(F, axis=1), start - 1)
     w /= np.pi
-    return stored(rho, crescent_area(lam) / np.pi, w, w.sum(axis=1))
+    return stored(rho, crescent_area(lam) / np.pi, w, outside_zone_area(u, rows_lam) / np.pi)
 
 
 def solve_blocks(w: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
@@ -755,7 +757,7 @@ def solve_blocks(w: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
 
 def stored(rho: float, g: np.ndarray, w: np.ndarray, W: np.ndarray) -> contraction.ConstraintSystem:
     """A system in the package's layout whose savings rows are the rows of
-    w (L x n, the columns past n read as 0) with row sums W.
+    w (L x n, the columns past n read as 0) with row sums W, shape (L,).
 
     The head blocks and the last row are views of w, and the row source
     yields the requested rows of w as one block.
@@ -764,24 +766,22 @@ def stored(rho: float, g: np.ndarray, w: np.ndarray, W: np.ndarray) -> contracti
     h = min(len(w), -(-(len(w) // 2) // B) * B)  # the head in whole solve blocks
 
     def rows(start, stop):
-        yield start, w[start:stop], W[start:stop]
+        yield start, w[start:stop]
 
-    return contraction.ConstraintSystem(L=len(w), rho=rho, g=g, head=solve_blocks(w, h),
-                                        head_W=W[:h], last=w[-1], last_W=W[-1], rows=rows)
+    return contraction.ConstraintSystem(L=len(w), rho=rho, g=g, W=W, head=solve_blocks(w, h),
+                                        last=w[-1], rows=rows)
 
 
-def dense_rows(system: contraction.ConstraintSystem) -> tuple[np.ndarray, np.ndarray]:
+def dense_rows(system: contraction.ConstraintSystem) -> np.ndarray:
     """The system's savings weights zero-padded to L x L (its missing columns
-    are 0) and their row sums: the stored head and the streamed rows [h, L)."""
-    L, h = system.L, system.head_W.size
-    w, W = np.zeros((L, L)), np.empty(L)
+    are 0): the stored head and the streamed rows [h, L)."""
+    L, h = system.L, sum(map(len, system.head))
+    w = np.zeros((L, L))
     for start, block in zip(range(0, h, contraction.SOLVE_BLOCK), system.head):
         w[start : start + len(block), : block.shape[1]] = block
-    W[:h] = system.head_W
-    for start, rows, sums in system.rows(h, L):
+    for start, rows in system.rows(h, L):
         w[start : start + len(rows), : rows.shape[1]] = rows
-        W[start : start + len(rows)] = sums
-    return w, W
+    return w
 
 
 def minimal_metric(system: contraction.ConstraintSystem) -> PiecewiseMetric:
@@ -793,8 +793,8 @@ def minimal_metric(system: contraction.ConstraintSystem) -> PiecewiseMetric:
     rows, as wide as the system stores them, with the rows past the stored
     head gathered from the row source.
     """
-    w, W = dense_rows(system)
-    full = replace(system, head=solve_blocks(w[:, : system.last.size], system.L), head_W=W)
+    w = dense_rows(system)
+    full = replace(system, head=solve_blocks(w[:, : system.last.size], system.L))
     return PiecewiseMetric(values=contraction._sweep(full))
 
 
@@ -804,12 +804,15 @@ def assemble_as_written(rho: float, L: int, rigorous: bool = False) -> contracti
     w[i, j] integrates the kernel over the whole cell j < i, so the rows with
     cells past u = 2 carry savings from a region the crescent never reaches.
     The feasibility decision reads those columns only in the last row, at
-    d = 1, where they cancel against W, so the bound is the same.
+    d = 1, where they cancel against W, so the bound is the same.  W is the
+    same closed form F(lam_i, u_i)/pi, with u_i = 4i/L unclamped.
     """
     edges = grid_edges(L)
-    F = outside_zone_area(edges[None, :], (edges[:-1] if rigorous else edges[1:])[:, None])
+    rows_lam = edges[:-1] if rigorous else edges[1:]
+    F = outside_zone_area(edges[None, :], rows_lam[:, None])
     w = np.tril(np.diff(F, axis=1), -1) / np.pi
-    return stored(rho, crescent_area(edges[1:]) / np.pi, w, w.sum(axis=1))
+    W = outside_zone_area(edges[:-1], rows_lam) / np.pi
+    return stored(rho, crescent_area(edges[1:]) / np.pi, w, W)
 
 
 def saturated_metric(system: contraction.ConstraintSystem) -> PiecewiseMetric:

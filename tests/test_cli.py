@@ -173,7 +173,7 @@ METRIC16_OVERLAY_PIN = """lambda_right,d,d_analytic
 
 # SHA-256 of the CSV that `metric --L 256 --rho 0.1544` writes: the input
 # metric that perfbench's couple_cold and ell_sweep workloads set up.
-METRIC256_CSV_SHA256 = "15edebe88cb2f78e59660fb4f7aae48c7a59406e012ef248561250102f135999"
+METRIC256_CSV_SHA256 = "893fddc63001eacbacd260fc305101768cf24b8e2a8620d04acbd4cbdaea474e"
 
 
 PUBLIC_NAMES = [
@@ -442,7 +442,7 @@ SIMULATE_PIN = """{
   "seed": 1
 }
 """
-SIMULATE_SNAPSHOT_SHA256 = "035fe8b064321ca8e5f9dbeebdd843951bd2be7dc0e8ad6650ee1756b19b6a70"
+SIMULATE_SNAPSHOT_SHA256 = "1a70e0b2b40373b1fdac38ee57ebbf63ff3d681b496fa5a8cd9fffec02e328f4"
 
 
 class TestSimulate:
@@ -649,11 +649,16 @@ class TestCouple:
         assert f"argument {flag}: must be a positive integer, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_nonpositive_thread_count_exits_three(self, metric_file, threads, capsys):
-        assert run_cli(["--threads", threads, "couple", "--n", "8", "--rho", "0.1",
-                        "--ell", "1.0", "--trials", "10", "--metric", str(metric_file),
-                        "--seed", "1"]) == 3
-        assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
+    def test_nonpositive_thread_count_exits_two(self, metric_file, threads, capsys):
+        # a flag error on every command, not only on couple
+        for command in (["couple", "--n", "8", "--rho", "0.1", "--ell", "1.0", "--trials", "10",
+                         "--metric", str(metric_file), "--seed", "1"], ["bound", "--L", "8"]):
+            with pytest.raises(SystemExit) as info:
+                run_cli(["--threads", threads, *command])
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument --threads: must be a positive integer, got {threads}" in captured.err
 
     def test_bad_displacement_exits_three(self, metric_file):
         assert run_cli(["couple", "--n", "8", "--rho", "0.1", "--ell", "9.0",

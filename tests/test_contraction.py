@@ -100,7 +100,7 @@ def quadrature_kernel(L, variant, order=16):
 
 def exact_kernel(L, variant):
     """The savings integrals I of the assembled system, with the factor 1/pi removed."""
-    return dense_rows(ASSEMBLIES[variant](0.125, L))[0] * np.pi
+    return dense_rows(ASSEMBLIES[variant](0.125, L)) * np.pi
 
 
 def adaptive_cell_integral(lam, a, b, variant):
@@ -125,7 +125,7 @@ class TestAssemble:
         assert np.all(np.diff(system.g) > 0)
 
     def test_weights_nonnegative_and_lower_triangular(self):
-        w, _ = dense_rows(assemble(0.14, 32))
+        w = dense_rows(assemble(0.14, 32))
         assert np.all(w >= 0)
         assert np.allclose(np.triu(w), 0.0)
 
@@ -134,7 +134,7 @@ class TestAssemble:
         # in both chains, so those subintervals carry zero weight.
         L = 32
         system = assemble(0.14, L)
-        w, _ = dense_rows(system)
+        w = dense_rows(system)
         h = 4.0 / L
         for i in range(L):
             lam = system.grid[i]
@@ -144,9 +144,14 @@ class TestAssemble:
 
     def test_row_sums_bounded_by_kernel_cap(self):
         system = assemble(0.14, 64)
-        w, W = dense_rows(system)
-        assert np.array_equal(W, w.sum(axis=1))
-        assert np.all(W <= system.grid**2)
+        assert np.all(system.W <= system.grid**2)
+        # The closed form W_i = F(lam_i, u_i)/pi against the dense rows summed
+        # in numpy's pairwise order: at most 2 ulp apart (L = 42, row 31).
+        for L in [*range(1, 65), 88, 333, 1024, 1170, 2048]:
+            for rigorous in (False, True):
+                sums = dense_rows(assemble_dense(0.14, L, rigorous)).sum(axis=1)
+                W = assemble(0.14, L, rigorous).W
+                assert np.all(np.abs(W - sums) <= 2 * np.spacing(sums)), (L, rigorous)
         # Clamped rows whose cells reach u = 2 integrate the kernel over the
         # whole crescent: F(lam, 2) is its area.
         sums = exact_kernel(64, "clamped").sum(axis=1)
@@ -186,9 +191,10 @@ class TestAssemble:
 
 def assert_stores_dense_rows(live, dense):
     """live keeps the head blocks, the last row and the row sums of the dense
-    assembly bit for bit, and its row source yields the dense rows [h, L)."""
-    L, k, h = live.L, (live.L + 1) // 2, live.head_W.size
-    w, W = dense_rows(dense)
+    assembly bit for bit, and its row source yields the dense rows [h, L),
+    each k wide."""
+    L, k, h = live.L, (live.L + 1) // 2, sum(map(len, live.head))
+    w = dense_rows(dense)
     assert not np.any(w[:, k:])
     assert np.array_equal(live.g, dense.g)
     assert h == min(L, -(-(L // 2) // SOLVE_BLOCK) * SOLVE_BLOCK)
@@ -197,16 +203,14 @@ def assert_stores_dense_rows(live, dense):
         assert block.shape == (min(start + SOLVE_BLOCK, h) - start, min(k, start + SOLVE_BLOCK))
         assert not block.flags.writeable
         assert np.array_equal(block, w[start : start + len(block), : block.shape[1]])
-    assert np.array_equal(live.head_W, W[:h])
+    assert np.array_equal(live.W, dense.W)
     assert not live.last.flags.writeable
-    assert np.array_equal(live.last, w[-1, :k]) and live.last_W == W[-1]
+    assert np.array_equal(live.last, w[-1, :k])
     streamed = list(live.rows(h, L))
-    starts = [start for start, _, _ in streamed]
-    assert starts == list(range(h, L, max(1, contraction.ROW_BUDGET // L)))
-    rows = np.concatenate([np.zeros((0, k))] + [rows for _, rows, _ in streamed])
-    sums = np.concatenate([np.zeros(0)] + [sums for _, _, sums in streamed])
+    assert [start for start, _ in streamed] == list(range(h, L, max(1, contraction.ROW_BUDGET // L)))
+    assert all(rows.shape[1] == k for _, rows in streamed)
+    rows = np.concatenate([np.zeros((0, k))] + [rows for _, rows in streamed])
     assert np.array_equal(rows, w[h:, :k])
-    assert np.array_equal(sums, W[h:])
 
 
 class TestLiveColumns:
@@ -238,8 +242,8 @@ class TestLiveColumns:
         kernel = contraction.outside_zone_area
         monkeypatch.setattr(contraction, "outside_zone_area",
                             lambda *args: calls.append(args) or kernel(*args))
-        h = assemble(0.14, L).head_W.size
-        assert len(calls) == -(-h // (contraction.ROW_BUDGET // L)) + 1  # and the last row
+        h = sum(map(len, assemble(0.14, L).head))
+        assert len(calls) == -(-h // (contraction.ROW_BUDGET // L)) + 2  # the last row and W
 
     def test_stored_savings_about_an_eighth_of_the_square(self):
         # The head blocks and the last row: 1.07 MiB at L = 1024, where all
@@ -346,7 +350,7 @@ def looped_minimal_metric(system):
     """Reference forward sweep, one constraint at a time, on the constraints as
     written: g, w and c at the system's density, rebuilt from the unit system."""
     rho = system.rho
-    g, w = rho * system.g, rho * dense_rows(system)[0]
+    g, w = rho * system.g, rho * dense_rows(system)
     c = 1.0 - 4.0 * rho - contraction.EPSILON_HAT
     W = w.sum(axis=1)
     d = np.zeros(system.L)
@@ -437,7 +441,7 @@ class TestRepairedMetric:
         monkeypatch.setattr(contraction, "_sweep", recorded)
         repaired = contraction.repaired_metric(system).values
         contraction.decide(dataclasses.replace(system))  # a fresh copy, which sweeps the same head
-        h, cut = system.head_W.size, L // 2
+        h, cut = sum(map(len, system.head)), L // 2
         assert [len(d) for d in swept] == [h, h] and np.array_equal(swept[1], swept[0])
         assert h == L or h % SOLVE_BLOCK == 0
         full = minimal_metric(system).values[:cut]
@@ -491,7 +495,7 @@ class TestDecide:
             # to within the change of mu over the search's resolution.
             system = dataclasses.replace(probes[0], rho=result.rho_star)
             d = saturated_metric(system).values[: system.last.size]
-            gap = system.mu - (system.g[-1] - system.last_W + system.last @ d)
+            gap = system.mu - (system.g[-1] - system.W[-1] + system.last @ d)
             assert -1e-12 / system.rho <= gap <= contraction.SEARCH_TOL / system.rho**2, gap
 
     def test_binding_tail_row_is_an_error(self, monkeypatch):
@@ -595,9 +599,8 @@ class TestSlackReport:
         monkeypatch.setattr(contraction, "ROW_BUDGET", budget)
         system = assemble(0.1544, L)
         metric = contraction.repaired_metric(system)
-        w, W = dense_rows(system)
         d = metric.values
-        dense = system.rho * ((system.mu + W) * d - system.g - w @ d)
+        dense = system.rho * ((system.mu + system.W) * d - system.g - dense_rows(system) @ d)
         residuals, _ = slack_report(system, metric)
         assert np.allclose(residuals, dense, rtol=0.0, atol=1e-15)
 
@@ -751,7 +754,7 @@ class TestMaxDensity:
         assert len(swept) <= 9  # the root and the confirmed ends; the witness reuses one
         base = built[0]
         for system in swept + decided + witnessed:
-            assert system.head is base.head and system.head_W is base.head_W
+            assert system.head is base.head and system.W is base.W
             assert system.last is base.last and system.rows is base.rows and system.g is base.g
         assert [system.rho for system in witnessed] == [result.rho_star]
 

@@ -524,7 +524,7 @@ class TestBatchedMatchesScalar:
         sum_b = sum_e = 0.0
         counts = {k: 0 for k in OUTCOME_KINDS}
         for b in range(B):
-            X = Configuration(centers[b], r, _validate=False)
+            X = Configuration(centers[b], r)
             pair = CoupledPair(X=X, Y=replaced(X, 0, y1[b]))
             out = classify_step(pair, TEST_METRIC, int(j[b]), TorusPoint(*z[b]))
             sum_b += out.delta_bound
@@ -874,7 +874,7 @@ class TestStratifiedTrials:
         sum_b = sum_e = 0.0
         counts = dict.fromkeys(OUTCOME_KINDS, 0)
         for b in range(B):
-            X = Configuration(centers[b], r, _validate=False)
+            X = Configuration(centers[b], r)
             pair = CoupledPair(X=X, Y=replaced(X, 0, y1[b]))
             c0_b = c0_e = cc_b = cc_e = 0.0
             coalesced = 0

@@ -513,6 +513,21 @@ class TestSnapshots:
         assert np.allclose(back.centers, config.centers, atol=1e-11)
         assert back.r == pytest.approx(config.r, rel=1e-11)
 
+    def test_disks_at_contact_reload_bit_for_bit(self, tmp_path):
+        # Two disks just clear under the chain's own rule; centers and r
+        # written at 12 digits reloaded as overlapping at 7 of these densities.
+        path = tmp_path / "snap.csv"
+        for rho in np.linspace(0.05, 0.2, 40).tolist():
+            r = radius_for_density(2, rho)
+            x0 = 0.25
+            x1 = x0 + 2.0 * r
+            while (x1 - x0) ** 2 < 4.0 * r * r:
+                x1 = np.nextafter(x1, np.inf)
+            config = Configuration([[x0, 0.5], [x1, 0.5]], r)
+            save_snapshot(config, path)
+            back = load_snapshot(path)
+            assert np.array_equal(back.centers, config.centers) and back.r == config.r, rho
+
     def test_non_finite_file_contents_rejected(self, tmp_path):
         config = random_config(3, 0.02, seed=20)
         path = tmp_path / "snap.csv"
