@@ -28,7 +28,7 @@ RIGOROUS_HELP = ("take each savings row at its cell's left end, so the bound hol
 # argparse names a flag type in its error when the type raises ValueError,
 # as in "argument --Ls: invalid grid_sizes value: '8,,16'".
 def grid_sizes(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
+    return [positive(x) for x in text.split(",")]
 
 
 def nonnegative(text: str) -> int:

@@ -22,9 +22,9 @@ shares the arrays.
 
 The savings kernel lives inside the danger zone, so its integral stops at
 u = 2 (the region u > 2 is geometrically empty): `assemble` clamps u there.
-The cells j >= k = ceil(L/2) start at u >= 2 and so carry w = 0 exactly,
-so a row keeps only its first k entries; missing columns read as zeros.  The
-search reads only the head rows (lam <= 2) and the last row, so a system
+The cells j >= k = ceil(L/2) start at u >= 2 and so carry w = 0 exactly, so
+rows come in solve blocks at most k columns wide (missing ones read as 0).
+The search reads only the head rows (lam <= 2) and the last row, so a system
 stores just those, about L^2/8 doubles, and `witness` streams the rest once.
 Savings therefore only ever reference d(u) for u below 2, so raising d on
 (2, 4] to 1 costs nothing, and with that tail the last row, lam = 4, is the
@@ -79,7 +79,6 @@ SEARCH_TOL = 1e-6  # the walk halves until the bracket is below SEARCH_TOL/8
 ROOT_TOL = 1e-13  # the root-finder stops at a step shorter than this
 SNAP = 1e-9  # bisection midpoints this close to the root are decided, not inferred
 SOLVE_BLOCK = 32  # rows per diagonal block of the forward substitution
-ROW_BUDGET = 1 << 14  # doubles per block of savings rows (< 1 MB): 16 rows at L = 1024
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,9 @@ class ConstraintSystem:
     """The unit-density constraint data for one grid size L, labelled with a density.
 
     It keeps g and the row sums W whole, both in closed form, and of the
-    savings rows w the head rows [0, h) by solve block, block b of rows
-    [32b, 32b + 32) cut to the min(k, 32b + 32) columns `_sweep` reads, and
-    the last row; `rows` yields any of them, and `swept` its sweep.
+    savings rows w the head rows [0, h) and the last row.  `rows(a, b)` yields
+    rows [a, b) by SOLVE_BLOCK rows, the block [s, t) cut to min(k, t)
+    columns; `head` holds rows(0, h), and `swept` is its sweep.
     """
 
     L: int
@@ -98,7 +97,7 @@ class ConstraintSystem:
     W: np.ndarray  # savings row sums at unit density, shape (L,)
     head: tuple[np.ndarray, ...]  # read-only
     last: np.ndarray  # row L - 1, read-only
-    rows: Callable  # rows(a, b) yields blocks (first row, rows), each row k wide
+    rows: Callable  # rows(a, b) yields (first row, block) by solve block
 
     @property
     def mu(self) -> float:
@@ -124,45 +123,39 @@ def assemble(rho: float, L: int, rigorous: bool = False) -> ConstraintSystem:
     form W_i = F(lam_i, u_i)/pi: F(lam, 0) = 0, and u_j = 2 for every j >= k.
 
     With rigorous=True row i of w (and W) takes the cell's left end lam_{i-1}
-    instead of lam_i, while g_i stays at lam_i.  The crescent area and the
-    savings kernel 2 (pi - theta(u, lam)) u both increase in lam, so for a
-    monotone d the constraint then holds at every lam in (lam_{i-1}, lam_i],
-    not only at the grid point.  This is computed in floats, not certified
-    with interval arithmetic.
+    instead of lam_i, while g_i stays at lam_i.  Both rise with lam: d
+    crescent_area/d lam = 2 sqrt(4 - lam^2/4) > 0, and for u <= 2, cos theta =
+    (u^2 + lam^2 - 4)/(2 u lam) has d/d lam = (lam^2 + 4 - u^2)/(2 u lam^2) > 0,
+    so the kernel 2 (pi - theta) u rises.  So for a monotone d the constraint
+    holds on all of (lam_{i-1}, lam_i], in floats (not interval arithmetic).
     """
     if not 0 < rho < 0.25:
         raise ValueError(f"density must lie in (0, 1/4), got {rho}")
     if L < 1:
         raise ValueError("grid size must be at least 1")
     edges = grid_edges(L)
-    lam, u = edges[1:], np.minimum(edges[:-1], 2.0)
+    lam, u = edges[1:], np.minimum(edges, 2.0)
     rows_lam = edges[:-1] if rigorous else lam
     k = (L + 1) // 2  # cells j >= k start at u_j >= 2, where the clamp makes w exactly 0
     h = min(L, -(-(L // 2) // SOLVE_BLOCK) * SOLVE_BLOCK)  # whole solve blocks
-    step = max(1, ROW_BUDGET // L)
 
     def rows(start, stop):
-        for a in range(start, stop, step):
-            b = min(a + step, stop)
-            F = outside_zone_area(u[None, : min(b, k + 1)], rows_lam[a:b, None])
-            # Row i keeps cells j <= i - 1, that is j - (i - a) <= a - 1.
-            w = np.zeros((b - a, k))
-            w[:, : F.shape[1] - 1] = np.tril(np.diff(F, axis=1), a - 1) / np.pi
+        for a in range(start, stop, SOLVE_BLOCK):
+            b = min(a + SOLVE_BLOCK, stop)
+            w = np.diff(outside_zone_area(u[None, : min(k, b) + 1], rows_lam[a:b, None]), axis=1)
+            w[~np.tri(*w.shape, a - 1, dtype=bool)] = 0.0  # row i keeps cells j <= i - 1
+            w /= np.pi
             yield a, w
 
     head = [np.empty((min(SOLVE_BLOCK, h - start), min(k, start + SOLVE_BLOCK, h)))
-            for start in range(0, h, SOLVE_BLOCK)]
-    for a, w in rows(0, h):  # a row block may span several solve blocks
-        b = a + len(w)
-        for start in range(a - a % SOLVE_BLOCK, b, SOLVE_BLOCK):
-            block = head[start // SOLVE_BLOCK]
-            lo, hi = max(a, start), min(b, start + len(block))
-            block[lo - start : hi - start] = w[lo - a : hi - a, : block.shape[1]]
+            for start in range(0, h, SOLVE_BLOCK)]  # up front: kept built blocks fragment the heap
+    for block, (_, w) in zip(head, rows(0, h)):
+        block[...] = w
     _, (last,) = next(rows(L - 1, L))
     for block in (*head, last):
         block.flags.writeable = False
     return ConstraintSystem(L=L, rho=rho, g=crescent_area(lam) / np.pi,
-                            W=outside_zone_area(u, rows_lam) / np.pi, head=tuple(head),
+                            W=outside_zone_area(u[:-1], rows_lam) / np.pi, head=tuple(head),
                             last=last, rows=rows)
 
 
@@ -214,9 +207,8 @@ def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):
     """Per-constraint residuals (c + W_i) d_i - g_i - sum_{j<i} w_ij d_j.
 
     They are rho times the unit-density residuals, so they keep the units of
-    the constraints as written.  Returns (residuals, tight_lambda_max) where
-    the latter is the largest grid point whose constraint is tight to within
-    TIGHT_TOL.
+    the constraints as written.  Returns (residuals, tight_lambda_max), the
+    latter the largest grid point whose constraint is within TIGHT_TOL of tight.
     """
     if metric.L != system.L:
         raise ValueError("metric and system grid sizes differ")

@@ -346,6 +346,16 @@ class TestTable:
         assert info.value.code == 2
         assert "argument --Ls: invalid grid_sizes value: '8,,16'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("Ls", ["8,0", "-3", "0,8"])
+    def test_empty_grid_exits_two(self, Ls, capsys):
+        # as bound --L 0: a flag error, before any search runs
+        with pytest.raises(SystemExit) as info:
+            run_cli(["table", "--Ls", Ls])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --Ls: must be a positive integer, got " in captured.err
+
     def test_rows_nondecreasing(self, tmp_path):
         out = tmp_path / "t.csv"
         assert run_cli(["table", "--Ls", "8,16,32", "--out", str(out)]) == 0

@@ -158,6 +158,24 @@ class TestAssemble:
         full = system.grid - 4.0 / 64 >= 2.0
         assert np.allclose(sums[full], crescent_area(system.grid[full]), rtol=0.0, atol=1e-12)
 
+    def test_rigorous_rows_lemma(self):
+        # assemble's lemma: on u <= 2, cos theta(u, lam) = (u^2 + lam^2 - 4)/(2 u lam)
+        # has lam-derivative (lam^2 + 4 - u^2)/(2 u lam^2) > 0, and
+        # d crescent_area/d lam = 2 sqrt(4 - lam^2/4) > 0; both by central differences.
+        step = 1e-6
+        u, lam = np.meshgrid(np.linspace(0.05, 2.0, 40), np.linspace(0.05, 3.95, 79))
+        inside = np.abs(lam - 2.0) + 0.01 < u  # where the circle of radius u crosses the zone
+        u, lam = u[inside], lam[inside]
+        cos = lambda lam: np.cos(crescent_angle_array(u, lam))  # noqa: E731
+        slope = (lam**2 + 4.0 - u**2) / (2.0 * u * lam**2)
+        assert np.all(slope > 0.0)
+        assert np.allclose((cos(lam + step) - cos(lam - step)) / (2.0 * step), slope, rtol=1e-6, atol=1e-8)
+        lam = np.linspace(0.01, 3.9, 200)
+        slope = 2.0 * np.sqrt(4.0 - lam**2 / 4.0)
+        assert np.all(slope > 0.0)
+        central = (crescent_area(lam + step) - crescent_area(lam - step)) / (2.0 * step)
+        assert np.allclose(central, slope, rtol=1e-7, atol=0.0)
+
     def test_closed_form_matches_gauss_legendre(self):
         # The 16-point rule is off by up to 3.4e-5 in the cells that start at
         # the kernel's square-root kink u = 2 - lam.
@@ -191,8 +209,8 @@ class TestAssemble:
 
 def assert_stores_dense_rows(live, dense):
     """live keeps the head blocks, the last row and the row sums of the dense
-    assembly bit for bit, and its row source yields the dense rows [h, L),
-    each k wide."""
+    assembly bit for bit, and its row source yields the dense rows [h, L) in
+    solve blocks, each cut to min(k, block end) columns."""
     L, k, h = live.L, (live.L + 1) // 2, sum(map(len, live.head))
     w = dense_rows(dense)
     assert not np.any(w[:, k:])
@@ -207,10 +225,10 @@ def assert_stores_dense_rows(live, dense):
     assert not live.last.flags.writeable
     assert np.array_equal(live.last, w[-1, :k])
     streamed = list(live.rows(h, L))
-    assert [start for start, _ in streamed] == list(range(h, L, max(1, contraction.ROW_BUDGET // L)))
-    assert all(rows.shape[1] == k for _, rows in streamed)
-    rows = np.concatenate([np.zeros((0, k))] + [rows for _, rows in streamed])
-    assert np.array_equal(rows, w[h:, :k])
+    assert [start for start, _ in streamed] == list(range(h, L, SOLVE_BLOCK))
+    for start, rows in streamed:
+        assert rows.shape == (min(start + SOLVE_BLOCK, L) - start, min(k, start + SOLVE_BLOCK, L))
+        assert np.array_equal(rows, w[start : start + len(rows), : rows.shape[1]])
 
 
 class TestLiveColumns:
@@ -227,23 +245,15 @@ class TestLiveColumns:
         assert np.array_equal(live.g, assemble(0.14, L).g)
         assert_stores_dense_rows(live, assemble_dense(0.14, L, rigorous=True))
 
-    # ROW_BUDGET // L rows per block: one row, 2 rows with a partial last
-    # block of one, and a single block of all L rows.
-    @pytest.mark.parametrize("budget, L", [(1, 40), (100, 35), (10**6, 100)])
-    @pytest.mark.parametrize("rigorous", [False, True])
-    def test_any_row_budget_matches_dense_assembly(self, monkeypatch, budget, L, rigorous):
-        monkeypatch.setattr(contraction, "ROW_BUDGET", budget)
-        assert_stores_dense_rows(assemble(0.14, L, rigorous), assemble_dense(0.14, L, rigorous))
-
     @pytest.mark.parametrize("L", [1, 16, 100, 256, 333, 1024])
     def test_one_kernel_call_per_row_block(self, monkeypatch, L):
-        # row blocks of ROW_BUDGET // L rows span the 32-row solve blocks
+        # the head's solve blocks, the last row and W
         calls = []
         kernel = contraction.outside_zone_area
         monkeypatch.setattr(contraction, "outside_zone_area",
                             lambda *args: calls.append(args) or kernel(*args))
         h = sum(map(len, assemble(0.14, L).head))
-        assert len(calls) == -(-h // (contraction.ROW_BUDGET // L)) + 2  # the last row and W
+        assert len(calls) == -(-h // SOLVE_BLOCK) + 2
 
     def test_stored_savings_about_an_eighth_of_the_square(self):
         # The head blocks and the last row: 1.07 MiB at L = 1024, where all
@@ -253,8 +263,8 @@ class TestLiveColumns:
         assert nbytes <= 1.2 * 2**20, nbytes / 2**20
 
     def test_search_peak_memory(self):
-        # 5.3 MiB at L = 2048; storing all L rows of the live columns peaked
-        # at 16.9 MiB.
+        # 5.5 MiB at L = 2048 with 32-row blocks (4.7 MiB with 2^14 // L-row
+        # blocks); storing all L rows of the live columns peaked at 16.9 MiB.
         tracemalloc.start()
         try:
             max_density(2048)
@@ -591,18 +601,25 @@ class TestSlackReport:
         with pytest.raises(ValueError):
             slack_report(assemble(0.12, 16), PiecewiseMetric(values=(1.0,) * 8))
 
-    # No stored head (L = 1), no streamed row (L = 2), and a head that ends
-    # past L // 2 with odd-width rows (L = 333), one row or all at a time.
-    @pytest.mark.parametrize("budget", [1, contraction.ROW_BUDGET, 10**6])
-    @pytest.mark.parametrize("L", [1, 2, 7, 333])
-    def test_matches_the_dense_product(self, monkeypatch, L, budget):
-        monkeypatch.setattr(contraction, "ROW_BUDGET", budget)
-        system = assemble(0.1544, L)
+    # No stored head (L = 1), no streamed row (L = 2), a head that ends at
+    # L // 2 and whole tail blocks (L = 64), and heads that end past L // 2
+    # with a partial last block (L = 88; odd-width rows at L = 333, 1170).
+    @pytest.mark.parametrize("L", [1, 2, 7, 64, 88, 333, 1170])
+    @pytest.mark.parametrize("rigorous", [False, True])
+    def test_matches_the_dense_product(self, L, rigorous):
+        # Bit for bit: the dense rows cut into the same solve blocks at the
+        # same widths, so each matrix-vector product sees the same layout.
+        system = assemble(0.1544, L, rigorous)
         metric = contraction.repaired_metric(system)
-        d = metric.values
-        dense = system.rho * ((system.mu + system.W) * d - system.g - dense_rows(system) @ d)
+        d, w, k = metric.values, dense_rows(system), (L + 1) // 2
+        sav = np.empty(L)
+        for start in range(0, L, SOLVE_BLOCK):
+            stop = min(start + SOLVE_BLOCK, L)
+            block = np.ascontiguousarray(w[start:stop, : min(k, stop)])
+            sav[start:stop] = block @ d[: block.shape[1]]
+        dense = system.rho * ((system.mu + system.W) * d - system.g - sav)
         residuals, _ = slack_report(system, metric)
-        assert np.allclose(residuals, dense, rtol=0.0, atol=1e-15)
+        assert np.array_equal(residuals, dense)
 
 
 class TestLpFeasibleBox:
