@@ -12,9 +12,12 @@ peak minus `savings_mb`) as `transient_mb`,
 the shared system relabelled with that density, as `ms_per_probe`,
 `test_witness` the repaired witness and its verification at the bound, which
 streams the rows past the stored head, as `ms` with its tracemalloc peak as
-`peak_mb`, and `test_max_density` the whole search (one assembly, the sweeps that
-find the last row's root and confirm the walked bisection path, and the
-witness) as `max_density_ms`, each in `extra_info`.
+`peak_mb`, `test_repaired_metric` the exact repair alone, its head sweep done
+beforehand, as `repair_ms`, both at the bound and at rho = 0.03, where the
+lam/4 floor binds on the whole head and every row's least settled pair sum
+reaches its base, and `test_max_density` the whole search (one assembly, the
+sweeps that find the last row's root and confirm the walked bisection path,
+and the witness) as `max_density_ms`, each in `extra_info`.
 """
 
 import tracemalloc
@@ -69,6 +72,17 @@ def test_witness(benchmark, L):
     _report(benchmark, "ms")
     _, peak = _traced(contraction.witness, system)
     benchmark.extra_info["peak_mb"] = round(peak / 2**20, 3)
+
+
+@pytest.mark.parametrize("rho", [None, 0.03], ids=["rho_star", "rho_0.03"])
+@pytest.mark.parametrize("L", LS)
+def test_repaired_metric(benchmark, L, rho):
+    base = contraction.assemble(contraction.SEARCH_LO, L)
+    system = replace(base, rho=contraction.max_density(L).rho_star if rho is None else rho)
+    system.swept  # the witness reuses the search's sweep
+    metric = benchmark.pedantic(contraction.repaired_metric, args=(system,), rounds=10, warmup_rounds=1)
+    assert metric.L == L
+    _report(benchmark, "repair_ms")
 
 
 @pytest.mark.parametrize("L", LS)

@@ -67,7 +67,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .geometry import crescent_area, outside_zone_area
-from .metric import PiecewiseMetric, grid_edges, sum_down
+from .metric import PiecewiseMetric, grid_edges
 
 EPSILON_HAT = 1e-6  # contraction slack n * epsilon, from epsilon = 1e-6 / n
 
@@ -193,14 +193,48 @@ def repaired_metric(system: ConstraintSystem) -> PiecewiseMetric:
     d_i + d_j >= 1 for lam_i + lam_j > 4 satisfiable).  That d never drops
     below the minimal values, so that every constraint keeps nonnegative
     slack, is what `witness` checks.
+
+    `_repair` takes the rows in the SOLVE_BLOCK blocks of `_sweep`.  In the
+    block of cells a+1..b a pair (j, i-j), j <= i-j, is settled when i-j <= a:
+    one window view of d_1..d_a, padded with +inf, gives the plain float sums
+    of every settled pair and each row's least, M.  sum_down(x, y) is fl(x+y)
+    or the float below it and never falls as fl(x+y) rises, so the least
+    rounded-down sum is M, or the float below M when some pair's exact sum
+    lies below M (the tie rule): fl(M - d_{i-j}) > d_j, where M - d_{i-j} is
+    exact by Fast2Sum (Dekker, Numer. Math. 18, 1971) as 0 <= d_j <= d_{i-j},
+    and which monotone rounding keeps false, in either order, for a pair
+    summing to M or more.  Only rows with M <= base_i need the rule.  The
+    pairs with a cell in the block, under SOLVE_BLOCK a row, run in Python
+    floats, each rounded down only if its plain sum reaches the running least.
     """
     cut = system.L // 2  # lam_i = 4i/L <= 2 exactly for the first L // 2 cells
     base = np.ones(system.L)
     base[:cut] = np.maximum(system.swept[:cut], system.grid[:cut] / 4.0)
-    d = np.zeros(system.L)
-    for i in range(system.L):  # 0-based pairs (j, i-1-j), each once; d[i - 1] is still 0 at i = 0
-        d[i] = max(d[i - 1], sum_down(d[: (i + 1) // 2], d[i // 2 : i][::-1]).min(initial=base[i]))
-    return PiecewiseMetric(values=d)
+    return PiecewiseMetric(values=_repair(base))
+
+
+def _repair(base: np.ndarray) -> np.ndarray:
+    """The recursion of `repaired_metric` on any base, with 0-based cells (d_{-1} = 0)."""
+    d, v, prev = np.empty(base.size), [], 0.0  # v: d so far, as Python floats
+    for a in range(0, base.size, SOLVE_BLOCK):
+        b, M = min(a + SOLVE_BLOCK, base.size), np.inf
+        if a:
+            n = (a + 1) // 2  # pair t of row i = a + r: j = r + t, i-1-j = a-1-t
+            low, high = np.lib.stride_tricks.sliding_window_view(
+                np.concatenate([d[:a], np.full(b - a, np.inf)]), n)[: b - a], d[a - n : a][::-1]
+            M = (low + high).min(axis=1)  # low is +inf where j >= a: those pairs are in-block
+            if (M <= base[a:b]).any():
+                M = np.where((M[:, None] - high > low).any(axis=1), np.nextafter(M, -np.inf), M)
+        for i, best in enumerate(np.minimum(M, base[a:b]).tolist(), start=a):
+            p = max(a, i // 2)  # pairs (i-1-q, q) for q = p, ..., i-1
+            for x, y in zip(reversed(v[: i - p]), v[p:i]):
+                s = x + y
+                if s <= best:
+                    best = math.nextafter(s, -math.inf) if x - (s - y) < 0.0 else s
+            prev = max(prev, best)
+            v.append(prev)
+        d[a:b] = v[a:b]
+    return d
 
 
 def slack_report(system: ConstraintSystem, metric: PiecewiseMetric):

@@ -40,12 +40,18 @@ scalar or independent route to the same result:
   verdicts, cells and coordinates of `CellGrid.walk` at cell edges against
   it.
 - `round_down`: a rational rounded down to a float; test_metric checks
-  `metric.sum_down` against it, and test_contraction builds its reference
-  witness with it.
+  `metric.sum_down` against it.
+- `repair_looped`: the witness recursion on a given base, one pair at a
+  time in exact integer units of 2^-1074, the least pair sum of each cell
+  rounded down by `round_down`.
+  test_contraction checks `contraction._repair`, which takes the settled
+  pairs of a row block at once and rounds down only at each row's minimum,
+  against it bit for bit, and builds its reference witness with it.
 - `check_axioms_looped`: the metric axioms checked one pair (i, j) at a
-  time in `fractions.Fraction`, so it shares no rounding with
-  `metric.sum_down`; test_metric checks the row-vectorized, exact
-  `metric.check_axioms` against it, violation lists and their order included.
+  time in `fractions.Fraction` (NaN and +-inf kept as floats), so it shares
+  no rounding with `metric.sum_down`; test_metric checks the row-blocked,
+  exact `metric.check_axioms` against it, violation lists and their order
+  included.
 - `hamming_metric`, `disagreements`, `pair_distance`: the unit metric d = 1
   and the metric distance between two configurations (test_metric).
 - `CoupledPair`, `make_pair`, `coupled_step`, `classify_step`: the scalar
@@ -439,12 +445,29 @@ def round_down(q: Fraction) -> float:
     return math.nextafter(x, -math.inf) if Fraction(x) > q else x
 
 
-def check_axioms_looped(metric: PiecewiseMetric) -> AxiomReport:
+def repair_looped(base) -> tuple:
+    """The witness recursion of `contraction.repaired_metric` on any base, one
+    cell and one pair at a time: each pair sum d_j + d_{i-1-j} is taken exactly,
+    in integer units of 2^-1074 (every finite float is a whole number of them),
+    and the least of them is rounded down to a float (the least of the
+    rounded-down sums, as rounding down is monotone)."""
+    unit = Fraction(1, 2**1074)
+    d, q = [], []  # q: d in units
+    for i, floor in enumerate(map(float, base)):
+        best = min(floor, round_down(unit * min(q[j] + q[i - 1 - j] for j in range(i)))) if i else floor
+        d.append(max(best, d[i - 1] if i else 0.0))
+        q.append(int(Fraction(d[i]) / unit))
+    return tuple(d)
+
+
+def check_axioms_looped(metric) -> AxiomReport:
     """`metric.check_axioms` one comparison at a time, over every pair i <= j,
-    in exact rationals: each float is read as the Fraction it equals."""
-    d = metric.values.tolist()
-    q = [Fraction(x) for x in d]
-    L = metric.L
+    in exact rationals: each finite float is read as the Fraction it equals,
+    and NaN and +-inf stay floats, which compare and add as IEEE values.
+    Like the package, it also takes a bare sequence of values."""
+    d = metric.values.tolist() if isinstance(metric, PiecewiseMetric) else [float(x) for x in metric]
+    q = [Fraction(x) if math.isfinite(x) else x for x in d]
+    L = len(d)
     report = AxiomReport()
     for i in range(L):
         if not 0 <= q[i] <= 1:

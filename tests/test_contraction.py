@@ -4,10 +4,11 @@ import dataclasses
 import json
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from harddisks import contraction
@@ -33,7 +34,7 @@ from oracles import (
     feasible_box,
     lp_feasible,
     minimal_metric,
-    round_down,
+    repair_looped,
     saturated_decide,
     saturated_metric,
     stored,
@@ -370,20 +371,51 @@ def looped_minimal_metric(system):
 
 
 def looped_repaired_metric(system):
-    """Reference witness, one cell and one pair at a time: each pair sum
-    d_j + d_{i-1-j} is taken exactly in Fractions and rounded down to a float.
-    The tail never reads the minimal tail values."""
+    """Reference witness: `repair_looped`, one cell and one pair at a time in
+    exact arithmetic, on the base of the full minimal sweep.  The tail never
+    reads the minimal tail values."""
     m = np.array(minimal_metric(system).values)
     cut = int(np.searchsorted(system.grid, 2.0, side="right"))
     base = np.ones(system.L)
     base[:cut] = np.maximum(m, system.grid / 4.0)[:cut]
-    d = []
-    for i in range(system.L):
-        best = float(base[i])
-        for j in range(i):
-            best = min(best, round_down(Fraction(d[j]) + Fraction(d[i - 1 - j])))
-        d.append(max(best, d[i - 1] if i else 0.0))
-    return tuple(d)
+    return repair_looped(base)
+
+
+# Grid sizes at and around the edges of the first two row blocks (L = 1 is the
+# lone a = 0 block), and values that make float pair sums tie or round up.
+BLOCK_EDGE_LS = (1, 2, 31, 32, 33, 63, 64, 65)
+tenths = st.integers(0, 20).map(lambda k: k / 10)
+
+
+def shaped_base(kind, L):
+    lam = np.arange(1, L + 1) / L
+    return {"convex": lam**2, "step": np.where(lam > 0.5, 1.0, 0.25), "concave": np.sqrt(lam),
+            "linear floor": lam / 4.0}[kind]
+
+
+class TestRepair:
+    """`contraction._repair` on a given base equals the exact oracle bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["convex", "step", "concave", "linear floor"])
+    @pytest.mark.parametrize("L", BLOCK_EDGE_LS)
+    def test_shaped_bases(self, L, kind):
+        base = shaped_base(kind, L)
+        assert contraction._repair(base).tolist() == list(repair_looped(base))
+
+    @given(st.sampled_from(BLOCK_EDGE_LS).flatmap(
+        lambda L: st.lists(st.floats(-1.0, 2.0) | tenths, min_size=L, max_size=L)), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_and_sorted_bases(self, values, ordered):
+        base = np.array(sorted(values) if ordered else values)
+        assert contraction._repair(base).tolist() == list(repair_looped(base))
+
+    # The lam/4 floor alone, as on the whole head at rho = 0.03: every row's
+    # least pair sum reaches its base, and at L = 1024 every pair sum is exact
+    # while at L = 1000 i/L is not exactly additive.
+    @pytest.mark.parametrize("L", [1000, 1024])
+    def test_linear_floor_at_large_L(self, L):
+        base = shaped_base("linear floor", L)
+        assert contraction._repair(base).tolist() == list(repair_looped(base))
 
 
 class TestRepairedMetric:

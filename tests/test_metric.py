@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harddisks import metric as metric_mod
@@ -179,6 +179,27 @@ class TestCheckAxioms:
         # d_i + d_j must reach 1 whenever lam_i + lam_j exceeds the grid end.
         report = check_axioms(PiecewiseMetric(values=(0.1, 0.2, 0.3, 0.4)))
         assert any(i + j > 4 for (i, j, _) in report.subadditivity_violations)
+
+    # Tenths tie or round up in float sums (0.1 + 0.2 rounds up), and the check
+    # needs neither sign, order nor finiteness; L up to 70 spans three row blocks.
+    @given(st.lists(st.floats(-2.0, 2.0) | st.integers(0, 10).map(lambda k: k / 10)
+                    | st.sampled_from([0.1 + 0.2, math.nan, math.inf, -math.inf]),
+                    min_size=1, max_size=70), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_looped_reference_on_any_values(self, values, ordered):
+        if ordered:
+            values.sort(key=lambda x: (math.isnan(x), x))
+        # repr, since a NaN in a violation never equals itself; floats repr exactly
+        assert repr(check_axioms(values)) == repr(check_axioms_looped(values))
+
+    def test_ci_dip_values(self):
+        # The dip and overshoot of 5e-13 that CI feeds to couple break every axiom.
+        values = [0.5, 0.4999999999995, 1.0000000000005, 1.0]
+        report = check_axioms(values)
+        assert report == check_axioms_looped(values)
+        assert report.range_violations == [(3, 1.0000000000005)]
+        assert report.monotonicity_violations == [(1, 0.5, 0.4999999999995), (3, 1.0000000000005, 1.0)]
+        assert report.subadditivity_violations == [(1, 2, 1.0000000000005), (2, 2, 1.0)]
 
     @pytest.mark.parametrize("mutation", ["none", "range", "monotonicity", "subadditivity",
                                           "tail", "all"])
