@@ -226,13 +226,13 @@ def _repair(base: np.ndarray) -> np.ndarray:
             if (M <= base[a:b]).any():
                 M = np.where((M[:, None] - high > low).any(axis=1), np.nextafter(M, -np.inf), M)
         for i, best in enumerate(np.minimum(M, base[a:b]).tolist(), start=a):
-            p = max(a, i // 2)  # pairs (i-1-q, q) for q = p, ..., i-1
-            for x, y in zip(reversed(v[: i - p]), v[p:i]):
-                s = x + y
-                if s <= best:
-                    best = math.nextafter(s, -math.inf) if x - (s - y) < 0.0 else s
-            prev = max(prev, best)
-            v.append(prev)
+            p = max(a, i // 2)  # pairs (i-1-q, q) for q = p, ..., i-1, each sum at least v[0] + v[p]
+            if i > p and v[0] + v[p] <= best:
+                for x, y in zip(reversed(v[: i - p]), v[p:i]):
+                    s = x + y
+                    if s <= best:
+                        best = math.nextafter(s, -math.inf) if x - (s - y) < 0.0 else s
+            v.append(prev := max(prev, best))
         d[a:b] = v[a:b]
     return d
 
